@@ -20,6 +20,7 @@ let () =
       ("interval", Test_interval.suite);
       ("model", Test_model.suite);
       ("trace", Test_trace.suite);
+      ("trace-golden", Test_trace_golden.suite);
       ("dependency", Test_dependency.suite);
       ("dependency-exact", Test_dependency_exact.suite);
       ("prov-export", Test_prov_export.suite);
