@@ -154,11 +154,11 @@ type experiment = {
   app_name : string;
 }
 
-let run_audit ?counts ~vid system : experiment =
+let run_audit ?counts ?(sf = !sf) ~vid system : experiment =
   let counts = match counts with Some c -> c | None -> sweep_counts () in
   (* stabilize the heap so run order does not skew comparisons *)
   Gc.compact ();
-  let inst = Instance.get ~sf:!sf in
+  let inst = Instance.get ~sf in
   let db = Instance.fresh_db inst in
   let kernel = Minios.Kernel.create () in
   let server = Dbclient.Server.install kernel db in
@@ -729,6 +729,15 @@ let micro () =
       (Minidb.Database.exec sales
          (Printf.sprintf "INSERT INTO s VALUES (%d, %d)" k (k mod 17)))
   done;
+  (* a fixed small Q3-1 audit: tuple lineage on every select, DML
+     dependencies on every write *)
+  let q3_audit =
+    (run_audit ~sf:0.002
+       ~counts:{ n_insert = 20; n_select = 2; n_update = 5 }
+       ~vid:"Q3-1" Sys_included)
+      .audit
+  in
+  let q3_stmts = Audit.stmts q3_audit in
   let csv_schema =
     Minidb.Schema.of_list
       [ Minidb.Schema.column "a" Minidb.Value.Tint;
@@ -748,6 +757,9 @@ let micro () =
         (Staged.stage (fun () ->
              Minidb.Database.query sales
                "SELECT y, count(*), sum(x) FROM s GROUP BY y"));
+      Test.make ~name:"audit/build-trace(Q3-1)"
+        (Staged.stage (fun () ->
+             Audit.build_trace q3_audit.Audit.tracer q3_stmts));
       Test.make ~name:"fig6/temporal-inference"
         (Staged.stage (fun () ->
              Prov.Dependency.dependencies_of fig6_trace "file:C"));

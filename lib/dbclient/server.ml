@@ -14,21 +14,6 @@ open Minidb
 let default_binary_size = 38_000_000
 let default_lib_sizes = [ ("libpq.so.5", 900_000); ("libssl.so", 2_300_000) ]
 
-type t = {
-  db : Database.t;
-  binary_path : string;
-  lib_paths : string list;
-  data_dir : string;
-  mutable server_pid : int option;
-}
-
-let db t = t.db
-let binary_path t = t.binary_path
-let lib_paths t = t.lib_paths
-let data_dir t = t.data_dir
-
-let data_file t table = Printf.sprintf "%s/%s.dat" t.data_dir table
-
 (* ------------------------------------------------------------------ *)
 (* Native data-file format.
 
@@ -46,6 +31,23 @@ type table_image = {
   img_indexes : (string * string * bool) list;
       (** index name, column name, ordered? *)
 }
+
+type t = {
+  db : Database.t;
+  binary_path : string;
+  lib_paths : string list;
+  data_dir : string;
+  mutable server_pid : int option;
+  mutable start_images : (string * (table_image * string)) list;
+      (** per table: the image [start_traced] wrote and its encoding *)
+}
+
+let db t = t.db
+let binary_path t = t.binary_path
+let lib_paths t = t.lib_paths
+let data_dir t = t.data_dir
+
+let data_file t table = Printf.sprintf "%s/%s.dat" t.data_dir table
 
 let table_image (table : Table.t) : table_image =
   let schema = Table.schema table in
@@ -150,24 +152,33 @@ let install (kernel : Minios.Kernel.t) ?(root = "/opt/minidb")
         path)
       default_lib_sizes
   in
-  { db; binary_path; lib_paths; data_dir; server_pid = None }
+  { db; binary_path; lib_paths; data_dir; server_pid = None; start_images = [] }
+
+(* Write every table's image into the data directory; returns each
+   table's image and encoding. *)
+let write_data_dir (kernel : Minios.Kernel.t) (t : t) =
+  let vfs = Minios.Kernel.vfs kernel in
+  let written = ref [] in
+  Catalog.iter (Database.catalog t.db) (fun table ->
+      let name = Table.name table in
+      let image = table_image table in
+      let data = encode_table_image image in
+      Minios.Vfs.write_string vfs ~path:(data_file t name) data;
+      written := (name, (image, data)) :: !written);
+  !written
 
 (** Serialize every table's live state into the data directory. Called at
     server start so the data files reflect the DB state valid at the start
     of the application — the state a re-execution must restore. *)
 let sync_data_dir (kernel : Minios.Kernel.t) (t : t) =
-  let vfs = Minios.Kernel.vfs kernel in
-  Catalog.iter (Database.catalog t.db) (fun table ->
-      Minios.Vfs.write_string vfs
-        ~path:(data_file t (Table.name table))
-        (encode_table_image (table_image table)))
+  ignore (write_data_dir kernel t)
 
 (** Start the server as a traced OS process: it reads its binary, its
     libraries, and every data file, so a ptrace-based packager sees the
     whole DB. Returns the server pid. *)
 let start_traced (kernel : Minios.Kernel.t) (t : t) : int =
   Ldv_obs.with_span "server.start_traced" @@ fun () ->
-  sync_data_dir kernel t;
+  t.start_images <- write_data_dir kernel t;
   let vfs = Minios.Kernel.vfs kernel in
   let proc =
     Minios.Kernel.start_process kernel ~binary:t.binary_path
@@ -186,21 +197,31 @@ let start_traced (kernel : Minios.Kernel.t) (t : t) : int =
   pid
 
 (** Stop a traced server: it checkpoints its tables back to the data
-    directory (observed as writes) and exits. *)
+    directory (observed as writes) and exits. A table whose image equals
+    the one written at start reuses that encoding instead of marshalling
+    again; comparing images, rather than trusting a dirty flag, cannot
+    miss a write path. *)
 let stop_traced (kernel : Minios.Kernel.t) (t : t) =
   match t.server_pid with
   | None -> ()
   | Some pid ->
     Catalog.iter (Database.catalog t.db) (fun table ->
-        let path = data_file t (Table.name table) in
-        let image = encode_table_image (table_image table) in
+        let name = Table.name table in
+        let path = data_file t name in
+        let current = table_image table in
+        let image =
+          match List.assoc_opt name t.start_images with
+          | Some (start, data) when start = current -> data
+          | _ -> encode_table_image current
+        in
         let fd =
           Minios.Kernel.open_file kernel ~pid ~path ~mode:Minios.Syscall.Write
         in
         Minios.Kernel.write_fd kernel ~pid ~fd image;
         Minios.Kernel.close_fd kernel ~pid ~fd);
     Minios.Kernel.exit_process kernel pid;
-    t.server_pid <- None
+    t.server_pid <- None;
+    t.start_images <- []
 
 (** Execute one protocol request against the backend. *)
 let handle (t : t) (req : Protocol.request) : Protocol.response =
@@ -242,4 +263,5 @@ let attach ?(root = "/opt/minidb") ?(data_dir = "/var/minidb/data")
     binary_path = root ^ "/bin/minidb-server";
     lib_paths = List.map (fun (name, _) -> root ^ "/lib/" ^ name) default_lib_sizes;
     data_dir;
-    server_pid = None }
+    server_pid = None;
+    start_images = [] }

@@ -197,53 +197,102 @@ let tx_outcomes (stmts : I.stmt_event list) : (int * int * tx_outcome) list
       mark (List.rev !closed))
     sids
 
-(** Build the combined execution trace from the tracer's syscall stream and
-    the interceptor's statement log. *)
-let build_trace (tracer : Minios.Tracer.t) (stmts : I.stmt_event list) :
-    Prov.Trace.t =
-  Ldv_obs.with_span "audit.build_trace" @@ fun () ->
+(* Fill a combined trace from the tracer's syscall stream and a statement
+   log. Every statement gets its node and [run] edge; [keep_tuples s] says
+   whether its tuple-version reads, results and lineage enter the trace
+   too. Each tuple version is resolved to its node index once per build,
+   so a tuple edge or dependency costs one [Tid.Tbl] probe. *)
+let fill_trace ~(keep_tuples : I.stmt_event -> bool)
+    (tracer : Minios.Tracer.t) (stmts : I.stmt_event list) : Prov.Trace.t =
+  let module T = Prov.Trace in
   let trace = Prov.Combined.create () in
   Minios.Tracer.build_bb_into tracer trace;
+  let tuples = Tid.Tbl.create 1024 in
+  let tuple tid =
+    match Tid.Tbl.find_opt tuples tid with
+    | Some ix -> ix
+    | None ->
+      let n = Prov.Lineage_model.add_tuple trace tid in
+      let ix = T.index_of trace n.T.id in
+      Tid.Tbl.add tuples tid ix;
+      ix
+  in
+  (* lineage sources must already be in the trace, as inputs *)
+  let source tid =
+    match Tid.Tbl.find_opt tuples tid with
+    | Some ix -> ix
+    | None -> T.index_of trace (Prov.Lineage_model.tuple_id tid)
+  in
   List.iter
     (fun (s : I.stmt_event) ->
       match kind_of_stmt s.I.kind with
       | None -> ()
       | Some kind ->
         let time = Prov.Interval.make s.I.t_start s.I.t_end in
-        ignore
-          (Prov.Lineage_model.add_statement trace ~qid:s.I.qid ~kind
-             ~sql:s.I.sql_norm);
+        let stmt =
+          T.index_of trace
+            (Prov.Lineage_model.add_statement trace ~qid:s.I.qid ~kind
+               ~sql:s.I.sql_norm)
+              .T.id
+        in
         (* the issuing process may be unknown to the tracer if tracing
            started late; create it defensively *)
-        if not (Prov.Trace.mem_node trace (Prov.Bb_model.process_id s.I.pid))
-        then ignore (Prov.Bb_model.add_process trace ~pid:s.I.pid ~name:"proc");
-        ignore (Prov.Combined.run trace ~pid:s.I.pid ~qid:s.I.qid ~time);
-        (* input tuple versions *)
-        List.iter
-          (fun tid ->
-            ignore (Prov.Lineage_model.add_tuple trace tid);
-            ignore (Prov.Lineage_model.has_read trace ~qid:s.I.qid ~tid ~time))
-          s.I.reads;
-        (* produced tuple versions and their registered dependencies *)
-        List.iter
-          (fun (rtid, lineage) ->
-            ignore (Prov.Lineage_model.add_tuple trace rtid);
-            ignore
-              (Prov.Lineage_model.has_returned trace ~qid:s.I.qid ~tid:rtid
-                 ~time);
-            (match s.I.kind with
-            | I.Squery ->
-              (* the client consumed the result rows *)
+        let proc_id = Prov.Bb_model.process_id s.I.pid in
+        if not (T.mem_node trace proc_id) then
+          ignore (Prov.Bb_model.add_process trace ~pid:s.I.pid ~name:"proc");
+        let proc = T.index_of trace proc_id in
+        ignore (T.add_edge_ix trace ~label:"run" ~src:proc ~dst:stmt ~time);
+        if keep_tuples s then begin
+          (* input tuple versions *)
+          List.iter
+            (fun tid ->
               ignore
-                (Prov.Combined.read_from_db trace ~pid:s.I.pid ~tid:rtid ~time)
-            | _ -> ());
-            List.iter
-              (fun src ->
-                Prov.Lineage_model.depends_on trace ~result:rtid ~source:src)
-              lineage)
-          s.I.results)
+                (T.add_edge_ix trace ~label:"hasRead" ~src:(tuple tid)
+                   ~dst:stmt ~time))
+            s.I.reads;
+          (* produced tuple versions and their registered dependencies *)
+          List.iter
+            (fun (rtid, lineage) ->
+              let result = tuple rtid in
+              ignore
+                (T.add_edge_ix trace ~label:"hasReturned" ~src:stmt
+                   ~dst:result ~time);
+              (match s.I.kind with
+              | I.Squery ->
+                (* the client consumed the result rows *)
+                ignore
+                  (T.add_edge_ix trace ~label:"readFromDb" ~src:result
+                     ~dst:proc ~time)
+              | _ -> ());
+              List.iter
+                (fun src ->
+                  T.add_dependency_ix trace ~later:result
+                    ~earlier:(source src))
+                lineage)
+            s.I.results
+        end)
     stmts;
   trace
+
+(** Build the combined execution trace from the tracer's syscall stream and
+    the interceptor's statement log. *)
+let build_trace (tracer : Minios.Tracer.t) (stmts : I.stmt_event list) :
+    Prov.Trace.t =
+  Ldv_obs.with_span "audit.build_trace" @@ fun () ->
+  fill_trace ~keep_tuples:(fun _ -> true) tracer stmts
+
+(** The compact trace embedded in packages. The in-memory trace carries
+    per-result-row lineage (needed for provenance queries); persisting that
+    for every query repetition would dwarf the tuple subset itself. As in
+    the paper, the packaged provenance materializes query lineage as the
+    relevant-tuple CSVs, so the packaged trace keeps only the OS portion,
+    the statement log with [run] edges, and DML provenance (written
+    versions and the pre-versions they derive from). *)
+let compact_trace (t : t) : Prov.Trace.t =
+  Ldv_obs.with_span "audit.compact_trace" @@ fun () ->
+  fill_trace
+    ~keep_tuples:(fun (s : I.stmt_event) -> s.I.kind <> I.Squery)
+    t.tracer (stmts t)
 
 (** Files written by the traced application (excluding the DB server's own
     checkpoint writes). *)
@@ -462,52 +511,6 @@ let run_concurrent ~(packaging : packaging) ?(sched_seed = 0)
     out_files;
     query_fingerprints;
     start_rows }
-
-(** The compact trace embedded in packages. The in-memory trace carries
-    per-result-row lineage (needed for provenance queries); persisting that
-    for every query repetition would dwarf the tuple subset itself. As in
-    the paper, the packaged provenance materializes query lineage as the
-    relevant-tuple CSVs, so the packaged trace keeps only the OS portion,
-    the statement log with [run] edges, and DML provenance (written
-    versions and the pre-versions they derive from). *)
-let compact_trace (t : t) : Prov.Trace.t =
-  Ldv_obs.with_span "audit.compact_trace" @@ fun () ->
-  let trace = Prov.Combined.create () in
-  Minios.Tracer.build_bb_into t.tracer trace;
-  List.iter
-    (fun (s : I.stmt_event) ->
-      match kind_of_stmt s.I.kind with
-      | None -> ()
-      | Some kind ->
-        let time = Prov.Interval.make s.I.t_start s.I.t_end in
-        ignore
-          (Prov.Lineage_model.add_statement trace ~qid:s.I.qid ~kind
-             ~sql:s.I.sql_norm);
-        if not (Prov.Trace.mem_node trace (Prov.Bb_model.process_id s.I.pid))
-        then ignore (Prov.Bb_model.add_process trace ~pid:s.I.pid ~name:"proc");
-        ignore (Prov.Combined.run trace ~pid:s.I.pid ~qid:s.I.qid ~time);
-        match s.I.kind with
-        | I.Squery | I.Sddl -> ()
-        | I.Sinsert | I.Supdate | I.Sdelete ->
-          List.iter
-            (fun tid ->
-              ignore (Prov.Lineage_model.add_tuple trace tid);
-              ignore
-                (Prov.Lineage_model.has_read trace ~qid:s.I.qid ~tid ~time))
-            s.I.reads;
-          List.iter
-            (fun (rtid, lineage) ->
-              ignore (Prov.Lineage_model.add_tuple trace rtid);
-              ignore
-                (Prov.Lineage_model.has_returned trace ~qid:s.I.qid ~tid:rtid
-                   ~time);
-              List.iter
-                (fun src ->
-                  Prov.Lineage_model.depends_on trace ~result:rtid ~source:src)
-                lineage)
-            s.I.results)
-    (stmts t);
-  trace
 
 (** Convenience: pids belonging to the application (everything traced minus
     the server process). *)

@@ -20,11 +20,25 @@ let compare a b =
     | c -> c)
   | c -> c
 
-let equal a b = compare a b = 0
-let hash = Hashtbl.hash
+let equal a b =
+  Int.equal a.rid b.rid
+  && Int.equal a.version b.version
+  && String.equal a.table b.table
+
+(* Monomorphic: a polynomial hash over the table name's bytes mixed with
+   the two integers. *)
+let hash t =
+  let h = ref ((t.rid * 65599) + t.version) in
+  for i = 0 to String.length t.table - 1 do
+    h := (!h * 31) + Char.code t.table.[i]
+  done;
+  !h land max_int
 
 let pp ppf t = Format.fprintf ppf "%s:%d@@%d" t.table t.rid t.version
-let to_string t = Format.asprintf "%a" pp t
+
+let to_string t =
+  String.concat ""
+    [ t.table; ":"; string_of_int t.rid; "@"; string_of_int t.version ]
 
 (** Parse the [pp] rendering back; used by trace (de)serialization. *)
 let of_string s =
@@ -54,4 +68,11 @@ module Map = Map.Make (struct
   type nonrec t = t
 
   let compare = compare
+end)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
 end)

@@ -26,3 +26,6 @@ val of_string : string -> t option
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+(** Hash table keyed by tuple version, with monomorphic [equal]/[hash]. *)
+module Tbl : Hashtbl.S with type key = t

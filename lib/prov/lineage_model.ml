@@ -26,7 +26,7 @@ let model : Model.t =
              Model.edge_type "hasReturned" ~src:s ~dst:tuple_type ])
          stmts)
 
-let stmt_id qid = Printf.sprintf "stmt:%d" qid
+let stmt_id qid = "stmt:" ^ string_of_int qid
 let tuple_id (tid : Minidb.Tid.t) = "tuple:" ^ Minidb.Tid.to_string tid
 
 (** Recover the DB tuple identifier from a trace node id. *)
@@ -35,15 +35,27 @@ let tid_of_node_id (id : string) : Minidb.Tid.t option =
     Minidb.Tid.of_string (String.sub id 6 (String.length id - 6))
   else None
 
+(* The node [id] if it already exists with [node_type]; otherwise [add ()]
+   creates it (or raises on a type clash), so labels and attributes are
+   built only for new nodes. *)
+let existing_or trace ~id ~node_type add =
+  match Trace.find_node trace id with
+  | Some n when String.equal n.Trace.node_type node_type -> n
+  | _ -> add ()
+
 let add_statement trace ~qid ~kind ~sql =
-  Trace.add_node trace ~id:(stmt_id qid) ~node_type:(stmt_type kind)
-    ~label:(Printf.sprintf "q%d" qid)
+  let id = stmt_id qid and node_type = stmt_type kind in
+  existing_or trace ~id ~node_type @@ fun () ->
+  Trace.add_node trace ~id ~node_type
+    ~label:("q" ^ string_of_int qid)
     ~attrs:[ ("qid", string_of_int qid); ("sql", sql) ]
     ()
 
 let add_tuple trace (tid : Minidb.Tid.t) =
-  Trace.add_node trace ~id:(tuple_id tid) ~node_type:tuple_type
-    ~label:(Minidb.Tid.to_string tid)
+  let name = Minidb.Tid.to_string tid in
+  let id = "tuple:" ^ name in
+  existing_or trace ~id ~node_type:tuple_type @@ fun () ->
+  Trace.add_node trace ~id ~node_type:tuple_type ~label:name
     ~attrs:
       [ ("table", tid.Minidb.Tid.table);
         ("rid", string_of_int tid.Minidb.Tid.rid);

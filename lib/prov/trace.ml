@@ -22,39 +22,82 @@ type node = {
 
 type edge = { elabel : string; src : string; dst : string; time : Interval.t }
 
+(* A dependency pair packed into one int: [later] in the high bits,
+   [earlier] in the low 31. *)
+let dep_key ~later ~earlier = (later lsl 31) lor earlier
+
+module Pair_tbl = Hashtbl.Make (Int)
+
+(* Nodes live at dense integer indices (in insertion order); string ids
+   exist only at the API boundary, resolved once through [index]. *)
 type t = {
   model : Model.t;
-  nodes : (string, node) Hashtbl.t;
+  index : (string, int) Hashtbl.t;
+      (** id -> node index. Created with the same size and filled in the
+          same order as an id-keyed node table, so iterating it yields the
+          order [nodes] has always had. *)
+  mutable node_at : node array;
+  mutable out_adj : edge list array;  (** newest first *)
+  mutable in_adj : edge list array;  (** newest first *)
+  mutable deps_at : int list array;
+      (** later entity -> earlier entities it directly depends on, newest
+          first *)
+  mutable dep_owners : int list;
+      (** entities with dependencies, newest first by first dependency *)
+  dep_seen : unit Pair_tbl.t;
+  mutable n_nodes : int;
   mutable edges : edge list;  (** newest first *)
-  out_adj : (string, edge list ref) Hashtbl.t;
-  in_adj : (string, edge list ref) Hashtbl.t;
-  (* (later entity id, earlier entity id) direct dependencies, keyed by the
-     later entity, with a pair-level seen-set for O(1) dedup *)
-  direct_deps : (string, string list ref) Hashtbl.t;
-  dep_seen : (string * string, unit) Hashtbl.t;
   mutable n_edges : int;
 }
 
+let initial_capacity = 256
+
+let dummy_node =
+  { id = ""; node_type = ""; kind = Model.Entity; label = ""; attrs = [] }
+
 let create model =
   { model;
-    nodes = Hashtbl.create 256;
+    index = Hashtbl.create initial_capacity;
+    node_at = Array.make initial_capacity dummy_node;
+    out_adj = Array.make initial_capacity [];
+    in_adj = Array.make initial_capacity [];
+    deps_at = Array.make initial_capacity [];
+    dep_owners = [];
+    dep_seen = Pair_tbl.create 64;
+    n_nodes = 0;
     edges = [];
-    out_adj = Hashtbl.create 256;
-    in_adj = Hashtbl.create 256;
-    direct_deps = Hashtbl.create 64;
-    dep_seen = Hashtbl.create 64;
     n_edges = 0 }
 
 let model t = t.model
 
-let find_node t id = Hashtbl.find_opt t.nodes id
+let find_node t id =
+  match Hashtbl.find_opt t.index id with
+  | Some ix -> Some t.node_at.(ix)
+  | None -> None
 
-let node_exn t id =
-  match find_node t id with
-  | Some n -> n
+let index_of t id =
+  match Hashtbl.find_opt t.index id with
+  | Some ix -> ix
   | None -> invalid_arg (Printf.sprintf "Trace: unknown node %S" id)
 
-let mem_node t id = Hashtbl.mem t.nodes id
+let node_exn t id = t.node_at.(index_of t id)
+let mem_node t id = Hashtbl.mem t.index id
+
+let check_index t fn ix =
+  if ix < 0 || ix >= t.n_nodes then
+    invalid_arg (Printf.sprintf "Trace.%s: unknown node index %d" fn ix)
+
+let grow t =
+  let cap = 2 * Array.length t.node_at in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.n_nodes;
+    b
+  in
+  t.node_at <- extend t.node_at dummy_node;
+  t.out_adj <- extend t.out_adj [];
+  t.in_adj <- extend t.in_adj [];
+  t.deps_at <- extend t.deps_at []
 
 let add_node t ?(label = "") ?(attrs = []) ~id ~node_type () =
   match Model.kind_of t.model node_type with
@@ -63,8 +106,9 @@ let add_node t ?(label = "") ?(attrs = []) ~id ~node_type () =
       (Printf.sprintf "Trace.add_node: type %S not in model %s" node_type
          t.model.Model.name)
   | Some kind ->
-    (match Hashtbl.find_opt t.nodes id with
-    | Some existing ->
+    (match Hashtbl.find_opt t.index id with
+    | Some ix ->
+      let existing = t.node_at.(ix) in
       if not (String.equal existing.node_type node_type) then
         invalid_arg
           (Printf.sprintf "Trace.add_node: node %S re-added with type %S" id
@@ -73,58 +117,75 @@ let add_node t ?(label = "") ?(attrs = []) ~id ~node_type () =
     | None ->
       let label = if label = "" then id else label in
       let n = { id; node_type; kind; label; attrs } in
-      Hashtbl.replace t.nodes id n;
+      if t.n_nodes = Array.length t.node_at then grow t;
+      let ix = t.n_nodes in
+      t.node_at.(ix) <- n;
+      t.n_nodes <- ix + 1;
+      Hashtbl.replace t.index id ix;
       n)
 
-let add_edge t ~label ~src ~dst ~time =
-  let s = node_exn t src and d = node_exn t dst in
+let add_edge_ix t ~label ~src ~dst ~time =
+  check_index t "add_edge_ix" src;
+  check_index t "add_edge_ix" dst;
+  let s = t.node_at.(src) and d = t.node_at.(dst) in
   if not (Model.edge_allowed t.model ~label ~src:s.node_type ~dst:d.node_type)
   then
     invalid_arg
       (Printf.sprintf
          "Trace.add_edge: edge %S from type %S to type %S not allowed" label
          s.node_type d.node_type);
-  let e = { elabel = label; src; dst; time } in
+  let e = { elabel = label; src = s.id; dst = d.id; time } in
   t.edges <- e :: t.edges;
   t.n_edges <- t.n_edges + 1;
-  let push tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := e :: !r
-    | None -> Hashtbl.replace tbl key (ref [ e ])
-  in
-  push t.out_adj src;
-  push t.in_adj dst;
+  t.out_adj.(src) <- e :: t.out_adj.(src);
+  t.in_adj.(dst) <- e :: t.in_adj.(dst);
   e
+
+let add_edge t ~label ~src ~dst ~time =
+  add_edge_ix t ~label ~src:(index_of t src) ~dst:(index_of t dst) ~time
+
+let add_dependency_ix t ~later ~earlier =
+  check_index t "add_dependency_ix" later;
+  check_index t "add_dependency_ix" earlier;
+  if
+    t.node_at.(later).kind <> Model.Entity
+    || t.node_at.(earlier).kind <> Model.Entity
+  then invalid_arg "Trace.add_dependency: both nodes must be entities";
+  let key = dep_key ~later ~earlier in
+  if not (Pair_tbl.mem t.dep_seen key) then begin
+    Pair_tbl.replace t.dep_seen key ();
+    (match t.deps_at.(later) with
+    | [] -> t.dep_owners <- later :: t.dep_owners
+    | _ :: _ -> ());
+    t.deps_at.(later) <- earlier :: t.deps_at.(later)
+  end
 
 (** Register a direct data dependency: entity [later] depends on entity
     [earlier] (both must be entities of the same sub-model). *)
 let add_dependency t ~later ~earlier =
-  (match (find_node t later, find_node t earlier) with
-  | Some a, Some b ->
-    if a.kind <> Model.Entity || b.kind <> Model.Entity then
-      invalid_arg "Trace.add_dependency: both nodes must be entities"
-  | _ -> invalid_arg "Trace.add_dependency: unknown node");
-  if not (Hashtbl.mem t.dep_seen (later, earlier)) then begin
-    Hashtbl.replace t.dep_seen (later, earlier) ();
-    match Hashtbl.find_opt t.direct_deps later with
-    | Some r -> r := earlier :: !r
-    | None -> Hashtbl.replace t.direct_deps later (ref [ earlier ])
-  end
+  match (Hashtbl.find_opt t.index later, Hashtbl.find_opt t.index earlier) with
+  | Some later, Some earlier -> add_dependency_ix t ~later ~earlier
+  | _ -> invalid_arg "Trace.add_dependency: unknown node"
 
 let direct_deps_of t id =
-  match Hashtbl.find_opt t.direct_deps id with Some r -> !r | None -> []
+  match Hashtbl.find_opt t.index id with
+  | Some ix -> List.map (fun e -> t.node_at.(e).id) t.deps_at.(ix)
+  | None -> []
 
-let has_direct_dep t ~later ~earlier = Hashtbl.mem t.dep_seen (later, earlier)
+let has_direct_dep t ~later ~earlier =
+  match (Hashtbl.find_opt t.index later, Hashtbl.find_opt t.index earlier) with
+  | Some later, Some earlier -> Pair_tbl.mem t.dep_seen (dep_key ~later ~earlier)
+  | _ -> false
 
 let in_edges t id =
-  match Hashtbl.find_opt t.in_adj id with Some r -> !r | None -> []
+  match Hashtbl.find_opt t.index id with Some ix -> t.in_adj.(ix) | None -> []
 
 let out_edges t id =
-  match Hashtbl.find_opt t.out_adj id with Some r -> !r | None -> []
+  match Hashtbl.find_opt t.index id with Some ix -> t.out_adj.(ix) | None -> []
 
-let nodes t = Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes []
+let nodes t = Hashtbl.fold (fun _ ix acc -> t.node_at.(ix) :: acc) t.index []
 let edges t = List.rev t.edges
-let node_count t = Hashtbl.length t.nodes
+let node_count t = t.n_nodes
 let edge_count t = t.n_edges
 
 let entities t = List.filter (fun n -> n.kind = Model.Entity) (nodes t)
@@ -187,14 +248,22 @@ let serialize t : string =
            (escape e.src) (escape e.dst) (Interval.b e.time)
            (Interval.e e.time)))
     (edges t);
+  (* dependency groups in the iteration order of an id-keyed table of the
+     same size filled in first-dependency order: the format's historical
+     order, kept so serialized traces stay byte-identical *)
+  let owners = Hashtbl.create 64 in
+  List.iter
+    (fun ix -> Hashtbl.replace owners t.node_at.(ix).id ix)
+    (List.rev t.dep_owners);
   Hashtbl.iter
-    (fun later r ->
+    (fun later ix ->
       List.iter
         (fun earlier ->
           Buffer.add_string buf
-            (Printf.sprintf "D\t%s\t%s\n" (escape later) (escape earlier)))
-        !r)
-    t.direct_deps;
+            (Printf.sprintf "D\t%s\t%s\n" (escape later)
+               (escape t.node_at.(earlier).id)))
+        t.deps_at.(ix))
+    owners;
   Buffer.contents buf
 
 let deserialize (model : Model.t) (data : string) : t =

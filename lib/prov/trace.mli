@@ -6,7 +6,13 @@
 
     Traces also store direct data dependencies between entities of the
     same model (Definition 7's lineage facts are registered explicitly;
-    Definition 8's blackbox dependencies are implied by process paths). *)
+    Definition 8's blackbox dependencies are implied by process paths).
+
+    Nodes are stored at dense integer indices, assigned in insertion
+    order; string ids are resolved once, at the API boundary. Hot
+    builders resolve each node with {!index_of} and then add edges and
+    dependencies by index; the string-keyed functions are wrappers that
+    run the same checks. *)
 
 type node = {
   id : string;
@@ -42,15 +48,28 @@ val add_node :
   unit ->
   node
 
+(** The index of a node.
+    @raise Invalid_argument on unknown node ids. *)
+val index_of : t -> string -> int
+
 (** @raise Invalid_argument when the edge type is not admissible between
-    the endpoint node types. *)
+    the endpoint node types, or on unknown node ids. *)
 val add_edge :
   t -> label:string -> src:string -> dst:string -> time:Interval.t -> edge
 
+(** [add_edge] on node indices.
+    @raise Invalid_argument as [add_edge], and on unknown indices. *)
+val add_edge_ix :
+  t -> label:string -> src:int -> dst:int -> time:Interval.t -> edge
+
 (** Register that entity [later] directly depends on entity [earlier]
     (both must be entities). Idempotent per pair.
-    @raise Invalid_argument on non-entity endpoints. *)
+    @raise Invalid_argument on non-entity or unknown endpoints. *)
 val add_dependency : t -> later:string -> earlier:string -> unit
+
+(** [add_dependency] on node indices.
+    @raise Invalid_argument as [add_dependency], and on unknown indices. *)
+val add_dependency_ix : t -> later:int -> earlier:int -> unit
 
 val direct_deps_of : t -> string -> string list
 val has_direct_dep : t -> later:string -> earlier:string -> bool

@@ -70,6 +70,53 @@ let test_table_image_roundtrip () =
       Alcotest.(check bool) "tid preserved" true (Tid.equal a.Table.tid b.Table.tid))
     (Table.scan t1) (Table.scan t2)
 
+(* The TPC-H app writes only [orders]: at stop, every other table's data
+   file must be exactly the bytes written at start (the reused encoding),
+   while [orders] must hold the post-run state. *)
+let test_stop_reuses_unchanged_images () =
+  let kernel, server, _cfg, binary, program, app_name =
+    Ldv_fixtures.make_setup ()
+  in
+  let catalog = Database.catalog (Server.db server) in
+  let start =
+    List.map
+      (fun name ->
+        ( name,
+          Server.encode_table_image
+            (Server.table_image (Catalog.find catalog name)) ))
+      (Catalog.table_names catalog)
+  in
+  let audit =
+    Ldv_core.Audit.run ~packaging:Ldv_core.Audit.Ptu_baseline kernel server
+      ~app_name ~app_binary:binary ~app_libs:Tpch.Workload.app_libs program
+  in
+  let vfs = Minios.Kernel.vfs kernel in
+  let file name = Minios.Vfs.read vfs (Server.data_file server name) in
+  List.iter
+    (fun (name, bytes) ->
+      if name <> "orders" then
+        Alcotest.(check bool) (name ^ " file is its start image") true
+          (String.equal bytes (file name)))
+    start;
+  Alcotest.(check bool) "orders file was rewritten" false
+    (String.equal (List.assoc "orders" start) (file "orders"));
+  let restored = Database.create () in
+  Server.restore_table_image restored
+    (Server.decode_table_image (file "orders"));
+  let rows db =
+    List.map
+      (fun (tv : Table.tuple_version) ->
+        String.concat "|"
+          (Tid.to_string tv.Table.tid
+          :: List.map Value.to_string (Array.to_list tv.Table.values)))
+      (Table.scan (Catalog.find (Database.catalog db) "orders"))
+  in
+  Alcotest.(check (list string)) "orders file decodes to the live rows"
+    (rows (Server.db server)) (rows restored);
+  let result = Ldv_core.Replay.execute (Ldv_core.Ptu.build audit) in
+  Alcotest.(check (list string)) "ptu package replays" []
+    (Ldv_core.Replay.verify ~audit result)
+
 let test_connect_disconnect () =
   let kernel = Minios.Kernel.create () in
   let server = Server.install kernel (Database.create ()) in
@@ -85,4 +132,6 @@ let suite =
     Alcotest.test_case "handle statements" `Quick test_handle_statements;
     Alcotest.test_case "traced start/stop" `Quick test_traced_start_stop_events;
     Alcotest.test_case "table image roundtrip" `Quick test_table_image_roundtrip;
+    Alcotest.test_case "stop reuses unchanged images" `Quick
+      test_stop_reuses_unchanged_images;
     Alcotest.test_case "connect/disconnect" `Quick test_connect_disconnect ]
