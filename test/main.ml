@@ -21,6 +21,7 @@ let () =
       ("model", Test_model.suite);
       ("trace", Test_trace.suite);
       ("trace-golden", Test_trace_golden.suite);
+      ("prov-golden", Test_prov_golden.suite);
       ("dependency", Test_dependency.suite);
       ("dependency-exact", Test_dependency_exact.suite);
       ("prov-export", Test_prov_export.suite);
