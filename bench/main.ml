@@ -702,6 +702,7 @@ let micro () =
   let db = Instance.fresh_db inst in
   let q1 = Tpch.Queries.find inst.Instance.stats "Q1-1" in
   let q2 = Tpch.Queries.find inst.Instance.stats "Q2-2" in
+  let q3 = Tpch.Queries.find inst.Instance.stats "Q3-1" in
   let fig6_trace =
     (* the Figure 6b chain, for inference cost *)
     let t = Prov.Trace.create Prov.Bb_model.model in
@@ -753,6 +754,11 @@ let micro () =
              Perm.Provenance_sql.query_lineage db q1.Tpch.Queries.sql));
       Test.make ~name:"fig8a/hash-join(Q2-2)"
         (Staged.stage (fun () -> Minidb.Database.query db q2.Tpch.Queries.sql));
+      Test.make ~name:"exec/join-count(Q3-1)"
+        (Staged.stage (fun () -> Minidb.Database.query db q3.Tpch.Queries.sql));
+      Test.make ~name:"perm/lineage(Q3-1)"
+        (Staged.stage (fun () ->
+             Perm.Provenance_sql.query_lineage db q3.Tpch.Queries.sql));
       Test.make ~name:"aggregate-groupby"
         (Staged.stage (fun () ->
              Minidb.Database.query sales

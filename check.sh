@@ -115,6 +115,10 @@ if [ "$quick" -eq 0 ]; then
   # vs full scans at 10k/100k/1M tuples; exits 1 unless the indexed
   # paths beat the scan by 10x at 100k)
   dune exec bench/main.exe -- storage
+  # paper-shape checks (~2 min; exits 1 on a failed claim): replay speed
+  # and audit-cost shape across all 18 variants and three systems, which
+  # a change to the executor or to provenance propagation can flip
+  dune exec bench/main.exe -- check
   # wait-state tracing smoke: stream a 4-session audit, then render the
   # timeline, the contention report, and the per-session stats from it
   dune exec bin/ldv.exe -- --obs "jsonl:$tmpdir/cc.jsonl" \

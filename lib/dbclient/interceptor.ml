@@ -119,7 +119,7 @@ type t = {
   mutable log : stmt_event list;  (** newest first *)
   mutable recorded : Recorder.recorded list;  (** audit-excluded, newest first *)
   mutable replay_queue : Recorder.recorded list;  (** replay-excluded, in order *)
-  slice : (Tid.t, unit) Hashtbl.t;
+  slice : unit Tid.Tbl.t;
       (** deduplicated tuple versions relevant to the run (the paper's
           in-memory hash table, §VII-D); shared across sibling sessions
           so the run's slice stays one deduplicated set *)
@@ -162,7 +162,7 @@ let create ?(mode = Passthrough) ?(session_id = 0) ?(snapshot_reads = false)
     log = [];
     recorded = [];
     replay_queue = [];
-    slice = Hashtbl.create 1024;
+    slice = Tid.Tbl.create 1024;
     eager_csv = Buffer.create 4096;
     eager_recording = Buffer.create 4096 }
 
@@ -202,16 +202,16 @@ let versioning t = t.versioning
 (** Tuple versions accumulated for packaging (before removing
     application-created versions). *)
 let slice_tids t =
-  Hashtbl.fold (fun tid () acc -> tid :: acc) t.slice []
+  Tid.Tbl.fold (fun tid () acc -> tid :: acc) t.slice []
   |> List.sort Tid.compare
 
 let eager_csv_bytes t = Buffer.length t.eager_csv
 let eager_recording_bytes t = Buffer.length t.eager_recording
 
 let add_to_slice t tid =
-  if not (Hashtbl.mem t.slice tid) then begin
+  if not (Tid.Tbl.mem t.slice tid) then begin
     Ldv_obs.Ledger.time Ldv_obs.Ledger.Audit_record @@ fun () ->
-    Hashtbl.replace t.slice tid ();
+    Tid.Tbl.replace t.slice tid ();
     (* write the newly relevant tuple out immediately (§VII-D) *)
     match Perm.Versioning.lookup_version t.versioning tid with
     | Some values ->

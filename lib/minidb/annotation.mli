@@ -3,11 +3,19 @@
     Following the semiring annotation framework (Green et al.; the paper's
     §VI-A), every base tuple carries the indeterminate [var tid] and the
     executor propagates annotations through operators: joins multiply,
-    union/duplicate-elimination/aggregation-grouping add. Polynomials are
-    kept in a canonical normal form, so [equal] is semantic equality.
+    union/duplicate-elimination/aggregation-grouping add.
+
+    An annotation is a provenance circuit, as in ProvSQL: the constructors
+    below allocate at most one gate each and share their arguments, so a
+    query pays nothing for polynomials nobody reads. The polynomial's
+    canonical normal form is computed on demand by the functions that need
+    the polynomial itself ([equal], [why], [derivation_count], [pp],
+    [to_string], [eval]); [equal] is semantic equality.
 
     Lineage — the set of base tuples a result depends on (Definition 7) —
-    and why-provenance are homomorphic images of the polynomial. *)
+    and why-provenance are homomorphic images of the polynomial. [lineage]
+    and [is_zero] read the circuit directly, expanding it only when a
+    negative [of_int] constant (outside N[X]) could cancel monomials. *)
 
 type t
 
@@ -19,11 +27,15 @@ val of_int : int -> t
 val add : t -> t -> t
 val mul : t -> t -> t
 
-(** [sum ps] equals [List.fold_left add zero ps] but runs in
-    O(total monomials × log) — required when aggregating large groups. *)
+(** [sum ps] equals [List.fold_left add zero ps] but allocates a single
+    gate — required when aggregating large groups. *)
 val sum : t list -> t
 
+(** Semantic equality of the polynomials. O(1) when either side is [zero]
+    or [one] and no negative constant occurs; otherwise both normal forms
+    are expanded. *)
 val equal : t -> t -> bool
+
 val is_zero : t -> bool
 
 (** All variables of the polynomial: the Lineage [Lin] of Definition 7. *)
@@ -36,6 +48,7 @@ val why : t -> Tid.Set.t list
     tuple has multiplicity 1. *)
 val derivation_count : t -> int
 
+(** Prints the normal form. *)
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
@@ -66,6 +79,3 @@ module Lineage_semiring : sig
 
   include SEMIRING with type elt := elt
 end
-
-(** Approximate in-memory footprint, for provenance-size accounting. *)
-val byte_size : t -> int

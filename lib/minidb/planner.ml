@@ -866,6 +866,7 @@ and plan_select_ctx (ctx : ctx) (s : select) : node =
   ctx.extra_ann <- Annotation.one;
   let wrap node =
     let node =
+      (* a constructor check, however large the subqueries' annotation *)
       if Annotation.equal ctx.extra_ann Annotation.one then node
       else { schema = node.schema; op = Annotate (ctx.extra_ann, node) }
     in

@@ -9,8 +9,17 @@
 
 type t = { table : string; rid : int; version : int }
 
+(* Tables pass their (already lowercase) name for every tuple version:
+   keeping that string instead of a fresh lowercase copy lets all versions
+   of a table share one name, so [compare]/[equal] on them take the
+   physical-equality fast path of the string comparison. *)
 let make ~table ~rid ~version =
-  { table = String.lowercase_ascii table; rid; version }
+  let table =
+    if String.exists (fun c -> c >= 'A' && c <= 'Z') table then
+      String.lowercase_ascii table
+    else table
+  in
+  { table; rid; version }
 
 let compare a b =
   match String.compare a.table b.table with

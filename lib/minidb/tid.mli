@@ -9,7 +9,8 @@
 
 type t = private { table : string; rid : int; version : int }
 
-(** [make ~table ~rid ~version] normalizes [table] to lowercase. *)
+(** [make ~table ~rid ~version] normalizes [table] to lowercase. A name
+    that is already lowercase is kept, not copied. *)
 val make : table:string -> rid:int -> version:int -> t
 
 val compare : t -> t -> int

@@ -14,13 +14,13 @@ type usage = { used_by_qid : int; used_by_pid : int; at : int }
 
 type t = {
   db : Database.t;
-  usages : (Tid.t, usage list ref) Hashtbl.t;
+  usages : usage list ref Tid.Tbl.t;
   (* tables whose versioning has been "enabled" — in the paper, the lazy
      ALTER TABLE performed on first access *)
   enabled : (string, unit) Hashtbl.t;
 }
 
-let create db = { db; usages = Hashtbl.create 256; enabled = Hashtbl.create 16 }
+let create db = { db; usages = Tid.Tbl.create 256; enabled = Hashtbl.create 16 }
 
 (** Mark a table as provenance-enabled; idempotent. Returns [true] the
     first time, which is when the paper's implementation pays the schema
@@ -40,15 +40,15 @@ let enabled_tables t =
     [pid] — the [prov_usedby]/[prov_p] columns of the paper. *)
 let record_usage t tid ~qid ~pid ~at =
   let u = { used_by_qid = qid; used_by_pid = pid; at } in
-  match Hashtbl.find_opt t.usages tid with
+  match Tid.Tbl.find_opt t.usages tid with
   | Some r -> r := u :: !r
-  | None -> Hashtbl.replace t.usages tid (ref [ u ])
+  | None -> Tid.Tbl.replace t.usages tid (ref [ u ])
 
 let usages_of t tid =
-  match Hashtbl.find_opt t.usages tid with Some r -> List.rev !r | None -> []
+  match Tid.Tbl.find_opt t.usages tid with Some r -> List.rev !r | None -> []
 
 let used_tids t =
-  Hashtbl.fold (fun tid _ acc -> tid :: acc) t.usages []
+  Tid.Tbl.fold (fun tid _ acc -> tid :: acc) t.usages []
   |> List.sort Tid.compare
 
 (** Fetch the stored values of a tuple version, if it still exists in the

@@ -65,6 +65,32 @@ let test_tropical () =
   Alcotest.(check (option int)) "min cost path" (Some 4)
     (eval (module Tropical_semiring) cost p)
 
+let test_cancellation () =
+  let open Annotation in
+  let cancelled = add (var a) (mul (of_int (-1)) (var a)) in
+  Alcotest.(check bool) "x + (-1)*x is zero" true (is_zero cancelled);
+  Alcotest.(check int) "x + (-1)*x has empty lineage" 0
+    (Tid.Set.cardinal (lineage cancelled));
+  Alcotest.check poly "x + (-1)*x = 0" zero cancelled;
+  let p = add (mul (var b) cancelled) (var c) in
+  Alcotest.(check (list string)) "a cancelled factor drops its variables"
+    [ Tid.to_string c ]
+    (List.map Tid.to_string (Tid.Set.elements (lineage p)))
+
+let test_shared_subcircuits () =
+  let open Annotation in
+  let s = sum [ var a; var b ] in
+  let p = mul s (add s (var c)) in
+  let names q = List.map Tid.to_string (Tid.Set.elements (lineage q)) in
+  Alcotest.(check (list string)) "shared sum counted once"
+    (List.map Tid.to_string [ a; b; c ]) (names p);
+  (* a later walk must not see the earlier walk's visited marks *)
+  Alcotest.(check (list string)) "sub-circuit after its parent"
+    (List.map Tid.to_string [ a; b ]) (names s);
+  Alcotest.(check (list string)) "same circuit twice" (names (mul s (var c)))
+    (names p);
+  Alcotest.(check int) "(a+b)(a+b+c) has 6 derivations" 6 (derivation_count p)
+
 let test_lineage_semiring_agrees () =
   let open Annotation in
   let p = add (mul (var a) (var b)) (var c) in
@@ -104,6 +130,33 @@ let poly_gen =
     in
     go 3)
 
+(* Signed circuits: constants may be negative (outside N[X], so monomials
+   can cancel), [p + (-1)*p] builds zeros that are not the [zero]
+   constructor, and [p*p] / [p+p] share one sub-circuit. *)
+let signed_poly_gen =
+  QCheck.Gen.(
+    let base =
+      oneof
+        [ return Annotation.zero;
+          return Annotation.one;
+          map Annotation.var tid_gen;
+          map Annotation.of_int (int_range (-3) 3) ]
+    in
+    let rec go n =
+      if n = 0 then base
+      else
+        let sub = go (n - 1) in
+        frequency
+          [ (2, base);
+            (2, map2 Annotation.add sub sub);
+            (2, map2 Annotation.mul sub sub);
+            (1, map (fun p ->
+                     Annotation.(add p (mul (of_int (-1)) p))) sub);
+            (1, map (fun p -> Annotation.mul p p) sub);
+            (1, map (fun p -> Annotation.add p p) sub) ]
+    in
+    go 3)
+
 let arb_poly = QCheck.make ~print:Annotation.to_string poly_gen
 let arb2 = QCheck.pair arb_poly arb_poly
 let arb3 = QCheck.triple arb_poly arb_poly arb_poly
@@ -139,6 +192,23 @@ let semiring_laws =
     prop "sum = iterated add" 100 (QCheck.list_of_size (QCheck.Gen.int_bound 8) arb_poly)
       (fun ps -> equal (sum ps) (List.fold_left add zero ps)) ]
 
+(* The circuit answers [lineage], [is_zero] and comparisons with [zero]
+   and [one] without expanding the polynomial; the normal form behind
+   [why] and [to_string] is the reference they must agree with. *)
+let circuit_vs_normal_form =
+  let open Annotation in
+  let arb = QCheck.make ~print:to_string signed_poly_gen in
+  [ prop "lineage p = union of why p" 300 arb (fun p ->
+        Tid.Set.equal (lineage p)
+          (List.fold_left Tid.Set.union Tid.Set.empty (why p)));
+    prop "is_zero p iff why p = []" 300 arb (fun p ->
+        is_zero p = (why p = []));
+    prop "equal to zero/one agrees with the normal form" 300 arb (fun p ->
+        equal p zero = (to_string p = "0")
+        && equal zero p = (to_string p = "0")
+        && equal p one = (to_string p = "1")
+        && equal one p = (to_string p = "1")) ]
+
 let suite =
   [ Alcotest.test_case "normal form" `Quick test_normal_form;
     Alcotest.test_case "sum matches folded add" `Quick test_sum_matches_folded_add;
@@ -147,5 +217,8 @@ let suite =
     Alcotest.test_case "derivation count" `Quick test_derivation_count;
     Alcotest.test_case "eval homomorphism" `Quick test_eval_homomorphism;
     Alcotest.test_case "tropical semiring" `Quick test_tropical;
-    Alcotest.test_case "lineage semiring" `Quick test_lineage_semiring_agrees ]
-  @ List.map QCheck_alcotest.to_alcotest semiring_laws
+    Alcotest.test_case "lineage semiring" `Quick test_lineage_semiring_agrees;
+    Alcotest.test_case "cancellation" `Quick test_cancellation;
+    Alcotest.test_case "shared sub-circuits" `Quick test_shared_subcircuits ]
+  @ List.map QCheck_alcotest.to_alcotest
+      (semiring_laws @ circuit_vs_normal_form)
