@@ -44,6 +44,7 @@ let () =
       ("profile", Test_profile.suite);
       ("faults", Test_faults.suite);
       ("durability", Test_durability.suite);
+      ("check-golden", Test_check.suite);
       ("report", Test_report.suite);
       ("partial-diff", Test_partial_diff.suite);
       ("concurrent", Test_concurrent.suite);

@@ -335,11 +335,27 @@ let small_audit mode =
   Ldv_fixtures.audit_at ~sf:0.0005 ~vid:"Q1-3" ~n_insert:4 ~n_update:2
     ~n_select:1 mode
 
+(* [small_audit] under one fixed program name: the name is packaged, so
+   the byte offsets a corrupt campaign reports must not depend on how
+   many fixtures the suite built before this test. *)
+let golden_audit mode =
+  let kernel, server, _cfg, binary, program, _name =
+    Ldv_fixtures.make_setup ~sf:0.0005 ~vid:"Q1-3" ~n_insert:4 ~n_update:2
+      ~n_select:1 ()
+  in
+  Minios.Program.register ~name:"faults-golden" program;
+  Audit.run ~packaging:mode kernel server ~app_name:"faults-golden"
+    ~app_binary:binary ~app_libs:Tpch.Workload.app_libs program
+
 let test_faultcheck_deterministic_and_contained () =
-  let r1 = Faultcheck.run ~audit:small_audit ~campaigns:5 ~seed:3 in
-  let r2 = Faultcheck.run ~audit:small_audit ~campaigns:5 ~seed:3 in
+  let r1 = Faultcheck.run ~audit:golden_audit ~campaigns:5 ~seed:3 in
+  let r2 = Faultcheck.run ~audit:golden_audit ~campaigns:5 ~seed:3 in
   Alcotest.(check string) "same seed, identical report"
     (Faultcheck.to_string r1) (Faultcheck.to_string r2);
+  Alcotest.(check string) "golden report"
+    (In_channel.with_open_bin "golden/faults-fixture-n5-seed3.txt"
+       In_channel.input_all)
+    (Faultcheck.to_string r1 ^ "\n");
   Alcotest.(check int) "no uncaught exceptions" 0 r1.Faultcheck.r_uncaught;
   Alcotest.(check int) "all kinds x campaigns ran" 15
     (List.length r1.Faultcheck.r_runs);
