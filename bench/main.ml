@@ -1299,7 +1299,7 @@ let replication_bench () =
   let rows =
     List.map
       (fun replicas ->
-        let kernel, leader = Crashcheck.boot () in
+        let kernel, leader = Dbclient.Durable.boot () in
         let cluster = R.create kernel ~leader ~replicas () in
         let exec sql =
           match R.exec cluster sql with

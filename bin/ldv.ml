@@ -640,193 +640,132 @@ let obs_cmd =
     [ diff_cmd ]
 
 (* ------------------------------------------------------------------ *)
-(* faultcheck                                                          *)
+(* check                                                               *)
 
-let faultcheck_cmd =
-  let campaigns_arg =
-    let doc = "Number of fault campaigns to run." in
-    Arg.(value & opt int 10 & info [ "campaigns"; "n" ] ~docv:"N" ~doc)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let check_cmd =
+  let campaigns_arg default =
+    let doc = "Number of seeded campaigns to run." in
+    Arg.(
+      value & opt positive_int default
+      & info [ "campaigns"; "n" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     let doc =
-      "Campaign seed. The same seed injects the same faults and prints the \
+      "Root seed. The same seed draws the same campaigns and prints the \
        identical report."
     in
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let sessions_arg =
-    let doc =
-      "Concurrent sessions for the server-included audits (the only \
-       packaging the concurrent path supports; the other kinds keep the \
-       single-session workload)."
-    in
-    Arg.(value & opt int 1 & info [ "sessions" ] ~docv:"N" ~doc)
+  let sessions_arg default doc =
+    Arg.(value & opt positive_int default & info [ "sessions" ] ~docv:"N" ~doc)
   in
-  let run obs sf campaigns seed sessions =
+  (* print the report; exit 1 when the scenario's contract is broken *)
+  let report obs ~campaigns ~seed scenario =
     with_obs obs @@ fun () ->
-    let audit mode =
-      if sessions > 1 && mode = Audit.Included then
-        Concurrent.audited ~sessions ~statements:4 ~seed ()
-      else
-        (* small workload: a campaign runs the loop 3x per index *)
-        let audit, _cfg =
-          run_audit ~sf ~vid:"Q1-1" ~mode ~n_insert:8 ~n_select:2 ~n_update:3
-        in
-        audit
+    let r = Check.run scenario ~campaigns ~seed in
+    print_endline (Check.to_string r);
+    if Check.failed r then exit 1
+  in
+  (* [specific] takes the scenario's own options, then the shared ones *)
+  let scenario name ~campaigns ~doc specific =
+    Cmd.v (Cmd.info name ~doc)
+      Term.(specific $ obs_arg $ campaigns_arg campaigns $ seed_arg)
+  in
+  let faults =
+    let run sf sessions obs campaigns seed =
+      report obs ~campaigns ~seed
+        (Check.faults ~audit:(fun mode ->
+             if sessions > 1 && mode = Audit.Included then
+               Concurrent.audited ~sessions ~statements:4 ~seed ()
+             else
+               (* small workload: a campaign runs the loop 3x per index *)
+               fst
+                 (run_audit ~sf ~vid:"Q1-1" ~mode ~n_insert:8 ~n_select:2
+                    ~n_update:3)))
     in
-    let report = Faultcheck.run ~audit ~campaigns ~seed in
-    print_endline (Faultcheck.to_string report);
-    if report.Faultcheck.r_uncaught > 0 then exit 1
+    scenario "faults" ~campaigns:10
+      ~doc:
+        "Fault-injection campaigns over the full audit/package/replay loop: \
+         every failure must be typed"
+      Term.(
+        const run $ sf_arg
+        $ sessions_arg 1
+            "Concurrent sessions for the server-included audits (the only \
+             packaging the concurrent path supports; the other kinds keep \
+             the single-session workload).")
   in
-  let term =
-    Term.(
-      const run $ obs_arg $ sf_arg $ campaigns_arg $ seed_arg $ sessions_arg)
+  let crash =
+    let no_recover_arg =
+      let doc =
+        "Debug mode: skip WAL redo after each crash (recovery loads only the \
+         last checkpoint). Demonstrates that the verifier detects lost work."
+      in
+      Arg.(value & flag & info [ "no-recover" ] ~doc)
+    in
+    let run no_recover sessions obs campaigns seed =
+      report obs ~campaigns ~seed
+        (Check.crash ~recover:(not no_recover) ~sessions)
+    in
+    scenario "crash" ~campaigns:10
+      ~doc:
+        "Crash-consistency campaigns: kill the durable minidb at rotating \
+         crash points, recover from checkpoint + WAL, and verify the result \
+         against an uncrashed control run"
+      Term.(
+        const run $ no_recover_arg
+        $ sessions_arg 1
+            "Concurrent sessions per campaign. With more than one, the \
+             workload interleaves per-session autocommit streams and the \
+             crash run commits under the WAL's group-commit policy.")
   in
-  Cmd.v
-    (Cmd.info "faultcheck"
+  let tx =
+    let run sessions obs campaigns seed =
+      report obs ~campaigns ~seed (Check.tx ~sessions)
+    in
+    scenario "tx" ~campaigns:10
+      ~doc:
+        "Transaction-granular crash campaigns: crash inside interleaved \
+         multi-session transactions, recover, and verify that exactly the \
+         transactions without a durable COMMIT are gone — state and \
+         per-transaction reenactment provenance both checked against a \
+         control run"
+      Term.(
+        const run
+        $ sessions_arg 4
+            "Concurrent transactional sessions per campaign; their streams \
+             interleave statement-by-statement in the WAL.")
+  in
+  let replica =
+    let replicas_arg =
+      let doc = "Read replicas behind the leader." in
+      Arg.(
+        value & opt positive_int 2 & info [ "replicas" ] ~docv:"N" ~doc)
+    in
+    let run replicas obs campaigns seed =
+      report obs ~campaigns ~seed (Check.replica ~replicas)
+    in
+    scenario "replica" ~campaigns:25
+      ~doc:
+        "Replication campaigns: ship WAL records to read replicas under \
+         channel faults and replica crashes, then verify byte-identical \
+         convergence, leader integrity, and every degraded read against a \
+         fault-free control run"
+      Term.(const run $ replicas_arg)
+  in
+  Cmd.group
+    (Cmd.info "check"
        ~doc:
-         "Run seeded fault-injection campaigns over the full \
-          audit/package/replay loop and check that every failure is typed")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* crashcheck                                                          *)
-
-let crashcheck_cmd =
-  let campaigns_arg =
-    let doc = "Number of crash campaigns to run." in
-    Arg.(value & opt int 10 & info [ "campaigns"; "n" ] ~docv:"N" ~doc)
-  in
-  let seed_arg =
-    let doc =
-      "Campaign seed. The same seed crashes at the same points and prints \
-       the identical report."
-    in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let no_recover_arg =
-    let doc =
-      "Debug mode: skip WAL redo after each crash (recovery loads only the \
-       last checkpoint). Demonstrates that the verifier detects lost work."
-    in
-    Arg.(value & flag & info [ "no-recover" ] ~doc)
-  in
-  let sessions_arg =
-    let doc =
-      "Concurrent sessions per campaign. With more than one, the workload \
-       interleaves per-session autocommit streams and the crash run \
-       commits under the WAL's group-commit policy."
-    in
-    Arg.(value & opt int 1 & info [ "sessions" ] ~docv:"N" ~doc)
-  in
-  let run obs campaigns seed no_recover sessions =
-    with_obs obs @@ fun () ->
-    let report =
-      Crashcheck.run ~recover:(not no_recover) ~sessions ~campaigns ~seed ()
-    in
-    print_endline (Crashcheck.to_string report);
-    if report.Crashcheck.r_uncaught > 0 || report.Crashcheck.r_divergent > 0
-    then exit 1
-  in
-  let term =
-    Term.(
-      const run $ obs_arg $ campaigns_arg $ seed_arg $ no_recover_arg
-      $ sessions_arg)
-  in
-  Cmd.v
-    (Cmd.info "crashcheck"
-       ~doc:
-         "Run seeded crash-consistency campaigns: kill the durable minidb \
-          at rotating crash points, recover from checkpoint + WAL, and \
-          verify the result against an uncrashed control run")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* txcheck                                                             *)
-
-let txcheck_cmd =
-  let seeds_arg =
-    let doc =
-      "Number of seeded crash campaigns to run (each derives its own \
-       interleaved transactional workload and crash point)."
-    in
-    Arg.(value & opt int 10 & info [ "seeds"; "n" ] ~docv:"K" ~doc)
-  in
-  let sessions_arg =
-    let doc =
-      "Concurrent transactional sessions per campaign; their streams \
-       interleave statement-by-statement in the WAL."
-    in
-    Arg.(value & opt int 4 & info [ "sessions" ] ~docv:"N" ~doc)
-  in
-  let seed_arg =
-    let doc =
-      "Root seed. The same seed crashes inside the same transactions and \
-       prints the identical report."
-    in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let run obs seeds sessions seed =
-    with_obs obs @@ fun () ->
-    let report = Txcheck.run ~sessions ~campaigns:seeds ~seed () in
-    print_endline (Txcheck.to_string report);
-    if report.Txcheck.r_uncaught > 0 || report.Txcheck.r_divergent > 0 then
-      exit 1
-  in
-  let term = Term.(const run $ obs_arg $ seeds_arg $ sessions_arg $ seed_arg) in
-  Cmd.v
-    (Cmd.info "txcheck"
-       ~doc:
-         "Run seeded transaction-granular crash campaigns: crash the \
-          durable minidb inside interleaved multi-session transactions, \
-          recover, and verify that exactly the transactions without a \
-          durable COMMIT are gone — state and per-transaction reenactment \
-          provenance both checked against a control run")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* replicacheck                                                        *)
-
-let replicacheck_cmd =
-  let seeds_arg =
-    let doc =
-      "Number of seeded failure campaigns to run (each derives its own \
-       workload, fault schedule, and staleness bound)."
-    in
-    Arg.(value & opt int 25 & info [ "seeds"; "n" ] ~docv:"K" ~doc)
-  in
-  let replicas_arg =
-    let doc = "Read replicas behind the leader." in
-    Arg.(value & opt int 2 & info [ "replicas" ] ~docv:"N" ~doc)
-  in
-  let seed_arg =
-    let doc =
-      "Root seed. The same seed ships the same records, injects the same \
-       faults, and prints the identical report."
-    in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let run obs seeds replicas seed =
-    with_obs obs @@ fun () ->
-    let report = Replicacheck.run ~campaigns:seeds ~replicas ~seed () in
-    print_endline (Replicacheck.to_string report);
-    if
-      report.Replicacheck.r_uncaught > 0
-      || report.Replicacheck.r_divergent > 0
-    then exit 1
-  in
-  let term =
-    Term.(const run $ obs_arg $ seeds_arg $ replicas_arg $ seed_arg)
-  in
-  Cmd.v
-    (Cmd.info "replicacheck"
-       ~doc:
-         "Run seeded replication-robustness campaigns: ship WAL records \
-          from a leader to read replicas under channel faults and replica \
-          crashes, then verify byte-identical convergence, leader \
-          integrity, and every degraded read against a fault-free control \
-          run")
-    term
+         "Run seeded verification campaigns; the same seed prints the \
+          byte-identical report")
+    [ faults; crash; tx; replica ]
 
 (* ------------------------------------------------------------------ *)
 (* sql                                                                 *)
@@ -934,5 +873,4 @@ let () =
        (Cmd.group info
           [ audit_cmd; exec_cmd; inspect_cmd; trace_cmd; stats_cmd;
             profile_cmd; timeline_cmd; contention_cmd; overhead_cmd;
-            obs_cmd; faultcheck_cmd; crashcheck_cmd; txcheck_cmd;
-            replicacheck_cmd; sql_cmd; demo_cmd ]))
+            obs_cmd; check_cmd; sql_cmd; demo_cmd ]))

@@ -1,14 +1,16 @@
 #!/bin/sh
 # Full verification: build everything (lib/obs and lib/faults compile
-# with -warn-error +a), run the test suite, then smoke-test the
-# fault-injection and crash-consistency harnesses (each must exit 0:
-# no untyped exceptions, no divergence from the uncrashed control) and
-# the profiler: an instrumented audit run is profiled (self/total +
-# critical path must render) and diffed against itself with a tight
-# budget (the gate must pass on identical runs).
+# with -warn-error +a), run the test suite, then run the seeded
+# verification campaigns (`ldv check`: each must exit 0 — no untyped
+# exceptions, no divergence from the control — and print its golden
+# report under test/golden/ byte for byte) and smoke-test the profiler:
+# an instrumented audit run is profiled (self/total + critical path must
+# render) and diffed against itself with a tight budget (the gate must
+# pass on identical runs).
 #
-# --quick skips the harness/profiler smokes (build + tests + the
-# replicacheck/txcheck smokes + the overhead-ledger gate self-check).
+# --quick skips the crash/faults campaigns and the profiler smokes
+# (build + tests + the replica/tx campaigns + out-of-range argument
+# checks + the overhead-ledger gate self-check).
 set -e
 cd "$(dirname "$0")"
 
@@ -23,16 +25,40 @@ done
 dune build @all
 dune runtest
 
-# replication smoke (also under --quick): seeded ship-fault / crash
-# campaigns against a 2-replica cluster; must exit 0 (every degraded
-# run verified against the control, every replica converged)
-dune exec bin/ldv.exe -- replicacheck --seeds 5 --replicas 2
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
 
-# transaction recovery smoke (also under --quick): seeded crashes inside
-# open transactions across 4 concurrent sessions; recovery must roll
-# back every transaction without a durable COMMIT and match the control
-# at transaction granularity, including reenacted provenance
-dune exec bin/ldv.exe -- txcheck --seeds 5 --sessions 4
+# golden NAME ARGS...: `ldv check ARGS` must exit 0 and print
+# test/golden/NAME byte for byte
+golden() {
+  name=$1
+  shift
+  dune exec bin/ldv.exe -- check "$@" > "$tmpdir/$name"
+  diff "test/golden/$name" "$tmpdir/$name"
+}
+
+# replication campaigns (also under --quick): seeded ship-fault / crash
+# campaigns against a 2-replica cluster (every degraded run verified
+# against the control, every replica converged)
+golden replica-n5-replicas2.txt replica -n 5 --replicas 2
+
+# transaction recovery campaigns (also under --quick): seeded crashes
+# inside open transactions across 4 concurrent sessions; recovery must
+# roll back every transaction without a durable COMMIT and match the
+# control at transaction granularity, including reenacted provenance
+golden tx-n40-sessions4.txt tx -n 40 --sessions 4
+
+# out-of-range counts are usage errors (exit 124), never a crash or a
+# report that ran nothing (also under --quick)
+for args in "crash --sessions 0" "tx --sessions 0" "replica --replicas 0" \
+    "crash --campaigns=-1" "tx --campaigns=-3" "faults --sessions 0"; do
+  status=0
+  dune exec bin/ldv.exe -- check $args > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "check.sh: ldv check $args exited $status, want 124" >&2
+    exit 1
+  fi
+done
 
 # planner smoke (also under --quick): the cost model must pick a hash
 # index scan for an indexed equality and an ordered-index range scan for
@@ -57,9 +83,6 @@ echo "$plans" | grep -q "rangescan(emp.emp_sal" || {
   exit 1
 }
 
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
-
 # overhead-ledger smoke (also under --quick): stream a replicated
 # concurrent audit, render the per-phase ledger and the cluster-wide
 # causal timeline, and exercise the gate in both directions — a
@@ -79,12 +102,12 @@ dune exec bin/ldv.exe -- obs diff "$tmpdir/ov.jsonl" "$tmpdir/ov.jsonl" \
   --budget 10 > /dev/null
 
 if [ "$quick" -eq 0 ]; then
-  dune exec bin/ldv.exe -- faultcheck --campaigns 5 --seed 42
-  dune exec bin/ldv.exe -- crashcheck --campaigns 5 --seed 42
+  golden faults-n5-seed42.txt faults -n 5 --seed 42
+  golden crash-n5-seed42.txt crash -n 5 --seed 42
   # concurrent path: 4 interleaved sessions; faults must stay typed and
   # a mid-quantum crash under group commit must recover to the control
-  dune exec bin/ldv.exe -- faultcheck --campaigns 3 --seed 42 --sessions 4
-  dune exec bin/ldv.exe -- crashcheck --campaigns 5 --seed 42 --sessions 4
+  golden faults-n3-seed42-sessions4.txt faults -n 3 --seed 42 --sessions 4
+  golden crash-n40-seed42-sessions4.txt crash -n 40 --seed 42 --sessions 4
   # scheduler/group-commit/replay-determinism bench (writes
   # BENCH_concurrent.json; its own assertions print per-row yes/NO)
   dune exec bench/main.exe -- concurrent

@@ -114,6 +114,14 @@ let start (kernel : Minios.Kernel.t) (server : Server.t) ~pid : t =
       float_of_int t.fsync_barriers);
   t
 
+(** Boot a fresh durable server, with an empty database under the default
+    data directory, on a fresh simulated machine. *)
+let boot () : Minios.Kernel.t * t =
+  let kernel = Minios.Kernel.create () in
+  let server = Server.attach (Database.create ()) in
+  let proc = Minios.Kernel.start_process kernel ~name:"minidb-server" () in
+  (kernel, start kernel server ~pid:proc.Minios.Kernel.pid)
+
 (** Raise one fsync barrier over the WAL. *)
 let barrier (t : t) : unit =
   Ldv_obs.Ledger.time Ldv_obs.Ledger.Fsync @@ fun () ->
@@ -254,7 +262,7 @@ type recovery = {
     logical clock aligned with an uncrashed run. Ends with a fresh
     checkpoint so the log is empty for the resumed workload.
 
-    [apply:false] ([ldv crashcheck --no-recover]) parses but skips the
+    [apply:false] ([ldv check crash --no-recover]) parses but skips the
     redo and final checkpoint: the debug mode that demonstrates the
     verifier catches lost work. *)
 let recover ?(apply = true) (kernel : Minios.Kernel.t) ~data_dir () :

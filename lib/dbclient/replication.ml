@@ -81,57 +81,6 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Canonical state fingerprints (convergence checking).                *)
-
-(** Canonical dump of the full database state — clock, per-table next_rid
-    and indexes, and every live tuple version — used for byte-identical
-    convergence checks (and by [Crashcheck] for control-vs-recovered). *)
-let state_fingerprint (db : Database.t) : string =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "clock=%d\n" (Database.clock db));
-  let catalog = Database.catalog db in
-  List.iter
-    (fun name ->
-      let table = Catalog.find catalog name in
-      Buffer.add_string buf
-        (Printf.sprintf "table %s next_rid=%d indexes=[%s]\n" name
-           table.Table.next_rid
-           (String.concat ";"
-              (List.sort String.compare (Table.index_names table))));
-      let rows =
-        List.map
-          (fun (tv : Table.tuple_version) ->
-            Printf.sprintf "  (%d,%d,[%s])" tv.Table.tid.Tid.rid
-              tv.Table.tid.Tid.version
-              (String.concat ";"
-                 (Array.to_list
-                    (Array.map Value.to_raw_string tv.Table.values))))
-          (Table.scan table)
-        |> List.sort String.compare
-      in
-      List.iter (fun r -> Buffer.add_string buf (r ^ "\n")) rows)
-    (List.sort String.compare (Catalog.table_names catalog));
-  Buffer.contents buf
-
-(** First line where two fingerprints differ, labelled for the report. *)
-let first_diff ~left ~right (a : string) (b : string) : string =
-  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
-  let rec go i la lb =
-    match (la, lb) with
-    | [], [] -> "states differ"
-    | x :: la', y :: lb' ->
-      if String.equal x y then go (i + 1) la' lb'
-      else
-        Printf.sprintf "line %d: %s %S vs %s %S" i left (String.trim x) right
-          (String.trim y)
-    | x :: _, [] ->
-      Printf.sprintf "%s has extra state: %S" left (String.trim x)
-    | [], y :: _ ->
-      Printf.sprintf "%s has extra state: %S" right (String.trim y)
-  in
-  go 1 la lb
-
-(* ------------------------------------------------------------------ *)
 (* Construction.                                                       *)
 
 let leader_db t = Server.db (Durable.server t.leader)
@@ -568,12 +517,13 @@ let serve_pinned (server : Server.t) (ast : Sql_ast.statement) : served * int
   in
   ({ sv_resp = resp; sv_node = -1; sv_version = snap }, snap)
 
-(** Session-level read for the replicacheck workload driver: round-robin
-    across replicas, skipping any that is down, mid-transaction, or
-    lagging beyond the staleness bound; a replica lagging *within* the
-    bound serves (counted as [repl.stale_reads]); with no eligible
-    replica the leader answers ([repl.fallbacks]). All service is
-    clock-frozen and pinned at the serving node's applied version. *)
+(** Session-level read for the replica campaigns' workload loop:
+    round-robin across replicas, skipping any that is down,
+    mid-transaction, or lagging beyond the staleness bound; a replica
+    lagging *within* the bound serves (counted as [repl.stale_reads]);
+    with no eligible replica the leader answers ([repl.fallbacks]). All
+    service is clock-frozen and pinned at the serving node's applied
+    version. *)
 let read t (sql : string) : served =
   let ast = Sql_parser.parse sql in
   let n = Array.length t.replicas in
@@ -630,13 +580,15 @@ let quiesce t : unit =
     [(replica id, first differing line)], or [None] when the whole
     cluster has converged. *)
 let converged t : (int * string) option =
-  let want = state_fingerprint (leader_db t) in
+  let want = Fingerprint.state (leader_db t) in
   let n = Array.length t.replicas in
   let rec go i =
     if i >= n then None
     else
-      let got = state_fingerprint (replica_db t i) in
+      let got = Fingerprint.state (replica_db t i) in
       if String.equal want got then go (i + 1)
-      else Some (i, first_diff ~left:"leader" ~right:"replica" want got)
+      else
+        Some
+          (i, Fingerprint.first_diff ~left:"leader" ~right:"replica" want got)
   in
   go 0

@@ -6,8 +6,8 @@
     [Invalid_argument] from whichever parser happened to choke first.
     Every recoverable failure in the audit → slice → package → replay loop
     is expressed as a value of {!t} carried by the single exception
-    {!Error}, so callers (the replay engine, the [ldv faultcheck] harness,
-    the CLI) can classify failures without string matching.
+    {!Error}, so callers (the replay engine, the [ldv check faults]
+    campaigns, the CLI) can classify failures without string matching.
 
     The vocabulary deliberately lives below every other library: [minios],
     [dbclient], and [ldv_core] all raise it, and [ldv_faults] injects the

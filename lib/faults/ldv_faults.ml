@@ -12,7 +12,7 @@
       (EIO / ENOSPC / EINTR);
     - {!connection_fault} from [Dbclient.Client]'s request path
       (dropped connections, garbled response frames);
-    - {!corrupt_package} from the [ldv faultcheck] harness
+    - {!corrupt_package} from the [ldv check faults] campaigns
       (bit flips and truncation of serialized package bytes).
 
     With no plan installed every decision point is a single [ref] read
@@ -175,12 +175,18 @@ let clear () = current := None
 let enabled () = !current <> None
 let active () = !current
 
+let swap_plan plan f =
+  let previous = !current in
+  current := plan;
+  Fun.protect ~finally:(fun () -> current := previous) f
+
 (** Install [p] for the duration of [f]; always restores the previous
     plan, even when [f] raises. *)
-let with_plan p f =
-  let previous = !current in
-  current := Some p;
-  Fun.protect ~finally:(fun () -> current := previous) f
+let with_plan p f = swap_plan (Some p) f
+
+(** Run [f] with no plan installed (a campaign's fault-free control arm);
+    always restores the previous plan, even when [f] raises. *)
+let without_plan f = swap_plan None f
 
 (* ------------------------------------------------------------------ *)
 (* Decision points.                                                    *)

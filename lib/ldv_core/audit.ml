@@ -98,19 +98,6 @@ let merge_logs (sessions : I.t list) : I.stmt_event list =
          | 0 -> Int.compare a.I.qid b.I.qid
          | c -> c)
 
-let rows_fingerprint (rows : Value.t array list) : string =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun row ->
-      Array.iter
-        (fun v ->
-          Buffer.add_string buf (Value.to_raw_string v);
-          Buffer.add_char buf '\x1f')
-        row;
-      Buffer.add_char buf '\n')
-    rows;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (** The run's statement stream across every session, in global order.
     Single-session audits see exactly the session log. *)
 let stmts (t : t) : I.stmt_event list = merge_logs t.sessions
@@ -118,7 +105,7 @@ let stmts (t : t) : I.stmt_event list = merge_logs t.sessions
 let fingerprints (stmts : I.stmt_event list) : (int * string) list =
   List.filter_map
     (fun (s : I.stmt_event) ->
-      if s.I.kind = I.Squery then Some (s.I.qid, rows_fingerprint s.I.rows)
+      if s.I.kind = I.Squery then Some (s.I.qid, Fingerprint.rows s.I.rows)
       else None)
     stmts
 

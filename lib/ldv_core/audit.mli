@@ -51,8 +51,6 @@ type t = {
           pins the cost model's statistics to the audit-time values *)
 }
 
-val rows_fingerprint : Minidb.Value.t array list -> string
-
 (** Merge per-session statement logs into one stream ordered by send
     time (ties broken by qid). *)
 val merge_logs : I.t list -> I.stmt_event list

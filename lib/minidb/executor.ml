@@ -428,17 +428,3 @@ let result_bytes (r : result) : int =
       acc + Array.fold_left (fun a v -> a + Value.byte_size v) 2 row.values)
     0 r.rows
 
-(** A stable fingerprint of the result values (order-sensitive), used to
-    verify repeatability of replays. *)
-let result_fingerprint (r : result) : string =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun row ->
-      Array.iter
-        (fun v ->
-          Buffer.add_string buf (Value.to_raw_string v);
-          Buffer.add_char buf '\x1f')
-        row.values;
-      Buffer.add_char buf '\n')
-    r.rows;
-  Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -1,8 +1,9 @@
-(* Golden reports of the seeded verification campaigns. Each file under
-   golden/ holds the stdout of one seeded campaign, rendered before the
-   campaigns shared a runner; every report must stay byte-identical. The
-   two TPC-H faults reports are too slow for this suite and are diffed by
-   check.sh; the fixture-audit faults golden is checked in test_faults. *)
+(* Golden reports of the seeded verification campaigns: each file under
+   golden/ pins the stdout of one `ldv check` invocation (or library
+   call) byte for byte, and [fails] the exit status that goes with it.
+   The two TPC-H faults reports are too slow for this suite and are
+   diffed by check.sh; the fixture-audit faults golden is checked in
+   test_faults. *)
 
 open Ldv_core
 
@@ -10,37 +11,27 @@ let golden name =
   In_channel.with_open_bin (Filename.concat "golden" name)
     In_channel.input_all
 
-let check name report = Alcotest.(check string) name (golden name) (report ^ "\n")
-
-let test_crash () =
-  check "crash-n5-seed42.txt"
-    (Crashcheck.to_string (Crashcheck.run ~campaigns:5 ~seed:42 ()))
-
-let test_crash_sessions () =
-  check "crash-n40-seed42-sessions4.txt"
-    (Crashcheck.to_string
-       (Crashcheck.run ~sessions:4 ~campaigns:40 ~seed:42 ()))
-
-let test_crash_no_recover () =
-  check "crash-n6-seed123-no-recover.txt"
-    (Crashcheck.to_string
-       (Crashcheck.run ~recover:false ~campaigns:6 ~seed:123 ()))
-
-let test_tx () =
-  check "tx-n40-sessions4.txt"
-    (Txcheck.to_string (Txcheck.run ~sessions:4 ~campaigns:40 ~seed:42 ()))
-
-let test_replica () =
-  check "replica-n5-replicas2.txt"
-    (Replicacheck.to_string
-       (Replicacheck.run ~campaigns:5 ~replicas:2 ~seed:42 ()))
+let check ?(fails = false) name scenario ~campaigns ~seed () =
+  let r = Check.run scenario ~campaigns ~seed in
+  Alcotest.(check string) name (golden name) (Check.to_string r ^ "\n");
+  Alcotest.(check bool) "exits 1" fails (Check.failed r)
 
 let suite =
-  [ Alcotest.test_case "golden: crash -n 5 --seed 42" `Quick test_crash;
+  [ Alcotest.test_case "golden: crash -n 5 --seed 42" `Quick
+      (check "crash-n5-seed42.txt"
+         (Check.crash ~recover:true ~sessions:1)
+         ~campaigns:5 ~seed:42);
     Alcotest.test_case "golden: crash -n 40 --seed 42 --sessions 4" `Quick
-      test_crash_sessions;
+      (check "crash-n40-seed42-sessions4.txt"
+         (Check.crash ~recover:true ~sessions:4)
+         ~campaigns:40 ~seed:42);
     Alcotest.test_case "golden: crash, recovery disabled" `Quick
-      test_crash_no_recover;
-    Alcotest.test_case "golden: tx -n 40 --sessions 4" `Quick test_tx;
+      (check ~fails:true "crash-n6-seed123-no-recover.txt"
+         (Check.crash ~recover:false ~sessions:1)
+         ~campaigns:6 ~seed:123);
+    Alcotest.test_case "golden: tx -n 40 --sessions 4" `Quick
+      (check "tx-n40-sessions4.txt" (Check.tx ~sessions:4) ~campaigns:40
+         ~seed:42);
     Alcotest.test_case "golden: replica -n 5 --replicas 2" `Quick
-      test_replica ]
+      (check "replica-n5-replicas2.txt" (Check.replica ~replicas:2)
+         ~campaigns:5 ~seed:42) ]

@@ -154,9 +154,11 @@ let test_schedule_roundtrip_and_replay () =
    power failure, recovery + resume must still match the control.       *)
 
 let test_concurrent_crashcheck () =
-  let r = Crashcheck.run ~sessions:4 ~campaigns:8 ~seed:11 () in
-  Alcotest.(check int) "no divergent campaigns" 0 r.Crashcheck.r_divergent;
-  Alcotest.(check int) "no uncaught exceptions" 0 r.Crashcheck.r_uncaught
+  let r =
+    Check.run (Check.crash ~recover:true ~sessions:4) ~campaigns:8 ~seed:11
+  in
+  Alcotest.(check int) "no divergent campaigns" 0 r.Check.r_divergent;
+  Alcotest.(check int) "no uncaught exceptions" 0 r.Check.r_uncaught
 
 (* ------------------------------------------------------------------ *)
 (* The dependency probe behind the concurrent diff: [depends_on] must

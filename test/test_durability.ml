@@ -1,23 +1,16 @@
 (* Tests for the crash-consistency machinery: the VFS durability model
    (buffered writes, fsync barriers, torn tails), the minidb WAL,
-   checkpoint + redo recovery (Dbclient.Durable), the crashcheck
-   campaign harness, and the crash-safe package writer. *)
+   checkpoint + redo recovery (Dbclient.Durable), the crash campaigns,
+   and the crash-safe package writer. *)
 
 open Dbclient
 module F = Ldv_faults
 module K = Minios.Kernel
 module V = Minios.Vfs
+module Check = Ldv_core.Check
 
 let data_dir = "/var/minidb/data"
 let wal = data_dir ^ "/wal.log"
-
-(* Boot a fresh durable server on a fresh simulated machine. *)
-let boot () =
-  let kernel = K.create () in
-  let db = Minidb.Database.create () in
-  let server = Server.attach ~data_dir db in
-  let proc = K.start_process kernel ~name:"minidb-server" () in
-  (kernel, Durable.start kernel server ~pid:proc.K.pid)
 
 let exec d sql =
   match Durable.exec d sql with
@@ -76,7 +69,7 @@ let test_vfs_truncate_buffered_resurrects () =
 (* ---------------- WAL format ------------------------------------ *)
 
 let test_wal_roundtrip () =
-  let kernel, d = boot () in
+  let kernel, d = Durable.boot () in
   exec d "CREATE TABLE t (a INT, note TEXT)";
   exec d "INSERT INTO t VALUES (1, 'multi\nline''s')";
   let loaded = Wal.load (K.vfs kernel) wal in
@@ -91,7 +84,7 @@ let test_wal_roundtrip () =
     (List.map (fun (r : Wal.record) -> r.Wal.seq) loaded.Wal.records)
 
 let test_wal_torn_tail_detected () =
-  let kernel, d = boot () in
+  let kernel, d = Durable.boot () in
   exec d "CREATE TABLE t (a INT)";
   exec d "INSERT INTO t VALUES (1)";
   let vfs = K.vfs kernel in
@@ -138,7 +131,7 @@ let test_wal_durable_cut_per_session () =
 (* ---------------- recovery semantics ---------------------------- *)
 
 let test_recover_redoes_wal_suffix () =
-  let kernel, d = boot () in
+  let kernel, d = Durable.boot () in
   exec d "CREATE TABLE t (a INT)";
   exec d "INSERT INTO t VALUES (1)";
   Durable.checkpoint d;
@@ -156,7 +149,7 @@ let test_recover_redoes_wal_suffix () =
     (List.length (Wal.load (K.vfs kernel) wal).Wal.records)
 
 let test_rollback_leaves_no_trace_after_recovery () =
-  let kernel, d = boot () in
+  let kernel, d = Durable.boot () in
   exec d "CREATE TABLE t (a INT)";
   exec d "INSERT INTO t VALUES (1)";
   exec d "BEGIN";
@@ -180,7 +173,7 @@ let test_rollback_leaves_no_trace_after_recovery () =
     [ "1"; "3" ] vals;
   (* replaying the ROLLBACK literally must keep the clock aligned with an
      uncrashed run of the same statements *)
-  let _, control = boot () in
+  let _, control = Durable.boot () in
   List.iter (exec control)
     [ "CREATE TABLE t (a INT)"; "INSERT INTO t VALUES (1)"; "BEGIN";
       "INSERT INTO t VALUES (2)"; "UPDATE t SET a = 99 WHERE a = 1";
@@ -190,7 +183,7 @@ let test_rollback_leaves_no_trace_after_recovery () =
     (Minidb.Database.clock db')
 
 let test_commit_prefsync_crash_loses_tx_atomically () =
-  let kernel, d = boot () in
+  let kernel, d = Durable.boot () in
   exec d "CREATE TABLE t (a INT)";
   exec d "INSERT INTO t VALUES (1)";
   (* wal.pre_fsync is consulted by sync-needed statements only; under the
@@ -227,7 +220,7 @@ let test_commit_prefsync_crash_loses_tx_atomically () =
    the ROLLBACK literally — the interrupted undo is simply redone from
    scratch, and the recovered state matches an uncrashed run. *)
 let test_undo_walk_crash_recovers_rollback () =
-  let kernel, d = boot () in
+  let kernel, d = Durable.boot () in
   exec d "CREATE TABLE t (a INT)";
   exec d "INSERT INTO t VALUES (1)";
   exec d "BEGIN";
@@ -257,7 +250,7 @@ let test_undo_walk_crash_recovers_rollback () =
          (Minidb.Catalog.find (Minidb.Database.catalog db') "t"))
   in
   Alcotest.(check (list string)) "update undone, insert gone" [ "1" ] vals;
-  let _, control = boot () in
+  let _, control = Durable.boot () in
   List.iter (exec control)
     [ "CREATE TABLE t (a INT)"; "INSERT INTO t VALUES (1)"; "BEGIN";
       "INSERT INTO t VALUES (2)"; "UPDATE t SET a = 99 WHERE a = 1";
@@ -270,7 +263,7 @@ let test_undo_walk_crash_recovers_rollback () =
    open in the durable log: recovery must drop the whole transaction
    atomically, not replay its statements. *)
 let test_torn_commit_drops_tx_atomically () =
-  let kernel, d = boot () in
+  let kernel, d = Durable.boot () in
   exec d "CREATE TABLE t (a INT)";
   exec d "INSERT INTO t VALUES (1)";
   exec d "BEGIN";
@@ -289,7 +282,7 @@ let test_torn_commit_drops_tx_atomically () =
     (Minidb.Database.in_transaction db')
 
 let test_next_rid_preserved_across_checkpoint () =
-  let kernel, d = boot () in
+  let kernel, d = Durable.boot () in
   exec d "CREATE TABLE t (a INT)";
   exec d "INSERT INTO t VALUES (1)";
   exec d "INSERT INTO t VALUES (2)";
@@ -315,7 +308,7 @@ let test_next_rid_preserved_across_checkpoint () =
     [ 1; 3 ] rids
 
 let test_ckpt_pre_gc_crash_no_double_apply () =
-  let kernel, d = boot () in
+  let kernel, d = Durable.boot () in
   exec d "CREATE TABLE t (a INT)";
   exec d "INSERT INTO t VALUES (1)";
   exec d "INSERT INTO t VALUES (1)";
@@ -332,22 +325,23 @@ let test_ckpt_pre_gc_crash_no_double_apply () =
   Alcotest.(check int) "rows not doubled" 2
     (rows (Server.db (Durable.server d')) "t")
 
-(* ---------------- crashcheck harness ---------------------------- *)
+(* ---------------- crash campaigns ------------------------------- *)
 
 let test_crashcheck_deterministic_and_verified () =
-  let r1 = Ldv_core.Crashcheck.run ~campaigns:6 ~seed:123 () in
-  let r2 = Ldv_core.Crashcheck.run ~campaigns:6 ~seed:123 () in
+  let crash = Check.crash ~recover:true ~sessions:1 in
+  let r1 = Check.run crash ~campaigns:6 ~seed:123 in
+  let r2 = Check.run crash ~campaigns:6 ~seed:123 in
   Alcotest.(check string) "same seed, identical report"
-    (Ldv_core.Crashcheck.to_string r1)
-    (Ldv_core.Crashcheck.to_string r2);
-  Alcotest.(check int) "no divergence" 0 r1.Ldv_core.Crashcheck.r_divergent;
-  Alcotest.(check int) "no uncaught exceptions" 0
-    r1.Ldv_core.Crashcheck.r_uncaught
+    (Check.to_string r1) (Check.to_string r2);
+  Alcotest.(check int) "no divergence" 0 r1.Check.r_divergent;
+  Alcotest.(check int) "no uncaught exceptions" 0 r1.Check.r_uncaught
 
 let test_crashcheck_no_recover_diverges () =
-  let r = Ldv_core.Crashcheck.run ~recover:false ~campaigns:6 ~seed:123 () in
+  let r =
+    Check.run (Check.crash ~recover:false ~sessions:1) ~campaigns:6 ~seed:123
+  in
   Alcotest.(check bool) "skipping redo loses work the verifier catches" true
-    (r.Ldv_core.Crashcheck.r_divergent > 0)
+    (r.Check.r_divergent > 0)
 
 (* ---------------- crash-safe package writer --------------------- *)
 

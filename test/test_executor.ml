@@ -165,10 +165,10 @@ let test_unknown_column_in_query () =
 
 let test_fingerprint_stability () =
   let db = Fixtures.sales_db () in
-  let f1 = Executor.result_fingerprint (q db "SELECT id FROM sales") in
-  let f2 = Executor.result_fingerprint (q db "SELECT id FROM sales") in
+  let f1 = Fingerprint.result (q db "SELECT id FROM sales") in
+  let f2 = Fingerprint.result (q db "SELECT id FROM sales") in
   Alcotest.(check string) "same query same fingerprint" f1 f2;
-  let f3 = Executor.result_fingerprint (q db "SELECT price FROM sales") in
+  let f3 = Fingerprint.result (q db "SELECT price FROM sales") in
   Alcotest.(check bool) "different result different fingerprint" true (f1 <> f3)
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,6 @@
 (* Tests for the fault-injection framework (Ldv_faults), the typed error
    vocabulary (Ldv_errors), checksummed package parsing with partial
-   restore, crash-safe package writes, and the faultcheck harness. *)
+   restore, crash-safe package writes, and the faults campaigns. *)
 
 open Ldv_core
 module F = Ldv_faults
@@ -102,6 +102,16 @@ let test_no_plan_no_faults () =
     (Minios.Program.run k ~name:"io" (fun env ->
          Alcotest.(check string) "reads succeed" "x"
            (Minios.Program.read_file env "/f")))
+
+let test_without_plan_restores () =
+  let plan = F.make ~p_syscall:1.0 ~seed:5 () in
+  F.with_plan plan (fun () ->
+      F.without_plan (fun () ->
+          Alcotest.(check bool) "no plan inside" false (F.enabled ()));
+      (try F.without_plan (fun () -> failwith "control arm failed")
+       with Failure _ -> ());
+      Alcotest.(check bool) "the plan is back after a raise" true
+        (match F.active () with Some p -> p == plan | None -> false))
 
 (* ---------------- client transport faults ----------------------- *)
 
@@ -329,7 +339,7 @@ let test_write_file_failure_leaves_nothing () =
   Alcotest.(check bool) "no temp residue" false
     (Sys.file_exists (path ^ ".tmp"))
 
-(* ---------------- the faultcheck harness ------------------------ *)
+(* ---------------- the faults campaigns ------------------------- *)
 
 let small_audit mode =
   Ldv_fixtures.audit_at ~sf:0.0005 ~vid:"Q1-3" ~n_insert:4 ~n_update:2
@@ -348,36 +358,37 @@ let golden_audit mode =
     ~app_binary:binary ~app_libs:Tpch.Workload.app_libs program
 
 let test_faultcheck_deterministic_and_contained () =
-  let r1 = Faultcheck.run ~audit:golden_audit ~campaigns:5 ~seed:3 in
-  let r2 = Faultcheck.run ~audit:golden_audit ~campaigns:5 ~seed:3 in
+  let faults = Check.faults ~audit:golden_audit in
+  let r1 = Check.run faults ~campaigns:5 ~seed:3 in
+  let r2 = Check.run faults ~campaigns:5 ~seed:3 in
   Alcotest.(check string) "same seed, identical report"
-    (Faultcheck.to_string r1) (Faultcheck.to_string r2);
+    (Check.to_string r1) (Check.to_string r2);
   Alcotest.(check string) "golden report"
     (In_channel.with_open_bin "golden/faults-fixture-n5-seed3.txt"
        In_channel.input_all)
-    (Faultcheck.to_string r1 ^ "\n");
-  Alcotest.(check int) "no uncaught exceptions" 0 r1.Faultcheck.r_uncaught;
+    (Check.to_string r1 ^ "\n");
+  Alcotest.(check int) "no uncaught exceptions" 0 r1.Check.r_uncaught;
   Alcotest.(check int) "all kinds x campaigns ran" 15
-    (List.length r1.Faultcheck.r_runs);
+    (List.length r1.Check.r_runs);
   (* the control campaign (profile 0) must verify cleanly for every kind *)
   List.iter
-    (fun (r : Faultcheck.run) ->
-      if r.Faultcheck.campaign = 0 then
+    (fun (r : Check.run) ->
+      if r.Check.campaign = 0 then
         Alcotest.(check string)
-          (Printf.sprintf "control verifies (%s)"
-             (Faultcheck.kind_name r.Faultcheck.kind))
+          (Printf.sprintf "control verifies (%s)" r.Check.columns)
           "verified"
-          (Faultcheck.outcome_label r.Faultcheck.outcome))
-    r1.Faultcheck.r_runs
+          (Check.label r.Check.outcome))
+    r1.Check.r_runs
 
 let test_faultcheck_seeds_differ () =
-  let r1 = Faultcheck.run ~audit:small_audit ~campaigns:2 ~seed:1 in
-  let r2 = Faultcheck.run ~audit:small_audit ~campaigns:2 ~seed:2 in
+  let faults = Check.faults ~audit:small_audit in
+  let r1 = Check.run faults ~campaigns:2 ~seed:1 in
+  let r2 = Check.run faults ~campaigns:2 ~seed:2 in
   (* different seeds draw different faults; the tallies differ *)
   Alcotest.(check bool) "reports are seed-sensitive" true
-    (not (String.equal (Faultcheck.to_string r1) (Faultcheck.to_string r2)));
+    (not (String.equal (Check.to_string r1) (Check.to_string r2)));
   Alcotest.(check int) "still no uncaught" 0
-    (r1.Faultcheck.r_uncaught + r2.Faultcheck.r_uncaught)
+    (r1.Check.r_uncaught + r2.Check.r_uncaught)
 
 let suite =
   [ Alcotest.test_case "prng determinism" `Quick test_prng_deterministic;
@@ -391,6 +402,8 @@ let suite =
     Alcotest.test_case "kernel injection typed" `Quick
       test_kernel_injection_typed;
     Alcotest.test_case "no plan, no faults" `Quick test_no_plan_no_faults;
+    Alcotest.test_case "without_plan restores the plan" `Quick
+      test_without_plan_restores;
     Alcotest.test_case "closed connection typed" `Quick
       test_client_closed_typed;
     Alcotest.test_case "transport faults exhaust retries" `Quick

@@ -103,7 +103,7 @@ let test_tx_delete_contributes_pre_state () =
 let test_tx_failure_rolls_back () =
   let db = mk_db () in
   let before =
-    Executor.result_fingerprint (Database.query db "SELECT id, bal FROM acct")
+    Fingerprint.result (Database.query db "SELECT id, bal FROM acct")
   in
   (try
      ignore
@@ -112,7 +112,7 @@ let test_tx_failure_rolls_back () =
             "UPDATE nonexistent SET x = 1" ])
    with Errors.Db_error _ -> ());
   Alcotest.(check string) "state rolled back" before
-    (Executor.result_fingerprint (Database.query db "SELECT id, bal FROM acct"));
+    (Fingerprint.result (Database.query db "SELECT id, bal FROM acct"));
   Alcotest.(check bool) "transaction closed" false (Database.in_transaction db)
 
 let test_tx_statements_normalized () =

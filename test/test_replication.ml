@@ -1,6 +1,6 @@
 (* WAL-shipping replication: durable-cut recovery edges, ship-fault and
    crash/recover convergence, the session read router with its staleness
-   bound, retry telemetry, the replicacheck campaign harness, and
+   bound, retry telemetry, the replica campaigns, and
    cluster-served concurrent audits replaying byte-identically. *)
 
 open Ldv_core
@@ -55,7 +55,7 @@ let test_durable_cut_empty () =
    torn prefix of the batch loses every record at or after the tear —
    and recovery replays exactly the intact prefix. *)
 let test_torn_record_mid_batch_grouped () =
-  let kernel, d = Crashcheck.boot () in
+  let kernel, d = Durable.boot () in
   Durable.set_policy d Durable.Grouped;
   lexec d "CREATE TABLE t (a INT)";
   for i = 1 to 5 do
@@ -98,7 +98,7 @@ let test_torn_record_mid_batch_grouped () =
    checkpoint: recovery must redo the local suffix, then catch-up ships
    only what the replica never saw — no duplicate application. *)
 let test_resync_wal_ahead_of_checkpoint () =
-  let kernel, leader = Crashcheck.boot () in
+  let kernel, leader = Durable.boot () in
   let cluster =
     R.create kernel ~leader ~replicas:1 ~staleness:2 ~ckpt_every:4 ()
   in
@@ -127,7 +127,7 @@ let test_resync_wal_ahead_of_checkpoint () =
 (* ---------------- convergence under faults ---------------------- *)
 
 let test_ship_faults_converge () =
-  let kernel, leader = Crashcheck.boot () in
+  let kernel, leader = Durable.boot () in
   let cluster = R.create kernel ~leader ~replicas:2 ~staleness:2 () in
   let plan = F.make ~p_ship:0.5 ~seed:3 () in
   F.with_plan plan (fun () ->
@@ -147,7 +147,7 @@ let test_ship_faults_converge () =
   done
 
 let test_crash_recover_byte_identical () =
-  let kernel, leader = Crashcheck.boot () in
+  let kernel, leader = Durable.boot () in
   let cluster = R.create kernel ~leader ~replicas:1 ~staleness:2 () in
   let plan = F.make ~crash:("repl.apply", 3) ~seed:5 () in
   F.with_plan plan (fun () ->
@@ -161,14 +161,14 @@ let test_crash_recover_byte_identical () =
   R.quiesce cluster;
   check_converged "crash+recover" cluster;
   Alcotest.(check string) "byte-identical state fingerprints"
-    (R.state_fingerprint (R.leader_db cluster))
-    (R.state_fingerprint (R.replica_db cluster 0))
+    (Minidb.Fingerprint.state (R.leader_db cluster))
+    (Minidb.Fingerprint.state (R.replica_db cluster 0))
 
 (* ---------------- the session read router ----------------------- *)
 
 let test_read_router_stale_and_fallback () =
   with_memory @@ fun () ->
-  let kernel, leader = Crashcheck.boot () in
+  let kernel, leader = Durable.boot () in
   lexec leader "CREATE TABLE t (a INT)";
   lexec leader "INSERT INTO t VALUES (1)";
   lexec leader "INSERT INTO t VALUES (2)";
@@ -244,20 +244,21 @@ let test_retry_backoff_cap_fails_fast () =
   (* backoff 1ms + 2ms exceeds the 2ms cap on the second pause *)
   Alcotest.(check int) "two calls, then fast-fail" 2 !calls
 
-(* ---------------- the replicacheck harness ---------------------- *)
+(* ---------------- the replica campaigns ------------------------- *)
 
 let test_replicacheck_deterministic () =
-  let r1 = Replicacheck.run ~campaigns:3 ~replicas:2 ~seed:7 () in
-  let r2 = Replicacheck.run ~campaigns:3 ~replicas:2 ~seed:7 () in
+  let replica = Check.replica ~replicas:2 in
+  let r1 = Check.run replica ~campaigns:3 ~seed:7 in
+  let r2 = Check.run replica ~campaigns:3 ~seed:7 in
   Alcotest.(check string) "same seed, same report"
-    (Replicacheck.to_string r1) (Replicacheck.to_string r2);
-  Alcotest.(check int) "no divergent runs" 0 r1.Replicacheck.r_divergent;
-  Alcotest.(check int) "no uncaught exceptions" 0 r1.Replicacheck.r_uncaught;
+    (Check.to_string r1) (Check.to_string r2);
+  Alcotest.(check int) "no divergent runs" 0 r1.Check.r_divergent;
+  Alcotest.(check int) "no uncaught exceptions" 0 r1.Check.r_uncaught;
   Alcotest.(check int) "every campaign ran" 3
-    (List.length r1.Replicacheck.r_runs);
-  let r3 = Replicacheck.run ~campaigns:3 ~replicas:2 ~seed:8 () in
+    (List.length r1.Check.r_runs);
+  let r3 = Check.run replica ~campaigns:3 ~seed:8 in
   Alcotest.(check bool) "different seed, different schedule" false
-    (String.equal (Replicacheck.to_string r1) (Replicacheck.to_string r3))
+    (String.equal (Check.to_string r1) (Check.to_string r3))
 
 (* ---------------- cluster-served concurrent audits -------------- *)
 

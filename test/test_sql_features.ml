@@ -320,7 +320,7 @@ let test_commit_keeps_changes () =
 
 let test_rollback_undoes_everything () =
   let db = mk_pair_db () in
-  let before = Executor.result_fingerprint (q db "SELECT dno, dname FROM dept") in
+  let before = Fingerprint.result (q db "SELECT dno, dname FROM dept") in
   ignore (Database.exec db "BEGIN TRANSACTION");
   ignore (Database.exec db "INSERT INTO dept VALUES (4, 'hr')");
   ignore (Database.exec db "UPDATE dept SET dname = 'X' WHERE dno < 3");
@@ -329,7 +329,7 @@ let test_rollback_undoes_everything () =
     (q db "SELECT dno, dname FROM dept");
   ignore (Database.exec db "ROLLBACK");
   Alcotest.(check string) "state restored exactly" before
-    (Executor.result_fingerprint (q db "SELECT dno, dname FROM dept"))
+    (Fingerprint.result (q db "SELECT dno, dname FROM dept"))
 
 let test_rollback_erases_versions () =
   let db = mk_pair_db () in
@@ -383,9 +383,9 @@ let prop_rollback_identity =
       let db = mk_pair_db () in
       ignore (Database.exec db "CREATE INDEX emp_dno ON emp (dno)");
       let fingerprint () =
-        Executor.result_fingerprint
+        Fingerprint.result
           (q db "SELECT eno, ename, dno, sal FROM emp ORDER BY eno")
-        ^ Executor.result_fingerprint
+        ^ Fingerprint.result
             (q db "SELECT ename FROM emp WHERE dno = 1")
       in
       let before = fingerprint () in

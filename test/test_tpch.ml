@@ -28,7 +28,7 @@ let test_tables_populated () =
 let test_determinism () =
   let db1, _ = Tpch.Dbgen.setup ~sf:0.001 ~seed:3 () in
   let db2, _ = Tpch.Dbgen.setup ~sf:0.001 ~seed:3 () in
-  let fp db = Executor.result_fingerprint (Database.query db "SELECT * FROM orders") in
+  let fp db = Fingerprint.result (Database.query db "SELECT * FROM orders") in
   Alcotest.(check string) "same seed, same data" (fp db1) (fp db2);
   let db3, _ = Tpch.Dbgen.setup ~sf:0.001 ~seed:4 () in
   Alcotest.(check bool) "different seed, different data" true (fp db1 <> fp db3)

@@ -1,7 +1,7 @@
 (* Interactive MVCC transactions: cross-session visibility, first-
    updater-wins conflicts, the client-side bounded-retry loop, the
    audit/package/replay chain for commit/abort decisions, and the
-   txcheck recovery campaign. *)
+   tx recovery campaigns. *)
 
 open Minidb
 module I = Dbclient.Interceptor
@@ -209,20 +209,20 @@ let test_abort_injection_retries () =
   Alcotest.(check bool) "workload still commits through retries" true
     (has Audit.Tx_committed outcomes)
 
-(* ---------------- txcheck campaign ------------------------------- *)
+(* ---------------- tx campaigns ----------------------------------- *)
 
 let test_txcheck_deterministic_and_verified () =
-  let r1 = Txcheck.run ~sessions:4 ~campaigns:4 ~seed:123 () in
-  let r2 = Txcheck.run ~sessions:4 ~campaigns:4 ~seed:123 () in
-  Alcotest.(check string) "same seed, identical report" (Txcheck.to_string r1)
-    (Txcheck.to_string r2);
-  Alcotest.(check int) "no divergence" 0 r1.Txcheck.r_divergent;
-  Alcotest.(check int) "no uncaught exceptions" 0 r1.Txcheck.r_uncaught;
+  let r1 = Check.run (Check.tx ~sessions:4) ~campaigns:4 ~seed:123 in
+  let r2 = Check.run (Check.tx ~sessions:4) ~campaigns:4 ~seed:123 in
+  Alcotest.(check string) "same seed, identical report" (Check.to_string r1)
+    (Check.to_string r2);
+  Alcotest.(check int) "no divergence" 0 r1.Check.r_divergent;
+  Alcotest.(check int) "no uncaught exceptions" 0 r1.Check.r_uncaught;
   Alcotest.(check bool) "crashes actually happened and verified" true
     (List.exists
-       (fun (r : Txcheck.run) ->
-         match r.Txcheck.outcome with Txcheck.Verified _ -> true | _ -> false)
-       r1.Txcheck.r_runs)
+       (fun (r : Check.run) ->
+         match r.Check.outcome with Check.Verified _ -> true | _ -> false)
+       r1.Check.r_runs)
 
 let suite =
   [ Alcotest.test_case "mvcc: cross-session visibility" `Quick
