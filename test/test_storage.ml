@@ -1,9 +1,10 @@
 (* Storage-layer regressions from the 1M-tuple scaling work: scan-order
    stability of [scan_as_of], index maintenance across every MVCC
    mutation path (backfill, churn, transaction rollback, version
-   restore), the empty-bucket invariant of the hash-index stats, and the
+   restore), the empty-bucket invariant of the hash-index stats, the
    delete-heavy workload that used to rebuild the live order
-   quadratically. *)
+   quadratically, and a model-based property checking every read path
+   against a naive list of versions. *)
 
 open Minidb
 
@@ -225,6 +226,281 @@ let test_delete_heavy_workload () =
   if dt > 5.0 then
     Alcotest.failf "delete-heavy workload took %.1fs (quadratic rebuild?)" dt
 
+(* ------------------------------------------------------------------ *)
+(* Model-based property: a [Table] inside a [Database] and a naive
+   reference (every version ever written, with its commit and retirement
+   clocks) go through the same random operations; every read path must
+   agree with the reference afterwards.                                 *)
+
+type model_version = {
+  m_tid : Tid.t;
+  m_values : Value.t array;
+  mutable m_retired : int;  (* 0 = not retired *)
+}
+
+type model = {
+  mutable versions : model_version list;  (* newest first *)
+  mutable unlinked : Tid.t list;  (* versions erased by a rollback *)
+  mutable next_rid : int;
+}
+
+type rid_choice =
+  | Known of int  (* some rid below the allocator: live, dead or a gap *)
+  | Beyond of int  (* [next_rid + n]: a sparse, high rid *)
+
+type op =
+  | Insert of int * int  (* k, grp *)
+  | Update of int * int  (* live row pick, new grp *)
+  | Delete of int  (* live row pick *)
+  | Restore of (rid_choice * int) list  (* one restore batch: rid, grp *)
+  | Stale_restore of int  (* live row pick, restored at its own version *)
+  | Bump_next_rid of int
+  | Rollback of int * int * int  (* k, grp, key deleted inside the tx *)
+  | Create_index of int
+
+let show_op = function
+  | Insert (k, g) -> Printf.sprintf "Insert(%d,%d)" k g
+  | Update (p, g) -> Printf.sprintf "Update(%d,%d)" p g
+  | Delete p -> Printf.sprintf "Delete %d" p
+  | Restore rows ->
+    Printf.sprintf "Restore[%s]"
+      (String.concat ";"
+         (List.map
+            (function
+              | Known r, g -> Printf.sprintf "known %d,%d" r g
+              | Beyond n, g -> Printf.sprintf "beyond %d,%d" n g)
+            rows))
+  | Stale_restore p -> Printf.sprintf "Stale_restore %d" p
+  | Bump_next_rid d -> Printf.sprintf "Bump_next_rid %d" d
+  | Rollback (k, g, d) -> Printf.sprintf "Rollback(%d,%d,%d)" k g d
+  | Create_index i -> Printf.sprintf "Create_index %d" i
+
+let op_gen =
+  let open QCheck.Gen in
+  let key = int_bound 12 and grp = int_bound 4 and pick = int_bound 1000 in
+  let rid_choice =
+    frequency
+      [ (3, map (fun r -> Known r) (int_bound 1000));
+        (1, map (fun n -> Beyond n) (int_bound 300)) ]
+  in
+  frequency
+    [ (4, map2 (fun k g -> Insert (k, g)) key grp);
+      (2, map2 (fun p g -> Update (p, g)) pick grp);
+      (2, map (fun p -> Delete p) pick);
+      (2, map (fun rows -> Restore rows)
+            (list_size (int_range 1 4) (pair rid_choice grp)));
+      (1, map (fun p -> Stale_restore p) pick);
+      (1, map (fun d -> Bump_next_rid d) (int_bound 200));
+      (1, map3 (fun k g d -> Rollback (k, g, d)) key grp key);
+      (1, map (fun i -> Create_index i) (int_bound 3)) ]
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 40) op_gen)
+
+(* grp NULL every fifth value: NULL keys stay out of both index kinds *)
+let model_row k grp s =
+  [| Value.Int k; (if grp = 4 then Value.Null else Value.Int grp); Value.Str s |]
+
+let model_live m =
+  List.filter (fun v -> v.m_retired = 0) m.versions
+  |> List.sort (fun a b -> Int.compare a.m_tid.Tid.rid b.m_tid.Tid.rid)
+
+let model_live_of m rid =
+  List.find_opt (fun v -> v.m_retired = 0 && v.m_tid.Tid.rid = rid) m.versions
+
+let pick_live m p =
+  match model_live m with
+  | [] -> None
+  | live -> Some (List.nth live (p mod List.length live))
+
+let model_add m ~rid ~version values =
+  (match model_live_of m rid with
+  | Some old -> old.m_retired <- version
+  | None -> ());
+  m.versions <-
+    { m_tid = Tid.make ~table:"t" ~rid ~version; m_values = values;
+      m_retired = 0 }
+    :: m.versions;
+  if rid >= m.next_rid then m.next_rid <- rid + 1
+
+let index_specs =
+  [| ("ix_grp", "grp", false); ("ox_k", "k", true); ("ix_k", "k", false);
+     ("ox_grp", "grp", true) |]
+
+let apply db table m op =
+  let written = function
+    | Database.Affected info -> info.Database.written
+    | _ -> []
+  in
+  match op with
+  | Insert (k, grp) ->
+    let clock = Database.tick db and row = model_row k grp "i" in
+    let tv = Table.insert table ~clock row in
+    if tv.Table.tid.Tid.rid <> m.next_rid then
+      QCheck.Test.fail_reportf "insert got rid %d, expected %d"
+        tv.Table.tid.Tid.rid m.next_rid;
+    model_add m ~rid:m.next_rid ~version:clock row
+  | Update (p, grp) -> (
+    match pick_live m p with
+    | None -> ()
+    | Some v ->
+      let clock = Database.tick db and rid = v.m_tid.Tid.rid in
+      let row = model_row rid grp "u" in
+      ignore (Table.update table ~clock ~rid row);
+      model_add m ~rid ~version:clock row)
+  | Delete p -> (
+    match pick_live m p with
+    | None -> ()
+    | Some v ->
+      let clock = Database.tick db in
+      ignore (Table.delete table ~clock ~rid:v.m_tid.Tid.rid);
+      v.m_retired <- clock)
+  | Restore choices ->
+    (* resolve each rid against the allocator as the batch advances it;
+       every row gets a fresh version, so superseding is never stale *)
+    let next = ref m.next_rid in
+    let rows =
+      List.map
+        (fun (choice, grp) ->
+          let rid =
+            match choice with
+            | Known r -> 1 + (r mod !next)
+            | Beyond n -> !next + n
+          in
+          if rid >= !next then next := rid + 1;
+          (rid, Database.tick db, model_row (rid * 10) grp "r"))
+        choices
+    in
+    List.iter
+      (fun (rid, version, row) ->
+        ignore (Table.restore_version table ~rid ~version row))
+      rows;
+    List.iter (fun (rid, version, row) -> model_add m ~rid ~version row) rows
+  | Stale_restore p -> (
+    match pick_live m p with
+    | None -> ()
+    | Some v -> (
+      let rid = v.m_tid.Tid.rid and version = v.m_tid.Tid.version in
+      match Table.restore_version table ~rid ~version (model_row 0 0 "s") with
+      | _ -> QCheck.Test.fail_reportf "stale restore of rid %d accepted" rid
+      | exception Errors.Db_error (Errors.Constraint_violation _) -> ()))
+  | Bump_next_rid d ->
+    Table.restore_next_rid table (m.next_rid + d);
+    m.next_rid <- m.next_rid + d
+  | Rollback (k, grp, gone) ->
+    let exec sql = Database.exec db sql in
+    ignore (exec "BEGIN");
+    let inserted =
+      written
+        (exec (Printf.sprintf "INSERT INTO t VALUES (%d, %d, 'tx')" k grp))
+    in
+    let updated =
+      written (exec (Printf.sprintf "UPDATE t SET s = 'tx' WHERE grp = %d" grp))
+    in
+    ignore (exec (Printf.sprintf "DELETE FROM t WHERE k = %d" gone));
+    ignore (exec "ROLLBACK");
+    List.iter
+      (fun tid -> if tid.Tid.rid >= m.next_rid then m.next_rid <- tid.Tid.rid + 1)
+      inserted;
+    m.unlinked <- inserted @ updated @ m.unlinked
+  | Create_index i ->
+    let name, column, ordered = index_specs.(i) in
+    if not (Table.index_exists table name) then
+      Table.create_index ~ordered table ~index_name:name ~column
+
+let tids tvs = List.map (fun tv -> tv.Table.tid) tvs
+
+let tid_list = Alcotest.testable (Fmt.Dump.list Tid.pp) (List.equal Tid.equal)
+
+(* [what] names the failing check; it is only rendered on failure *)
+let expect what expected got =
+  if not (Alcotest.equal tid_list expected got) then
+    QCheck.Test.fail_reportf "%s:@ expected %a@ got %a" (what ())
+      (Alcotest.pp tid_list) expected (Alcotest.pp tid_list) got
+
+let check_against_model db table m =
+  let by_rid_version a b =
+    match Int.compare a.Tid.rid b.Tid.rid with
+    | 0 -> Int.compare a.Tid.version b.Tid.version
+    | c -> c
+  in
+  let live = model_live m in
+  let scanned = Table.scan table in
+  expect (fun () -> "scan") (List.map (fun v -> v.m_tid) live) (tids scanned);
+  List.iter2
+    (fun v tv ->
+      if not (Array.for_all2 Value.equal v.m_values tv.Table.values) then
+        QCheck.Test.fail_reportf "scan: values of %s differ"
+          (Tid.to_string v.m_tid))
+    live scanned;
+  let arr = Table.scan_array table in
+  if
+    Array.length arr <> List.length scanned
+    || not (List.for_all2 ( == ) (Array.to_list arr) scanned)
+  then QCheck.Test.fail_reportf "scan_array differs from scan";
+  if Table.row_count table <> List.length live then
+    QCheck.Test.fail_reportf "row_count %d, model %d" (Table.row_count table)
+      (List.length live);
+  if table.Table.next_rid <> m.next_rid then
+    QCheck.Test.fail_reportf "next_rid %d, model %d" table.Table.next_rid
+      m.next_rid;
+  if Table.version_count table <> List.length m.versions then
+    QCheck.Test.fail_reportf "version_count %d, model %d"
+      (Table.version_count table) (List.length m.versions);
+  List.iter
+    (fun v ->
+      match Table.find_version table v.m_tid with
+      | Some tv when Tid.equal tv.Table.tid v.m_tid -> ()
+      | _ ->
+        QCheck.Test.fail_reportf "find_version %s" (Tid.to_string v.m_tid))
+    m.versions;
+  List.iter
+    (fun tid ->
+      if Table.find_version table tid <> None then
+        QCheck.Test.fail_reportf "unlinked %s still found" (Tid.to_string tid))
+    m.unlinked;
+  expect (fun () -> "all_versions")
+    (List.map (fun v -> v.m_tid) m.versions |> List.sort by_rid_version)
+    (tids (Table.all_versions table));
+  (* at every clock: the versions committed by then and not yet retired *)
+  for at = 0 to Database.clock db + 1 do
+    let snapshot =
+      List.filter
+        (fun v ->
+          v.m_tid.Tid.version <= at && (v.m_retired = 0 || v.m_retired > at))
+        m.versions
+      |> List.map (fun v -> v.m_tid)
+      |> List.sort by_rid_version
+    in
+    expect (fun () -> Printf.sprintf "scan_as_of %d" at) snapshot
+      (tids (Table.scan_as_of table ~at));
+    let by_rid = Array.make (m.next_rid + 1) [] in
+    List.iter (fun tid -> by_rid.(tid.Tid.rid) <- [ tid ]) snapshot;
+    for rid = 1 to m.next_rid do
+      expect
+        (fun () -> Printf.sprintf "visible_version rid %d at %d" rid at)
+        by_rid.(rid)
+        (Option.to_list (Table.visible_version ~at table ~rid) |> tids)
+    done
+  done;
+  match Table.check_index_integrity table with
+  | Ok () -> ignore (Table.stats ~verify:true table)
+  | Error e -> QCheck.Test.fail_reportf "index integrity: %s" e
+
+let prop_storage_model =
+  QCheck.Test.make ~count:200 ~name:"table agrees with a naive version model"
+    arb_ops (fun ops ->
+      let db = Database.create () in
+      ignore (Database.exec db "CREATE TABLE t (k INT, grp INT, s TEXT)");
+      let table = Catalog.find (Database.catalog db) "t" in
+      let m = { versions = []; unlinked = []; next_rid = 1 } in
+      List.iter (apply db table m) ops;
+      check_against_model db table m;
+      true)
+
 let suite =
   [ Alcotest.test_case "scan_as_of ascending rids" `Quick
       test_scan_as_of_ascending_rids;
@@ -236,4 +512,5 @@ let suite =
     Alcotest.test_case "restore_version maintains indexes" `Quick
       test_restore_version_maintains_indexes;
     Alcotest.test_case "delete-heavy workload" `Slow
-      test_delete_heavy_workload ]
+      test_delete_heavy_workload;
+    QCheck_alcotest.to_alcotest prop_storage_model ]
