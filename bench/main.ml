@@ -744,6 +744,18 @@ let micro () =
       [ Minidb.Schema.column "a" Minidb.Value.Tint;
         Minidb.Schema.column "b" Minidb.Value.Tstr ]
   in
+  (* the storage cases use the full-scan table of the paper's Select step
+     at the bench scale (60,009 lineitem rows at the default sf 0.01) *)
+  let lineitem =
+    Minidb.Catalog.find
+      (Minidb.Database.catalog (Instance.fresh_db (Instance.get ~sf:!sf)))
+      "lineitem"
+  in
+  let lineitem_tids =
+    Array.map
+      (fun (tv : Minidb.Table.tuple_version) -> tv.Minidb.Table.tid)
+      (Minidb.Table.scan_array lineitem)
+  in
   let tests =
     [ Test.make ~name:"sql-parse(Q2)"
         (Staged.stage (fun () -> Minidb.Sql_parser.parse q2.Tpch.Queries.sql));
@@ -773,6 +785,13 @@ let micro () =
         (Staged.stage (fun () ->
              Minidb.Eval_expr.like_match ~pattern:"%00000%"
                "Customer#000012345"));
+      Test.make ~name:"storage/scan(lineitem)"
+        (Staged.stage (fun () -> Minidb.Table.scan_array lineitem));
+      Test.make ~name:"storage/find-version(lineitem)"
+        (Staged.stage (fun () ->
+             Array.iter
+               (fun tid -> ignore (Minidb.Table.find_version lineitem tid))
+               lineitem_tids));
       Test.make ~name:"fig9/csv-encode-row"
         (Staged.stage (fun () ->
              Minidb.Csv.encode_versions csv_schema

@@ -81,11 +81,7 @@ let restore_table_image (db : Database.t) (img : table_image) =
       in
       Catalog.create_table catalog ~name:img.img_table ~schema
   in
-  List.iter
-    (fun (rid, version, values) ->
-      ignore (Table.restore_version table ~rid ~version values);
-      Database.sync_clock db ~at:version)
-    img.img_rows;
+  Database.sync_clock db ~at:(Table.restore_versions table img.img_rows);
   List.iter
     (fun (index_name, column, ordered) ->
       if

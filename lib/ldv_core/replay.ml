@@ -56,12 +56,9 @@ let prepare (pkg : Package.t) : prepared =
             match Catalog.find_opt (Database.catalog db) table with
             | None -> Ldv_obs.counter "replay.skipped_tables"
             | Some tbl ->
-              List.iter
-                (fun (rid, version, values) ->
-                  ignore (Table.restore_version tbl ~rid ~version values);
-                  Ldv_obs.counter "replay.restored_tuples";
-                  Database.sync_clock db ~at:version)
-                (Csv.decode_versions csv))
+              let rows = Csv.decode_versions csv in
+              Database.sync_clock db ~at:(Table.restore_versions tbl rows);
+              Ldv_obs.counter ~by:(List.length rows) "replay.restored_tuples")
           pkg.Package.db_subset;
         (* pin the cost model to the audit-time row counts: the restored
            database holds only the sliced subset, and replay re-plans, so

@@ -54,7 +54,3 @@ let drop_index t index =
   | Some table ->
     Table.drop_index (find t table) ~index_name:index;
     Hashtbl.remove t.index_owner index
-
-(** Total bytes of live data across all tables. *)
-let data_bytes t =
-  Hashtbl.fold (fun _ table acc -> acc + Table.data_bytes table) t.tables 0

@@ -29,6 +29,3 @@ val create_index :
 
 (** @raise Errors.Db_error when the index is unknown. *)
 val drop_index : t -> string -> unit
-
-(** Total bytes of live data across all tables. *)
-val data_bytes : t -> int

@@ -31,13 +31,21 @@ let encode_value = function
   | Value.Str s -> "s" ^ s
   | Value.Bool b -> if b then "bt" else "bf"
 
+(* Package content comes from outside the program: a malformed number is
+   a typed error, never [int_of_string]'s [Failure]. *)
+let decode_int what s =
+  try int_of_string s
+  with Failure _ -> Errors.type_error "malformed CSV %s %S" what s
+
 let decode_value s =
   if String.length s = 0 then Value.Null
   else
     let body = String.sub s 1 (String.length s - 1) in
     match s.[0] with
-    | 'i' -> Value.Int (int_of_string body)
-    | 'f' -> Value.Float (float_of_string body)
+    | 'i' -> Value.Int (decode_int "integer" body)
+    | 'f' -> (
+      try Value.Float (float_of_string body)
+      with Failure _ -> Errors.type_error "malformed CSV float %S" body)
     | 's' -> Value.Str body
     | 'b' -> Value.Bool (body = "t")
     | _ -> Errors.type_error "malformed CSV value tag in %S" s
@@ -110,7 +118,10 @@ let encode_versions (schema : Schema.t) (versions : (int * int * Value.t array) 
     versions;
   Buffer.contents buf
 
-(** Parse back what [encode_versions] produced. *)
+(** Parse back what [encode_versions] produced. Rids and versions must be
+    integers; their range is checked where they are restored
+    ([Table.restore_versions]).
+    @raise Errors.Db_error [Type_error] on malformed input. *)
 let decode_versions (data : string) : (int * int * Value.t array) list =
   match String.split_on_char '\n' data with
   | [] -> []
@@ -122,8 +133,8 @@ let decode_versions (data : string) : (int * int * Value.t array) list =
           match split_line line with
           | rid :: version :: fields ->
             Some
-              ( int_of_string rid,
-                int_of_string version,
+              ( decode_int "rid" rid,
+                decode_int "version" version,
                 Array.of_list (List.map decode_value fields) )
           | _ -> Errors.type_error "malformed CSV line %S" line)
       lines

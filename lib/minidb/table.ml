@@ -7,12 +7,17 @@
     ([prov_rowid]/[prov_v] columns added to user tables): versioning is
     native to the storage layer.
 
-    The history is organised as per-rid *version chains* (newest first), so
-    MVCC reads touch only the chains of candidate rids instead of a global
-    version list, and visibility scans cost O(rows) rather than O(versions
-    ever written). Alongside the hash indexes the table supports *ordered*
-    indexes (a lazily-merged sorted array over [Value.t]) that serve range
-    lookups for the planner's [Range_scan] nodes. *)
+    Rows live in *slots* indexed by rid. Rids are allocated densely from 1
+    and never reused, so slot [rid] holds the row's *version chain* (every
+    version of the row, newest first), headed by its live version unless
+    the row is deleted: scans walk slots [1 .. next_rid-1] in
+    ascending-rid order, and MVCC reads and [find_version] walk only the
+    chain of one rid. A restore sizes the slots once from the highest rid
+    it carries; rids above [max_rid] are rejected, which bounds slot
+    memory for rids read from packages and data files. Alongside the hash
+    indexes the table supports *ordered* indexes (a lazily-merged sorted
+    array over [Value.t]) that serve range lookups for the planner's
+    [Range_scan] nodes. *)
 
 type tuple_version = {
   tid : Tid.t;
@@ -58,23 +63,12 @@ type ordered_index = {
 type t = {
   name : string;
   schema : Schema.t;
-  live : (int, tuple_version) Hashtbl.t;  (** rid -> current version *)
-  chains : (int, tuple_version list ref) Hashtbl.t;
-      (** rid -> all versions of the row, newest first *)
-  by_version : (int * int, tuple_version) Hashtbl.t;
-      (** (rid, version) -> the version, for O(1) provenance lookups *)
+  mutable slots : tuple_version list array;
+      (** rid -> all versions of the row, newest first; covers every rid
+          below [next_rid] (slot 0 is unused) *)
   mutable next_rid : int;
+  mutable n_live : int;
   mutable n_versions : int;
-  (* Live scan order: a sorted ascending array of candidate rids plus an
-     unsorted pending buffer, merged lazily on scan. Deletions only bump
-     [order_dead]; dead entries are swept when they outnumber half the
-     array. This keeps delete/rollback O(1) per row where the old
-     [List.filter] bookkeeping was O(live) per call. *)
-  mutable order : int array;
-  mutable order_n : int;
-  mutable order_pending : int list;
-  mutable order_pending_n : int;
-  mutable order_dead : int;
   mutable indexes : index list;
   mutable ordered : ordered_index list;
   (* MVCC fast-path bookkeeping. [tx_open] mirrors "the owning database has
@@ -96,19 +90,18 @@ type t = {
   mutable pinned_rows : (int * int) option;
 }
 
+(** The highest rid a table may hold, far above any bench size (the
+    storage bench reaches 10^6 rows). Slot memory is O(highest rid), so
+    restores reject rids above it rather than allocate for them. *)
+let max_rid = 1 lsl 26
+
 let create ~name ~schema =
   { name = String.lowercase_ascii name;
     schema;
-    live = Hashtbl.create 64;
-    chains = Hashtbl.create 64;
-    by_version = Hashtbl.create 64;
+    slots = Array.make 64 [];
     next_rid = 1;
+    n_live = 0;
     n_versions = 0;
-    order = [||];
-    order_n = 0;
-    order_pending = [];
-    order_pending_n = 0;
-    order_dead = 0;
     indexes = [];
     ordered = [];
     tx_open = false;
@@ -119,8 +112,50 @@ let create ~name ~schema =
 
 let name t = t.name
 let schema t = t.schema
-let row_count t = Hashtbl.length t.live
+let row_count t = t.n_live
 let version_count t = t.n_versions
+
+(* ------------------------------------------------------------------ *)
+(* Slots.                                                              *)
+
+(* Resize the slots to [n] (covering rids below [n]). *)
+let reserve t n =
+  let old = Array.length t.slots in
+  if n > old then begin
+    let slots = Array.make n [] in
+    Array.blit t.slots 0 slots 0 old;
+    t.slots <- slots
+  end
+
+(* Make room for [rid], doubling so that ascending inserts stay
+   amortised O(1). *)
+let grow t rid =
+  if rid >= Array.length t.slots then
+    reserve t (max (2 * Array.length t.slots) (rid + 1))
+
+let check_rid t rid =
+  if rid < 1 || rid > max_rid then
+    Errors.fail
+      (Errors.Constraint_violation
+         (Printf.sprintf "rid %d of table %s outside 1..%d" rid t.name max_rid))
+
+let chain_at t rid =
+  if rid > 0 && rid < Array.length t.slots then t.slots.(rid) else []
+
+(* A row's live version heads its chain; a retired head (or an empty
+   chain) means the row has no live version. *)
+let find_live t ~rid =
+  match chain_at t rid with
+  | ({ retired_at = None; _ } as tv) :: _ -> Some tv
+  | _ -> None
+
+(* [f rid tv] for every live row, in ascending-rid order. *)
+let iter_live t f =
+  for rid = 1 to t.next_rid - 1 do
+    match t.slots.(rid) with
+    | ({ retired_at = None; _ } as tv) :: _ -> f rid tv
+    | _ -> ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* MVCC bookkeeping helpers.                                           *)
@@ -150,20 +185,17 @@ let frozen_at t ~at = t.pending_writes = 0 && at >= t.last_stamp
 
 let chain_add t (tv : tuple_version) =
   let rid = tv.tid.Tid.rid in
-  (match Hashtbl.find_opt t.chains rid with
-  | Some r -> r := tv :: !r
-  | None -> Hashtbl.replace t.chains rid (ref [ tv ]));
+  t.slots.(rid) <- tv :: t.slots.(rid);
   t.n_versions <- t.n_versions + 1
 
 let chain_remove t (tv : tuple_version) =
   let rid = tv.tid.Tid.rid in
-  match Hashtbl.find_opt t.chains rid with
-  | None -> ()
-  | Some r ->
-    let rest = List.filter (fun x -> not (x == tv)) !r in
-    if List.compare_lengths rest !r <> 0 then
-      t.n_versions <- t.n_versions - 1;
-    if rest = [] then Hashtbl.remove t.chains rid else r := rest
+  let chain = chain_at t rid in
+  let rest = List.filter (fun x -> not (x == tv)) chain in
+  if List.compare_lengths rest chain <> 0 then begin
+    t.n_versions <- t.n_versions - 1;
+    t.slots.(rid) <- rest
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Hash index maintenance.                                             *)
@@ -203,9 +235,9 @@ let oindex_remove oidx value _rid =
 (* An ordered-index entry is current iff the rid is live and the live
    version still carries the entry's value in the indexed column. *)
 let oentry_live t oidx (v, rid) =
-  match Hashtbl.find_opt t.live rid with
-  | None -> false
+  match find_live t ~rid with
   | Some tv -> Value.equal tv.values.(oidx.oidx_column) v
+  | None -> false
 
 let oindex_recount oidx =
   let distinct = ref 0 in
@@ -314,60 +346,6 @@ let indexes_remove t (tv : tuple_version) =
     t.ordered
 
 (* ------------------------------------------------------------------ *)
-(* Live scan order.                                                    *)
-
-let order_push t rid =
-  t.order_pending <- rid :: t.order_pending;
-  t.order_pending_n <- t.order_pending_n + 1
-
-(* Merge pending rids into the sorted array (deduplicating — a deleted rid
-   may have been resurrected by rollback or restore), then sweep dead rids
-   when they dominate. After a sweep the array holds exactly the live
-   rids. *)
-let settle_order t =
-  if t.order_pending_n > 0 then begin
-    let extra = Array.of_list t.order_pending in
-    Array.sort compare extra;
-    let merged = Array.make (t.order_n + Array.length extra) 0 in
-    let k = ref 0 and i = ref 0 and j = ref 0 in
-    let push rid =
-      if !k = 0 || merged.(!k - 1) <> rid then begin
-        merged.(!k) <- rid;
-        incr k
-      end
-    in
-    while !i < t.order_n || !j < Array.length extra do
-      if !j >= Array.length extra then begin
-        push t.order.(!i);
-        incr i
-      end
-      else if !i < t.order_n && t.order.(!i) <= extra.(!j) then begin
-        push t.order.(!i);
-        incr i
-      end
-      else begin
-        push extra.(!j);
-        incr j
-      end
-    done;
-    t.order <- merged;
-    t.order_n <- !k;
-    t.order_pending <- [];
-    t.order_pending_n <- 0
-  end;
-  if t.order_dead > 64 && t.order_dead * 2 > t.order_n then begin
-    let k = ref 0 in
-    for i = 0 to t.order_n - 1 do
-      if Hashtbl.mem t.live t.order.(i) then begin
-        t.order.(!k) <- t.order.(i);
-        incr k
-      end
-    done;
-    t.order_n <- !k;
-    t.order_dead <- 0
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Writes.                                                             *)
 
 (** Insert a row; returns the new tuple version. [clock] is the logical
@@ -376,6 +354,8 @@ let settle_order t =
 let insert ?(tx = 0) t ~clock (row : Value.t array) =
   let values = Schema.coerce_row t.schema row in
   let rid = t.next_rid in
+  check_rid t rid;
+  grow t rid;
   t.next_rid <- rid + 1;
   let tv =
     { tid = Tid.make ~table:t.name ~rid ~version:clock;
@@ -386,10 +366,8 @@ let insert ?(tx = 0) t ~clock (row : Value.t array) =
       retired_tx = 0;
       retired_commit = 0 }
   in
-  Hashtbl.replace t.live rid tv;
   chain_add t tv;
-  Hashtbl.replace t.by_version (rid, clock) tv;
-  order_push t rid;
+  t.n_live <- t.n_live + 1;
   indexes_add t tv;
   if tx <> 0 then t.pending_writes <- t.pending_writes + 1;
   stamp t clock;
@@ -399,7 +377,7 @@ let insert ?(tx = 0) t ~clock (row : Value.t array) =
 (** Update the live version of [rid] to new values; returns
     [(old_version, new_version)]. *)
 let update ?(tx = 0) t ~clock ~rid (row : Value.t array) =
-  match Hashtbl.find_opt t.live rid with
+  match find_live t ~rid with
   | None ->
     Errors.fail
       (Errors.Constraint_violation
@@ -418,9 +396,7 @@ let update ?(tx = 0) t ~clock ~rid (row : Value.t array) =
     old_tv.retired_at <- Some clock;
     old_tv.retired_tx <- tx;
     old_tv.retired_commit <- (if tx = 0 then clock else 0);
-    Hashtbl.replace t.live rid tv;
     chain_add t tv;
-    Hashtbl.replace t.by_version (rid, clock) tv;
     indexes_remove t old_tv;
     indexes_add t tv;
     if tx <> 0 then t.pending_writes <- t.pending_writes + 2;
@@ -430,7 +406,7 @@ let update ?(tx = 0) t ~clock ~rid (row : Value.t array) =
 
 (** Delete the live version of [rid]; returns the retired version. *)
 let delete ?(tx = 0) t ~clock ~rid =
-  match Hashtbl.find_opt t.live rid with
+  match find_live t ~rid with
   | None ->
     Errors.fail
       (Errors.Constraint_violation
@@ -439,8 +415,7 @@ let delete ?(tx = 0) t ~clock ~rid =
     tv.retired_at <- Some clock;
     tv.retired_tx <- tx;
     tv.retired_commit <- (if tx = 0 then clock else 0);
-    Hashtbl.remove t.live rid;
-    t.order_dead <- t.order_dead + 1;
+    t.n_live <- t.n_live - 1;
     indexes_remove t tv;
     if tx <> 0 then t.pending_writes <- t.pending_writes + 1;
     stamp t clock;
@@ -469,62 +444,45 @@ let commit_retire_stamp t (tv : tuple_version) ~commit_clock =
 (* ------------------------------------------------------------------ *)
 (* Reads.                                                              *)
 
-(** Live tuple versions in insertion order (oldest first). *)
-let scan t : tuple_version list =
-  settle_order t;
-  let acc = ref [] in
-  for i = t.order_n - 1 downto 0 do
-    match Hashtbl.find_opt t.live t.order.(i) with
-    | Some tv -> acc := tv :: !acc
-    | None -> ()
-  done;
-  !acc
-
-(** Live tuple versions as an array (same ascending-rid order as [scan]);
-    the executor's batch pipeline starts here. *)
+(** Live tuple versions as an array, in ascending-rid order; the
+    executor's batch pipeline starts here. *)
 let scan_array t : tuple_version array =
-  settle_order t;
-  if t.order_dead > 0 then begin
-    (* force the sweep so the prefix is exactly the live rids *)
-    let k = ref 0 in
-    for i = 0 to t.order_n - 1 do
-      if Hashtbl.mem t.live t.order.(i) then begin
-        t.order.(!k) <- t.order.(i);
-        incr k
-      end
-    done;
-    t.order_n <- !k;
-    t.order_dead <- 0
-  end;
-  Array.init t.order_n (fun i -> Hashtbl.find t.live t.order.(i))
+  let rid = ref 0 in
+  let rec next_live () =
+    incr rid;
+    match t.slots.(!rid) with
+    | ({ retired_at = None; _ } as tv) :: _ -> tv
+    | _ -> next_live ()
+  in
+  Array.init t.n_live (fun _ -> next_live ())
 
-let find_live t ~rid = Hashtbl.find_opt t.live rid
+(** Live tuple versions in ascending-rid order. *)
+let scan t : tuple_version list = Array.to_list (scan_array t)
 
-(** Look up any historical version by tid (O(1)). *)
+(** Look up any historical version by tid, walking that rid's chain. *)
 let find_version t (tid : Tid.t) =
   if not (String.equal tid.Tid.table t.name) then None
-  else Hashtbl.find_opt t.by_version (tid.Tid.rid, tid.Tid.version)
+  else
+    List.find_opt
+      (fun tv -> tv.tid.Tid.version = tid.Tid.version)
+      (chain_at t tid.Tid.rid)
 
 (** All versions ever written, ordered by (rid, version). *)
 let all_versions t =
-  Hashtbl.fold (fun _ chain acc -> List.rev_append !chain acc) t.chains []
-  |> List.sort (fun a b ->
-         match Int.compare a.tid.Tid.rid b.tid.Tid.rid with
-         | 0 -> Int.compare a.tid.Tid.version b.tid.Tid.version
-         | c -> c)
-
-(** Approximate on-disk footprint of the live data in bytes; drives the
-    size of simulated DB data files. *)
-let data_bytes t =
-  Hashtbl.fold
-    (fun _ tv acc ->
-      acc + Array.fold_left (fun a v -> a + Value.byte_size v) 8 tv.values)
-    t.live 0
+  let by_version a b = Int.compare a.tid.Tid.version b.tid.Tid.version in
+  let acc = ref [] in
+  for rid = t.next_rid - 1 downto 1 do
+    acc := List.sort by_version t.slots.(rid) @ !acc
+  done;
+  !acc
 
 (** Restore a tuple version verbatim (used when loading a package's CSV
     subset: rids and versions must survive the round-trip so that replayed
-    traces align). *)
+    traces align). A newer version of a live rid supersedes it.
+    @raise Errors.Db_error [Constraint_violation] for a rid outside
+    [1 .. max_rid] or a version no newer than the live one. *)
 let restore_version t ~rid ~version (row : Value.t array) =
+  check_rid t rid;
   let values = Schema.coerce_row t.schema row in
   let tv =
     { tid = Tid.make ~table:t.name ~rid ~version;
@@ -535,7 +493,8 @@ let restore_version t ~rid ~version (row : Value.t array) =
       retired_tx = 0;
       retired_commit = 0 }
   in
-  (match Hashtbl.find_opt t.live rid with
+  grow t rid;
+  (match find_live t ~rid with
   | Some old when old.tid.Tid.version >= version ->
     Errors.fail
       (Errors.Constraint_violation
@@ -543,24 +502,46 @@ let restore_version t ~rid ~version (row : Value.t array) =
   | Some old ->
     old.retired_at <- Some version;
     old.retired_commit <- version;
-    indexes_remove t old;
-    Hashtbl.replace t.live rid tv;
-    indexes_add t tv
-  | None ->
-    Hashtbl.replace t.live rid tv;
-    order_push t rid;
-    indexes_add t tv);
+    indexes_remove t old
+  | None -> t.n_live <- t.n_live + 1);
+  indexes_add t tv;
   if rid >= t.next_rid then t.next_rid <- rid + 1;
   chain_add t tv;
-  Hashtbl.replace t.by_version (rid, version) tv;
   stamp t version;
   note_churn t rid;
   tv
 
+(** Restore a batch of [(rid, version, values)] rows, in order — a
+    package's CSV subset, a data file, a checkpoint or a replica base
+    backup. Every rid is checked before anything changes, and the slots
+    are sized once from the highest rid, so a sparse subset costs no
+    repeated regrowth. Returns the newest version restored (0 for none):
+    the caller advances its clock to it once. *)
+let restore_versions t (rows : (int * int * Value.t array) list) : int =
+  let highest =
+    List.fold_left
+      (fun acc (rid, _, _) ->
+        check_rid t rid;
+        max acc rid)
+      0 rows
+  in
+  reserve t (highest + 1);
+  List.fold_left
+    (fun newest (rid, version, values) ->
+      ignore (restore_version t ~rid ~version values);
+      max newest version)
+    0 rows
+
 (** Restore the row-id allocator from a checkpoint. Live rows alone
     under-state it when the highest-rid row was deleted, so checkpoint
-    images carry the allocator explicitly; never rewinds. *)
-let restore_next_rid t rid = if rid > t.next_rid then t.next_rid <- rid
+    images carry the allocator explicitly; never rewinds.
+    @raise Errors.Db_error [Constraint_violation] past [max_rid + 1]. *)
+let restore_next_rid t rid =
+  if rid > t.next_rid then begin
+    check_rid t (rid - 1);
+    reserve t rid;
+    t.next_rid <- rid
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Secondary indexes.                                                  *)
@@ -590,9 +571,7 @@ let create_index ?(ordered = false) t ~index_name ~column =
         oidx_dead = 0;
         oidx_distinct = 0 }
     in
-    Hashtbl.iter
-      (fun rid tv -> oindex_add oidx tv.values.(position) rid)
-      t.live;
+    iter_live t (fun rid tv -> oindex_add oidx tv.values.(position) rid);
     settle_oindex t oidx;
     t.ordered <- oidx :: t.ordered
   end
@@ -602,7 +581,7 @@ let create_index ?(ordered = false) t ~index_name ~column =
         idx_column = position;
         idx_entries = Hashtbl.create 256 }
     in
-    Hashtbl.iter (fun rid tv -> index_add idx tv.values.(position) rid) t.live;
+    iter_live t (fun rid tv -> index_add idx tv.values.(position) rid);
     t.indexes <- idx :: t.indexes
   end
 
@@ -639,8 +618,7 @@ let index_lookup t (idx : index) (value : Value.t) : tuple_version list =
   match Hashtbl.find_opt idx.idx_entries value with
   | None -> []
   | Some rids ->
-    List.sort_uniq compare !rids
-    |> List.filter_map (fun rid -> Hashtbl.find_opt t.live rid)
+    List.sort_uniq compare !rids |> List.filter_map (fun rid -> find_live t ~rid)
 
 (** Candidate rids for an equality probe, ascending; callers re-check
     visibility and the key themselves (the MVCC fallback path). *)
@@ -660,8 +638,7 @@ let range_lookup t (oidx : ordered_index) ~(lo : bound option)
     let (_, rid) as e = oidx.oidx_keys.(i) in
     if oentry_live t oidx e then rids := rid :: !rids
   done;
-  List.sort_uniq compare !rids
-  |> List.filter_map (fun rid -> Hashtbl.find_opt t.live rid)
+  List.sort_uniq compare !rids |> List.filter_map (fun rid -> find_live t ~rid)
 
 (** Candidate rids for a range probe, ascending, without live validation
     (the MVCC fallback path re-checks values against visible versions). *)
@@ -686,14 +663,14 @@ let range_estimate t (oidx : ordered_index) ~(lo : bound option)
 
 (** Pin the audit-time row count (package restore): cost estimates become
     [pinned + (live delta since the pin)], which replays identically. *)
-let pin_row_stats t ~rows = t.pinned_rows <- Some (rows, Hashtbl.length t.live)
+let pin_row_stats t ~rows = t.pinned_rows <- Some (rows, t.n_live)
 
 (** Row count as the cost model sees it: the real live count, or the
     pinned audit-time count advanced by the local delta. *)
 let stable_row_count t =
   match t.pinned_rows with
-  | None -> Hashtbl.length t.live
-  | Some (rows, live_at_pin) -> rows + Hashtbl.length t.live - live_at_pin
+  | None -> t.n_live
+  | Some (rows, live_at_pin) -> rows + t.n_live - live_at_pin
 
 type stats = {
   st_rows : int;
@@ -709,11 +686,9 @@ let stats ?(verify = false) t : stats =
   let distinct_hash idx =
     if verify then begin
       let seen = Hashtbl.create 64 in
-      Hashtbl.iter
-        (fun _ tv ->
+      iter_live t (fun _ tv ->
           let v = tv.values.(idx.idx_column) in
-          if not (Value.is_null v) then Hashtbl.replace seen v ())
-        t.live;
+          if not (Value.is_null v) then Hashtbl.replace seen v ());
       assert (Hashtbl.length idx.idx_entries = Hashtbl.length seen)
     end;
     (idx.idx_column, Hashtbl.length idx.idx_entries)
@@ -722,7 +697,7 @@ let stats ?(verify = false) t : stats =
     settle_oindex t oidx;
     (oidx.oidx_column, oidx.oidx_distinct)
   in
-  { st_rows = Hashtbl.length t.live;
+  { st_rows = t.n_live;
     st_distinct =
       List.map distinct_hash t.indexes
       @ List.map distinct_ordered t.ordered }
@@ -756,15 +731,14 @@ let visible ?(tx = 0) ~at (tv : tuple_version) =
 (** The version of [rid] that [tx] sees at [at], walking only that row's
     chain (at most one version of a row is visible per snapshot). *)
 let visible_version ?(tx = 0) ?(at = max_int) t ~rid =
-  match Hashtbl.find_opt t.chains rid with
-  | None -> None
-  | Some chain -> List.find_opt (visible ~tx ~at) !chain
+  List.find_opt (visible ~tx ~at) (chain_at t rid)
 
 (** The snapshot [tx] sees at time [at] (default: the committed present),
     in ascending-rid order — the same order [scan] yields, so switching
-    between the two paths can never reorder results. Walks per-rid chains
-    (O(rows), not O(versions ever written)), and collapses to the plain
-    live scan when the snapshot provably equals it. *)
+    between the two paths can never reorder results. Walks every rid in
+    [1 .. next_rid-1] (O(highest rid), each step walking one row's chain
+    rather than the whole history), and collapses to the plain live scan
+    when the snapshot provably equals it. *)
 let scan_visible ?(tx = 0) ?(at = max_int) t : tuple_version list =
   if frozen_at t ~at then scan t
   else begin
@@ -791,37 +765,36 @@ let scan_as_of ?(tx = 0) t ~at : tuple_version list = scan_visible ~tx ~at t
     from the live snapshot, the history, and the indexes — as if it never
     happened. *)
 let unlink_version t (tv : tuple_version) =
-  (match Hashtbl.find_opt t.live tv.tid.Tid.rid with
+  let rid = tv.tid.Tid.rid in
+  (match find_live t ~rid with
   | Some live_tv when live_tv == tv ->
-    Hashtbl.remove t.live tv.tid.Tid.rid;
-    t.order_dead <- t.order_dead + 1;
+    t.n_live <- t.n_live - 1;
     indexes_remove t tv
   | _ -> ());
   if tv.txid <> 0 then t.pending_writes <- t.pending_writes - 1;
   chain_remove t tv;
-  Hashtbl.remove t.by_version (tv.tid.Tid.rid, tv.tid.Tid.version);
-  note_churn t tv.tid.Tid.rid
+  note_churn t rid
 
 (** Resurrect a version retired inside an aborted transaction. *)
 let relink_version t (tv : tuple_version) =
+  let rid = tv.tid.Tid.rid in
+  (match chain_at t rid with
+  | head :: _ when head == tv -> ()
+  | _ ->
+    (* a newer version heads the chain: the caller must have unlinked
+       the aborted newer version first *)
+    Errors.fail
+      (Errors.Constraint_violation
+         (Printf.sprintf "relink of rid %d would clobber a newer version" rid)));
+  if Option.is_some tv.retired_at then begin
+    t.n_live <- t.n_live + 1;
+    indexes_add t tv
+  end;
   if tv.retired_tx <> 0 then t.pending_writes <- t.pending_writes - 1;
   tv.retired_at <- None;
   tv.retired_tx <- 0;
   tv.retired_commit <- 0;
-  note_churn t tv.tid.Tid.rid;
-  match Hashtbl.find_opt t.live tv.tid.Tid.rid with
-  | Some current when not (current == tv) ->
-    (* the slot is occupied by an aborted newer version: caller must have
-       unlinked it first *)
-    Errors.fail
-      (Errors.Constraint_violation
-         (Printf.sprintf "relink of rid %d would clobber a live version"
-            tv.tid.Tid.rid))
-  | Some _ -> ()
-  | None ->
-    Hashtbl.replace t.live tv.tid.Tid.rid tv;
-    order_push t tv.tid.Tid.rid;
-    indexes_add t tv
+  note_churn t rid
 
 (* ------------------------------------------------------------------ *)
 (* Integrity checking (test support).                                  *)

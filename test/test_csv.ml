@@ -62,8 +62,20 @@ let prop_line_roundtrip =
            (string_size ~gen:(oneofl [ 'a'; ','; '"'; 'x' ]) (int_bound 6))))
     (fun fields -> Csv.split_line (Csv.encode_line fields) = fields)
 
+(* a malformed number in package content is a typed error, never
+   [int_of_string]'s or [float_of_string]'s [Failure] *)
+let test_malformed_numbers_are_typed () =
+  List.iter
+    (fun line ->
+      match Csv.decode_versions ("rid,version,a,b,c\n" ^ line) with
+      | _ -> Alcotest.failf "%S decoded" line
+      | exception Errors.Db_error (Errors.Type_error _) -> ())
+    [ "1,1,i4x,sa,f1.0"; "1,1,i4,sa,fx" ]
+
 let suite =
   [ Alcotest.test_case "roundtrip" `Quick test_roundtrip_basic;
+    Alcotest.test_case "malformed numbers are typed" `Quick
+      test_malformed_numbers_are_typed;
     Alcotest.test_case "null vs empty string" `Quick test_null_vs_empty_string;
     Alcotest.test_case "newline quoting" `Quick test_newline_in_field;
     QCheck_alcotest.to_alcotest prop_value_roundtrip;

@@ -130,6 +130,48 @@ let test_roundtripped_package_replays () =
   Alcotest.(check (list string)) "no divergences after roundtrip" []
     (Replay.verify ~audit result)
 
+(* The included package with the rid and version of the first tuple of
+   its first non-empty table subset replaced by [rid] and [version]. *)
+let with_first_tuple ~rid ~version =
+  let pkg = Package.build (Lazy.force Ldv_fixtures.included) in
+  let done_ = ref false in
+  let rewrite (table, csv) =
+    match String.split_on_char '\n' csv with
+    | header :: line :: rest when (not !done_) && line <> "" ->
+      done_ := true;
+      let fields = List.tl (List.tl (Minidb.Csv.split_line line)) in
+      let line = Minidb.Csv.encode_line (rid :: version :: fields) in
+      (table, String.concat "\n" (header :: line :: rest))
+    | _ -> (table, csv)
+  in
+  { pkg with Package.db_subset = List.map rewrite pkg.Package.db_subset }
+
+(* restoring the package must fail with a typed engine error of [kind] *)
+let expect_restore_error ~kind ~rid ~version =
+  match Replay.prepare (with_first_tuple ~rid ~version) with
+  | _ -> Alcotest.failf "rid %S version %S was restored" rid version
+  | exception Minidb.Errors.Db_error e ->
+    Alcotest.(check string)
+      (Printf.sprintf "rid %S version %S" rid version)
+      kind
+      (match e with
+      | Minidb.Errors.Type_error _ -> "type error"
+      | Minidb.Errors.Constraint_violation _ -> "constraint violation"
+      | e -> Minidb.Errors.to_string e)
+
+let test_non_integer_rid_or_version () =
+  expect_restore_error ~kind:"type error" ~rid:"x7" ~version:"1";
+  expect_restore_error ~kind:"type error" ~rid:"1" ~version:"1.5"
+
+let test_rid_below_one () =
+  expect_restore_error ~kind:"constraint violation" ~rid:"0" ~version:"1";
+  expect_restore_error ~kind:"constraint violation" ~rid:"-4" ~version:"1"
+
+(* a rid past the ceiling is refused before any slot is allocated *)
+let test_rid_above_ceiling () =
+  expect_restore_error ~kind:"constraint violation" ~rid:"99999999999999"
+    ~version:"1"
+
 let suite =
   [ Alcotest.test_case "included replay verifies" `Quick test_included_replay_verifies;
     Alcotest.test_case "excluded replay verifies" `Quick test_excluded_replay_verifies;
@@ -145,4 +187,9 @@ let suite =
       test_included_allows_changed_program;
     Alcotest.test_case "replay of replay" `Quick test_replay_is_itself_repeatable;
     Alcotest.test_case "roundtripped package replays" `Quick
-      test_roundtripped_package_replays ]
+      test_roundtripped_package_replays;
+    Alcotest.test_case "package rid or version not an integer" `Quick
+      test_non_integer_rid_or_version;
+    Alcotest.test_case "package rid below 1" `Quick test_rid_below_one;
+    Alcotest.test_case "package rid above the ceiling" `Quick
+      test_rid_above_ceiling ]

@@ -374,10 +374,7 @@ let apply db table m op =
           (rid, Database.tick db, model_row (rid * 10) grp "r"))
         choices
     in
-    List.iter
-      (fun (rid, version, row) ->
-        ignore (Table.restore_version table ~rid ~version row))
-      rows;
+    ignore (Table.restore_versions table rows);
     List.iter (fun (rid, version, row) -> model_add m ~rid ~version row) rows
   | Stale_restore p -> (
     match pick_live m p with

@@ -65,11 +65,24 @@ let test_restore_version () =
        false
      with Errors.Db_error (Errors.Constraint_violation _) -> true)
 
-let test_data_bytes_grows () =
+(* a bulk restore checks every rid before it changes anything *)
+let test_restore_versions_checks_rids () =
   let t = mk () in
-  let before = Table.data_bytes t in
-  ignore (Table.insert t ~clock:1 [| Value.Int 1; Value.Str "hello" |]);
-  Alcotest.(check bool) "bytes grow" true (Table.data_bytes t > before)
+  let row = [| Value.Int 1; Value.Str "a" |] in
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rid %d rejected" bad)
+        true
+        (try
+           ignore (Table.restore_versions t [ (1, 1, row); (bad, 2, row) ]);
+           false
+         with Errors.Db_error (Errors.Constraint_violation _) -> true))
+    [ 0; -4; Table.max_rid + 1 ];
+  Alcotest.(check int) "nothing restored" 0 (Table.row_count t);
+  Alcotest.(check int) "newest version returned" 9
+    (Table.restore_versions t [ (3, 9, row); (1, 2, row) ]);
+  Alcotest.(check int) "allocator past the highest rid" 4 t.Table.next_rid
 
 let test_schema_coercion_on_insert () =
   let t =
@@ -86,5 +99,6 @@ let suite =
     Alcotest.test_case "delete" `Quick test_delete;
     Alcotest.test_case "update dead rid" `Quick test_update_dead_rid_fails;
     Alcotest.test_case "restore version" `Quick test_restore_version;
-    Alcotest.test_case "data bytes" `Quick test_data_bytes_grows;
+    Alcotest.test_case "restore checks rids first" `Quick
+      test_restore_versions_checks_rids;
     Alcotest.test_case "insert coercion" `Quick test_schema_coercion_on_insert ]
