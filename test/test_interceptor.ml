@@ -142,6 +142,38 @@ let test_timestamps_monotone () =
     Alcotest.(check bool) "statements ordered" true (a.I.t_end < b.I.t_start)
   | _ -> Alcotest.fail "expected two events"
 
+(* Two sessions of one run over [sales] (3 rows): session B opens a
+   transaction and inserts a row, then [read] issues a COUNT from the
+   session it picks and returns the answer. *)
+let count_beside_open_insert ~mode ~snapshot_reads read =
+  let kernel = Minios.Kernel.create () in
+  let server = Server.install kernel (Fixtures.sales_db ()) in
+  let a = I.create ~mode ~snapshot_reads ~kernel server in
+  let b = I.create_sibling a ~session_id:1 in
+  ignore (I.execute b ~pid:2 "BEGIN");
+  ignore (I.execute b ~pid:2 "INSERT INTO sales VALUES (4, 20)");
+  match I.execute (read a b) ~pid:1 "SELECT COUNT(*) FROM sales" with
+  | Protocol.Result_set { rows = [ [| Value.Int n |] ]; _ } -> n
+  | _ -> Alcotest.fail "expected one count row"
+
+(* An audit must not change what a session sees: a sibling's uncommitted
+   insert stays invisible to an autocommit read, and a transaction's own
+   insert is visible to its snapshot-pinned reads, in every mode. *)
+let test_audit_reads_under_session_tx () =
+  List.iter
+    (fun (name, mode) ->
+      Alcotest.(check int)
+        (name ^ ": autocommit read skips the sibling's open insert")
+        3
+        (count_beside_open_insert ~mode ~snapshot_reads:false (fun a _ -> a));
+      Alcotest.(check int)
+        (name ^ ": snapshot read sees its own transaction's insert")
+        4
+        (count_beside_open_insert ~mode ~snapshot_reads:true (fun _ b -> b)))
+    [ ("passthrough", I.Passthrough);
+      ("server-excluded", I.Audit_excluded);
+      ("server-included", I.Audit_included) ]
+
 let suite =
   [ Alcotest.test_case "passthrough" `Quick test_passthrough;
     Alcotest.test_case "audit included: lineage" `Quick test_audit_included_collects_lineage;
@@ -153,4 +185,6 @@ let suite =
     Alcotest.test_case "replay exhausted" `Quick test_replay_exhausted_fails;
     Alcotest.test_case "replay normalizes sql" `Quick test_replay_normalizes_sql;
     Alcotest.test_case "session binding" `Quick test_session_binding;
-    Alcotest.test_case "timestamps monotone" `Quick test_timestamps_monotone ]
+    Alcotest.test_case "timestamps monotone" `Quick test_timestamps_monotone;
+    Alcotest.test_case "audit reads under the session's transaction" `Quick
+      test_audit_reads_under_session_tx ]

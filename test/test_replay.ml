@@ -172,6 +172,105 @@ let test_rid_above_ceiling () =
   expect_restore_error ~kind:"constraint violation" ~rid:"99999999999999"
     ~version:"1"
 
+(* ---------------- subqueries under a server-included audit -------- *)
+
+let subquery_db () =
+  let db = Minidb.Database.create () in
+  ignore
+    (Minidb.Database.exec_script db
+       "CREATE TABLE emp (id INT, dno INT, sal INT);\n\
+        CREATE TABLE dept (dno INT, name TEXT);\n\
+        CREATE TABLE lim (cap INT);\n\
+        INSERT INTO emp VALUES (1, 1, 10), (2, 1, 30), (3, 2, 20), (4, 3, 40), \
+        (5, 2, 5);\n\
+        INSERT INTO dept VALUES (1, 'ops'), (2, 'lab'), (3, 'hq');\n\
+        INSERT INTO lim VALUES (25)");
+  db
+
+(* A tiny app that runs [stmts] in order and writes one line per
+   statement to /out/[name]: a query's rows, or a write's affected
+   count. *)
+let audit_subquery_app ~name stmts =
+  let kernel = Minios.Kernel.create () in
+  let server = Dbclient.Server.install kernel (subquery_db ()) in
+  let binary = "/bin/" ^ name in
+  Minios.Vfs.write_opaque (Minios.Kernel.vfs kernel) ~path:binary 1000;
+  let program env =
+    let conn = Dbclient.Client.connect env ~db:"main" in
+    let line sql =
+      if String.starts_with ~prefix:"SELECT" sql then
+        Dbclient.Client.query conn sql
+        |> List.map (fun row ->
+               Array.to_list row
+               |> List.map Minidb.Value.to_raw_string
+               |> String.concat ",")
+        |> String.concat ";"
+      else string_of_int (Dbclient.Client.exec conn sql)
+    in
+    Minios.Program.write_file env ("/out/" ^ name)
+      (String.concat "\n" (List.map line stmts));
+    Dbclient.Client.close conn
+  in
+  let app_name = "subquery-" ^ name in
+  Minios.Program.register ~name:app_name program;
+  Audit.run ~packaging:Audit.Included kernel server ~app_name
+    ~app_binary:binary program
+
+(* The subquery's conservative provenance puts the tuples it read into
+   the package: [table]'s CSV must carry a row ending in [value]. *)
+let check_subset_has pkg ~table ~value =
+  let csv =
+    match List.assoc_opt table pkg.Package.db_subset with
+    | Some csv -> csv
+    | None -> Alcotest.failf "no %s subset in the package" table
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s subset carries the subquery's %s tuple" table value)
+    true
+    (List.exists
+       (fun line ->
+         match List.rev (Minidb.Csv.split_line line) with
+         | last :: _ -> String.equal last value
+         | [] -> false)
+       (String.split_on_char '\n' csv))
+
+(* Each app must audit with its subqueries evaluated, round-trip through
+   the package bytes, and replay without divergence. *)
+let test_subquery_app ~name ~stmts ~output ~table ~value () =
+  let audit = audit_subquery_app ~name stmts in
+  Alcotest.(check (option string)) "audited output" (Some output)
+    (List.assoc_opt ("/out/" ^ name) audit.Audit.out_files);
+  let pkg = Package.of_bytes (Package.to_bytes (Package.build audit)) in
+  check_subset_has pkg ~table ~value;
+  Alcotest.(check (list string)) "no divergences" []
+    (Replay.verify ~audit (Replay.execute pkg))
+
+let subquery_cases =
+  [ ( "IN subquery",
+      test_subquery_app ~name:"in-select"
+        ~stmts:
+          [ "SELECT id FROM emp WHERE dno IN (SELECT dno FROM dept WHERE \
+             name = 'lab')" ]
+        ~output:"3;5" ~table:"dept" ~value:"lab" );
+    ( "scalar subquery threshold",
+      test_subquery_app ~name:"scalar-threshold"
+        ~stmts:[ "SELECT id, sal FROM emp WHERE sal > (SELECT cap FROM lim)" ]
+        ~output:"2,30;4,40" ~table:"lim" ~value:"25" );
+    ( "UPDATE with IN subquery",
+      test_subquery_app ~name:"update-in-select"
+        ~stmts:
+          [ "UPDATE emp SET sal = sal + 1 WHERE dno IN (SELECT dno FROM dept \
+             WHERE name = 'ops')";
+            "SELECT id, sal FROM emp WHERE dno = 1" ]
+        ~output:"2\n1,11;2,31" ~table:"dept" ~value:"ops" );
+    ( "DELETE with EXISTS",
+      test_subquery_app ~name:"delete-exists"
+        ~stmts:
+          [ "DELETE FROM emp WHERE sal < 15 AND EXISTS (SELECT dno FROM dept \
+             WHERE name = 'hq')";
+            "SELECT COUNT(*) FROM emp" ]
+        ~output:"2\n3" ~table:"dept" ~value:"hq" ) ]
+
 let suite =
   [ Alcotest.test_case "included replay verifies" `Quick test_included_replay_verifies;
     Alcotest.test_case "excluded replay verifies" `Quick test_excluded_replay_verifies;
@@ -193,3 +292,7 @@ let suite =
     Alcotest.test_case "package rid below 1" `Quick test_rid_below_one;
     Alcotest.test_case "package rid above the ceiling" `Quick
       test_rid_above_ceiling ]
+  @ List.map
+      (fun (name, f) ->
+        Alcotest.test_case ("server-included audit: " ^ name) `Quick f)
+      subquery_cases

@@ -84,6 +84,162 @@ let test_no_lost_update_after_commit () =
      with Errors.Db_error (Errors.Serialization_failure _) -> true);
   Database.rollback_tx db
 
+(* ---------------- DML access paths under MVCC -------------------- *)
+
+(* A seeded UPDATE/DELETE script over t(k, tag, v). Each statement comes
+   with the access path EXPLAIN must name for it when its predicate
+   column carries a hash index and when it carries an ordered index;
+   without an index every statement is a full scan. *)
+let dml_script ~seed =
+  let rng = Tpch.Prng.create ~seed in
+  let int lo hi = Tpch.Prng.in_range rng ~lo ~hi in
+  List.concat
+    (List.init 4 (fun _ ->
+         let c = int 0 39 in
+         [ ( Printf.sprintf "UPDATE t SET v = v + 1 WHERE k = %d" c,
+             "indexscan(t.t_k)",
+             "rangescan(t.t_k" );
+           ( Printf.sprintf "UPDATE t SET k = k + 1 WHERE %d < k" (int 35 38),
+             "scan(t)",
+             "rangescan(t.t_k" );
+           ( Printf.sprintf "DELETE FROM t WHERE k BETWEEN %d AND %d" c (c + 1),
+             "scan(t)",
+             "rangescan(t.t_k" );
+           ( Printf.sprintf
+               "UPDATE t SET tag = 'x' WHERE tag LIKE 'g%d%%' AND v > %d"
+               (int 0 4) (int 0 60),
+             "scan(t)",
+             "rangescan(t.t_tag" );
+           ( Printf.sprintf
+               "DELETE FROM t WHERE k IN (SELECT k FROM s WHERE w = %d)"
+               (int 0 3),
+             "scan(t)",
+             "scan(t)" ) ]))
+
+(* 120 rows over 40 keys and 50 tags. Indexes are added through the
+   catalog, which leaves the clock alone, so all three copies stamp
+   every version identically. *)
+let dml_db index =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE t (k INT, tag TEXT, v INT)");
+  ignore (Database.exec db "CREATE TABLE s (k INT, w INT)");
+  ignore
+    (Database.exec db
+       ("INSERT INTO t VALUES "
+       ^ String.concat ", "
+           (List.init 120 (fun i ->
+                Printf.sprintf "(%d, 'g%02d', %d)" (i mod 40) (i mod 50) i))));
+  ignore
+    (Database.exec db
+       ("INSERT INTO s VALUES "
+       ^ String.concat ", "
+           (List.init 12 (fun i -> Printf.sprintf "(%d, %d)" (3 * i) (i mod 4)))));
+  let catalog = Database.catalog db in
+  Option.iter
+    (fun ordered ->
+      Catalog.create_index ~ordered catalog ~index:"t_k" ~table:"t" ~column:"k";
+      Catalog.create_index ~ordered catalog ~index:"t_tag" ~table:"t"
+        ~column:"tag")
+    index;
+  db
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* One statement's outcome as the dml_info fields, in order, or the
+   conflict it raised. *)
+let dml_outcome db sql =
+  let tids l = String.concat " " (List.map Tid.to_string l) in
+  match Database.dml db sql with
+  | info ->
+    Printf.sprintf "count=%d written=[%s] read=[%s] deps=[%s]"
+      info.Database.count (tids info.Database.written)
+      (tids info.Database.read)
+      (String.concat "; "
+         (List.map
+            (fun (w, from) -> Tid.to_string w ^ " <- " ^ tids from)
+            info.Database.deps))
+  | exception Errors.Db_error (Errors.Serialization_failure _) -> "conflict"
+
+(* Run the script on one copy under [mode]: "autocommit" with nothing
+   open, or "autocommit" / "in a transaction" beside a sibling
+   transaction that has inserted, updated and deleted rows. Returns the
+   per-statement outcomes and the final state (indexes dropped, so the
+   copies compare). *)
+let run_dml_script ~seed ~mode ~index =
+  let db = dml_db index in
+  let sibling =
+    if mode = "autocommit" then None
+    else begin
+      ignore (Database.exec db "BEGIN");
+      ignore (Database.exec db "INSERT INTO t VALUES (5, 'g05', 500)");
+      ignore (Database.exec db "UPDATE t SET k = 38 WHERE v = 7");
+      ignore (Database.exec db "DELETE FROM t WHERE v = 9");
+      let s = Database.current_tx db in
+      Database.set_current_tx db 0;
+      Some s
+    end
+  in
+  if mode = "in a transaction" then ignore (Database.exec db "BEGIN");
+  let own = Database.current_tx db in
+  let outcomes =
+    List.map
+      (fun (sql, on_hash, on_ordered) ->
+        let path =
+          match index with
+          | None -> "scan(t)"
+          | Some false -> on_hash
+          | Some true -> on_ordered
+        in
+        (match Database.query db ("EXPLAIN " ^ sql) with
+        | { Executor.rows = [ { Executor.values = [| Value.Str plan |]; _ } ]; _ }
+          ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: EXPLAIN %s names %s" mode plan path)
+            true
+            (contains plan ("(" ^ path))
+        | _ -> Alcotest.fail "EXPLAIN returned no plan");
+        dml_outcome db sql)
+      (dml_script ~seed)
+  in
+  Option.iter
+    (fun s ->
+      Database.set_current_tx db s;
+      ignore (Database.exec db "COMMIT"))
+    sibling;
+  if own <> 0 then begin
+    Database.set_current_tx db own;
+    ignore (Database.exec db "COMMIT")
+  end;
+  if index <> None then begin
+    Catalog.drop_index (Database.catalog db) "t_k";
+    Catalog.drop_index (Database.catalog db) "t_tag"
+  end;
+  (outcomes, Fingerprint.state db)
+
+(* UPDATE/DELETE pick their rows through the planner's access path: a
+   hash index, an ordered index or a full scan must affect the same rows
+   with the same provenance, autocommit and under MVCC. *)
+let test_dml_access_path_equivalence () =
+  List.iter
+    (fun mode ->
+      let outcomes, state = run_dml_script ~seed:5 ~mode ~index:None in
+      List.iter
+        (fun (name, index) ->
+          let outcomes', state' = run_dml_script ~seed:5 ~mode ~index in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, %s index: dml_info per statement" mode name)
+            outcomes outcomes';
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %s index: final state" mode name)
+            state state')
+        [ ("hash", Some false); ("ordered", Some true) ])
+    [ "autocommit"; "autocommit beside a transaction"; "in a transaction" ]
+
 (* ---------------- typed Tx_state warnings (server) --------------- *)
 
 (* Transaction-state misuse surfaces as a typed warning through
@@ -231,6 +387,8 @@ let suite =
       test_first_updater_wins;
     Alcotest.test_case "mvcc: no lost update after commit" `Quick
       test_no_lost_update_after_commit;
+    Alcotest.test_case "mvcc: DML access paths agree" `Quick
+      test_dml_access_path_equivalence;
     Alcotest.test_case "server: Tx_state warning surfaced" `Quick
       test_tx_state_warning_surfaced;
     Alcotest.test_case "audit: tx outcome derivation" `Quick
