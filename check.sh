@@ -62,7 +62,8 @@ done
 
 # planner smoke (also under --quick): the cost model must pick a hash
 # index scan for an indexed equality and an ordered-index range scan for
-# a selective inequality, and say so in EXPLAIN
+# a selective inequality, and say so in EXPLAIN; an UPDATE reads its rows
+# through the same access-path choice as a SELECT
 sql="CREATE TABLE emp (id INT, dno INT, sal INT);
 CREATE INDEX emp_dno ON emp (dno);
 CREATE ORDERED INDEX emp_sal ON emp (sal);"
@@ -72,7 +73,8 @@ while [ "$i" -le 40 ]; do
   i=$((i + 1))
 done
 sql="$sql EXPLAIN SELECT id FROM emp WHERE dno = 3;
-EXPLAIN SELECT id FROM emp WHERE sal > 35"
+EXPLAIN SELECT id FROM emp WHERE sal > 35;
+EXPLAIN UPDATE emp SET sal = 0 WHERE dno = 3"
 plans=$(dune exec bin/ldv.exe -- sql "$sql")
 echo "$plans" | grep -q "indexscan(emp.emp_dno)" || {
   echo "check.sh: EXPLAIN did not choose the hash index for an equality" >&2
@@ -80,6 +82,10 @@ echo "$plans" | grep -q "indexscan(emp.emp_dno)" || {
 }
 echo "$plans" | grep -q "rangescan(emp.emp_sal" || {
   echo "check.sh: EXPLAIN did not choose the ordered index for a range" >&2
+  exit 1
+}
+echo "$plans" | grep -q "update(indexscan(emp.emp_dno))" || {
+  echo "check.sh: EXPLAIN UPDATE did not choose the hash index" >&2
   exit 1
 }
 

@@ -166,8 +166,12 @@ let subquery_eval : Planner.subquery_eval =
 let plan t (s : Sql_ast.select) : Planner.node =
   Planner.plan_select t.catalog ~eval_subquery:subquery_eval s
 
+let run_select_plan t (s : Sql_ast.select) : Planner.node * Executor.result =
+  let node = plan t s in
+  (node, Executor.run node)
+
 let run_select t (s : Sql_ast.select) : Executor.result =
-  Executor.run (plan t s)
+  snd (run_select_plan t s)
 
 (* Expand a provenance query Perm-style: each result row is repeated once
    per lineage tuple, extended with the provenance columns identifying that
@@ -268,130 +272,31 @@ let resolve_where t where =
     let w, ann = Planner.resolve_expr t.catalog ~eval_subquery:subquery_eval w in
     (Some w, ann)
 
-(* Candidate rows for an UPDATE/DELETE: use an index when the predicate
-   pins an indexed column to a constant (hash index) or bounds it with
-   constants (ordered index); otherwise scan. The full predicate is still
-   applied by the caller, so this is only a pruning step — every returned
-   superset is correct, because range-excluded rows cannot satisfy the
-   bounding conjuncts (and NULLs satisfy no comparison). *)
-let candidate_rows (tbl : Table.t) (where : Sql_ast.expr option) :
-    Table.tuple_version list =
-  let schema = Table.schema tbl in
-  let ranged_lookup () =
-    match where with
-    | None -> None
-    | Some w ->
-      let conjs = Sql_ast.conjuncts w in
-      let try_col pos =
-        match Table.ordered_index_on tbl ~column:pos with
-        | None -> None
-        | Some oidx ->
-          let col_ty = schema.(pos).Schema.ty in
-          let compat v =
-            match Value.type_of v with
-            | Some ty -> (
-              ty = col_ty
-              ||
-              match (ty, col_ty) with
-              | (Value.Tint | Value.Tfloat), (Value.Tint | Value.Tfloat) ->
-                true
-              | _ -> false)
-            | None -> false
-          in
-          let const e =
-            match Planner.const_value e with
-            | Some v when compat v -> Some v
-            | _ -> None
-          in
-          let this_col = function
-            | Sql_ast.Col (q, n) ->
-              Schema.find_opt schema ?qualifier:q n = Some pos
-            | _ -> false
-          in
-          let lo = ref None and hi = ref None in
-          List.iter
-            (fun conj ->
-              match conj with
-              | Sql_ast.Cmp (op, a, b) when this_col a -> (
-                match const b with
-                | Some v -> (
-                  match op with
-                  | Sql_ast.Lt -> hi := Planner.tighten_hi !hi (v, false)
-                  | Sql_ast.Le -> hi := Planner.tighten_hi !hi (v, true)
-                  | Sql_ast.Gt -> lo := Planner.tighten_lo !lo (v, false)
-                  | Sql_ast.Ge -> lo := Planner.tighten_lo !lo (v, true)
-                  | Sql_ast.Eq ->
-                    lo := Planner.tighten_lo !lo (v, true);
-                    hi := Planner.tighten_hi !hi (v, true)
-                  | Sql_ast.Neq -> ())
-                | None -> ())
-              | Sql_ast.Between (a, b1, b2) when this_col a -> (
-                match (const b1, const b2) with
-                | Some v1, Some v2 ->
-                  lo := Planner.tighten_lo !lo (v1, true);
-                  hi := Planner.tighten_hi !hi (v2, true)
-                | _ -> ())
-              | _ -> ())
-            conjs;
-          if !lo = None && !hi = None then None
-          else Some (Table.range_lookup tbl oidx ~lo:!lo ~hi:!hi)
-      in
-      let rec first_col pos =
-        if pos >= Array.length schema then None
-        else
-          match try_col pos with
-          | Some r -> Some r
-          | None -> first_col (pos + 1)
-      in
-      first_col 0
+(* The access path an UPDATE/DELETE reads its rows through: the
+   planner's cost-based choice for the WHERE conjuncts over a one-table
+   scan, exactly as a SELECT of the same table would read them. *)
+let access_path (tbl : Table.t) (where : Sql_ast.expr option) : Planner.node =
+  let scan =
+    { Planner.schema = Table.schema tbl;
+      op = Planner.Scan { table = tbl; binding = Table.name tbl; as_of = None } }
   in
-  let indexed_lookup () =
-    match where with
-    | None -> None
-    | Some w ->
-      List.find_map
-        (fun conj ->
-          let try_sides col_expr const_expr =
-            match col_expr with
-            | Sql_ast.Col (q, n)
-              when not (Sql_ast.fold_cols (fun _ _ _ -> true) false const_expr)
-              -> (
-              match Schema.find_opt schema ?qualifier:q n with
-              | Some position -> (
-                match Table.index_on tbl ~column:position with
-                | Some idx ->
-                  let v = Eval_expr.eval_const const_expr in
-                  Some (Table.index_lookup tbl idx v)
-                | None -> None)
-              | None -> None)
-            | _ -> None
-          in
-          match conj with
-          | Sql_ast.Cmp (Sql_ast.Eq, a, b) -> (
-            match try_sides a b with Some r -> Some r | None -> try_sides b a)
-          | _ -> None)
-        (Sql_ast.conjuncts w)
-  in
-  match indexed_lookup () with
-  | Some rows -> rows
-  | None -> (
-    match ranged_lookup () with
-    | Some rows -> rows
-    | None -> Table.scan tbl)
+  fst
+    (Planner.apply_index scan
+       (Option.fold ~none:[] ~some:Sql_ast.conjuncts where))
 
-(* Candidate rows under MVCC. A transaction's UPDATE/DELETE evaluates its
-   predicate over the begin-snapshot plus its own writes; an autocommit
-   statement racing open transactions reads the committed present. In both
-   cases the index shortcut is skipped — indexes cover only the live
-   snapshot, which misbehaves on both sides of an open transaction. When
-   no transaction is open anywhere, the fast path is untouched. *)
-let dml_candidates t (tbl : Table.t) (where : Sql_ast.expr option) :
-    Table.tuple_version list =
-  match current_tx_state t with
-  | Some tx -> Table.scan_visible ~tx:tx.tx_id ~at:tx.tx_begin tbl
-  | None ->
-    if Hashtbl.length t.txs > 0 then Table.scan_visible tbl
-    else candidate_rows tbl where
+(* The pre-state an UPDATE/DELETE modifies: the access path's rows, read
+   by the executor's scan leaf under the ambient MVCC context (a
+   transaction sees its begin snapshot plus its own writes, an autocommit
+   statement the committed present), filtered by the whole predicate. *)
+let affected_rows tbl where bound_where : Table.tuple_version list =
+  let rows = Executor.scan_leaf (access_path tbl where) Fun.id in
+  match bound_where with
+  | None -> Array.to_list rows
+  | Some p ->
+    Array.fold_right
+      (fun (tv : Table.tuple_version) acc ->
+        if Eval_expr.eval_pred tv.Table.values p then tv :: acc else acc)
+      rows []
 
 (* First-updater-wins, abort immediately (NOWAIT): a DML may write a row
    only if the version it read is still the row's live version. Anything
@@ -428,14 +333,7 @@ let run_update t ~table ~sets ~where : dml_info =
   in
   (* The paper computes the provenance of an update *before* executing it
      (reenactment): collect the affected pre-state first. *)
-  let affected =
-    List.filter
-      (fun (tv : Table.tuple_version) ->
-        match bound_where with
-        | None -> true
-        | Some p -> Eval_expr.eval_pred tv.Table.values p)
-      (dml_candidates t tbl where)
-  in
+  let affected = affected_rows tbl where bound_where in
   serialization_check t tbl affected;
   let clock = tick t in
   let extra = Tid.Set.elements (Annotation.lineage where_ann) in
@@ -470,14 +368,7 @@ let run_delete t ~table ~where : dml_info =
   let schema = Table.schema tbl in
   let where, where_ann = resolve_where t where in
   let bound_where = Option.map (Eval_expr.bind schema) where in
-  let affected =
-    List.filter
-      (fun (tv : Table.tuple_version) ->
-        match bound_where with
-        | None -> true
-        | Some p -> Eval_expr.eval_pred tv.Table.values p)
-      (dml_candidates t tbl where)
-  in
+  let affected = affected_rows tbl where bound_where in
   serialization_check t tbl affected;
   let clock = tick t in
   let read =
@@ -636,12 +527,17 @@ let rec exec_ast t (stmt : Sql_ast.statement) : exec_result =
     Ddl_done
 
 (** EXPLAIN: a one-row result describing the physical plan, with the cost
-    model's estimates appended for SELECT bodies. *)
+    model's estimates appended for SELECT bodies; UPDATE and DELETE show
+    the access path they read their rows through. *)
 and explain t (stmt : Sql_ast.statement) : Executor.result =
   let describe_select s =
     let node = plan t s in
     Printf.sprintf "%s cost=%.1f rows=%.1f" (Planner.describe node)
       (Planner.cost node) (Planner.est_rows node)
+  in
+  let describe_dml table where =
+    Planner.describe
+      (access_path (Catalog.find t.catalog table) (fst (resolve_where t where)))
   in
   let text =
     match stmt with
@@ -649,8 +545,10 @@ and explain t (stmt : Sql_ast.statement) : Executor.result =
     | Sql_ast.Insert { table; source = Sql_ast.Query q; _ } ->
       Printf.sprintf "insert(%s, %s)" table (describe_select q)
     | Sql_ast.Insert { table; _ } -> Printf.sprintf "insert(%s)" table
-    | Sql_ast.Update { table; _ } -> Printf.sprintf "update(scan(%s))" table
-    | Sql_ast.Delete { table; _ } -> Printf.sprintf "delete(scan(%s))" table
+    | Sql_ast.Update { table; where; _ } ->
+      Printf.sprintf "update(%s)" (describe_dml table where)
+    | Sql_ast.Delete { table; where } ->
+      Printf.sprintf "delete(%s)" (describe_dml table where)
     | _ -> "ddl"
   in
   { Executor.schema = Schema.of_list [ Schema.column "plan" Value.Tstr ];
@@ -659,7 +557,10 @@ and explain t (stmt : Sql_ast.statement) : Executor.result =
 
 (* Public execution entry points run under this database's ambient MVCC
    context (shadowing the raw definitions above): the executor learns the
-   viewing transaction and whether any transaction is open at all. *)
+   viewing transaction and whether any transaction is open at all. Planning
+   reads too — it evaluates uncorrelated subqueries. *)
+let plan t s = with_tx_context t (fun () -> plan t s)
+let run_select_plan t s = with_tx_context t (fun () -> run_select_plan t s)
 let run_select t s = with_tx_context t (fun () -> run_select t s)
 let run_provenance t s = with_tx_context t (fun () -> run_provenance t s)
 
@@ -672,9 +573,11 @@ let run_update t ~table ~sets ~where =
 let run_delete t ~table ~where =
   with_tx_context t (fun () -> run_delete t ~table ~where)
 
-(* The overhead ledger's Exec phase covers the whole statement body: DML
-   paths do not pass through [Executor.run], and the nested Plan/Exec
-   frames of a SELECT attribute exclusively, so nothing double-counts. *)
+(* The overhead ledger's Exec phase covers the whole statement body. The
+   Plan/Exec frames nested inside it (a SELECT's planning and execution,
+   any statement's subqueries) attribute exclusively, and UPDATE/DELETE
+   read their rows through the executor's scan leaf, which opens no frame
+   of its own, so nothing double-counts. *)
 let exec_ast t stmt =
   Ldv_obs.Ledger.time Ldv_obs.Ledger.Exec (fun () ->
       with_tx_context t (fun () -> exec_ast t stmt))

@@ -89,8 +89,13 @@ val with_frozen_clock : t -> (unit -> 'a) -> 'a
     wired into every [exec]/[query] call. *)
 val subquery_eval : Planner.subquery_eval
 
-(** Plan a SELECT with subquery support. *)
+(** Plan a SELECT with subquery support; subqueries read under the
+    ambient MVCC context. *)
 val plan : t -> Sql_ast.select -> Planner.node
+
+(** Plan and run a SELECT under the ambient MVCC context, returning the
+    plan with its result (the plan names the base tables read). *)
+val run_select_plan : t -> Sql_ast.select -> Planner.node * Executor.result
 
 val run_select : t -> Sql_ast.select -> Executor.result
 

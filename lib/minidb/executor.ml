@@ -114,8 +114,6 @@ let arow_of_tv (tv : Table.tuple_version) =
 let count_scanned n =
   if Ldv_obs.enabled () then Ldv_obs.counter ~by:n "db.rows_scanned"
 
-let arows_of_tvs tvs = Array.of_list (List.map arow_of_tv tvs)
-
 (* MVCC fallback for index access paths: index entries cover only the live
    snapshot, which is wrong on both sides of an open transaction
    (uncommitted entries present, tx-deleted rows absent). Rather than
@@ -123,24 +121,24 @@ let arows_of_tvs tvs = Array.of_list (List.map arow_of_tv tvs)
    of (index candidates ∪ hot rids) — the only rids whose visibility can
    diverge from the live snapshot — re-checking the key predicate against
    the visible version. *)
-let mvcc_candidates table candidates ~recheck =
+let mvcc_candidates table candidates ~recheck f =
   let tx = !Tx_context.viewer and at = !Tx_context.snapshot in
   let rids = List.sort_uniq compare (candidates @ Table.hot_rids table) in
   let out = Vec.create () in
   List.iter
     (fun rid ->
       match Table.visible_version ~tx ~at table ~rid with
-      | Some tv when recheck tv -> Vec.push out (arow_of_tv tv)
+      | Some tv when recheck tv -> Vec.push out (f tv)
       | _ -> ())
     rids;
   Vec.to_array out
 
 (* Historical index probes on a non-frozen table cannot use the live
    index at all (old versions are not in it): filter a full AS-OF scan. *)
-let scan_filter table ~at pred =
+let scan_filter table ~at pred f =
   let out = Vec.create () in
   List.iter
-    (fun tv -> if pred tv then Vec.push out (arow_of_tv tv))
+    (fun tv -> if pred tv then Vec.push out (f tv))
     (Table.scan_as_of ~tx:!Tx_context.viewer table ~at);
   Vec.to_array out
 
@@ -160,66 +158,64 @@ let in_bounds ~lo ~hi (v : Value.t) =
     | c -> if incl then c <= 0 else c < 0
     | exception _ -> false)
 
+(** The access-path leaf shared by SELECT and UPDATE/DELETE: the tuple
+    versions a [Scan], [Index_scan] or [Range_scan] node reads under the
+    ambient MVCC context ({!Tx_context}), in ascending-rid order, each
+    passed through [f] in the same pass.
+    @raise Invalid_argument on any other node. *)
+let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
+  (* Map the whole list before building the array: filling the array row
+     by row instead made ldvbench's cluster-mix reads and writes 25%
+     slower on a 2-core x86-64 VM. *)
+  let map_list tvs = Array.of_list (List.map f tvs) in
+  match n.op with
+  | Planner.Scan { table; as_of = None; _ } ->
+    (* while any transaction is open on this database the live table may
+       hold uncommitted foreign versions (and lack rows deleted by open
+       transactions), so take the history-walking MVCC path *)
+    if !Tx_context.active then
+      map_list
+        (Table.scan_visible ~tx:!Tx_context.viewer ~at:!Tx_context.snapshot
+           table)
+    else Table.scan_map table f
+  | Planner.Scan { table; as_of = Some at; _ } ->
+    map_list (Table.scan_as_of ~tx:!Tx_context.viewer table ~at)
+  | Planner.Index_scan { table; index; key; as_of; _ } -> (
+    let value = Eval_expr.eval [||] key in
+    let keep (tv : Table.tuple_version) =
+      tv.Table.values.(index.Table.idx_column) = value
+    in
+    if Value.is_null value then [||]
+    else
+      match as_of with
+      | None when !Tx_context.active ->
+        mvcc_candidates table
+          (Table.index_candidate_rids table index value)
+          ~recheck:keep f
+      | Some at when not (Table.frozen_at table ~at) ->
+        scan_filter table ~at keep f
+      | _ ->
+        (* no transaction open, or nothing pending and no commit newer
+           than [at]: the live index is exactly the snapshot *)
+        map_list (Table.index_lookup table index value))
+  | Planner.Range_scan { table; oindex; lo; hi; as_of; _ } -> (
+    let keep (tv : Table.tuple_version) =
+      in_bounds ~lo ~hi tv.Table.values.(oindex.Table.oidx_column)
+    in
+    match as_of with
+    | None when !Tx_context.active ->
+      mvcc_candidates table
+        (Table.range_candidate_rids table oindex ~lo ~hi)
+        ~recheck:keep f
+    | Some at when not (Table.frozen_at table ~at) ->
+      scan_filter table ~at keep f
+    | _ -> map_list (Table.range_lookup table oindex ~lo ~hi))
+  | _ -> invalid_arg "Executor.scan_leaf: not an access path"
+
 let rec run_node (n : Planner.node) : arow array =
   match n.op with
-  | Planner.Scan { table; as_of; _ } ->
-    let rows =
-      match as_of with
-      | None ->
-        (* while any transaction is open on this database the live table
-           may hold uncommitted foreign versions (and lack rows deleted by
-           open transactions), so take the history-walking MVCC path *)
-        if !Tx_context.active then
-          arows_of_tvs
-            (Table.scan_visible ~tx:!Tx_context.viewer
-               ~at:!Tx_context.snapshot table)
-        else Array.map arow_of_tv (Table.scan_array table)
-      | Some at ->
-        arows_of_tvs (Table.scan_as_of ~tx:!Tx_context.viewer table ~at)
-    in
-    count_scanned (Array.length rows);
-    rows
-  | Planner.Index_scan { table; index; key; as_of; _ } ->
-    let value = Eval_expr.eval [||] key in
-    if Value.is_null value then [||]
-    else begin
-      let pos = index.Table.idx_column in
-      let rows =
-        match as_of with
-        | None ->
-          if !Tx_context.active then
-            mvcc_candidates table
-              (Table.index_candidate_rids table index value)
-              ~recheck:(fun tv -> tv.Table.values.(pos) = value)
-          else arows_of_tvs (Table.index_lookup table index value)
-        | Some at ->
-          if Table.frozen_at table ~at then
-            (* no pending writes and no commit newer than [at]: the live
-               index is exactly the state at [at] *)
-            arows_of_tvs (Table.index_lookup table index value)
-          else scan_filter table ~at (fun tv -> tv.Table.values.(pos) = value)
-      in
-      count_scanned (Array.length rows);
-      rows
-    end
-  | Planner.Range_scan { table; oindex; lo; hi; as_of; _ } ->
-    let pos = oindex.Table.oidx_column in
-    let keep (tv : Table.tuple_version) =
-      in_bounds ~lo ~hi tv.Table.values.(pos)
-    in
-    let rows =
-      match as_of with
-      | None ->
-        if !Tx_context.active then
-          mvcc_candidates table
-            (Table.range_candidate_rids table oindex ~lo ~hi)
-            ~recheck:keep
-        else arows_of_tvs (Table.range_lookup table oindex ~lo ~hi)
-      | Some at ->
-        if Table.frozen_at table ~at then
-          arows_of_tvs (Table.range_lookup table oindex ~lo ~hi)
-        else scan_filter table ~at keep
-    in
+  | Planner.Scan _ | Planner.Index_scan _ | Planner.Range_scan _ ->
+    let rows = scan_leaf n arow_of_tv in
     count_scanned (Array.length rows);
     rows
   | Planner.Filter (pred, _, input) ->

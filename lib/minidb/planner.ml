@@ -389,17 +389,16 @@ and scan_node (ctx : ctx) ~table ~alias ~as_of : node =
   let schema = Schema.with_qualifier binding (Table.schema tbl) in
   { schema; op = Scan { table = tbl; binding; as_of } }
 
-(* Cost-based access-path selection for one base-table scan: choose among
-   the full scan, hash-index equality probes, and ordered-index range scans
-   built from the [<, <=, >, >=, =, BETWEEN, prefix-LIKE] conjuncts over
-   indexed columns. Costs use *live* statistics (row count, bucket counts,
-   range-entry counts) — safe because every access path emits the same rows
-   in the same ascending-rid order, so the choice can never perturb result
-   bytes. Absorbed conjuncts are removed from the residual; LIKE always
-   stays residual (its bounds only cover the literal prefix). *)
-and apply_index (ctx : ctx) (scan : node) (conjs : expr list) :
-    node * expr list =
-  ignore ctx;
+(** Cost-based access-path selection for one base-table scan, shared by
+    SELECT planning and UPDATE/DELETE ({!Database}): choose among the full
+    scan, hash-index equality probes, and ordered-index range scans built
+    from the [<, <=, >, >=, =, BETWEEN, prefix-LIKE] conjuncts over indexed
+    columns. Costs use *live* statistics (row count, bucket counts,
+    range-entry counts) — safe because every access path emits the same
+    rows in the same ascending-rid order, so the choice can never perturb
+    result bytes. Absorbed conjuncts are removed from the residual; LIKE
+    always stays residual (its bounds only cover the literal prefix). *)
+and apply_index (scan : node) (conjs : expr list) : node * expr list =
   match scan.op with
   | Scan { table; binding; as_of } ->
     let conjs_arr = Array.of_list conjs in
@@ -569,9 +568,9 @@ and apply_index (ctx : ctx) (scan : node) (conjs : expr list) :
 
 (* Apply all conjuncts resolvable in [node]'s schema as a filter; returns
    the filtered node and the still-unresolvable conjuncts. *)
-and apply_resolvable_filters (ctx : ctx) node pending =
+and apply_resolvable_filters node pending =
   let usable, rest = List.partition (resolvable node.schema) pending in
-  let node, usable = apply_index ctx node usable in
+  let node, usable = apply_index node usable in
   match Sql_ast.conjoin usable with
   | None -> (node, rest)
   | Some pred ->
@@ -635,7 +634,7 @@ and plan_from_item (ctx : ctx) (item : from_item) (pending : expr list) :
     node * expr list =
   match item with
   | From_table { table; alias; as_of } ->
-    apply_resolvable_filters ctx (scan_node ctx ~table ~alias ~as_of) pending
+    apply_resolvable_filters (scan_node ctx ~table ~alias ~as_of) pending
   | From_join { left; right; kind; on } -> (
     let on_conjs = List.map (resolve_subqueries ctx) (Sql_ast.conjuncts on) in
     match kind with
@@ -645,7 +644,7 @@ and plan_from_item (ctx : ctx) (item : from_item) (pending : expr list) :
       let joined, rest =
         join_nodes ctx ~outer:false lnode rnode (on_conjs @ pending)
       in
-      apply_resolvable_filters ctx joined rest
+      apply_resolvable_filters joined rest
     | Left_outer ->
       (* WHERE conjuncts may be pushed to the left (preserved) side but
          never into the right side of an outer join *)
@@ -738,12 +737,12 @@ and plan_body (ctx : ctx) (s : select) :
       (fun (acc, pending) item ->
         let next, pending = plan_from_item ctx item pending in
         let joined, pending = join_nodes ctx ~outer:false acc next pending in
-        apply_resolvable_filters ctx joined pending)
+        apply_resolvable_filters joined pending)
       (node, conjs) rest_items
   in
   (* conjuncts held back while planning (e.g. WHERE predicates over the
      padded side of an outer join) apply above the finished join tree *)
-  let node, conjs = apply_resolvable_filters ctx node conjs in
+  let node, conjs = apply_resolvable_filters node conjs in
   (match conjs with
   | [] -> ()
   | c :: _ ->

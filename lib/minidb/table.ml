@@ -444,9 +444,10 @@ let commit_retire_stamp t (tv : tuple_version) ~commit_clock =
 (* ------------------------------------------------------------------ *)
 (* Reads.                                                              *)
 
-(** Live tuple versions as an array, in ascending-rid order; the
-    executor's batch pipeline starts here. *)
-let scan_array t : tuple_version array =
+(** Live tuple versions in ascending-rid order, each passed through [f],
+    as an array built in one pass over the slots; the executor's batch
+    pipeline starts here. *)
+let scan_map t (f : tuple_version -> 'a) : 'a array =
   let rid = ref 0 in
   let rec next_live () =
     incr rid;
@@ -454,7 +455,10 @@ let scan_array t : tuple_version array =
     | ({ retired_at = None; _ } as tv) :: _ -> tv
     | _ -> next_live ()
   in
-  Array.init t.n_live (fun _ -> next_live ())
+  Array.init t.n_live (fun _ -> f (next_live ()))
+
+(** Live tuple versions as an array, in ascending-rid order. *)
+let scan_array t : tuple_version array = scan_map t Fun.id
 
 (** Live tuple versions in ascending-rid order. *)
 let scan t : tuple_version list = Array.to_list (scan_array t)

@@ -1,8 +1,10 @@
 (** Ambient transaction context for plan evaluation.
 
-    The executor evaluates plan nodes without a [Database.t] in hand, so
-    the database publishes the MVCC facts a scan needs here before running
-    a statement (and restores the previous values afterwards — statements
+    The executor's scan leaf reads rows without a [Database.t] in hand,
+    for SELECTs, their subqueries, the rows an UPDATE/DELETE modifies and
+    the audit's provenance and reenactment queries alike, so the
+    database publishes the MVCC facts a scan needs here before running a
+    statement (and restores the previous values afterwards — statements
     never yield mid-execution, so the dynamic scoping is safe even under
     the cooperative scheduler):
 

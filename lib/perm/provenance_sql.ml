@@ -29,13 +29,15 @@ type provenance_result = {
 
     This is the moral equivalent of prefixing the query with Perm's
     [PROVENANCE] keyword: it costs a provenance-computing execution, which
-    is what the paper's server-included audit pays on every query. *)
+    is what the paper's server-included audit pays on every query. The
+    query runs through {!Database}, so it reads under the ambient
+    session's transaction context and its subqueries are evaluated, with
+    their conservative provenance. *)
 let query_lineage (db : Database.t) (sql : string) : provenance_result =
   match Sql_parser.parse sql with
   | Sql_ast.Select s | Sql_ast.Provenance s ->
     ignore (Database.tick db);
-    let plan = Planner.plan_select (Database.catalog db) s in
-    let result = Executor.run plan in
+    let plan, result = Database.run_select_plan db s in
     { schema = result.Executor.schema;
       rows =
         List.map
@@ -54,37 +56,3 @@ let total_lineage (r : provenance_result) : Tid.Set.t =
   List.fold_left
     (fun acc row -> Tid.Set.union acc row.lineage)
     Tid.Set.empty r.rows
-
-(** Byte footprint of the provenance (the tuple versions in the lineage),
-    which is what a server-included package must persist. *)
-let lineage_bytes (db : Database.t) (lineage : Tid.Set.t) : int =
-  Tid.Set.fold
-    (fun tid acc ->
-      match Catalog.find_opt (Database.catalog db) tid.Tid.table with
-      | None -> acc
-      | Some table -> (
-        match Table.find_version table tid with
-        | None -> acc
-        | Some tv ->
-          acc
-          + Array.fold_left
-              (fun a v -> a + Value.byte_size v)
-              16 tv.Table.values))
-    lineage 0
-
-(** Render a provenance result the way Perm's rewritten query would: one
-    output row per (result row, lineage tuple) pair with provenance columns
-    appended. *)
-let expand_perm_style (r : provenance_result) : Value.t array list =
-  List.concat_map
-    (fun row ->
-      if Tid.Set.is_empty row.lineage then
-        [ Array.append row.values [| Value.Null; Value.Null; Value.Null |] ]
-      else
-        Tid.Set.elements row.lineage
-        |> List.map (fun (tid : Tid.t) ->
-               Array.append row.values
-                 [| Value.Str tid.Tid.table;
-                    Value.Int tid.Tid.rid;
-                    Value.Int tid.Tid.version |]))
-    r.rows

@@ -17,17 +17,11 @@ type provenance_result = {
   read_tables : string list;  (** base tables the query scanned *)
 }
 
-(** Execute a SELECT (or [PROVENANCE SELECT]) with lineage collection.
+(** Execute a SELECT (or [PROVENANCE SELECT]) with lineage collection,
+    through {!Database}: under the ambient session's transaction context,
+    with subqueries evaluated.
     @raise Errors.Db_error on non-SELECT statements. *)
 val query_lineage : Database.t -> string -> provenance_result
 
 (** Union of all rows' lineage. *)
 val total_lineage : provenance_result -> Tid.Set.t
-
-(** Byte footprint of the lineage's tuple versions — what a
-    server-included package must persist. *)
-val lineage_bytes : Database.t -> Tid.Set.t -> int
-
-(** Render the result the way Perm's rewritten query would: one output row
-    per (result row, lineage tuple) with provenance columns appended. *)
-val expand_perm_style : provenance_result -> Value.t array list

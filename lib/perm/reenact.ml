@@ -3,10 +3,11 @@
     The provenance of a modification must be captured *before* it executes,
     because the pre-versions it reads disappear afterwards. GProM reenacts
     the update as a query; we build exactly that query — a SELECT of the
-    rows the modification will touch — run it through the provenance
-    executor, and only then let the DB apply the modification. The
-    reenactment query's cost is the extra audit overhead the paper reports
-    for the Update step of Figure 7a. *)
+    rows the modification will touch — and run it with lineage collection
+    under the statement's transaction context, so it reads the same
+    pre-state the modification will; the caller (the interceptor) then
+    applies the modification. The reenactment query's cost is the extra
+    audit overhead the paper reports for the Update step of Figure 7a. *)
 
 open Minidb
 
@@ -34,19 +35,3 @@ let reenactment_query (stmt : Sql_ast.statement) : string =
 let capture (db : Database.t) (stmt : Sql_ast.statement) : reenactment =
   let reenact_sql = reenactment_query stmt in
   { reenact_sql; pre_state = Provenance_sql.query_lineage db reenact_sql }
-
-(** Reenact-then-execute: capture provenance, run the modification, and
-    return both. The returned [dml_info] is the DB's own account of what
-    was written; [reenactment] is what the auditor stores. *)
-let execute (db : Database.t) (stmt : Sql_ast.statement) :
-    reenactment option * Database.dml_info =
-  match stmt with
-  | Sql_ast.Insert { table; columns; source } ->
-    (None, Database.run_insert db ~table ~columns ~source)
-  | Sql_ast.Update { table; sets; where } ->
-    let r = capture db stmt in
-    (Some r, Database.run_update db ~table ~sets ~where)
-  | Sql_ast.Delete { table; where } ->
-    let r = capture db stmt in
-    (Some r, Database.run_delete db ~table ~where)
-  | _ -> Errors.unsupported "Reenact.execute expects a DML statement"

@@ -16,8 +16,3 @@ val reenactment_query : Sql_ast.statement -> string
 
 (** Capture the pre-state of a modification without executing it. *)
 val capture : Database.t -> Sql_ast.statement -> reenactment
-
-(** Reenact-then-execute: [None] reenactment for inserts (no pre-state).
-    @raise Errors.Db_error on non-DML statements. *)
-val execute :
-  Database.t -> Sql_ast.statement -> reenactment option * Database.dml_info

@@ -57,7 +57,7 @@ let test_join_plan_uses_hash_join () =
   let db = Fixtures.orders_db () in
   match Sql_parser.parse "SELECT cust FROM orders o, items i WHERE o.okey = i.okey" with
   | Sql_ast.Select s ->
-    let plan = Planner.plan_select (Database.catalog db) s in
+    let plan = Database.plan db s in
     let d = Planner.describe plan in
     Alcotest.(check bool) ("projection on top: " ^ d) true
       (String.length d >= 8 && String.sub d 0 8 = "project(");

@@ -217,7 +217,7 @@ let audit_subquery_app ~name stmts =
     ~app_binary:binary program
 
 (* The subquery's conservative provenance puts the tuples it read into
-   the package: [table]'s CSV must carry a row ending in [value]. *)
+   the package: [table]'s subset must carry a tuple holding [value]. *)
 let check_subset_has pkg ~table ~value =
   let csv =
     match List.assoc_opt table pkg.Package.db_subset with
@@ -225,14 +225,12 @@ let check_subset_has pkg ~table ~value =
     | None -> Alcotest.failf "no %s subset in the package" table
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%s subset carries the subquery's %s tuple" table value)
+    (Printf.sprintf "%s subset carries the subquery's %s tuple" table
+       (Minidb.Value.to_string value))
     true
     (List.exists
-       (fun line ->
-         match List.rev (Minidb.Csv.split_line line) with
-         | last :: _ -> String.equal last value
-         | [] -> false)
-       (String.split_on_char '\n' csv))
+       (fun (_, _, values) -> Array.exists (Minidb.Value.equal value) values)
+       (Minidb.Csv.decode_versions csv))
 
 (* Each app must audit with its subqueries evaluated, round-trip through
    the package bytes, and replay without divergence. *)
@@ -251,25 +249,25 @@ let subquery_cases =
         ~stmts:
           [ "SELECT id FROM emp WHERE dno IN (SELECT dno FROM dept WHERE \
              name = 'lab')" ]
-        ~output:"3;5" ~table:"dept" ~value:"lab" );
+        ~output:"3;5" ~table:"dept" ~value:(Minidb.Value.Str "lab") );
     ( "scalar subquery threshold",
       test_subquery_app ~name:"scalar-threshold"
         ~stmts:[ "SELECT id, sal FROM emp WHERE sal > (SELECT cap FROM lim)" ]
-        ~output:"2,30;4,40" ~table:"lim" ~value:"25" );
+        ~output:"2,30;4,40" ~table:"lim" ~value:(Minidb.Value.Int 25) );
     ( "UPDATE with IN subquery",
       test_subquery_app ~name:"update-in-select"
         ~stmts:
           [ "UPDATE emp SET sal = sal + 1 WHERE dno IN (SELECT dno FROM dept \
              WHERE name = 'ops')";
             "SELECT id, sal FROM emp WHERE dno = 1" ]
-        ~output:"2\n1,11;2,31" ~table:"dept" ~value:"ops" );
+        ~output:"2\n1,11;2,31" ~table:"dept" ~value:(Minidb.Value.Str "ops") );
     ( "DELETE with EXISTS",
       test_subquery_app ~name:"delete-exists"
         ~stmts:
           [ "DELETE FROM emp WHERE sal < 15 AND EXISTS (SELECT dno FROM dept \
              WHERE name = 'hq')";
             "SELECT COUNT(*) FROM emp" ]
-        ~output:"2\n3" ~table:"dept" ~value:"hq" ) ]
+        ~output:"2\n3" ~table:"dept" ~value:(Minidb.Value.Str "hq") ) ]
 
 let suite =
   [ Alcotest.test_case "included replay verifies" `Quick test_included_replay_verifies;

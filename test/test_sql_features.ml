@@ -59,7 +59,7 @@ let test_join_plan_shapes () =
   let db = mk_pair_db () in
   let plan sql =
     match Sql_parser.parse sql with
-    | Sql_ast.Select s -> Planner.describe (Planner.plan_select (Database.catalog db) s)
+    | Sql_ast.Select s -> Planner.describe (Database.plan db s)
     | _ -> assert false
   in
   Alcotest.(check bool) "explicit join hashes" true

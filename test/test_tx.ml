@@ -143,13 +143,6 @@ let dml_db index =
     index;
   db
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 (* One statement's outcome as the dml_info fields, in order, or the
    conflict it raised. *)
 let dml_outcome db sql =
@@ -201,7 +194,7 @@ let run_dml_script ~seed ~mode ~index =
           Alcotest.(check bool)
             (Printf.sprintf "%s: EXPLAIN %s names %s" mode plan path)
             true
-            (contains plan ("(" ^ path))
+            (Fixtures.contains_substring ~needle:("(" ^ path) plan)
         | _ -> Alcotest.fail "EXPLAIN returned no plan");
         dml_outcome db sql)
       (dml_script ~seed)
@@ -228,6 +221,13 @@ let test_dml_access_path_equivalence () =
   List.iter
     (fun mode ->
       let outcomes, state = run_dml_script ~seed:5 ~mode ~index:None in
+      Alcotest.(check bool)
+        (mode ^ ": the script modifies rows")
+        true
+        (List.exists
+           (fun o -> String.starts_with ~prefix:"count=" o
+                     && not (String.starts_with ~prefix:"count=0 " o))
+           outcomes);
       List.iter
         (fun (name, index) ->
           let outcomes', state' = run_dml_script ~seed:5 ~mode ~index in
