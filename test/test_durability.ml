@@ -325,6 +325,36 @@ let test_ckpt_pre_gc_crash_no_double_apply () =
   Alcotest.(check int) "rows not doubled" 2
     (rows (Server.db (Durable.server d')) "t")
 
+(* A published checkpoint with one byte flipped at [pos image] must fail
+   recovery with a typed engine error, not restore wrong rows and not
+   escape as Failure, Invalid_argument or Not_found. *)
+let recover_flipped_checkpoint ~pos () =
+  let kernel, d = Durable.boot () in
+  exec d "CREATE TABLE t (a INT, s TEXT)";
+  exec d "INSERT INTO t VALUES (1, 'needle-one')";
+  exec d "INSERT INTO t VALUES (2, 'needle-two')";
+  Durable.checkpoint d;
+  K.crash kernel ();
+  let path = data_dir ^ "/checkpoint.img" in
+  let image = V.read (K.vfs kernel) path in
+  let at = pos image in
+  V.write_string (K.vfs kernel) ~path
+    (String.mapi
+       (fun i c -> if i = at then Char.chr (Char.code c lxor 0x20) else c)
+       image);
+  match Durable.recover kernel ~data_dir () with
+  | _ -> Alcotest.failf "checkpoint flipped at byte %d recovered" at
+  | exception Minidb.Errors.Db_error _ -> ()
+  | exception e -> Alcotest.failf "untyped %s" (Printexc.to_string e)
+
+let in_string_payload image =
+  let needle = "needle-two" in
+  let n = String.length needle in
+  let rec go i =
+    if String.sub image i n = needle then i + 3 else go (i + 1)
+  in
+  go 0
+
 (* ---------------- crash campaigns ------------------------------- *)
 
 let test_crashcheck_deterministic_and_verified () =
@@ -408,6 +438,12 @@ let suite =
       test_next_rid_preserved_across_checkpoint;
     Alcotest.test_case "recover: no double apply after ckpt.pre_gc" `Quick
       test_ckpt_pre_gc_crash_no_double_apply;
+    Alcotest.test_case "recover: flipped checkpoint header is typed" `Quick
+      (recover_flipped_checkpoint ~pos:(fun _ -> 0));
+    Alcotest.test_case "recover: flipped checkpoint row string is typed" `Quick
+      (recover_flipped_checkpoint ~pos:in_string_payload);
+    Alcotest.test_case "recover: flipped checkpoint trailer is typed" `Quick
+      (recover_flipped_checkpoint ~pos:(fun image -> String.length image - 1));
     Alcotest.test_case "crashcheck: deterministic and verified" `Quick
       test_crashcheck_deterministic_and_verified;
     Alcotest.test_case "crashcheck: --no-recover diverges" `Quick

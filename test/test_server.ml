@@ -117,6 +117,194 @@ let test_stop_reuses_unchanged_images () =
   Alcotest.(check (list string)) "ptu package replays" []
     (Ldv_core.Replay.verify ~audit result)
 
+(* ---------------- corrupt data files ---------------------------- *)
+
+(* The data file of a two-row table whose strings are easy to find. *)
+let small_data_file () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE t (k INT, s TEXT)");
+  ignore (Database.exec db "INSERT INTO t VALUES (1, 'needle-one')");
+  ignore (Database.exec db "INSERT INTO t VALUES (2, 'needle-two')");
+  Server.encode_table_image (Server.table_image (Catalog.find (Database.catalog db) "t"))
+
+let flip s pos =
+  String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor 0x20) else c) s
+
+let index_of s needle =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length s then Alcotest.failf "%S not in the image" needle
+    else if String.sub s i n = needle then i
+    else go (i + 1)
+  in
+  go 0
+
+(* A load must fail with a typed engine error: never load silently, and
+   never escape as Failure, Invalid_argument or Not_found. *)
+let expect_db_error what f =
+  match f () with
+  | () -> Alcotest.failf "%s: loaded without an error" what
+  | exception Errors.Db_error _ -> ()
+  | exception e -> Alcotest.failf "%s: untyped %s" what (Printexc.to_string e)
+
+let load_into_fresh bytes () =
+  Server.load_data_file (Server.attach (Database.create ())) bytes
+
+let test_flipped_data_file_typed () =
+  let image = small_data_file () in
+  expect_db_error "header flip" (load_into_fresh (flip image 0));
+  expect_db_error "string payload flip"
+    (load_into_fresh (flip image (index_of image "needle-two" + 3)))
+
+let test_truncated_data_file_typed () =
+  let image = small_data_file () in
+  for len = 0 to String.length image - 1 do
+    expect_db_error
+      (Printf.sprintf "%d-byte prefix" len)
+      (load_into_fresh (String.sub image 0 len))
+  done
+
+(* The previous on-disk format marshalled the image record (table,
+   columns, rows, index specs); a file left in it must be refused. *)
+let test_marshal_data_file_rejected () =
+  let old =
+    Marshal.to_string
+      ( "t",
+        [ ("k", Value.Tint); ("s", Value.Tstr) ],
+        [ (1, 1, [| Value.Int 1; Value.Str "x" |]) ],
+        ([] : (string * string * bool) list) )
+      []
+  in
+  expect_db_error "Marshal-format file" (load_into_fresh old)
+
+(* ---------------- image and checkpoint round trip ---------------- *)
+
+(* Values whose encodings are easy to get wrong: extreme ints, every
+   float class, strings with separators, quotes, NUL and high bytes. *)
+let value_gen (ty : Value.ty) : Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let shared = [| "MAIL"; "SHIP"; "AIR" |] in
+  let typed =
+    match ty with
+    | Value.Tint ->
+      map (fun i -> Value.Int i)
+        (oneof [ oneofl [ 0; -1; 1; min_int; max_int; 127; 128; -64; -65 ]; int ])
+    | Value.Tfloat ->
+      map (fun f -> Value.Float f)
+        (oneof
+           [ oneofl [ nan; infinity; neg_infinity; -0.0; 0.0; Float.min_float;
+                      Float.max_float; Float.epsilon ];
+             float ])
+    | Value.Tstr ->
+      oneof
+        [ (* physically shared, as dbgen's constant pools are *)
+          map (fun i -> Value.Str shared.(i)) (int_bound 2);
+          map (fun s -> Value.Str s)
+            (oneof
+               [ oneofl [ ""; "a,b"; "\"q\""; "line\nbreak"; "nul\000byte";
+                          "\xff\x80high"; String.make 300 'x' ];
+                 string_size ~gen:char (int_bound 20) ]) ]
+    | Value.Tbool -> map (fun b -> Value.Bool b) bool
+  in
+  frequency [ (1, return Value.Null); (6, typed) ]
+
+type gen_table = {
+  g_types : Value.ty list;  (** column types after the key column [k] *)
+  g_rows : Value.t list list;  (** values after the key *)
+  g_deletes : int list;  (** keys to delete *)
+  g_updates : int list;  (** keys to rewrite (a newer version) *)
+  g_hash : bool;  (** hash index on [k] *)
+  g_ordered : bool;  (** ordered index on [k] *)
+}
+
+let gen_table : gen_table QCheck.Gen.t =
+  let open QCheck.Gen in
+  list_size (int_bound 4) (oneofl [ Value.Tint; Value.Tfloat; Value.Tstr; Value.Tbool ])
+  >>= fun g_types ->
+  list_size (int_bound 25) (flatten_l (List.map value_gen g_types))
+  >>= fun g_rows ->
+  let keys = int_bound (List.length g_rows + 1) in
+  map4
+    (fun g_deletes g_updates g_hash g_ordered ->
+      { g_types; g_rows; g_deletes; g_updates; g_hash; g_ordered })
+    (list_size (int_bound 6) keys)
+    (list_size (int_bound 6) keys)
+    bool bool
+
+let show_table g =
+  Printf.sprintf "types [%s], %d rows [%s], delete [%s], update [%s]%s%s"
+    (String.concat "; " (List.map Value.type_name g.g_types))
+    (List.length g.g_rows)
+    (String.concat "; "
+       (List.map
+          (fun r -> String.concat "," (List.map Value.to_string r))
+          g.g_rows))
+    (String.concat "," (List.map string_of_int g.g_deletes))
+    (String.concat "," (List.map string_of_int g.g_updates))
+    (if g.g_hash then ", hash index" else "")
+    (if g.g_ordered then ", ordered index" else "")
+
+let build_table g =
+  let db = Database.create () in
+  let schema =
+    Schema.of_list
+      (Schema.column "k" Value.Tint
+      :: List.mapi (fun i ty -> Schema.column (Printf.sprintf "c%d" i) ty) g.g_types)
+  in
+  ignore (Catalog.create_table (Database.catalog db) ~name:"t" ~schema);
+  if g.g_hash then Catalog.create_index (Database.catalog db) ~index:"t_k" ~table:"t" ~column:"k";
+  if g.g_ordered then
+    Catalog.create_index ~ordered:true (Database.catalog db) ~index:"t_k_ord"
+      ~table:"t" ~column:"k";
+  ignore
+    (Database.bulk_insert db ~table:"t"
+       (List.mapi (fun k row -> Array.of_list (Value.Int (k + 1) :: row)) g.g_rows));
+  List.iter
+    (fun k -> ignore (Database.exec db (Printf.sprintf "UPDATE t SET k = k WHERE k = %d" k)))
+    g.g_updates;
+  List.iter
+    (fun k -> ignore (Database.exec db (Printf.sprintf "DELETE FROM t WHERE k = %d" k)))
+    g.g_deletes;
+  db
+
+(* Everything a restore must reproduce, floats by their bits. *)
+let table_state db =
+  let t = Catalog.find (Database.catalog db) "t" in
+  let cell = function
+    | Value.Float f -> Printf.sprintf "F%Lx" (Int64.bits_of_float f)
+    | v -> Value.to_string v
+  in
+  ( List.map
+      (fun (tv : Table.tuple_version) ->
+        Tid.to_string tv.Table.tid
+        :: List.map cell (Array.to_list tv.Table.values))
+      (Table.scan t),
+    Table.index_specs t,
+    t.Table.next_rid )
+
+let prop_image_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"image and checkpoint round trip"
+    (QCheck.make ~print:show_table gen_table) (fun g ->
+      let db = build_table g in
+      let table = Catalog.find (Database.catalog db) "t" in
+      let via_image = Database.create () in
+      Server.restore_table_image via_image
+        (Server.decode_table_image (Server.encode_table_image (Server.table_image table)));
+      let via_ckpt = Database.create () in
+      let seq =
+        Server.restore_checkpoint via_ckpt (Server.encode_checkpoint db ~last_seq:17)
+      in
+      let newest =
+        List.fold_left
+          (fun acc (tv : Table.tuple_version) -> max acc tv.Table.tid.Tid.version)
+          0 (Table.scan table)
+      in
+      table_state via_image = table_state db
+      && Database.clock via_image = newest
+      && table_state via_ckpt = table_state db
+      && Database.clock via_ckpt = Database.clock db
+      && seq = 17)
+
 let test_connect_disconnect () =
   let kernel = Minios.Kernel.create () in
   let server = Server.install kernel (Database.create ()) in
@@ -134,4 +322,11 @@ let suite =
     Alcotest.test_case "table image roundtrip" `Quick test_table_image_roundtrip;
     Alcotest.test_case "stop reuses unchanged images" `Quick
       test_stop_reuses_unchanged_images;
-    Alcotest.test_case "connect/disconnect" `Quick test_connect_disconnect ]
+    Alcotest.test_case "connect/disconnect" `Quick test_connect_disconnect;
+    Alcotest.test_case "flipped data file is a typed error" `Quick
+      test_flipped_data_file_typed;
+    Alcotest.test_case "truncated data file is a typed error" `Quick
+      test_truncated_data_file_typed;
+    Alcotest.test_case "Marshal-format data file rejected" `Quick
+      test_marshal_data_file_rejected;
+    QCheck_alcotest.to_alcotest prop_image_roundtrip ]
