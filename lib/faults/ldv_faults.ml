@@ -57,32 +57,61 @@ module Prng = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the package
-   format's per-section checksum.                                      *)
+(* CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum
+   of package sections, WAL frames and table images.                   *)
 
 module Crc32 = struct
-  let table =
+  (* Slicing-by-8 over native ints: [tables.((k * 256) + n)] is the CRC
+     register after byte [n] is followed by [k] zero bytes, so one step
+     folds eight input bytes with eight lookups. Row 0 is the classic
+     bytewise table, which finishes the last [len mod 8] bytes. *)
+  let tables =
     lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             if Int32.logand !c 1l <> 0l then
-               c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else c := Int32.shift_right_logical !c 1
-           done;
-           !c))
+      (let t = Array.make 2048 0 in
+       for n = 0 to 255 do
+         let c = ref n in
+         for _ = 0 to 7 do
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+         done;
+         t.(n) <- !c
+       done;
+       for i = 256 to 2047 do
+         let prev = t.(i - 256) in
+         t.(i) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done;
+       t)
+
+  (** The CRC of [len] bytes of [b] starting at [pos]. *)
+  let digest_bytes (b : Bytes.t) ~pos ~len : int32 =
+    if pos < 0 || len < 0 || pos > Bytes.length b - len then
+      invalid_arg "Ldv_faults.Crc32.digest_bytes";
+    let t = Lazy.force tables in
+    let at i = Array.unsafe_get t i in
+    let u32 i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFFFFFF in
+    let crc = ref 0xFFFFFFFF and i = ref pos in
+    let blocks_end = pos + (len land lnot 7) in
+    while !i < blocks_end do
+      let lo = !crc lxor u32 !i and hi = u32 (!i + 4) in
+      crc :=
+        at (0x700 + (lo land 0xff))
+        lxor at (0x600 + ((lo lsr 8) land 0xff))
+        lxor at (0x500 + ((lo lsr 16) land 0xff))
+        lxor at (0x400 + (lo lsr 24))
+        lxor at (0x300 + (hi land 0xff))
+        lxor at (0x200 + ((hi lsr 8) land 0xff))
+        lxor at (0x100 + ((hi lsr 16) land 0xff))
+        lxor at (hi lsr 24);
+      i := !i + 8
+    done;
+    for j = blocks_end to pos + len - 1 do
+      crc :=
+        at ((!crc lxor Char.code (Bytes.unsafe_get b j)) land 0xff)
+        lxor (!crc lsr 8)
+    done;
+    Int32.of_int (!crc lxor 0xFFFFFFFF)
 
   let digest (s : string) : int32 =
-    let table = Lazy.force table in
-    let crc = ref 0xFFFFFFFFl in
-    String.iter
-      (fun ch ->
-        let idx =
-          Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl)
-        in
-        crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
-      s;
-    Int32.logxor !crc 0xFFFFFFFFl
+    digest_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -39,6 +39,33 @@ let test_crc32_known_vector () =
   Alcotest.(check bool) "corruption changes the digest" true
     (F.Crc32.digest "hello world" <> F.Crc32.digest "hello_world")
 
+(* The textbook bytewise CRC-32, bit by bit: the reference the sliced
+   implementation must match on every input. *)
+let crc32_reference (s : string) : int32 =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 0 to 7 do
+        crc := if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+      done)
+    s;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"crc32 matches the bytewise reference"
+    QCheck.(string_gen_of_size Gen.(int_bound 64) Gen.char)
+    (fun s -> F.Crc32.digest s = crc32_reference s)
+
+let test_crc32_large_input () =
+  let rng = F.Prng.create ~seed:5 in
+  let s = String.init 3_000_001 (fun _ -> Char.chr (F.Prng.int rng 256)) in
+  Alcotest.(check int32) "3 MB string" (crc32_reference s) (F.Crc32.digest s);
+  (* an unaligned window of the same bytes *)
+  Alcotest.(check int32) "unaligned window"
+    (crc32_reference (String.sub s 3 1_000_005))
+    (F.Crc32.digest_bytes (Bytes.unsafe_of_string s) ~pos:3 ~len:1_000_005)
+
 (* ---------------- bounded retry --------------------------------- *)
 
 let test_retries_recover () =
@@ -395,6 +422,8 @@ let suite =
     Alcotest.test_case "prng split independence" `Quick
       test_prng_split_independent;
     Alcotest.test_case "crc32 known vector" `Quick test_crc32_known_vector;
+    QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
+    Alcotest.test_case "crc32 of a multi-MB string" `Quick test_crc32_large_input;
     Alcotest.test_case "retries recover" `Quick test_retries_recover;
     Alcotest.test_case "permanent errors immediate" `Quick
       test_retries_permanent_immediate;
