@@ -756,6 +756,10 @@ let micro () =
       (fun (tv : Minidb.Table.tuple_version) -> tv.Minidb.Table.tid)
       (Minidb.Table.scan_array lineitem)
   in
+  (* the data file of the same table: what a traced server writes at
+     start and a PTU replay loads *)
+  let lineitem_image = Dbclient.Server.table_image lineitem in
+  let lineitem_file = Dbclient.Server.encode_table_image lineitem_image in
   let tests =
     [ Test.make ~name:"sql-parse(Q2)"
         (Staged.stage (fun () -> Minidb.Sql_parser.parse q2.Tpch.Queries.sql));
@@ -792,6 +796,14 @@ let micro () =
              Array.iter
                (fun tid -> ignore (Minidb.Table.find_version lineitem tid))
                lineitem_tids));
+      Test.make ~name:"server/encode-image(lineitem)"
+        (Staged.stage (fun () ->
+             Dbclient.Server.encode_table_image lineitem_image));
+      Test.make ~name:"server/decode-image(lineitem)"
+        (Staged.stage (fun () ->
+             Dbclient.Server.decode_table_image lineitem_file));
+      Test.make ~name:"faults/crc32(lineitem image)"
+        (Staged.stage (fun () -> Ldv_faults.Crc32.digest lineitem_file));
       Test.make ~name:"fig9/csv-encode-row"
         (Staged.stage (fun () ->
              Minidb.Csv.encode_versions csv_schema

@@ -83,10 +83,8 @@ let start (kernel : Minios.Kernel.t) (server : Server.t) ~pid : t =
   let vfs = Minios.Kernel.vfs kernel in
   let ck_seq =
     match Minios.Vfs.find_opt vfs (checkpoint_path server) with
-    | Some { Minios.Vfs.content = Minios.Vfs.Data _; _ } ->
-      (* peek at the stamp without touching the database *)
-      let probe = Database.create () in
-      Server.restore_checkpoint probe (Minios.Vfs.read vfs (checkpoint_path server))
+    | Some { Minios.Vfs.content = Minios.Vfs.Data payload; _ } ->
+      Server.checkpoint_seq payload
     | _ -> 0
   in
   let wal_seq =

@@ -2,8 +2,8 @@
 
     A server owns a {!Minidb.Database.t}, a binary installed in the VFS
     (opaque bytes: its size matters for package accounting, its content
-    does not), and a data directory whose files hold the CSV-serialized
-    live state of each table. Starting the server under tracing makes the
+    does not), and a data directory whose files hold a binary image of
+    each table's live state. Starting the server under tracing makes the
     server process read its binary and data files — which is how PTU-style
     packaging comes to include the full DB, exactly as in the paper's
     baseline configuration (§IX-A). *)
@@ -15,22 +15,15 @@ let default_binary_size = 38_000_000
 let default_lib_sizes = [ ("libpq.so.5", 900_000); ("libssl.so", 2_300_000) ]
 
 (* ------------------------------------------------------------------ *)
-(* Native data-file format.
+(* Native data-file format: a versioned, CRC-framed binary image of the
+   schema, index definitions, row-id allocator and live tuple versions
+   ({!Image}). Like
+   PostgreSQL heap files it loads without parsing tuples out of text,
+   which is why a PTU replay (which ships these files) has cheap DB
+   initialization while a server-included LDV replay (which ships CSVs of
+   the relevant subset) pays a per-tuple restore — the Figure 7b shape. *)
 
-   The server's on-disk table format is a binary marshal of the schema and
-   live tuple versions: like PostgreSQL heap files it loads without parsing
-   tuple by tuple, which is why a PTU replay (which ships these files) has
-   cheap DB initialization while a server-included LDV replay (which ships
-   CSVs of the relevant subset) pays a per-tuple restore — the Figure 7b
-   shape. *)
-
-type table_image = {
-  img_table : string;
-  img_columns : (string * Value.ty) list;
-  img_rows : (int * int * Value.t array) list;  (** rid, version, values *)
-  img_indexes : (string * string * bool) list;
-      (** index name, column name, ordered? *)
-}
+type table_image = Image.t
 
 type t = {
   db : Database.t;
@@ -49,39 +42,27 @@ let data_dir t = t.data_dir
 
 let data_file t table = Printf.sprintf "%s/%s.dat" t.data_dir table
 
-let table_image (table : Table.t) : table_image =
-  let schema = Table.schema table in
-  { img_table = Table.name table;
-    img_columns =
-      Array.to_list schema
-      |> List.map (fun (c : Schema.column) -> (c.Schema.name, c.Schema.ty));
-    img_rows =
-      List.map
-        (fun (tv : Table.tuple_version) ->
-          (tv.Table.tid.Tid.rid, tv.Table.tid.Tid.version, tv.Table.values))
-        (Table.scan table);
-    img_indexes = Table.index_specs table }
+let table_image = Image.of_table
+let encode_table_image = Image.encode
+let decode_table_image = Image.decode
 
-let encode_table_image (img : table_image) : string =
-  Marshal.to_string img []
-
-let decode_table_image (data : string) : table_image =
-  (Marshal.from_string data 0 : table_image)
-
-(** Load a table image into a database, creating the table if needed. *)
+(** Load a table image into a database, creating the table if needed.
+    The table takes the image's row arrays over. *)
 let restore_table_image (db : Database.t) (img : table_image) =
   let catalog = Database.catalog db in
   let table =
-    match Catalog.find_opt catalog img.img_table with
+    match Catalog.find_opt catalog img.Image.name with
     | Some t -> t
     | None ->
       let schema =
         Schema.of_list
-          (List.map (fun (n, ty) -> Schema.column n ty) img.img_columns)
+          (List.map (fun (n, ty) -> Schema.column n ty) img.Image.columns)
       in
-      Catalog.create_table catalog ~name:img.img_table ~schema
+      Catalog.create_table catalog ~name:img.Image.name ~schema
   in
-  Database.sync_clock db ~at:(Table.restore_versions table img.img_rows);
+  Database.sync_clock db
+    ~at:(Table.restore_versions table (Array.to_list img.Image.rows));
+  Table.restore_next_rid table img.Image.next_rid;
   List.iter
     (fun (index_name, column, ordered) ->
       if
@@ -90,47 +71,31 @@ let restore_table_image (db : Database.t) (img : table_image) =
       then
         (* register through the catalog so DROP INDEX finds the owner *)
         Catalog.create_index ~ordered catalog ~index:index_name
-          ~table:img.img_table ~column)
-    img.img_indexes
+          ~table:img.Image.name ~column)
+    img.Image.indexes
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint image: every table plus the WAL high-water mark in ONE
-   payload, so the rename that publishes it is atomic across tables —
-   recovery never sees table A from before a checkpoint and table B from
-   after it. [next_rid] rides along explicitly because a table image only
-   carries live rows: after DELETE of the highest rid, the max live rid
-   under-states the allocator. *)
-
-type checkpoint = {
-  ck_last_seq : int;  (** highest WAL sequence folded into the images *)
-  ck_clock : int;  (** the database's logical clock at checkpoint time *)
-  ck_tables : (table_image * int) list;  (** image, next_rid *)
-}
+(* Checkpoint image: every table plus the WAL high-water mark and the
+   logical clock in ONE framed payload, so the rename that publishes it
+   is atomic across tables — recovery never sees table A from before a
+   checkpoint and table B from after it. *)
 
 let encode_checkpoint (db : Database.t) ~last_seq : string =
   let tables = ref [] in
   Catalog.iter (Database.catalog db) (fun table ->
-      tables := (table_image table, table.Table.next_rid) :: !tables);
-  Marshal.to_string
-    { ck_last_seq = last_seq;
-      ck_clock = Database.clock db;
-      ck_tables = List.rev !tables }
-    []
+      tables := Image.of_table table :: !tables);
+  Image.encode_checkpoint ~last_seq ~clock:(Database.clock db) (List.rev !tables)
 
 (** Load a checkpoint into [db] (normally fresh); returns the WAL
     sequence number the images already cover, so recovery replays only
     the suffix past it. *)
 let restore_checkpoint (db : Database.t) (payload : string) : int =
-  let ck = (Marshal.from_string payload 0 : checkpoint) in
-  List.iter
-    (fun (img, next_rid) ->
-      restore_table_image db img;
-      match Catalog.find_opt (Database.catalog db) img.img_table with
-      | Some table -> Table.restore_next_rid table next_rid
-      | None -> ())
-    ck.ck_tables;
-  Database.sync_clock db ~at:ck.ck_clock;
-  ck.ck_last_seq
+  let last_seq, clock, tables = Image.decode_checkpoint payload in
+  List.iter (restore_table_image db) tables;
+  Database.sync_clock db ~at:clock;
+  last_seq
+
+let checkpoint_seq = Image.checkpoint_seq
 
 (** Create a server around a database and install its binary artifacts into
     the kernel's VFS. *)
@@ -193,8 +158,8 @@ let start_traced (kernel : Minios.Kernel.t) (t : t) : int =
   pid
 
 (** Stop a traced server: it checkpoints its tables back to the data
-    directory (observed as writes) and exits. A table whose image equals
-    the one written at start reuses that encoding instead of marshalling
+    directory (observed as writes) and exits. A table whose image would
+    encode to the bytes written at start reuses them instead of encoding
     again; comparing images, rather than trusting a dirty flag, cannot
     miss a write path. *)
 let stop_traced (kernel : Minios.Kernel.t) (t : t) =
@@ -207,7 +172,7 @@ let stop_traced (kernel : Minios.Kernel.t) (t : t) =
         let current = table_image table in
         let image =
           match List.assoc_opt name t.start_images with
-          | Some (start, data) when start = current -> data
+          | Some (start, data) when Image.same_encoding start current -> data
           | _ -> encode_table_image current
         in
         let fd =

@@ -16,24 +16,32 @@ val data_file : t -> string -> string
 
 (** {2 Native data-file format}
 
-    A binary image of a table's schema, live versions, and index
-    definitions: loads without per-tuple parsing (like PostgreSQL heap
-    files), which is why PTU replay initialization is cheap while LDV's
-    CSV-subset restore pays per tuple (Figure 7b). *)
+    A versioned binary image of a table's schema, index definitions,
+    row-id allocator and live versions, closed by a CRC-32: it loads
+    without per-tuple parsing (like PostgreSQL heap files), which is why
+    PTU replay initialization is cheap while LDV's CSV-subset restore pays
+    per tuple (Figure 7b). Data files, checkpoints and replica base
+    backups all use it. *)
 
 type table_image
 
 val table_image : Table.t -> table_image
 val encode_table_image : table_image -> string
+
+(** @raise Errors.Db_error [Corrupt_image] on a bad magic or version, a
+    checksum mismatch, truncation, an unknown tag or a row whose value
+    count differs from the table's. *)
 val decode_table_image : string -> table_image
 
-(** Load an image, creating the table and its indexes if needed. *)
+(** Load an image, creating the table and its indexes if needed and
+    restoring its row-id allocator. The table takes the image's row
+    arrays over. *)
 val restore_table_image : Database.t -> table_image -> unit
 
 (** {2 Checkpoint image}
 
-    All tables (plus their row-id allocators and the logical clock) in a
-    single payload, stamped with the WAL sequence number it covers:
+    All tables (each with its row-id allocator) and the logical clock in a
+    single framed payload, stamped with the WAL sequence number it covers:
     published by one atomic rename, so recovery is never torn across
     tables. *)
 
@@ -42,8 +50,14 @@ val restore_table_image : Database.t -> table_image -> unit
 val encode_checkpoint : Database.t -> last_seq:int -> string
 
 (** Load a checkpoint into a (normally fresh) database; returns the WAL
-    sequence number the images already cover. *)
+    sequence number the images already cover.
+    @raise Errors.Db_error [Corrupt_image] as {!decode_table_image}. *)
 val restore_checkpoint : Database.t -> string -> int
+
+(** The WAL sequence number a checkpoint payload covers, read after its
+    magic, version and CRC are checked, without restoring any table.
+    @raise Errors.Db_error [Corrupt_image] when the frame is bad. *)
+val checkpoint_seq : string -> int
 
 (** {2 Lifecycle} *)
 
@@ -76,5 +90,6 @@ val stop_traced : Minios.Kernel.t -> t -> unit
     [Error_response]s. *)
 val handle : t -> Protocol.request -> Protocol.response
 
-(** Restore a table from a native data file (PTU replay). *)
+(** Restore a table from a native data file (PTU replay).
+    @raise Errors.Db_error [Corrupt_image] as {!decode_table_image}. *)
 val load_data_file : t -> string -> unit

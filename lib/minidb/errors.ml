@@ -23,6 +23,11 @@ type kind =
       (** BEGIN/COMMIT/ROLLBACK issued in the wrong session state (e.g. a
           second BEGIN while a transaction is already open). *)
   | Unsupported of string
+  | Corrupt_image of string
+      (** A table image (data file, checkpoint or base backup) failed its
+          checksum or does not parse: bad magic or version, truncation, an
+          unknown tag, or a row whose value count differs from its
+          table's. *)
 
 exception Db_error of kind
 
@@ -49,6 +54,7 @@ let pp_kind ppf = function
     Format.fprintf ppf "serialization failure: %s" m
   | Tx_state m -> Format.fprintf ppf "transaction state error: %s" m
   | Unsupported m -> Format.fprintf ppf "unsupported: %s" m
+  | Corrupt_image m -> Format.fprintf ppf "corrupt table image: %s" m
 
 let to_string kind = Format.asprintf "%a" pp_kind kind
 

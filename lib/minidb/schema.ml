@@ -83,11 +83,24 @@ let pp ppf (s : t) =
        pp_column)
     (Array.to_list s)
 
-(** Validate that a row conforms to the schema, coercing where allowed. *)
-let coerce_row (s : t) (row : Value.t array) =
+let check_arity (s : t) (row : Value.t array) =
   if Array.length row <> Array.length s then
     Errors.fail
       (Errors.Arity_error
          (Printf.sprintf "expected %d values, got %d" (Array.length s)
-            (Array.length row)));
+            (Array.length row)))
+
+(** Validate that a row conforms to the schema, coercing where allowed. *)
+let coerce_row (s : t) (row : Value.t array) =
+  check_arity s row;
   Array.mapi (fun i v -> Value.coerce v s.(i).ty) row
+
+(** As {!coerce_row}, but widens in place and returns [row] itself. *)
+let coerce_row_in_place (s : t) (row : Value.t array) =
+  check_arity s row;
+  for i = 0 to Array.length row - 1 do
+    let v = row.(i) in
+    let c = Value.coerce v s.(i).ty in
+    if c != v then row.(i) <- c
+  done;
+  row

@@ -39,3 +39,7 @@ val pp : Format.formatter -> t -> unit
     to float columns).
     @raise Errors.Db_error on arity or type mismatches. *)
 val coerce_row : t -> Value.t array -> Value.t array
+
+(** As {!coerce_row}, but widens in place and returns the row itself: for
+    a row array that nothing else holds. *)
+val coerce_row_in_place : t -> Value.t array -> Value.t array

@@ -482,12 +482,15 @@ let all_versions t =
 
 (** Restore a tuple version verbatim (used when loading a package's CSV
     subset: rids and versions must survive the round-trip so that replayed
-    traces align). A newer version of a live rid supersedes it.
+    traces align). A newer version of a live rid supersedes it. The table
+    takes [row] over, widening values in place where the schema asks:
+    callers pass freshly decoded rows, or rows of another table, which
+    are never changed in place.
     @raise Errors.Db_error [Constraint_violation] for a rid outside
     [1 .. max_rid] or a version no newer than the live one. *)
 let restore_version t ~rid ~version (row : Value.t array) =
   check_rid t rid;
-  let values = Schema.coerce_row t.schema row in
+  let values = Schema.coerce_row_in_place t.schema row in
   let tv =
     { tid = Tid.make ~table:t.name ~rid ~version;
       values;

@@ -177,6 +177,60 @@ let test_marshal_data_file_rejected () =
   in
   expect_db_error "Marshal-format file" (load_into_fresh old)
 
+(* Every single-byte change anywhere in the file, CRC trailer included,
+   is caught before a row is restored. *)
+let test_every_flip_typed () =
+  let image = small_data_file () in
+  for pos = 0 to String.length image - 1 do
+    expect_db_error (Printf.sprintf "flip at byte %d" pos)
+      (load_into_fresh (flip image pos))
+  done
+
+let test_checkpoint_seq_checks_frame () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE t (k INT, s TEXT)");
+  ignore (Database.exec db "INSERT INTO t VALUES (1, 'needle-one')");
+  let payload = Server.encode_checkpoint db ~last_seq:300 in
+  Alcotest.(check int) "covered sequence number" 300 (Server.checkpoint_seq payload);
+  expect_db_error "flipped row string" (fun () ->
+      ignore (Server.checkpoint_seq (flip payload (index_of payload "needle-one"))));
+  expect_db_error "data file read as a checkpoint" (fun () ->
+      ignore (Server.checkpoint_seq (small_data_file ())))
+
+(* A column drawn from a pool of shared strings restores with the same
+   sharing, while every row keeps a Value.Str of its own. *)
+let test_shared_strings_stay_shared () =
+  let pool = [| "AIR"; "FOB"; "MAIL"; "RAIL"; "SHIP"; "TRUCK" |] in
+  let file_of mode =
+    let db = Database.create () in
+    ignore (Database.exec db "CREATE TABLE t (k INT, mode TEXT)");
+    ignore
+      (Database.bulk_insert db ~table:"t"
+         (List.init 600 (fun k -> [| Value.Int k; Value.Str (mode k) |])));
+    Server.encode_table_image (Server.table_image (Catalog.find (Database.catalog db) "t"))
+  in
+  let file = file_of (fun k -> pool.(k mod 6)) in
+  Alcotest.(check bool) "back-references are shorter than fresh copies" true
+    (String.length file < String.length (file_of (fun k -> pool.(k mod 6) ^ "")));
+  let copy = Database.create () in
+  Server.restore_table_image copy (Server.decode_table_image file);
+  let cells =
+    List.map
+      (fun (tv : Table.tuple_version) -> tv.Table.values.(1))
+      (Table.scan (Catalog.find (Database.catalog copy) "t"))
+  in
+  let strings =
+    List.fold_left
+      (fun acc v ->
+        match v with
+        | Value.Str s when not (List.memq s acc) -> s :: acc
+        | _ -> acc)
+      [] cells
+  in
+  Alcotest.(check int) "one string per pool entry" 6 (List.length strings);
+  Alcotest.(check bool) "a Value.Str per row" false
+    (List.nth cells 0 == List.nth cells 6)
+
 (* ---------------- image and checkpoint round trip ---------------- *)
 
 (* Values whose encodings are easy to get wrong: extreme ints, every
@@ -329,4 +383,10 @@ let suite =
       test_truncated_data_file_typed;
     Alcotest.test_case "Marshal-format data file rejected" `Quick
       test_marshal_data_file_rejected;
+    Alcotest.test_case "every byte flip is a typed error" `Quick
+      test_every_flip_typed;
+    Alcotest.test_case "checkpoint_seq checks the frame" `Quick
+      test_checkpoint_seq_checks_frame;
+    Alcotest.test_case "shared strings stay shared" `Quick
+      test_shared_strings_stay_shared;
     QCheck_alcotest.to_alcotest prop_image_roundtrip ]
