@@ -40,7 +40,7 @@ type t = {
   rows : (int * int * Value.t array) array;  (** rid, version, values *)
 }
 
-let version = 1
+let format_version = 1
 let table_magic = "LDVT"
 let checkpoint_magic = "LDVC"
 
@@ -107,7 +107,8 @@ let[@inline] zigzag i = (i lsl 1) lxor (i asr 62)
    that length is filled.                                              *)
 
 (* [v] read as an unsigned 63-bit number *)
-let rec uvarint_size v = if v land lnot 0x7f = 0 then 1 else 1 + uvarint_size (v lsr 7)
+let rec uvarint_size v =
+  if v land lnot 0x7f = 0 then 1 else 1 + uvarint_size (v lsr 7)
 
 let string_size s = uvarint_size (String.length s) + String.length s
 
@@ -219,7 +220,7 @@ let framed ~magic ~body_size (put_body : writer -> unit) : string =
   let w = { buf = Bytes.create (n + 4); pos = 0 } in
   Bytes.blit_string magic 0 w.buf 0 (String.length magic);
   w.pos <- String.length magic;
-  put_byte w version;
+  put_byte w format_version;
   put_body w;
   assert (w.pos = n);
   Bytes.set_int32_le w.buf n (Ldv_faults.Crc32.digest_bytes w.buf ~pos:0 ~len:n);
@@ -243,12 +244,18 @@ let encode_checkpoint ~last_seq ~clock (tables : t list) : string =
 (* ------------------------------------------------------------------ *)
 (* Decoding.                                                           *)
 
-type reader = { s : string; mutable at : int; limit : int  (** the CRC's offset *) }
+type reader = {
+  s : string;
+  mutable at : int;
+  limit : int;  (** the CRC's offset *)
+}
 
-let corrupt fmt = Printf.ksprintf (fun m -> Errors.fail (Errors.Corrupt_image m)) fmt
+let corrupt fmt =
+  Printf.ksprintf (fun m -> Errors.fail (Errors.Corrupt_image m)) fmt
 
 let truncated r n =
-  corrupt "truncated: %d byte(s) needed at byte %d, %d left" n r.at (r.limit - r.at)
+  corrupt "truncated: %d byte(s) needed at byte %d, %d left" n r.at
+    (r.limit - r.at)
 
 let[@inline] need r n = if n > r.limit - r.at then truncated r n
 
@@ -274,7 +281,8 @@ let get_count r ~min_bytes =
   let at = r.at in
   let n = get_uvarint r in
   if n < 0 || n > (r.limit - r.at) / min_bytes then
-    corrupt "count %d at byte %d exceeds the %d byte(s) left" n at (r.limit - r.at);
+    corrupt "count %d at byte %d exceeds the %d byte(s) left" n at
+      (r.limit - r.at);
   n
 
 let get_string r =
@@ -314,7 +322,8 @@ let get_value r (slots : string array) =
     Value.Str s
   | 4 ->
     let s = Array.unsafe_get slots (get_byte r) in
-    if s == unset then corrupt "back-reference to an empty slot at byte %d" (r.at - 1);
+    if s == unset then
+      corrupt "back-reference to an empty slot at byte %d" (r.at - 1);
     Value.Str s
   | 5 -> Value.Bool false
   | 6 -> Value.Bool true
@@ -360,9 +369,12 @@ let open_frame ~magic (s : string) : reader =
   if n < String.length magic + 5 then
     corrupt "%d byte(s) is shorter than the frame" n;
   if not (String.equal (String.sub s 0 (String.length magic)) magic) then
-    corrupt "bad magic %S, expected %S" (String.sub s 0 (String.length magic)) magic;
+    corrupt "bad magic %S, expected %S"
+      (String.sub s 0 (String.length magic))
+      magic;
   let v = Char.code s.[String.length magic] in
-  if v <> version then corrupt "unsupported version %d, expected %d" v version;
+  if v <> format_version then
+    corrupt "unsupported version %d, expected %d" v format_version;
   let expected = String.get_int32_le s (n - 4) in
   let actual =
     Ldv_faults.Crc32.digest_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(n - 4)
@@ -372,7 +384,8 @@ let open_frame ~magic (s : string) : reader =
   { s; at = String.length magic + 1; limit = n - 4 }
 
 let close_frame r =
-  if r.at <> r.limit then corrupt "%d unread byte(s) at byte %d" (r.limit - r.at) r.at
+  if r.at <> r.limit then
+    corrupt "%d unread byte(s) at byte %d" (r.limit - r.at) r.at
 
 let decode (s : string) : t =
   let r = open_frame ~magic:table_magic s in
@@ -392,4 +405,5 @@ let decode_checkpoint (s : string) : int * int * t list =
 
 (** The WAL sequence number a checkpoint covers, after checking its magic,
     version and CRC, without decoding its tables. *)
-let checkpoint_seq (s : string) : int = get_uvarint (open_frame ~magic:checkpoint_magic s)
+let checkpoint_seq (s : string) : int =
+  get_uvarint (open_frame ~magic:checkpoint_magic s)

@@ -125,7 +125,8 @@ let small_data_file () =
   ignore (Database.exec db "CREATE TABLE t (k INT, s TEXT)");
   ignore (Database.exec db "INSERT INTO t VALUES (1, 'needle-one')");
   ignore (Database.exec db "INSERT INTO t VALUES (2, 'needle-two')");
-  Server.encode_table_image (Server.table_image (Catalog.find (Database.catalog db) "t"))
+  Server.encode_table_image
+    (Server.table_image (Catalog.find (Database.catalog db) "t"))
 
 let flip s pos =
   String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor 0x20) else c) s
@@ -207,7 +208,8 @@ let test_shared_strings_stay_shared () =
     ignore
       (Database.bulk_insert db ~table:"t"
          (List.init 600 (fun k -> [| Value.Int k; Value.Str (mode k) |])));
-    Server.encode_table_image (Server.table_image (Catalog.find (Database.catalog db) "t"))
+    Server.encode_table_image
+      (Server.table_image (Catalog.find (Database.catalog db) "t"))
   in
   let file = file_of (fun k -> pool.(k mod 6)) in
   Alcotest.(check bool) "back-references are shorter than fresh copies" true
@@ -273,7 +275,8 @@ type gen_table = {
 
 let gen_table : gen_table QCheck.Gen.t =
   let open QCheck.Gen in
-  list_size (int_bound 4) (oneofl [ Value.Tint; Value.Tfloat; Value.Tstr; Value.Tbool ])
+  list_size (int_bound 4)
+    (oneofl [ Value.Tint; Value.Tfloat; Value.Tstr; Value.Tbool ])
   >>= fun g_types ->
   list_size (int_bound 25) (flatten_l (List.map value_gen g_types))
   >>= fun g_rows ->
@@ -306,7 +309,9 @@ let build_table g =
       :: List.mapi (fun i ty -> Schema.column (Printf.sprintf "c%d" i) ty) g.g_types)
   in
   ignore (Catalog.create_table (Database.catalog db) ~name:"t" ~schema);
-  if g.g_hash then Catalog.create_index (Database.catalog db) ~index:"t_k" ~table:"t" ~column:"k";
+  if g.g_hash then
+    Catalog.create_index (Database.catalog db) ~index:"t_k" ~table:"t"
+      ~column:"k";
   if g.g_ordered then
     Catalog.create_index ~ordered:true (Database.catalog db) ~index:"t_k_ord"
       ~table:"t" ~column:"k";
@@ -314,7 +319,9 @@ let build_table g =
     (Database.bulk_insert db ~table:"t"
        (List.mapi (fun k row -> Array.of_list (Value.Int (k + 1) :: row)) g.g_rows));
   List.iter
-    (fun k -> ignore (Database.exec db (Printf.sprintf "UPDATE t SET k = k WHERE k = %d" k)))
+    (fun k ->
+      ignore
+        (Database.exec db (Printf.sprintf "UPDATE t SET k = k WHERE k = %d" k)))
     g.g_updates;
   List.iter
     (fun k -> ignore (Database.exec db (Printf.sprintf "DELETE FROM t WHERE k = %d" k)))
@@ -343,7 +350,8 @@ let prop_image_roundtrip =
       let table = Catalog.find (Database.catalog db) "t" in
       let via_image = Database.create () in
       Server.restore_table_image via_image
-        (Server.decode_table_image (Server.encode_table_image (Server.table_image table)));
+        (Server.decode_table_image
+           (Server.encode_table_image (Server.table_image table)));
       let via_ckpt = Database.create () in
       let seq =
         Server.restore_checkpoint via_ckpt (Server.encode_checkpoint db ~last_seq:17)
