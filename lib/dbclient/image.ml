@@ -84,10 +84,10 @@ let[@inline] slot_of s =
     + Char.code (String.unsafe_get s (n / 2)))
     land 0xff
 
-(* Whether [s] refers back to its slot; a string that does not takes the
-   slot. Both encoding passes make the same decisions in the same order. *)
-let[@inline] refers_back (slots : string array) s =
-  let slot = slot_of s in
+(* Whether [s], hashed to [slot], refers back to it; a string that does
+   not takes the slot. Both encoding passes make the same decisions in
+   the same order. *)
+let[@inline] refers_back (slots : string array) slot s =
   Array.unsafe_get slots slot == s
   || begin
     Array.unsafe_set slots slot s;
@@ -128,7 +128,8 @@ let rows_size (img : t) =
         | Value.Null | Value.Bool _ -> 1
         | Value.Int i -> 1 + uvarint_size (zigzag i)
         | Value.Float _ -> 9
-        | Value.Str s -> if refers_back slots.(col) s then 2 else 2 + string_size s
+        | Value.Str s ->
+          if refers_back slots.(col) (slot_of s) s then 2 else 2 + string_size s
     done
   done;
   !size
@@ -174,13 +175,14 @@ let put_value w slots = function
     Bytes.set_int64_le w.buf w.pos (Int64.bits_of_float f);
     w.pos <- w.pos + 8
   | Value.Str s ->
-    if refers_back slots s then begin
+    let slot = slot_of s in
+    if refers_back slots slot s then begin
       put_byte w 4;
-      put_byte w (slot_of s)
+      put_byte w slot
     end
     else begin
       put_byte w 3;
-      put_byte w (slot_of s);
+      put_byte w slot;
       put_string w s
     end
   | Value.Bool false -> put_byte w 5
