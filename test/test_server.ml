@@ -187,6 +187,40 @@ let test_every_flip_typed () =
       (load_into_fresh (flip image pos))
   done
 
+(* Past the CRC the decoder still checks structure: with the checksum
+   re-sealed over a changed byte, a load either succeeds (a changed
+   string or number is still a valid image) or fails typed. *)
+let test_resealed_flips_never_untyped () =
+  let reseal b =
+    let n = Bytes.length b - 4 in
+    Bytes.set_int32_le b n (Ldv_faults.Crc32.digest_bytes b ~pos:0 ~len:n);
+    Bytes.to_string b
+  in
+  let check name bytes load =
+    for pos = 0 to String.length bytes - 5 do
+      List.iter
+        (fun mask ->
+          let b = Bytes.of_string bytes in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
+          match load (reseal b) with
+          | () | (exception Errors.Db_error _) -> ()
+          | exception e ->
+            Alcotest.failf "%s byte %d xor %#x: untyped %s" name pos mask
+              (Printexc.to_string e))
+        [ 0x01; 0x20; 0x80; 0xff ]
+    done
+  in
+  check "data file" (small_data_file ()) (fun bytes -> load_into_fresh bytes ());
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE t (k INT, s TEXT, f FLOAT, b BOOL)");
+  ignore (Database.exec db "CREATE INDEX t_k ON t (k)");
+  ignore
+    (Database.exec db
+       "INSERT INTO t VALUES (1, 'a', 1.5, TRUE), (2, 'a', NULL, FALSE)");
+  ignore (Database.exec db "DELETE FROM t WHERE k = 2");
+  check "checkpoint" (Server.encode_checkpoint db ~last_seq:3) (fun bytes ->
+      ignore (Server.restore_checkpoint (Database.create ()) bytes))
+
 let test_checkpoint_seq_checks_frame () =
   let db = Database.create () in
   ignore (Database.exec db "CREATE TABLE t (k INT, s TEXT)");
@@ -393,6 +427,8 @@ let suite =
       test_marshal_data_file_rejected;
     Alcotest.test_case "every byte flip is a typed error" `Quick
       test_every_flip_typed;
+    Alcotest.test_case "re-sealed flips never escape untyped" `Quick
+      test_resealed_flips_never_untyped;
     Alcotest.test_case "checkpoint_seq checks the frame" `Quick
       test_checkpoint_seq_checks_frame;
     Alcotest.test_case "shared strings stay shared" `Quick
