@@ -746,10 +746,9 @@ let micro () =
   in
   (* the storage cases use the full-scan table of the paper's Select step
      at the bench scale (60,009 lineitem rows at the default sf 0.01) *)
+  let bench_db = Instance.fresh_db (Instance.get ~sf:!sf) in
   let lineitem =
-    Minidb.Catalog.find
-      (Minidb.Database.catalog (Instance.fresh_db (Instance.get ~sf:!sf)))
-      "lineitem"
+    Minidb.Catalog.find (Minidb.Database.catalog bench_db) "lineitem"
   in
   let lineitem_tids =
     Array.map
@@ -760,6 +759,10 @@ let micro () =
      start and a PTU replay loads *)
   let lineitem_image = Dbclient.Server.table_image lineitem in
   let lineitem_file = Dbclient.Server.encode_table_image lineitem_image in
+  (* a traced server over the same database: the fixed cost every
+     server-included and PTU audit pays around the app *)
+  let server_kernel = Minios.Kernel.create () in
+  let server = Dbclient.Server.install server_kernel bench_db in
   let tests =
     [ Test.make ~name:"sql-parse(Q2)"
         (Staged.stage (fun () -> Minidb.Sql_parser.parse q2.Tpch.Queries.sql));
@@ -802,6 +805,11 @@ let micro () =
       Test.make ~name:"server/decode-image(lineitem)"
         (Staged.stage (fun () ->
              Dbclient.Server.decode_table_image lineitem_file));
+      Test.make
+        ~name:(Printf.sprintf "server/start+stop-traced(sf %g)" !sf)
+        (Staged.stage (fun () ->
+             ignore (Dbclient.Server.start_traced server_kernel server);
+             Dbclient.Server.stop_traced server_kernel server));
       Test.make ~name:"faults/crc32(lineitem image)"
         (Staged.stage (fun () -> Ldv_faults.Crc32.digest lineitem_file));
       Test.make ~name:"fig9/csv-encode-row"

@@ -13,6 +13,7 @@
 # checks + the overhead-ledger gate self-check).
 set -e
 cd "$(dirname "$0")"
+root=$(pwd)
 
 quick=0
 for arg in "$@"; do
@@ -140,10 +141,11 @@ if [ "$quick" -eq 0 ]; then
   # replication bench (writes BENCH_replication.json: read throughput at
   # 1/2/4 replicas and catch-up time after a seeded crash)
   dune exec bench/main.exe -- replication
-  # storage bench (writes BENCH_storage.json: point/range index lookups
-  # vs full scans at 10k/100k/1M tuples; exits 1 unless the indexed
-  # paths beat the scan by 10x at 100k)
-  dune exec bench/main.exe -- storage
+  # storage bench (point/range index lookups vs full scans at
+  # 10k/100k/1M tuples; exits 1 unless the indexed paths beat the scan by
+  # 10x at 100k). It runs in $tmpdir, so its BENCH_storage.json does not
+  # overwrite the tracked copy at the root
+  (cd "$tmpdir" && "$root/_build/default/bench/main.exe" storage)
   # paper-shape checks (~2 min; exits 1 on a failed claim): replay speed
   # and audit-cost shape across all 18 variants and three systems, which
   # a change to the executor or to provenance propagation can flip

@@ -69,6 +69,12 @@ let wal_path (server : Server.t) = Server.data_dir server ^ "/wal.log"
 let checkpoint_path (server : Server.t) = Server.data_dir server ^ "/checkpoint.img"
 let checkpoint_tmp_path (server : Server.t) = checkpoint_path server ^ ".new"
 
+(* The published checkpoint's bytes, if there is one. *)
+let checkpoint_bytes vfs server =
+  Option.bind
+    (Minios.Vfs.find_opt vfs (checkpoint_path server))
+    (fun f -> Minios.Vfs.content_bytes f.Minios.Vfs.content)
+
 let kind_of_sql (sql : string) : Wal.kind =
   match Sql_parser.parse sql with
   | Sql_ast.Begin_tx -> Wal.Begin
@@ -82,10 +88,9 @@ let kind_of_sql (sql : string) : Wal.kind =
 let start (kernel : Minios.Kernel.t) (server : Server.t) ~pid : t =
   let vfs = Minios.Kernel.vfs kernel in
   let ck_seq =
-    match Minios.Vfs.find_opt vfs (checkpoint_path server) with
-    | Some { Minios.Vfs.content = Minios.Vfs.Data payload; _ } ->
-      Server.checkpoint_seq payload
-    | _ -> 0
+    match checkpoint_bytes vfs server with
+    | Some payload -> Server.checkpoint_seq payload
+    | None -> 0
   in
   let wal_seq =
     List.fold_left
@@ -274,10 +279,9 @@ let recover ?(apply = true) (kernel : Minios.Kernel.t) ~data_dir () :
   (* a stray temporary image is a checkpoint that never published *)
   Minios.Vfs.remove vfs (checkpoint_tmp_path server);
   let ck_seq =
-    match Minios.Vfs.find_opt vfs (checkpoint_path server) with
-    | Some { Minios.Vfs.content = Minios.Vfs.Data payload; _ } ->
-      Server.restore_checkpoint db payload
-    | _ -> 0
+    match checkpoint_bytes vfs server with
+    | Some payload -> Server.restore_checkpoint db payload
+    | None -> 0
   in
   let loaded = Wal.load vfs (wal_path server) in
   let suffix =

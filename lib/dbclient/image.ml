@@ -32,18 +32,29 @@
 
 open Minidb
 
+(** A table's rows: its live versions as captured from the table, which
+    is what the encoder reads, or the rows a decode produced, which is
+    what a restore takes over. *)
+type rows =
+  | Live of Table.tuple_version array
+  | Decoded of (int * int * Value.t array) array  (** rid, version, values *)
+
 type t = {
   name : string;
   columns : (string * Value.ty) list;
   indexes : (string * string * bool) list;  (** name, column, ordered? *)
   next_rid : int;
-  rows : (int * int * Value.t array) array;  (** rid, version, values *)
+  rows : rows;
 }
 
 let format_version = 1
 let table_magic = "LDVT"
 let checkpoint_magic = "LDVC"
 
+(** A snapshot of the table's live state. It holds the live versions
+    themselves, not copies: the encoder reads only a version's tid and
+    values, and a stored row is never changed in place, so later writes
+    to the table leave the image as it was. *)
 let of_table (table : Table.t) : t =
   { name = Table.name table;
     columns =
@@ -53,20 +64,30 @@ let of_table (table : Table.t) : t =
            (Table.schema table));
     indexes = Table.index_specs table;
     next_rid = table.Table.next_rid;
-    rows =
-      Table.scan_map table (fun tv ->
-          (tv.Table.tid.Tid.rid, tv.Table.tid.Tid.version, tv.Table.values)) }
+    rows = Live (Table.scan_array table) }
 
-(** [a] and [b] encode to the same bytes. Rows compare by rid, version
-    and the physical identity of their values: a stored row is never
-    changed in place, so a table no write touched yields the very same
-    arrays, and any other table is simply encoded again. *)
-let same_encoding a b =
-  let same_row (r1, v1, x1) (r2, v2, x2) = r1 = r2 && v1 = v2 && x1 == x2 in
-  String.equal a.name b.name
-  && a.columns = b.columns && a.indexes = b.indexes && a.next_rid = b.next_rid
-  && Array.length a.rows = Array.length b.rows
-  && Array.for_all2 same_row a.rows b.rows
+let row_count img =
+  match img.rows with Live a -> Array.length a | Decoded a -> Array.length a
+
+(* [f rid version values] on every row, in order *)
+let iter_rows img f =
+  match img.rows with
+  | Live a ->
+    Array.iter
+      (fun (tv : Table.tuple_version) ->
+        f tv.Table.tid.Tid.rid tv.Table.tid.Tid.version tv.Table.values)
+      a
+  | Decoded a -> Array.iter (fun (rid, version, values) -> f rid version values) a
+
+(** The rows as (rid, version, values), in order. *)
+let row_list img =
+  match img.rows with
+  | Live a ->
+    Array.fold_right
+      (fun (tv : Table.tuple_version) acc ->
+        (tv.Table.tid.Tid.rid, tv.Table.tid.Tid.version, tv.Table.values) :: acc)
+      a []
+  | Decoded a -> Array.to_list a
 
 (* A slot no string has taken: never physically equal to a row's. *)
 let unset = String.make 1 '\000'
@@ -115,23 +136,22 @@ let string_size s = uvarint_size (String.length s) + String.length s
 let rows_size (img : t) =
   let slots = recent_slots (List.length img.columns) in
   let size = ref 0 in
-  for i = 0 to Array.length img.rows - 1 do
-    let rid, version, values = img.rows.(i) in
-    size :=
-      !size + uvarint_size rid + uvarint_size version
-      + uvarint_size (Array.length values);
-    for col = 0 to Array.length values - 1 do
+  iter_rows img (fun rid version values ->
       size :=
-        !size
-        +
-        match values.(col) with
-        | Value.Null | Value.Bool _ -> 1
-        | Value.Int i -> 1 + uvarint_size (zigzag i)
-        | Value.Float _ -> 9
-        | Value.Str s ->
-          if refers_back slots.(col) (slot_of s) s then 2 else 2 + string_size s
-    done
-  done;
+        !size + uvarint_size rid + uvarint_size version
+        + uvarint_size (Array.length values);
+      for col = 0 to Array.length values - 1 do
+        size :=
+          !size
+          +
+          match values.(col) with
+          | Value.Null | Value.Bool _ -> 1
+          | Value.Int i -> 1 + uvarint_size (zigzag i)
+          | Value.Float _ -> 9
+          | Value.Str s ->
+            if refers_back slots.(col) (slot_of s) s then 2
+            else 2 + string_size s
+      done);
   !size
 
 let table_size (img : t) =
@@ -143,7 +163,7 @@ let table_size (img : t) =
       (fun acc (name, column, _) -> acc + string_size name + string_size column + 1)
       0 img.indexes
   + uvarint_size img.next_rid
-  + uvarint_size (Array.length img.rows)
+  + uvarint_size (row_count img)
   + rows_size img
 
 type writer = { buf : Bytes.t; mutable pos : int }
@@ -204,17 +224,15 @@ let put_table w (img : t) =
       put_byte w (Bool.to_int ordered))
     img.indexes;
   put_uvarint w img.next_rid;
-  put_uvarint w (Array.length img.rows);
+  put_uvarint w (row_count img);
   let slots = recent_slots (List.length img.columns) in
-  for i = 0 to Array.length img.rows - 1 do
-    let rid, version, values = img.rows.(i) in
-    put_uvarint w rid;
-    put_uvarint w version;
-    put_uvarint w (Array.length values);
-    for col = 0 to Array.length values - 1 do
-      put_value w slots.(col) values.(col)
-    done
-  done
+  iter_rows img (fun rid version values ->
+      put_uvarint w rid;
+      put_uvarint w version;
+      put_uvarint w (Array.length values);
+      for col = 0 to Array.length values - 1 do
+        put_value w slots.(col) values.(col)
+      done)
 
 (* [body_size] is the exact length [put_body] writes. *)
 let framed ~magic ~body_size (put_body : writer -> unit) : string =
@@ -230,6 +248,10 @@ let framed ~magic ~body_size (put_body : writer -> unit) : string =
 
 let encode (img : t) : string =
   framed ~magic:table_magic ~body_size:(table_size img) (fun w -> put_table w img)
+
+(** The length of [encode img], computed without encoding: the body and
+    its frame (magic, version byte, CRC). *)
+let encoded_size (img : t) = String.length table_magic + 1 + table_size img + 4
 
 let encode_checkpoint ~last_seq ~clock (tables : t list) : string =
   let body_size =
@@ -363,7 +385,7 @@ let get_table r : t =
     done;
     rows.(i) <- (rid, version, values)
   done;
-  { name; columns; indexes; next_rid; rows }
+  { name; columns; indexes; next_rid; rows = Decoded rows }
 
 (* Check the frame and return a reader over the body. *)
 let open_frame ~magic (s : string) : reader =

@@ -31,8 +31,6 @@ type t = {
   lib_paths : string list;
   data_dir : string;
   mutable server_pid : int option;
-  mutable start_images : (string * (table_image * string)) list;
-      (** per table: the image [start_traced] wrote and its encoding *)
 }
 
 let db t = t.db
@@ -61,7 +59,7 @@ let restore_table_image (db : Database.t) (img : table_image) =
       Catalog.create_table catalog ~name:img.Image.name ~schema
   in
   Database.sync_clock db
-    ~at:(Table.restore_versions table (Array.to_list img.Image.rows));
+    ~at:(Table.restore_versions table (Image.row_list img));
   Table.restore_next_rid table img.Image.next_rid;
   List.iter
     (fun (index_name, column, ordered) ->
@@ -113,44 +111,45 @@ let install (kernel : Minios.Kernel.t) ?(root = "/opt/minidb")
         path)
       default_lib_sizes
   in
-  { db; binary_path; lib_paths; data_dir; server_pid = None; start_images = [] }
+  { db; binary_path; lib_paths; data_dir; server_pid = None }
 
-(* Write every table's image into the data directory; returns each
-   table's image and encoding. *)
-let write_data_dir (kernel : Minios.Kernel.t) (t : t) =
-  let vfs = Minios.Kernel.vfs kernel in
-  let written = ref [] in
-  Catalog.iter (Database.catalog t.db) (fun table ->
-      let name = Table.name table in
-      let image = table_image table in
-      let data = encode_table_image image in
-      Minios.Vfs.write_string vfs ~path:(data_file t name) data;
-      written := (name, (image, data)) :: !written);
-  !written
+(* A table's data file as of now, produced only when something reads it:
+   an LDV audit needs only the fact that the server read its files, and
+   only a PTU package or a recovery asks for their bytes. *)
+let data_file_content (table : Table.t) : Minios.Vfs.content =
+  let image = table_image table in
+  Minios.Vfs.Deferred
+    { size = lazy (Image.encoded_size image);
+      bytes = lazy (encode_table_image image) }
 
-(** Serialize every table's live state into the data directory. Called at
+(** Write every table's live state into the data directory. Called at
     server start so the data files reflect the DB state valid at the start
     of the application — the state a re-execution must restore. *)
 let sync_data_dir (kernel : Minios.Kernel.t) (t : t) =
-  ignore (write_data_dir kernel t)
+  let vfs = Minios.Kernel.vfs kernel in
+  Catalog.iter (Database.catalog t.db) (fun table ->
+      Minios.Vfs.write vfs
+        ~path:(data_file t (Table.name table))
+        (data_file_content table))
 
 (** Start the server as a traced OS process: it reads its binary, its
     libraries, and every data file, so a ptrace-based packager sees the
     whole DB. Returns the server pid. *)
 let start_traced (kernel : Minios.Kernel.t) (t : t) : int =
   Ldv_obs.with_span "server.start_traced" @@ fun () ->
-  t.start_images <- write_data_dir kernel t;
+  sync_data_dir kernel t;
   let vfs = Minios.Kernel.vfs kernel in
   let proc =
     Minios.Kernel.start_process kernel ~binary:t.binary_path
       ~libs:t.lib_paths ~name:"minidb-server" ()
   in
   let pid = proc.Minios.Kernel.pid in
-  (* the server scans its data directory on startup *)
+  (* the server scans its data directory on startup; the tables are
+     already in memory, so the scan needs the syscalls, not the bytes *)
   List.iter
     (fun path ->
       let fd = Minios.Kernel.open_file kernel ~pid ~path ~mode:Minios.Syscall.Read in
-      ignore (Minios.Kernel.read_fd kernel ~pid ~fd);
+      Minios.Kernel.read_fd_discard kernel ~pid ~fd;
       Minios.Kernel.close_fd kernel ~pid ~fd)
     (Minios.Vfs.paths_under vfs t.data_dir);
   t.server_pid <- Some pid;
@@ -158,31 +157,21 @@ let start_traced (kernel : Minios.Kernel.t) (t : t) : int =
   pid
 
 (** Stop a traced server: it checkpoints its tables back to the data
-    directory (observed as writes) and exits. A table whose image would
-    encode to the bytes written at start reuses them instead of encoding
-    again; comparing images, rather than trusting a dirty flag, cannot
-    miss a write path. *)
+    directory (observed as buffered writes) and exits. *)
 let stop_traced (kernel : Minios.Kernel.t) (t : t) =
   match t.server_pid with
   | None -> ()
   | Some pid ->
     Catalog.iter (Database.catalog t.db) (fun table ->
-        let name = Table.name table in
-        let path = data_file t name in
-        let current = table_image table in
-        let image =
-          match List.assoc_opt name t.start_images with
-          | Some (start, data) when Image.same_encoding start current -> data
-          | _ -> encode_table_image current
-        in
+        let path = data_file t (Table.name table) in
+        let content = data_file_content table in
         let fd =
           Minios.Kernel.open_file kernel ~pid ~path ~mode:Minios.Syscall.Write
         in
-        Minios.Kernel.write_fd kernel ~pid ~fd image;
+        Minios.Kernel.write_fd_content kernel ~pid ~fd content;
         Minios.Kernel.close_fd kernel ~pid ~fd);
     Minios.Kernel.exit_process kernel pid;
-    t.server_pid <- None;
-    t.start_images <- []
+    t.server_pid <- None
 
 (** Execute one protocol request against the backend. *)
 let handle (t : t) (req : Protocol.request) : Protocol.response =
@@ -224,5 +213,4 @@ let attach ?(root = "/opt/minidb") ?(data_dir = "/var/minidb/data")
     binary_path = root ^ "/bin/minidb-server";
     lib_paths = List.map (fun (name, _) -> root ^ "/lib/" ^ name) default_lib_sizes;
     data_dir;
-    server_pid = None;
-    start_images = [] }
+    server_pid = None }

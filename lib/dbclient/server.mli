@@ -25,6 +25,9 @@ val data_file : t -> string -> string
 
 type table_image
 
+(** A snapshot of a table's live state. It holds the live versions
+    themselves, which are never changed in place, so it costs one array
+    and later writes to the table leave it as it was. *)
 val table_image : Table.t -> table_image
 val encode_table_image : table_image -> string
 
@@ -74,16 +77,21 @@ val install :
 (** Wrap an existing database without touching the VFS (replay side). *)
 val attach : ?root:string -> ?data_dir:string -> Database.t -> t
 
-(** Serialize every table into the data directory (the state valid at the
-    start of the application). *)
+(** Write every table into the data directory (the state valid at the
+    start of the application). Each file is [Minios.Vfs.Deferred]
+    content over a snapshot of the table's live versions: its size and
+    its bytes are computed only when a reader asks for them. *)
 val sync_data_dir : Minios.Kernel.t -> t -> unit
 
-(** Start as a traced OS process that reads its binary, libraries, and
-    data files; returns the server pid. *)
+(** Write the data directory ({!sync_data_dir}), then start as a traced
+    OS process that opens and reads its binary, libraries, and data
+    files; the reads do not ask for the files' bytes. Returns the server
+    pid. *)
 val start_traced : Minios.Kernel.t -> t -> int
 
-(** Checkpoint tables back to the data directory (observed as writes) and
-    exit the server process. *)
+(** Checkpoint tables back to the data directory as deferred content,
+    through buffered writes (observed as writes; a crash before an fsync
+    restores the start-time files), and exit the server process. *)
 val stop_traced : Minios.Kernel.t -> t -> unit
 
 (** Execute one protocol request against the backend; engine errors become

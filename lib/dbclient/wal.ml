@@ -133,9 +133,9 @@ let decode_frame (frame : string) : record option =
     campaign is visible instead of silently dropped. *)
 let load (vfs : Minios.Vfs.t) (path : string) : loaded =
   let data =
-    match Minios.Vfs.find_opt vfs path with
-    | Some { Minios.Vfs.content = Minios.Vfs.Data s; _ } -> s
-    | Some { Minios.Vfs.content = Minios.Vfs.Opaque _; _ } | None -> ""
+    Option.bind (Minios.Vfs.find_opt vfs path) (fun f ->
+        Minios.Vfs.content_bytes f.Minios.Vfs.content)
+    |> Option.value ~default:""
   in
   let n = String.length data in
   let records = ref [] in

@@ -292,8 +292,10 @@ let written_files (tracer : Minios.Tracer.t) ~(exclude_pids : int list)
            && not (List.mem fa.Minios.Tracer.fa_pid exclude_pids)
          then
            match Minios.Vfs.content vfs fa.Minios.Tracer.fa_path with
-           | Minios.Vfs.Data s -> Some (fa.Minios.Tracer.fa_path, s)
-           | Minios.Vfs.Opaque _ -> None
+           | content ->
+             Option.map
+               (fun s -> (fa.Minios.Tracer.fa_path, s))
+               (Minios.Vfs.content_bytes content)
            | exception Not_found -> None
          else None)
   |> List.sort_uniq compare

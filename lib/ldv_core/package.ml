@@ -105,7 +105,8 @@ let under prefix path =
 
 (* Collect file entries from the trace: every path opened for reading gets
    its first-read snapshot copied in; write-only paths are recreated
-   empty. *)
+   empty. A deferred snapshot (a server data file, in a PTU package)
+   becomes plain bytes here, so packages compare structurally. *)
 let collect_entries (audit : Audit.t) ~(exclude : string -> bool) :
     entry list =
   let vfs = Minios.Kernel.vfs audit.Audit.kernel in
@@ -117,6 +118,12 @@ let collect_entries (audit : Audit.t) ~(exclude : string -> bool) :
              Minios.Tracer.snapshot_content audit.Audit.tracer vfs path
            with
            | Some content ->
+             let content =
+               match content with
+               | Minios.Vfs.Deferred { bytes; _ } ->
+                 Minios.Vfs.Data (Lazy.force bytes)
+               | Minios.Vfs.Data _ | Minios.Vfs.Opaque _ -> content
+             in
              Some
                { e_path = path;
                  e_size = Minios.Vfs.content_size content;
@@ -359,9 +366,12 @@ let to_bytes (t : t) : string =
   List.iter
     (fun e ->
       match e.e_content with
-      | Some (Minios.Vfs.Data s) -> section ("file:" ^ e.e_path) (b64 s)
-      | Some (Minios.Vfs.Opaque n) ->
-        section ("opaque:" ^ e.e_path) (string_of_int n)
+      | Some c -> (
+        match Minios.Vfs.content_bytes c with
+        | Some s -> section ("file:" ^ e.e_path) (b64 s)
+        | None ->
+          section ("opaque:" ^ e.e_path)
+            (string_of_int (Minios.Vfs.content_size c)))
       | None -> section ("output:" ^ e.e_path) "")
     t.entries;
   List.iter (fun (tbl, ddl) -> section ("schema:" ^ tbl) ddl) t.db_schemas;

@@ -73,11 +73,11 @@ let prepare (pkg : Package.t) : prepared =
         (* bulk-load the server's own data files from the package *)
         List.iter
           (fun path ->
-            match Minios.Vfs.content vfs path with
-            | Minios.Vfs.Data image ->
+            match Minios.Vfs.content_bytes (Minios.Vfs.content vfs path) with
+            | Some image ->
               Dbclient.Server.load_data_file server image;
               Ldv_obs.counter "replay.loaded_data_files"
-            | Minios.Vfs.Opaque _ -> ())
+            | None -> ())
           (Minios.Vfs.paths_under vfs (Dbclient.Server.data_dir server))
       | Package.Server_excluded -> ());
   let session =

@@ -218,7 +218,9 @@ let fd_entry p fd =
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Kernel: bad fd %d" fd)
 
-let read_fd t ~pid ~fd : string =
+(* The read syscall without its result: the file's path for the caller
+   that wants its bytes. *)
+let read_syscall t ~pid ~fd =
   yield_point t;
   let p = find_process t pid in
   let e = fd_entry p fd in
@@ -226,20 +228,32 @@ let read_fd t ~pid ~fd : string =
   fault_gate ~op:"read" ~path:e.path;
   Obs.counter "os.syscall.read";
   ignore (tick t);
-  Vfs.read t.vfs e.path
+  e.path
 
-let write_fd t ~pid ~fd (data : string) =
+let read_fd t ~pid ~fd : string = Vfs.read t.vfs (read_syscall t ~pid ~fd)
+
+(** A read whose bytes go nowhere: the same syscall, clock tick and fault
+    gate as {!read_fd}, without asking the file for its content, so
+    deferred content stays unproduced. *)
+let read_fd_discard t ~pid ~fd = ignore (read_syscall t ~pid ~fd)
+
+(** Write any VFS content through the buffered path: visible to readers
+    at once, durable only once an fsync barrier covers it. Deferred
+    content written to a freshly opened fd stays deferred. *)
+let write_fd_content t ~pid ~fd (content : Vfs.content) =
   yield_point t;
   let p = find_process t pid in
   let e = fd_entry p fd in
   if e.mode <> Syscall.Write then invalid_arg "Kernel.write_fd: fd open for read";
   fault_gate ~op:"write" ~path:e.path;
   Obs.counter "os.syscall.write";
-  if Obs.enabled () then Obs.counter ~by:(String.length data) "os.bytes_written";
+  if Obs.enabled () then
+    Obs.counter ~by:(Vfs.content_size content) "os.bytes_written";
   let time = tick t in
-  (* buffered: the bytes are visible to readers immediately but survive a
-     crash only once an fsync barrier covers them *)
-  Vfs.append_buffered t.vfs ~path:e.path ~mtime:time data
+  Vfs.append_content_buffered t.vfs ~path:e.path ~mtime:time content
+
+let write_fd t ~pid ~fd (data : string) =
+  write_fd_content t ~pid ~fd (Vfs.Data data)
 
 let fsync_fd t ~pid ~fd =
   yield_point t;

@@ -1,10 +1,14 @@
 (** An in-memory virtual file system.
 
     Paths are absolute, [/]-separated strings; directories are implicit.
-    File contents are either real bytes ([Data]) or size-only placeholders
+    File contents are either real bytes ([Data]), size-only placeholders
     ([Opaque]) used to model large binary artifacts — DBMS server binaries,
     shared libraries, VM base images — whose bytes never matter but whose
-    sizes drive the package-size experiments (Figure 9, §IX-F).
+    sizes drive the package-size experiments (Figure 9, §IX-F), or bytes
+    produced on demand ([Deferred]): the DB server's data files, whose
+    size and bytes are each computed by the first reader that asks for
+    them ({!read}, {!size}, {!content_size}, {!content_bytes}, the
+    appends) and then kept.
 
     {b Durability model.} Every file carries two states: [content] (what
     readers see — the page cache) and [synced] (what survives a simulated
@@ -12,12 +16,16 @@
     [write_string], [write_opaque], [append]) models provisioning I/O and
     is implicitly durable: it updates both states at once, so the rest of
     the system behaves exactly as before durability existed. The buffered
-    API ([append_buffered], [truncate_buffered]) updates only [content];
-    the unsynced delta reaches the platter only at an explicit {!fsync}
-    barrier, and {!crash} throws it away — except for an optional torn
-    prefix of an append-only tail, modeling a partially flushed page. *)
+    API ([append_buffered], [append_content_buffered], [truncate_buffered])
+    updates only [content]; the unsynced delta reaches the platter only at
+    an explicit {!fsync} barrier, and {!crash} throws it away — except for
+    an optional torn prefix of an append-only tail, modeling a partially
+    flushed page. *)
 
-type content = Data of string | Opaque of int
+type content =
+  | Data of string
+  | Opaque of int
+  | Deferred of { size : int Lazy.t; bytes : string Lazy.t }
 
 type file = {
   mutable content : content;
@@ -53,15 +61,36 @@ let write t ~path ?(mtime = 0) content =
 let write_string t ~path ?mtime s = write t ~path ?mtime (Data s)
 let write_opaque t ~path ?mtime size = write t ~path ?mtime (Opaque size)
 
+let content_bytes = function
+  | Data s -> Some s
+  | Opaque _ -> None
+  | Deferred d -> Some (Lazy.force d.bytes)
+
+(* Once the bytes exist, their length is the size: no second pass. *)
+let content_size = function
+  | Data s -> String.length s
+  | Opaque n -> n
+  | Deferred d when Lazy.is_val d.bytes -> String.length (Lazy.force d.bytes)
+  | Deferred d -> Lazy.force d.size
+
+(* [old] followed by [c]. An empty file takes [c] as it is, so deferred
+   content written after a truncating open stays deferred; any other
+   append produces both sides' bytes. *)
+let concat ~op path old c =
+  match old with
+  | Data "" -> c
+  | _ -> (
+    match (content_bytes old, content_bytes c) with
+    | Some a, Some b -> Data (a ^ b)
+    | _ -> invalid_arg (Printf.sprintf "Vfs.%s: %s is opaque" op path))
+
 let append t ~path ?(mtime = 0) s =
   let path = normalize path in
   match Hashtbl.find_opt t.files path with
-  | Some ({ content = Data old; _ } as f) ->
-    f.content <- Data (old ^ s);
+  | Some f ->
+    f.content <- concat ~op:"append" path f.content (Data s);
     f.synced <- Some f.content;
     f.mtime <- mtime
-  | Some { content = Opaque _; _ } ->
-    invalid_arg (Printf.sprintf "Vfs.append: %s is opaque" path)
   | None ->
     Hashtbl.replace t.files path
       { content = Data s; mtime; synced = Some (Data s) }
@@ -69,16 +98,16 @@ let append t ~path ?(mtime = 0) s =
 (* ------------------------------------------------------------------ *)
 (* Buffered (crash-unsafe until fsync) writes.                         *)
 
-let append_buffered t ~path ?(mtime = 0) s =
+let append_content_buffered t ~path ?(mtime = 0) c =
   let path = normalize path in
   match Hashtbl.find_opt t.files path with
-  | Some ({ content = Data old; _ } as f) ->
-    f.content <- Data (old ^ s);
+  | Some f ->
+    f.content <- concat ~op:"append_buffered" path f.content c;
     f.mtime <- mtime
-  | Some { content = Opaque _; _ } ->
-    invalid_arg (Printf.sprintf "Vfs.append_buffered: %s is opaque" path)
-  | None ->
-    Hashtbl.replace t.files path { content = Data s; mtime; synced = None }
+  | None -> Hashtbl.replace t.files path { content = c; mtime; synced = None }
+
+let append_buffered t ~path ?mtime s =
+  append_content_buffered t ~path ?mtime (Data s)
 
 let truncate_buffered t ~path ?(mtime = 0) () =
   let path = normalize path in
@@ -106,16 +135,17 @@ let rename t ~src ~dst =
     Hashtbl.remove t.files src;
     Hashtbl.replace t.files dst f
 
-(** Bytes of [path]'s content not yet covered by an fsync barrier. *)
+(** Bytes of [path]'s append-only [Data] content not yet covered by an
+    fsync barrier; other content counts 0. *)
 let unsynced_bytes t path =
   match find_opt t path with
   | None -> 0
   | Some { content = Data d; synced; _ } -> (
     match synced with
     | Some (Data b) -> max 0 (String.length d - String.length b)
-    | Some (Opaque _) -> 0
+    | Some (Opaque _ | Deferred _) -> 0
     | None -> String.length d)
-  | Some { content = Opaque _; _ } -> 0
+  | Some { content = Opaque _ | Deferred _; _ } -> 0
 
 (** Simulated power failure: every file reverts to its last-synced state;
     files never synced vanish. [keep] maps a path to a number of bytes of
@@ -147,26 +177,18 @@ let crash t ?(keep = []) () =
   Hashtbl.iter (crash_file ~keep ~doomed) t.files;
   List.iter (Hashtbl.remove t.files) !doomed
 
-let read t path =
-  let path = normalize path in
-  match Hashtbl.find_opt t.files path with
-  | Some { content = Data s; _ } -> s
-  | Some { content = Opaque _; _ } ->
-    invalid_arg (Printf.sprintf "Vfs.read: %s is opaque" path)
-  | None -> raise Not_found
-
 let content t path =
   match find_opt t path with
   | Some f -> f.content
   | None -> raise Not_found
 
-let size t path =
-  match find_opt t path with
-  | Some { content = Data s; _ } -> String.length s
-  | Some { content = Opaque n; _ } -> n
-  | None -> raise Not_found
+let read t path =
+  match content_bytes (content t path) with
+  | Some s -> s
+  | None ->
+    invalid_arg (Printf.sprintf "Vfs.read: %s is opaque" (normalize path))
 
-let content_size = function Data s -> String.length s | Opaque n -> n
+let size t path = content_size (content t path)
 
 let remove t path = Hashtbl.remove t.files (normalize path)
 

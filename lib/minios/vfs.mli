@@ -1,16 +1,26 @@
 (** An in-memory virtual file system.
 
     Paths are absolute, [/]-separated strings; directories are implicit.
-    File contents are either real bytes ([Data]) or size-only placeholders
+    File contents are real bytes ([Data]), size-only placeholders
     ([Opaque]) modeling large binary artifacts whose bytes never matter
-    but whose sizes drive the package-size experiments.
+    but whose sizes drive the package-size experiments, or bytes produced
+    on demand ([Deferred]).
 
     Durability: each file tracks both its visible [content] (page cache)
     and its last-synced state (platter). The plain write API is
     implicitly durable; the [_buffered] API plus {!fsync} and {!crash}
     model buffered I/O, explicit sync barriers, and power failures. *)
 
-type content = Data of string | Opaque of int
+(** [Deferred]: a file whose size and bytes are each produced on first
+    use ({!read}, {!size}, {!content_size}, {!content_bytes}, an append)
+    and then kept.
+    [size] must equal the length of [bytes]; once the bytes exist, the
+    size is taken from them. Both must be pure — no syscalls, no effects
+    — so a scheduler can never suspend one half-forced. *)
+type content =
+  | Data of string
+  | Opaque of int
+  | Deferred of { size : int Lazy.t; bytes : string Lazy.t }
 
 type file = {
   mutable content : content;
@@ -34,7 +44,8 @@ val write : t -> path:string -> ?mtime:int -> content -> unit
 val write_string : t -> path:string -> ?mtime:int -> string -> unit
 val write_opaque : t -> path:string -> ?mtime:int -> int -> unit
 
-(** Appends to a [Data] file, creating it if missing; implicitly durable.
+(** Appends to a file, creating it if missing; implicitly durable.
+    Deferred content is produced first.
     @raise Invalid_argument on opaque files. *)
 val append : t -> path:string -> ?mtime:int -> string -> unit
 
@@ -44,6 +55,13 @@ val append : t -> path:string -> ?mtime:int -> string -> unit
     readers but are lost by {!crash} until {!fsync} runs.
     @raise Invalid_argument on opaque files. *)
 val append_buffered : t -> path:string -> ?mtime:int -> string -> unit
+
+(** {!append_buffered} of any content. An empty file takes the content as
+    it is, so deferred content written after a truncating open stays
+    deferred; appending to a non-empty file produces both sides' bytes.
+    @raise Invalid_argument when either side is opaque. *)
+val append_content_buffered :
+  t -> path:string -> ?mtime:int -> content -> unit
 
 (** Truncate the visible content to empty without touching the synced
     state: a crash before {!fsync} resurrects the previous durable
@@ -58,7 +76,8 @@ val fsync : t -> string -> unit
     @raise Not_found when [src] is missing. *)
 val rename : t -> src:string -> dst:string -> unit
 
-(** Bytes of content not yet covered by an fsync barrier. *)
+(** Bytes of append-only [Data] content not yet covered by an fsync
+    barrier; [Opaque] and [Deferred] content count 0. *)
 val unsynced_bytes : t -> string -> int
 
 (** Simulated power failure: revert every file to its last-synced state;
@@ -83,6 +102,11 @@ val content : t -> string -> content
 val size : t -> string -> int
 
 val content_size : content -> int
+
+(** The bytes of [Data] or [Deferred] content (produced if need be);
+    [None] for [Opaque]. *)
+val content_bytes : content -> string option
+
 val remove : t -> string -> unit
 
 (** All paths, sorted. *)

@@ -66,6 +66,90 @@ let test_vfs_truncate_buffered_resurrects () =
   Alcotest.(check string) "crash resurrects durable content" "durable"
     (V.read v "/f")
 
+(* ---------------- deferred data files --------------------------- *)
+
+(* A traced server over two small tables; [stop] inserts into [orders]
+   and stops it. The images are encoded eagerly, straight from the
+   tables, as the expectation. *)
+let deferred_server () =
+  let kernel = K.create () in
+  let db = Minidb.Database.create () in
+  List.iter
+    (fun sql -> ignore (Minidb.Database.exec db sql))
+    [ "CREATE TABLE customer (c_custkey INT, c_name TEXT)";
+      "CREATE TABLE orders (o_orderkey INT, o_custkey INT, o_comment TEXT)";
+      "INSERT INTO customer VALUES (1, 'Customer#1'), (2, 'Customer#2')";
+      "INSERT INTO orders VALUES (10, 1, 'first'), (11, 2, 'second')" ];
+  let server = Server.install kernel db in
+  let images () =
+    List.map
+      (fun name ->
+        ( Server.data_file server name,
+          Server.encode_table_image
+            (Server.table_image
+               (Minidb.Catalog.find (Minidb.Database.catalog db) name)) ))
+      [ "customer"; "orders" ]
+  in
+  let stop () =
+    ignore (Minidb.Database.exec db "INSERT INTO orders VALUES (12, 1, 'third')");
+    Server.stop_traced kernel server
+  in
+  (K.vfs kernel, images, (fun () -> ignore (Server.start_traced kernel server)), stop)
+
+(* each file's size, asked for before its bytes exist, is their length *)
+let check_sizes what v images =
+  let sizes = List.map (fun (path, _) -> (path, V.size v path)) images in
+  List.iter
+    (fun (path, bytes) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s size" what path)
+        (String.length (V.read v path))
+        (List.assoc path sizes);
+      Alcotest.(check bool) (Printf.sprintf "%s: %s bytes" what path) true
+        (String.equal bytes (V.read v path)))
+    images
+
+let orders_dat = data_dir ^ "/orders.dat"
+
+let test_deferred_sizes () =
+  let v, images, start, stop = deferred_server () in
+  start ();
+  let at_start = images () in
+  check_sizes "after start" v at_start;
+  stop ();
+  let at_stop = images () in
+  Alcotest.(check bool) "the stop changed orders" false
+    (String.equal (List.assoc orders_dat at_start) (List.assoc orders_dat at_stop));
+  check_sizes "after stop" v at_stop
+
+let test_deferred_crash_restores_start () =
+  let v, images, start, stop = deferred_server () in
+  let at_start = images () in
+  start ();
+  stop ();
+  V.crash v ();
+  List.iter
+    (fun (path, bytes) ->
+      Alcotest.(check bool) (path ^ " back to its start bytes") true
+        (String.equal bytes (V.read v path)))
+    at_start
+
+let test_deferred_fsync_survives () =
+  let v, images, start, stop = deferred_server () in
+  let at_start = images () in
+  start ();
+  stop ();
+  let at_stop = images () in
+  Alcotest.(check bool) "orders changed" false
+    (String.equal (List.assoc orders_dat at_start) (List.assoc orders_dat at_stop));
+  List.iter (fun (path, _) -> V.fsync v path) at_stop;
+  V.crash v ();
+  List.iter
+    (fun (path, bytes) ->
+      Alcotest.(check bool) (path ^ " keeps its stop bytes") true
+        (String.equal bytes (V.read v path)))
+    at_stop
+
 (* ---------------- WAL format ------------------------------------ *)
 
 let test_wal_roundtrip () =
@@ -417,6 +501,12 @@ let suite =
       test_vfs_torn_keep;
     Alcotest.test_case "vfs: buffered truncate resurrects" `Quick
       test_vfs_truncate_buffered_resurrects;
+    Alcotest.test_case "deferred: size is the length of the bytes" `Quick
+      test_deferred_sizes;
+    Alcotest.test_case "deferred: crash restores start bytes" `Quick
+      test_deferred_crash_restores_start;
+    Alcotest.test_case "deferred: fsync keeps stop bytes" `Quick
+      test_deferred_fsync_survives;
     Alcotest.test_case "wal: records round-trip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal: torn tail detected" `Quick
       test_wal_torn_tail_detected;

@@ -71,8 +71,8 @@ let test_table_image_roundtrip () =
     (Table.scan t1) (Table.scan t2)
 
 (* The TPC-H app writes only [orders]: at stop, every other table's data
-   file must be exactly the bytes written at start (the reused encoding),
-   while [orders] must hold the post-run state. *)
+   file must hold exactly the bytes written at start, while [orders] must
+   hold the post-run state. *)
 let test_stop_reuses_unchanged_images () =
   let kernel, server, _cfg, binary, program, app_name =
     Ldv_fixtures.make_setup ()
@@ -116,6 +116,75 @@ let test_stop_reuses_unchanged_images () =
   let result = Ldv_core.Replay.execute (Ldv_core.Ptu.build audit) in
   Alcotest.(check (list string)) "ptu package replays" []
     (Ldv_core.Replay.verify ~audit result)
+
+(* An LDV package leaves the data directory out, so building and
+   encoding one must not produce a data file's bytes; a PTU package
+   ships the files, so it produces the start-time ones. *)
+let test_data_files_produced_on_demand () =
+  let kernel, server, _cfg, binary, program, app_name =
+    Ldv_fixtures.make_setup ()
+  in
+  let catalog = Database.catalog (Server.db server) in
+  let start =
+    List.map
+      (fun name ->
+        ( Server.data_file server name,
+          Server.encode_table_image
+            (Server.table_image (Catalog.find catalog name)) ))
+      (Catalog.table_names catalog)
+  in
+  let audit =
+    Ldv_core.Audit.run ~packaging:Ldv_core.Audit.Included kernel server
+      ~app_name ~app_binary:binary ~app_libs:Tpch.Workload.app_libs program
+  in
+  let vfs = Minios.Kernel.vfs kernel in
+  let produced = function
+    | Minios.Vfs.Deferred { bytes; _ } -> Lazy.is_val bytes
+    | Minios.Vfs.Data _ | Minios.Vfs.Opaque _ -> true
+  in
+  (* the file as the server left it, its start state (what a crash
+     restores) and the tracer's first-read snapshot (what PTU ships) *)
+  let states path =
+    let f = Option.get (Minios.Vfs.find_opt vfs path) in
+    [ ("content", f.Minios.Vfs.content);
+      ("synced", Option.get f.Minios.Vfs.synced);
+      ( "snapshot",
+        Option.get
+          (Minios.Tracer.snapshot_content audit.Ldv_core.Audit.tracer vfs path)
+      ) ]
+  in
+  let paths = Minios.Vfs.paths_under vfs (Server.data_dir server) in
+  Alcotest.(check (list string)) "one data file per table"
+    (List.sort String.compare (List.map fst start))
+    paths;
+  ignore (Ldv_core.Package.to_bytes (Ldv_core.Package.build audit));
+  List.iter
+    (fun path ->
+      List.iter
+        (fun (which, content) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s not produced by the LDV package" path which)
+            false (produced content))
+        (states path))
+    paths;
+  let ptu = Ldv_core.Ptu.build audit in
+  ignore (Ldv_core.Package.to_bytes ptu);
+  List.iter
+    (fun (path, bytes) ->
+      Alcotest.(check bool) (path ^ " snapshot produced by the PTU package")
+        true
+        (produced (List.assoc "snapshot" (states path)));
+      match
+        List.find_opt
+          (fun (e : Ldv_core.Package.entry) -> e.Ldv_core.Package.e_path = path)
+          ptu.Ldv_core.Package.entries
+      with
+      | Some { Ldv_core.Package.e_content = Some (Minios.Vfs.Data shipped); _ }
+        ->
+        Alcotest.(check bool) (path ^ " ships its start image") true
+          (String.equal bytes shipped)
+      | _ -> Alcotest.failf "%s is not shipped as bytes" path)
+    start
 
 (* ---------------- corrupt data files ---------------------------- *)
 
@@ -382,10 +451,16 @@ let prop_image_roundtrip =
     (QCheck.make ~print:show_table gen_table) (fun g ->
       let db = build_table g in
       let table = Catalog.find (Database.catalog db) "t" in
+      let encoded = Server.encode_table_image (Server.table_image table) in
       let via_image = Database.create () in
-      Server.restore_table_image via_image
-        (Server.decode_table_image
-           (Server.encode_table_image (Server.table_image table)));
+      Server.restore_table_image via_image (Server.decode_table_image encoded);
+      (* the data file's size, asked for before its bytes exist *)
+      let kernel = Minios.Kernel.create () in
+      let server = Server.install kernel db in
+      Server.sync_data_dir kernel server;
+      let on_demand_size =
+        Minios.Vfs.size (Minios.Kernel.vfs kernel) (Server.data_file server "t")
+      in
       let via_ckpt = Database.create () in
       let seq =
         Server.restore_checkpoint via_ckpt (Server.encode_checkpoint db ~last_seq:17)
@@ -395,7 +470,8 @@ let prop_image_roundtrip =
           (fun acc (tv : Table.tuple_version) -> max acc tv.Table.tid.Tid.version)
           0 (Table.scan table)
       in
-      table_state via_image = table_state db
+      on_demand_size = String.length encoded
+      && table_state via_image = table_state db
       && Database.clock via_image = newest
       && table_state via_ckpt = table_state db
       && Database.clock via_ckpt = Database.clock db
@@ -418,6 +494,8 @@ let suite =
     Alcotest.test_case "table image roundtrip" `Quick test_table_image_roundtrip;
     Alcotest.test_case "stop reuses unchanged images" `Quick
       test_stop_reuses_unchanged_images;
+    Alcotest.test_case "data files are produced on demand" `Quick
+      test_data_files_produced_on_demand;
     Alcotest.test_case "connect/disconnect" `Quick test_connect_disconnect;
     Alcotest.test_case "flipped data file is a typed error" `Quick
       test_flipped_data_file_typed;
