@@ -67,6 +67,33 @@ let test_overwrite () =
   Vfs.write_string v ~path:"/f" "two";
   Alcotest.(check string) "overwritten" "two" (Vfs.read v "/f")
 
+(* Deferred content: the size and the bytes are each computed on first
+   use and kept; once the bytes exist the size comes from them, and an
+   append to the file produces them. *)
+let test_deferred () =
+  let sized = ref 0 and produced = ref 0 in
+  let deferred () =
+    Vfs.Deferred
+      { size = lazy (incr sized; 5);
+        bytes = lazy (incr produced; "hello") }
+  in
+  let v = Vfs.create () in
+  Vfs.write v ~path:"/d" (deferred ());
+  Alcotest.(check int) "size" 5 (Vfs.size v "/d");
+  Alcotest.(check int) "size again" 5 (Vfs.size v "/d");
+  Alcotest.(check (pair int int)) "sized once, no bytes" (1, 0) (!sized, !produced);
+  Alcotest.(check string) "read" "hello" (Vfs.read v "/d");
+  Alcotest.(check string) "read again" "hello" (Vfs.read v "/d");
+  Alcotest.(check int) "produced once" 1 !produced;
+  Vfs.write v ~path:"/e" (deferred ());
+  Alcotest.(check string) "read first" "hello" (Vfs.read v "/e");
+  Alcotest.(check int) "size from the bytes" 5 (Vfs.size v "/e");
+  Alcotest.(check int) "no sizing pass" 1 !sized;
+  Vfs.write v ~path:"/f" (deferred ());
+  Vfs.append v ~path:"/f" " world";
+  Alcotest.(check string) "append produces the bytes" "hello world"
+    (Vfs.read v "/f")
+
 let suite =
   [ Alcotest.test_case "write/read" `Quick test_write_read;
     Alcotest.test_case "path normalization" `Quick test_normalize;
@@ -74,4 +101,5 @@ let suite =
     Alcotest.test_case "opaque files" `Quick test_opaque;
     Alcotest.test_case "paths_under/remove_under" `Quick test_paths_under;
     Alcotest.test_case "total bytes and copy" `Quick test_total_bytes_and_copy;
-    Alcotest.test_case "overwrite" `Quick test_overwrite ]
+    Alcotest.test_case "overwrite" `Quick test_overwrite;
+    Alcotest.test_case "deferred content" `Quick test_deferred ]
