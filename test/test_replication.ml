@@ -147,22 +147,34 @@ let test_ship_faults_converge () =
   done
 
 let test_crash_recover_byte_identical () =
-  let kernel, leader = Durable.boot () in
-  let cluster = R.create kernel ~leader ~replicas:1 ~staleness:2 () in
-  let plan = F.make ~crash:("repl.apply", 3) ~seed:5 () in
-  F.with_plan plan (fun () ->
-      exec cluster "CREATE TABLE t (a INT)";
-      for i = 1 to 7 do
-        exec cluster (Printf.sprintf "INSERT INTO t VALUES (%d)" i)
-      done);
-  Alcotest.(check bool) "replica down after injected crash" true
-    (R.replica_state cluster 0 = R.Down);
-  R.recover cluster 0;
-  R.quiesce cluster;
-  check_converged "crash+recover" cluster;
-  Alcotest.(check string) "byte-identical state fingerprints"
-    (Minidb.Fingerprint.state (R.leader_db cluster))
-    (Minidb.Fingerprint.state (R.replica_db cluster 0))
+  List.iter
+    (fun replicas ->
+      let kernel, leader = Durable.boot () in
+      let cluster = R.create kernel ~leader ~replicas ~staleness:2 () in
+      (* every write is applied by replica 0 first, so hit 2r+1 is its
+         third apply: it goes down on the second INSERT *)
+      let plan = F.make ~crash:("repl.apply", (2 * replicas) + 1) ~seed:5 () in
+      F.with_plan plan (fun () ->
+          exec cluster "CREATE TABLE t (a INT)";
+          for i = 1 to 7 do
+            exec cluster (Printf.sprintf "INSERT INTO t VALUES (%d)" i)
+          done);
+      let what = Printf.sprintf "%d replica(s)" replicas in
+      Alcotest.(check bool) (what ^ ": replica 0 down after injected crash")
+        true
+        (R.replica_state cluster 0 = R.Down);
+      Alcotest.(check bool) (what ^ ": write backlog accrued while down") true
+        (R.replica_applied cluster 0 < R.ship_seq cluster);
+      R.recover cluster 0;
+      R.quiesce cluster;
+      check_converged what cluster;
+      for i = 0 to replicas - 1 do
+        Alcotest.(check string)
+          (Printf.sprintf "%s: replica %d byte-identical" what i)
+          (Minidb.Fingerprint.state (R.leader_db cluster))
+          (Minidb.Fingerprint.state (R.replica_db cluster i))
+      done)
+    [ 1; 2; 4 ]
 
 (* ---------------- the session read router ----------------------- *)
 
