@@ -337,13 +337,3 @@ let diff (a : snapshot) (b : snapshot) : diff_row list =
          with
          | 0 -> String.compare x.d_name y.d_name
          | c -> c)
-
-(* ------------------------------------------------------------------ *)
-(* Blocked-vs-running attribution.                                     *)
-
-(** Where each session's wall time went: running in scheduler quanta vs
-    blocked between them, with latch waits as an overlay. The analysis
-    itself lives in [Contention] (it shares the wait-span vocabulary
-    with the holder report); re-exported here because "where did the
-    time go" is this module's question. *)
-let attribution = Contention.attribution

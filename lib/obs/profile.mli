@@ -115,12 +115,3 @@ val regressed : budget_pct:float -> diff_row -> bool
     histogram's count and sum), so a span present in only one run is
     reported as added/removed rather than silently skipped. *)
 val diff : Obs_types.snapshot -> Obs_types.snapshot -> diff_row list
-
-(* ------------------------------------------------------------------ *)
-(* Blocked-vs-running attribution.                                      *)
-
-(** Per-session blocked-vs-running breakdown of a concurrent trace
-    (running in scheduler quanta + blocked between them = wall time per
-    session; latch waits reported as an overlay). Delegates to
-    [Contention.attribution] — see there for the span vocabulary. *)
-val attribution : Obs_types.snapshot -> Contention.session_attr list

@@ -124,7 +124,7 @@ let test_telescoping () =
   with_memory @@ fun () ->
   tick_clock ();
   ignore (audited ~sessions:4 ~statements:6 ~seed:42 ());
-  let rows = Obs.Profile.attribution (Obs.snapshot ()) in
+  let rows = C.attribution (Obs.snapshot ()) in
   let numbered =
     List.filter (fun (a : C.session_attr) ->
         int_of_string_opt a.C.a_session <> None)
