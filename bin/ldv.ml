@@ -124,9 +124,17 @@ let run_audit ~sf ~vid ~mode ~n_insert ~n_select ~n_update =
 (* ------------------------------------------------------------------ *)
 (* Arguments.                                                          *)
 
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let sf_arg =
   let doc = "TPC-H scale factor relative to the paper's SF=1 instance." in
-  Arg.(value & opt float 0.002 & info [ "sf" ] ~docv:"SF" ~doc)
+  Arg.(value & opt positive_float 0.002 & info [ "sf" ] ~docv:"SF" ~doc)
 
 let query_arg =
   let doc = "Workload query variant from Table II (Q1-1 .. Q4-5)." in
@@ -868,9 +876,21 @@ let () =
       Array.of_list ((exe :: rest) @ [ flag ])
     | _ -> Sys.argv
   in
+  let cmd =
+    Cmd.group info
+      [ audit_cmd; exec_cmd; inspect_cmd; trace_cmd; stats_cmd;
+        profile_cmd; timeline_cmd; contention_cmd; overhead_cmd;
+        obs_cmd; check_cmd; sql_cmd; demo_cmd ]
+  in
   exit
-    (Cmd.eval ~argv
-       (Cmd.group info
-          [ audit_cmd; exec_cmd; inspect_cmd; trace_cmd; stats_cmd;
-            profile_cmd; timeline_cmd; contention_cmd; overhead_cmd;
-            obs_cmd; check_cmd; sql_cmd; demo_cmd ]))
+    (match Cmd.eval ~catch:false ~argv cmd with
+    | code -> code
+    | exception Sys_error msg ->
+      (* a file named on the command line cannot be opened or created:
+         the status of an unusable package, not an internal error *)
+      Printf.eprintf "ldv: %s\n%!" msg;
+      3
+    | exception e ->
+      Printf.eprintf "ldv: internal error, uncaught exception:\n%s\n%!"
+        (Printexc.to_string e);
+      Cmd.Exit.internal_error)
