@@ -1,8 +1,10 @@
 (* The LDV benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§IX).
+   paper's evaluation (§IX), plus ablations, micro-benchmarks, the storage
+   bench and the shape checks. It runs with observability off, as the
+   tracked end-to-end benchmark (bench/e2e) does.
 
-   Usage: main.exe [table1|table2|table3|fig7a|fig7b|fig8a|fig8b|fig9|vmi|
-                    ablation|micro|profile|concurrent|all]
+   Usage: main.exe [table1|table2|table3|fig7a|fig7b|fig7|fig8a|fig8b|fig9|
+                    vmi|ablation|micro|storage|check|all]
                    [--sf FLOAT] [--paper-counts]
 
    The workload follows §IX-A: Insert n tuples into orders, run one of the
@@ -19,17 +21,10 @@ let paper_counts = ref false
 
 let now () = Unix.gettimeofday ()
 
-(* Wall-clock a thunk; with [?span] the measurement is also recorded as an
-   [Ldv_obs] span, so the harness's own timing shows up in BENCH_obs.json. *)
-let time ?span f =
-  let measure () =
-    let t0 = now () in
-    let r = f () in
-    (r, now () -. t0)
-  in
-  match span with
-  | None -> measure ()
-  | Some name -> Ldv_obs.with_span name measure
+let time f =
+  let t0 = now () in
+  let r = f () in
+  (r, now () -. t0)
 
 let s = Report.seconds
 let mb bytes = Printf.sprintf "%.2f" (float_of_int bytes /. 1e6)
@@ -120,14 +115,8 @@ let reset st =
   st.t_rest <- 0.;
   st.t_update <- 0.
 
-let step_name = function
-  | Tpch.Workload.Insert_step -> "insert"
-  | Tpch.Workload.First_select -> "first_select"
-  | Tpch.Workload.Other_selects -> "other_selects"
-  | Tpch.Workload.Update_step -> "update"
-
 let step_hook st step body =
-  let _, dt = time ~span:("bench.step." ^ step_name step) body in
+  let _, dt = time body in
   match step with
   | Tpch.Workload.Insert_step -> st.t_insert <- st.t_insert +. dt
   | Tpch.Workload.First_select -> st.t_first <- st.t_first +. dt
@@ -179,7 +168,7 @@ let run_audit ?counts ?(sf = !sf) ~vid system : experiment =
   let app_name = Printf.sprintf "bench-app-%d" !name_counter in
   Minios.Program.register ~name:app_name program;
   let audit, total =
-    time ~span:"bench.audit" (fun () ->
+    time (fun () ->
         Audit.run ~packaging:(packaging_of system) kernel server ~app_name
           ~app_binary:binary ~app_libs:Tpch.Workload.app_libs program)
   in
@@ -196,7 +185,7 @@ type replay_times = { init_s : float; rsteps : steps; verified : bool }
 let run_replay (e : experiment) (pkg : Package.t) : replay_times =
   Gc.compact ();
   reset e.steps;
-  let prepared, init_s = time ~span:"bench.replay_init" (fun () -> Replay.prepare pkg) in
+  let prepared, init_s = time (fun () -> Replay.prepare pkg) in
   let result = Replay.run prepared in
   let verified = Replay.verify ~audit:e.audit result = [] in
   ({ init_s; rsteps = e.steps; verified } : replay_times)
@@ -371,7 +360,7 @@ let baseline_query_s vid =
     (* warm once, then measure three runs *)
     ignore (Minidb.Database.query db q.Tpch.Queries.sql);
     let _, dt =
-      time ~span:"bench.baseline_query" (fun () ->
+      time (fun () ->
           for _ = 1 to 3 do
             ignore (Minidb.Database.query db q.Tpch.Queries.sql)
           done)
@@ -842,601 +831,6 @@ let micro () =
   Report.print_table ~header:[ "benchmark"; "time/run" ] rows
 
 (* ------------------------------------------------------------------ *)
-(* Profile: native vs audited run, per-stage overhead breakdown. The
-   audited run's spans are isolated by span-id windowing (the Memory
-   sink is global for the whole bench process) and fed through
-   [Ldv_obs.Profile]; the result lands in BENCH_profile.json next to
-   BENCH_obs.json.                                                     *)
-
-module P = Ldv_obs.Profile
-module Json = Ldv_obs.Json
-
-(* The Q1-1 workload app run with a passthrough session and no tracer:
-   the observability-free baseline the audit overhead is measured
-   against. *)
-let run_native counts : float =
-  Gc.compact ();
-  let inst = Instance.get ~sf:!sf in
-  let db = Instance.fresh_db inst in
-  let kernel = Minios.Kernel.create () in
-  let server = Dbclient.Server.install kernel db in
-  Tpch.Workload.install_runtime kernel;
-  let q = Tpch.Queries.find inst.Instance.stats "Q1-1" in
-  let cfg =
-    { (Tpch.Workload.default_config ~query_sql:q.Tpch.Queries.sql
-         ~stats:inst.Instance.stats)
-      with
-      Tpch.Workload.n_insert = counts.n_insert;
-      n_select = counts.n_select;
-      n_update = counts.n_update }
-  in
-  let binary = Tpch.Workload.install_app_files kernel cfg in
-  let program = Tpch.Workload.app cfg in
-  incr name_counter;
-  let app_name = Printf.sprintf "bench-native-%d" !name_counter in
-  Minios.Program.register ~name:app_name program;
-  let session = I.create ~mode:I.Passthrough ~kernel server in
-  I.bind kernel session;
-  Fun.protect
-    ~finally:(fun () -> I.unbind kernel)
-    (fun () ->
-      let _, dt =
-        time (fun () ->
-            Minios.Program.run kernel ~binary ~libs:Tpch.Workload.app_libs
-              ~name:app_name program)
-      in
-      dt)
-
-let profile_bench () =
-  Report.section "Profile: audit overhead breakdown (Q1-1, server-included)";
-  let counts = sweep_counts () in
-  (* the native baseline runs with observability fully off, so the factor
-     charges the audit for its instrumentation too *)
-  Ldv_obs.set_sink Ldv_obs.Null;
-  let native_s =
-    Fun.protect
-      ~finally:(fun () -> Ldv_obs.set_sink Ldv_obs.Memory)
-      (fun () -> run_native counts)
-  in
-  let last_id =
-    List.fold_left
-      (fun acc (sp : Ldv_obs.span) -> max acc sp.Ldv_obs.sp_id)
-      0 (Ldv_obs.snapshot ()).Ldv_obs.spans
-  in
-  let e = run_audit ~counts ~vid:"Q1-1" Sys_included in
-  let after = Ldv_obs.snapshot () in
-  let windowed =
-    { after with
-      Ldv_obs.spans =
-        List.filter
-          (fun (sp : Ldv_obs.span) -> sp.Ldv_obs.sp_id > last_id)
-          after.Ldv_obs.spans }
-  in
-  let prof = P.of_snapshot windowed in
-  let rows = P.rows prof in
-  let total_of name =
-    match List.find_opt (fun (r : P.row) -> r.P.r_name = name) rows with
-    | Some r -> r.P.r_total
-    | None -> 0.0
-  in
-  let audited_s = total_of "audit.app" in
-  let overhead =
-    if native_s > 0.0 then audited_s /. native_s else Float.nan
-  in
-  Report.print_table
-    ~header:[ "run"; "wall" ]
-    [ [ "native app (passthrough, no tracer)"; s native_s ];
-      [ "audited app (server-included)"; s audited_s ];
-      [ "full audit incl. setup + trace build"; s e.total_audit_s ] ];
-  Report.note "audit overhead factor: %.2fx over native\n" overhead;
-  Report.section "Per-stage breakdown of the audited run";
-  Report.print_table
-    ~header:[ "stage"; "count"; "total"; "self" ]
-    (List.map
-       (fun (r : P.row) ->
-         [ r.P.r_name;
-           string_of_int r.P.r_count;
-           s r.P.r_total;
-           s r.P.r_self ])
-       rows);
-  let json =
-    Json.Obj
-      [ ("query", Json.Str "Q1-1");
-        ("system", Json.Str (system_name Sys_included));
-        ("native_s", Json.Float native_s);
-        ("audited_s", Json.Float audited_s);
-        ("audit_total_s", Json.Float e.total_audit_s);
-        ("overhead_factor", Json.Float overhead);
-        ("stages",
-         Json.List
-           (List.map
-              (fun (r : P.row) ->
-                Json.Obj
-                  [ ("name", Json.Str r.P.r_name);
-                    ("count", Json.Int r.P.r_count);
-                    ("total_s", Json.Float r.P.r_total);
-                    ("self_s", Json.Float r.P.r_self) ])
-              rows)) ]
-  in
-  let oc = open_out "BENCH_profile.json" in
-  output_string oc (Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Printf.eprintf "wrote BENCH_profile.json\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Concurrent sessions: scheduler scaling, WAL group commit, and
-   deterministic replay of the recorded schedule. Writes
-   BENCH_concurrent.json.                                              *)
-
-(** WAL fsync barriers for [rounds] scheduler quanta of [sessions]
-    autocommit inserts each. The grouped variant uses the real quantum
-    hook: [Durable.enable_group_commit] registers the flush on the
-    kernel, and each simulated quantum boundary runs the kernel's hooks
-    exactly as {!Minios.Sched} does after every round. *)
-let wal_barriers ~grouped ~sessions ~rounds : int =
-  let kernel = Minios.Kernel.create () in
-  let db = Minidb.Database.create () in
-  let server = Dbclient.Server.attach db in
-  let proc = Minios.Kernel.start_process kernel ~name:"minidb-server" () in
-  let d = Dbclient.Durable.start kernel server ~pid:proc.Minios.Kernel.pid in
-  if grouped then Dbclient.Durable.enable_group_commit d;
-  ignore (Dbclient.Durable.exec d "CREATE TABLE t (a INT, b TEXT)");
-  for round = 1 to rounds do
-    for sid = 0 to sessions - 1 do
-      ignore
-        (Dbclient.Durable.exec d
-           (Printf.sprintf "INSERT INTO t VALUES (%d, 'session %d')"
-              ((round * 100) + sid) sid))
-    done;
-    Minios.Kernel.run_quantum_hooks kernel
-  done;
-  Dbclient.Durable.flush d;
-  Dbclient.Durable.fsync_barriers d
-
-let concurrent_bench () =
-  Report.section
-    "Concurrent sessions: group commit and schedule-deterministic replay";
-  let statements = 12 in
-  let json_rows = ref [] in
-  let table_rows =
-    List.map
-      (fun sessions ->
-        let per_stmt =
-          wal_barriers ~grouped:false ~sessions ~rounds:statements
-        in
-        let grouped =
-          wal_barriers ~grouped:true ~sessions ~rounds:statements
-        in
-        let (audit, pkg_bytes), wall =
-          time (fun () ->
-              let audit =
-                Concurrent.audited ~sessions ~statements ~seed:42 ()
-              in
-              (audit, Package.to_bytes (Package.build audit)))
-        in
-        let audit2 = Concurrent.audited ~sessions ~statements ~seed:42 () in
-        let deterministic =
-          String.equal pkg_bytes (Package.to_bytes (Package.build audit2))
-        in
-        let r = Replay.execute (Package.of_bytes pkg_bytes) in
-        let replay_ok = Replay.verify ~audit r = [] in
-        json_rows :=
-          Json.Obj
-            [ ("sessions", Json.Int sessions);
-              ("statements_per_session", Json.Int statements);
-              ("fsync_barriers_per_stmt", Json.Int per_stmt);
-              ("fsync_barriers_grouped", Json.Int grouped);
-              ("wall_ms", Json.Float (wall *. 1000.));
-              ("pkg_bytes", Json.Int (String.length pkg_bytes));
-              ("deterministic", Json.Bool deterministic);
-              ("replay_ok", Json.Bool replay_ok) ]
-          :: !json_rows;
-        [ string_of_int sessions;
-          string_of_int per_stmt;
-          string_of_int grouped;
-          Printf.sprintf "%.1fx"
-            (float_of_int per_stmt /. float_of_int (max 1 grouped));
-          s wall;
-          (if deterministic then "yes" else "NO");
-          (if replay_ok then "yes" else "NO") ])
-      [ 1; 2; 4; 8 ]
-  in
-  Report.print_table
-    ~header:
-      [ "sessions"; "fsync/stmt"; "fsync grouped"; "reduction"; "audit+pkg";
-        "same-seed bytes"; "replay verified" ]
-    table_rows;
-  Report.note
-    "Group commit batches every concurrent commit of a scheduler quantum\n\
-     into one fsync barrier; replay re-runs all sessions under the\n\
-     recorded seed, so the interleaving-dependent results repeat.\n";
-  let oc = open_out "BENCH_concurrent.json" in
-  output_string oc (Json.to_string (Json.List (List.rev !json_rows)));
-  output_string oc "\n";
-  close_out oc;
-  Printf.eprintf "wrote BENCH_concurrent.json\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Interactive transactions: commit throughput and first-updater-wins
-   abort rate at 1/4/8 sessions over the contended tx workload. Writes
-   BENCH_txn.json.                                                     *)
-
-let txn_bench () =
-  Report.section
-    "Interactive transactions: commit throughput and abort rate";
-  let rounds = 8 in
-  let json_rows = ref [] in
-  let table_rows =
-    List.map
-      (fun sessions ->
-        let audit, wall =
-          time (fun () -> Concurrent.audited_tx ~sessions ~rounds ~seed:42 ())
-        in
-        let outcomes = Audit.tx_outcomes (Audit.stmts audit) in
-        let count o =
-          List.length (List.filter (fun (_, _, x) -> x = o) outcomes)
-        in
-        let committed = count Audit.Tx_committed in
-        let rolled_back = count Audit.Tx_rolled_back in
-        let aborted = count Audit.Tx_aborted + count Audit.Tx_retried in
-        let total = List.length outcomes in
-        let abort_rate =
-          if total = 0 then 0.0
-          else float_of_int aborted /. float_of_int total
-        in
-        let commit_per_s =
-          if wall > 0.0 then float_of_int committed /. wall else 0.0
-        in
-        let audit2 = Concurrent.audited_tx ~sessions ~rounds ~seed:42 () in
-        let deterministic =
-          outcomes = Audit.tx_outcomes (Audit.stmts audit2)
-        in
-        json_rows :=
-          Json.Obj
-            [ ("sessions", Json.Int sessions);
-              ("rounds_per_session", Json.Int rounds);
-              ("transactions", Json.Int total);
-              ("committed", Json.Int committed);
-              ("rolled_back", Json.Int rolled_back);
-              ("aborted", Json.Int aborted);
-              ("abort_rate", Json.Float abort_rate);
-              ("commits_per_s", Json.Float commit_per_s);
-              ("wall_ms", Json.Float (wall *. 1000.));
-              ("deterministic", Json.Bool deterministic) ]
-          :: !json_rows;
-        [ string_of_int sessions;
-          string_of_int total;
-          string_of_int committed;
-          string_of_int rolled_back;
-          string_of_int aborted;
-          Printf.sprintf "%.1f%%" (100.0 *. abort_rate);
-          Printf.sprintf "%.0f/s" commit_per_s;
-          s wall;
-          (if deterministic then "yes" else "NO") ])
-      [ 1; 4; 8 ]
-  in
-  Report.print_table
-    ~header:
-      [ "sessions"; "txs"; "committed"; "rolled back"; "aborted"; "abort rate";
-        "commit rate"; "wall"; "same-seed decisions" ]
-    table_rows;
-  Report.note
-    "Every transaction updates one of four shared seed rows, so the\n\
-     abort rate is the price of first-updater-wins under growing\n\
-     concurrency; aborted transactions are retried by the client's\n\
-     bounded-retry loop until they commit.\n";
-  let oc = open_out "BENCH_txn.json" in
-  output_string oc (Json.to_string (Json.List (List.rev !json_rows)));
-  output_string oc "\n";
-  close_out oc;
-  Printf.eprintf "wrote BENCH_txn.json\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Contention: wait-state attribution at 1/4/8 sessions. A concurrent
-   audit (latch contention at the interceptor) plus a grouped-WAL loop
-   (group-commit fsync deferral) run under the global Memory sink; each
-   run's spans are isolated by span-id windowing and the cumulative
-   counters by before/after deltas. Writes BENCH_contention.json.       *)
-
-module C = Ldv_obs.Contention
-module H = Ldv_obs.Histogram
-
-let contention_bench () =
-  Report.section "Contention: wait-state attribution by session count";
-  let statements = 12 in
-  let counter_of (snap : Ldv_obs.snapshot) name =
-    match List.assoc_opt name snap.Ldv_obs.counters with
-    | Some v -> v
-    | None -> 0
-  in
-  let pct v = Printf.sprintf "%.1f%%" (100.0 *. v) in
-  let json_rows = ref [] in
-  let table_rows =
-    List.map
-      (fun sessions ->
-        let before = Ldv_obs.snapshot () in
-        let last_id =
-          List.fold_left
-            (fun acc (sp : Ldv_obs.span) -> max acc sp.Ldv_obs.sp_id)
-            0 before.Ldv_obs.spans
-        in
-        ignore (Concurrent.audited ~sessions ~statements ~seed:42 ());
-        ignore (wal_barriers ~grouped:true ~sessions ~rounds:statements);
-        let after = Ldv_obs.snapshot () in
-        let windowed =
-          { after with
-            Ldv_obs.spans =
-              List.filter
-                (fun (sp : Ldv_obs.span) -> sp.Ldv_obs.sp_id > last_id)
-                after.Ldv_obs.spans }
-        in
-        let rep = C.contention windowed in
-        let latch_wait_s =
-          List.fold_left
-            (fun acc (a : C.session_attr) -> acc +. a.C.a_latch_wait)
-            0.0 rep.C.c_sessions
-        in
-        (* the global histograms are cumulative across the whole bench
-           process, so the per-run group-commit stall distribution is
-           rebuilt from the windowed wait spans *)
-        let stall_h = H.create () in
-        List.iter
-          (fun (sp : Ldv_obs.span) ->
-            if sp.Ldv_obs.sp_name = C.group_commit_wait_span then
-              H.observe stall_h sp.Ldv_obs.sp_dur)
-          windowed.Ldv_obs.spans;
-        let stall = H.summarize stall_h in
-        let delta name = counter_of after name - counter_of before name in
-        let rounds_deferred = delta "wal.group_commit.rounds_deferred" in
-        let deferred_commits = delta "wal.deferred_sync" in
-        json_rows :=
-          Json.Obj
-            [ ("sessions", Json.Int sessions);
-              ("statements_per_session", Json.Int statements);
-              ("latch_waits", Json.Int (delta "latch.waits"));
-              ("latch_wait_s", Json.Float latch_wait_s);
-              ("latch_wait_share", Json.Float rep.C.c_latch_share);
-              ("blocked_share", Json.Float rep.C.c_blocked_share);
-              ("group_commit_stall_p95_s", Json.Float stall.H.s_p95);
-              ("rounds_deferred", Json.Int rounds_deferred);
-              ("deferred_commits", Json.Int deferred_commits) ]
-          :: !json_rows;
-        [ string_of_int sessions;
-          string_of_int (delta "latch.waits");
-          pct rep.C.c_latch_share;
-          pct rep.C.c_blocked_share;
-          (if stall.H.s_count = 0 then "-" else s stall.H.s_p95);
-          string_of_int rounds_deferred;
-          string_of_int deferred_commits ])
-      [ 1; 4; 8 ]
-  in
-  Report.print_table
-    ~header:
-      [ "sessions"; "latch waits"; "latch share"; "blocked share";
-        "gc stall p95"; "rounds deferred"; "deferred commits" ]
-    table_rows;
-  Report.note
-    "Latch share is wait.latch time over summed session wall time from the\n\
-     concurrent audit; the group-commit columns come from a grouped-WAL\n\
-     loop of the same session count. One session has nothing to contend\n\
-     with, so its shares are the zero baseline.\n";
-  let oc = open_out "BENCH_contention.json" in
-  output_string oc (Json.to_string (Json.List (List.rev !json_rows)));
-  output_string oc "\n";
-  close_out oc;
-  Printf.eprintf "wrote BENCH_contention.json\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Overhead: the phase-attributed audit-overhead ledger as session count
-   grows 1 -> 4 -> 8, over a replicated concurrent audit so every phase
-   (parse/plan/exec/WAL/fsync/audit-record/provenance/obs-self) has
-   work. The ledger histograms are cumulative across the bench process,
-   so each run is isolated by before/after (count, sum) deltas. Writes
-   BENCH_overhead.json.                                                *)
-
-module L = Ldv_obs.Ledger
-
-let overhead_bench () =
-  Report.section "Overhead ledger: per-phase statement cost by session count";
-  let statements = 12 in
-  let hist_of (snap : Ldv_obs.snapshot) name =
-    match List.assoc_opt name snap.Ldv_obs.histograms with
-    | Some sum -> (sum.H.s_count, sum.H.s_sum)
-    | None -> (0, 0.0)
-  in
-  let json_rows = ref [] in
-  let table_rows =
-    List.map
-      (fun sessions ->
-        let before = Ldv_obs.snapshot () in
-        ignore
-          (Concurrent.audited ~replicas:2 ~sessions ~statements ~seed:42 ());
-        let after = Ldv_obs.snapshot () in
-        let delta name =
-          let c0, s0 = hist_of before name and c1, s1 = hist_of after name in
-          (c1 - c0, s1 -. s0)
-        in
-        let stmts, total_s = delta L.stmt_hist in
-        let n = float_of_int (max 1 stmts) in
-        let per_stmt sum = sum /. n in
-        let phase_sums =
-          List.map (fun p -> (p, snd (delta (L.hist_of_phase p)))) L.phases
-        in
-        let _, other_s = delta L.other_hist in
-        let audit_s =
-          List.fold_left
-            (fun acc (p, v) -> if L.is_audit_phase p then acc +. v else acc)
-            0.0 phase_sums
-        in
-        let native_s =
-          other_s
-          +. List.fold_left
-               (fun acc (p, v) -> if L.is_audit_phase p then acc else acc +. v)
-               0.0 phase_sums
-        in
-        let overhead_pct =
-          if native_s > 0.0 then 100.0 *. audit_s /. native_s else 0.0
-        in
-        let obs_self_s = List.assoc L.Obs_self phase_sums in
-        json_rows :=
-          Json.Obj
-            ([ ("sessions", Json.Int sessions);
-               ("statements_per_session", Json.Int statements);
-               ("statements", Json.Int stmts);
-               ("stmt_us_per_stmt", Json.Float (1e6 *. per_stmt total_s)) ]
-            @ List.map
-                (fun (p, v) ->
-                  ( L.phase_name p ^ "_us_per_stmt",
-                    Json.Float (1e6 *. per_stmt v) ))
-                phase_sums
-            @ [ ("other_us_per_stmt", Json.Float (1e6 *. per_stmt other_s));
-                ("native_us_per_stmt", Json.Float (1e6 *. per_stmt native_s));
-                ("audit_us_per_stmt", Json.Float (1e6 *. per_stmt audit_s));
-                ("overhead_pct", Json.Float overhead_pct) ])
-          :: !json_rows;
-        [ string_of_int sessions;
-          string_of_int stmts;
-          s (per_stmt total_s);
-          s (per_stmt native_s);
-          s (per_stmt audit_s);
-          s (per_stmt obs_self_s);
-          Printf.sprintf "%.2f%%" overhead_pct ])
-      [ 1; 4; 8 ]
-  in
-  Report.print_table
-    ~header:
-      [ "sessions"; "stmts"; "per-stmt"; "native"; "audit"; "obs-self";
-        "overhead" ]
-    table_rows;
-  Report.note
-    "Audit = audit-record + provenance + obs-self per statement; native =\n\
-     parse + plan + exec + wal-append + fsync + other. Overhead is audit\n\
-     over native — the paper's light-weight claim says it stays flat as\n\
-     sessions grow. obs-self is the measured cost of the ledger itself,\n\
-     charged against the audit.\n";
-  let oc = open_out "BENCH_overhead.json" in
-  output_string oc (Json.to_string (Json.List (List.rev !json_rows)));
-  output_string oc "\n";
-  close_out oc;
-  Printf.eprintf "wrote BENCH_overhead.json\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Replication: read throughput at 1/2/4 replicas, and catch-up time
-   after a seeded replica crash with a write backlog. Reads are served
-   serially by the harness, so the cluster read time is modeled from the
-   measured per-read service times: nodes serve their shares in
-   parallel, and the slowest node bounds the batch. Writes
-   BENCH_replication.json.                                             *)
-
-let replication_bench () =
-  Report.section "Replication: read scaling and crash catch-up";
-  let module R = Dbclient.Replication in
-  let module F = Ldv_faults in
-  let reads = 600 and seed_rows = 50 and backlog = 80 in
-  let json_rows = ref [] in
-  let rows =
-    List.map
-      (fun replicas ->
-        let kernel, leader = Dbclient.Durable.boot () in
-        let cluster = R.create kernel ~leader ~replicas () in
-        let exec sql =
-          match R.exec cluster sql with
-          | Dbclient.Protocol.Error_response m ->
-            failwith ("replication bench: " ^ m)
-          | _ -> ()
-        in
-        exec "CREATE TABLE accounts (id INT, owner TEXT, balance INT)";
-        for i = 1 to seed_rows do
-          exec
-            (Printf.sprintf "INSERT INTO accounts VALUES (%d, 'o%d', %d)" i i
-               (i * 10))
-        done;
-        (* read phase: round-robin over the replicas; accumulate each
-           node's serial service time, then model the cluster batch as
-           the slowest node's share running in parallel with the rest *)
-        let per_node = Hashtbl.create 8 in
-        let queries =
-          [| "SELECT COUNT(*) FROM accounts";
-             "SELECT SUM(balance) FROM accounts";
-             "SELECT owner FROM accounts WHERE id = 7" |]
-        in
-        let t0 = now () in
-        for i = 1 to reads do
-          let q = queries.(i mod Array.length queries) in
-          let t = now () in
-          let served = R.read cluster q in
-          let dt = now () -. t in
-          let prev =
-            Option.value ~default:0.0
-              (Hashtbl.find_opt per_node served.R.sv_node)
-          in
-          Hashtbl.replace per_node served.R.sv_node (prev +. dt)
-        done;
-        let wall = now () -. t0 in
-        let cluster_time =
-          Hashtbl.fold (fun _ t acc -> Float.max t acc) per_node 0.0
-        in
-        let throughput =
-          if cluster_time > 0.0 then float_of_int reads /. cluster_time
-          else 0.0
-        in
-        (* catch-up: crash replica 0 on its next apply, accumulate a
-           write backlog while it is down, then time recovery + resync *)
-        let plan = F.make ~crash:("repl.apply", 1) ~seed:(7 * replicas) () in
-        F.with_plan plan (fun () ->
-            exec "INSERT INTO accounts VALUES (9001, 'crash', 0)");
-        if R.replica_state cluster 0 <> R.Down then
-          failwith "replication bench: seeded crash did not land";
-        for i = 1 to backlog do
-          exec
-            (Printf.sprintf "INSERT INTO accounts VALUES (%d, 'b%d', %d)"
-               (9100 + i) i i)
-        done;
-        let lag = R.ship_seq cluster - R.replica_applied cluster 0 in
-        let (), catchup_s = time (fun () -> R.recover cluster 0) in
-        (match R.converged cluster with
-        | None -> ()
-        | Some (i, diff) ->
-          failwith
-            (Printf.sprintf "replication bench: replica %d diverged: %s" i
-               diff));
-        json_rows :=
-          Json.Obj
-            [ ("replicas", Json.Int replicas);
-              ("reads", Json.Int reads);
-              ("read_wall_s", Json.Float wall);
-              ("cluster_read_s", Json.Float cluster_time);
-              ("read_throughput_rps", Json.Float throughput);
-              ("catchup_backlog", Json.Int lag);
-              ("catchup_s", Json.Float catchup_s) ]
-          :: !json_rows;
-        [ string_of_int replicas;
-          string_of_int reads;
-          s cluster_time;
-          Printf.sprintf "%.0f" throughput;
-          string_of_int lag;
-          s catchup_s ])
-      [ 1; 2; 4 ]
-  in
-  Report.print_table
-    ~header:
-      [ "replicas"; "reads"; "cluster read time"; "reads/s";
-        "catch-up backlog"; "catch-up time" ]
-    rows;
-  Report.note
-    "Reads round-robin across the replicas; the cluster read time is the\n\
-     slowest node's serial share (nodes serve in parallel), so doubling\n\
-     the replicas roughly doubles the modeled read throughput. Catch-up\n\
-     recovers a crashed replica from its checkpoint + WAL, then ships the\n\
-     backlog accrued while it was down.\n";
-  let oc = open_out "BENCH_replication.json" in
-  output_string oc (Json.to_string (Json.List (List.rev !json_rows)));
-  output_string oc "\n";
-  close_out oc;
-  Printf.eprintf "wrote BENCH_replication.json\n%!"
-
-(* ------------------------------------------------------------------ *)
 (* Storage: ordered/hash index lookups vs full scans at growing table
    sizes, exercising the cost-based planner and the batch executor on
    the same data. Each size loads one unindexed and one indexed copy of
@@ -1449,6 +843,7 @@ let storage_bench () =
   Report.section "Storage: index lookups vs full scans (cost-based plans)";
   let module D = Minidb.Database in
   let module V = Minidb.Value in
+  let module Json = Ldv_obs.Json in
   let sizes = [ 10_000; 100_000; 1_000_000 ] in
   let load n ~indexed =
     let db = D.create ~name:"storage" () in
@@ -1642,21 +1037,47 @@ let all () =
   vmi ();
   ablation ();
   micro ();
-  profile_bench ();
-  concurrent_bench ();
-  txn_bench ();
-  contention_bench ();
-  overhead_bench ();
-  replication_bench ();
   storage_bench ();
   check ()
+
+let commands =
+  [ ("table1", table1);
+    ("table2", table2);
+    ("table3", table3);
+    ("fig7a", fig7a);
+    ("fig7b", fig7b);
+    ("fig7",
+     fun () ->
+       fig7a ();
+       fig7b ());
+    ("fig8a", fig8a);
+    ("fig8b", fig8b);
+    ("fig9", fig9);
+    ("vmi", vmi);
+    ("ablation", ablation);
+    ("micro", micro);
+    ("storage", storage_bench);
+    ("check", check);
+    ("all", all) ]
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s\nusage: main.exe [%s] [--sf FLOAT] [--paper-counts]\n"
+        msg
+        (String.concat "|" (List.map fst commands));
+      exit 2)
+    fmt
 
 let () =
   let cmd = ref "all" in
   let rec parse = function
     | [] -> ()
+    | [ "--sf" ] -> usage_error "--sf needs a value"
     | "--sf" :: v :: rest ->
-      sf := float_of_string v;
+      (match float_of_string_opt v with
+      | Some f when Float.is_finite f && f > 0.0 -> sf := f
+      | _ -> usage_error "--sf needs a positive number, got %S" v);
       parse rest
     | "--paper-counts" :: rest ->
       paper_counts := true;
@@ -1666,47 +1087,9 @@ let () =
       parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  Printf.printf "LDV benchmark harness (sf=%g, %s counts)\n%!" !sf
-    (if !paper_counts then "paper" else "reduced");
-  (* Collect harness + pipeline instrumentation for the whole run and dump
-     it as JSONL on exit ([check] exits non-zero on failed claims, so an
-     [at_exit] hook rather than [Fun.protect] covers that path too). The
-     file is readable with `ldv stats BENCH_obs.json`. *)
-  Ldv_obs.reset ();
-  Ldv_obs.set_sink Ldv_obs.Memory;
-  at_exit (fun () ->
-      Ldv_obs.set_sink Ldv_obs.Null;
-      let oc = open_out "BENCH_obs.json" in
-      output_string oc (Ldv_obs.to_jsonl (Ldv_obs.snapshot ()));
-      close_out oc;
-      Printf.eprintf "wrote BENCH_obs.json (inspect with `ldv stats`)\n%!");
-  match !cmd with
-  | "table1" -> table1 ()
-  | "table2" -> table2 ()
-  | "table3" -> table3 ()
-  | "fig7a" -> fig7a ()
-  | "fig7b" -> fig7b ()
-  | "fig7" ->
-    fig7a ();
-    fig7b ()
-  | "fig8a" -> fig8a ()
-  | "fig8b" -> fig8b ()
-  | "fig9" -> fig9 ()
-  | "vmi" -> vmi ()
-  | "ablation" -> ablation ()
-  | "micro" -> micro ()
-  | "profile" -> profile_bench ()
-  | "concurrent" -> concurrent_bench ()
-  | "txn" -> txn_bench ()
-  | "contention" -> contention_bench ()
-  | "overhead" -> overhead_bench ()
-  | "replication" -> replication_bench ()
-  | "storage" -> storage_bench ()
-  | "check" -> check ()
-  | "all" -> all ()
-  | other ->
-    Printf.eprintf
-      "unknown command %S; expected \
-       table1|table2|table3|fig7a|fig7b|fig8a|fig8b|fig9|vmi|ablation|micro|profile|concurrent|txn|contention|overhead|replication|storage|check|all\n"
-      other;
-    exit 2
+  match List.assoc_opt !cmd commands with
+  | None -> usage_error "unknown command %S" !cmd
+  | Some run ->
+    Printf.printf "LDV benchmark harness (sf=%g, %s counts)\n%!" !sf
+      (if !paper_counts then "paper" else "reduced");
+    run ()

@@ -8,9 +8,9 @@
 # render) and diffed against itself with a tight budget (the gate must
 # pass on identical runs).
 #
-# --quick skips the crash/faults campaigns and the profiler smokes
-# (build + tests + the replica/tx campaigns + out-of-range argument
-# checks + the overhead-ledger gate self-check).
+# --quick skips the crash/faults campaigns, the profiler smokes and the
+# benches (build + tests + the replica/tx campaigns + out-of-range
+# argument and file-error checks + the overhead-ledger gate self-check).
 set -e
 cd "$(dirname "$0")"
 root=$(pwd)
@@ -49,17 +49,43 @@ golden replica-n5-replicas2.txt replica -n 5 --replicas 2
 # control at transaction granularity, including reenacted provenance
 golden tx-n40-sessions4.txt tx -n 40 --sessions 4
 
-# out-of-range counts are usage errors (exit 124), never a crash or a
-# report that ran nothing (also under --quick)
-for args in "crash --sessions 0" "tx --sessions 0" "replica --replicas 0" \
-    "crash --campaigns=-1" "tx --campaigns=-3" "faults --sessions 0"; do
+# expect STATUS CMD...: CMD must exit with STATUS and print no
+# exception on stderr
+expect() {
+  want=$1
+  shift
   status=0
-  dune exec bin/ldv.exe -- check $args > /dev/null 2>&1 || status=$?
-  if [ "$status" -ne 124 ]; then
-    echo "check.sh: ldv check $args exited $status, want 124" >&2
+  "$@" > /dev/null 2> "$tmpdir/stderr" || status=$?
+  if [ "$status" -ne "$want" ] || grep -q exception "$tmpdir/stderr"; then
+    echo "check.sh: $* exited $status, want $want without an exception:" >&2
+    cat "$tmpdir/stderr" >&2
     exit 1
   fi
+}
+
+# out-of-range counts and scale factors are usage errors (exit 124),
+# never a crash or a report that ran nothing (also under --quick)
+for args in "crash --sessions 0" "tx --sessions 0" "replica --replicas 0" \
+    "crash --campaigns=-1" "tx --campaigns=-3" "faults --sessions 0"; do
+  expect 124 dune exec bin/ldv.exe -- check $args
 done
+expect 124 dune exec bin/ldv.exe -- audit --sf=0 -o "$tmpdir/sf0.ldv"
+# the bench harness prints its usage line and exits 2 on a malformed or
+# non-positive --sf, as on an unknown command (also under --quick)
+for sf in abc 0; do
+  expect 2 dune exec bench/main.exe -- table1 --sf "$sf"
+done
+
+# a file that cannot be opened or created is a diagnostic with exit 3,
+# the status of an unusable package, not an internal error: a missing
+# package, an output in a missing directory, a trace file in a missing
+# directory (also under --quick)
+for sub in exec inspect trace; do
+  expect 3 dune exec bin/ldv.exe -- "$sub" "$tmpdir/missing.ldv"
+done
+expect 3 dune exec bin/ldv.exe -- audit -o "$tmpdir/missing/app.ldv"
+expect 3 dune exec bin/ldv.exe -- --obs "jsonl:$tmpdir/missing/t.jsonl" \
+  sql "CREATE TABLE t (a INT)"
 
 # planner smoke (also under --quick): the cost model must pick a hash
 # index scan for an indexed equality and an ordered-index range scan for
@@ -115,12 +141,6 @@ if [ "$quick" -eq 0 ]; then
   # a mid-quantum crash under group commit must recover to the control
   golden faults-n3-seed42-sessions4.txt faults -n 3 --seed 42 --sessions 4
   golden crash-n40-seed42-sessions4.txt crash -n 40 --seed 42 --sessions 4
-  # scheduler/group-commit/replay-determinism bench (writes
-  # BENCH_concurrent.json; its own assertions print per-row yes/NO)
-  dune exec bench/main.exe -- concurrent
-  # interactive-transaction bench (writes BENCH_txn.json: commit
-  # throughput and first-updater-wins abort rate at 1/4/8 sessions)
-  dune exec bench/main.exe -- txn
 
   # profile smoke: audit a small run with JSONL export, then analyze it
   dune exec bin/ldv.exe -- --obs "jsonl:$tmpdir/run.jsonl" \
@@ -132,15 +152,6 @@ if [ "$quick" -eq 0 ]; then
   dune exec bin/ldv.exe -- obs diff "$tmpdir/run.jsonl" "$tmpdir/run.jsonl" \
     --budget 10 > /dev/null
 
-  # contention bench (writes BENCH_contention.json: latch-wait share and
-  # group-commit stalls at 1/4/8 sessions)
-  dune exec bench/main.exe -- contention
-  # overhead bench (writes BENCH_overhead.json: per-phase per-statement
-  # audit overhead at 1/4/8 sessions, obs-self broken out)
-  dune exec bench/main.exe -- overhead
-  # replication bench (writes BENCH_replication.json: read throughput at
-  # 1/2/4 replicas and catch-up time after a seeded crash)
-  dune exec bench/main.exe -- replication
   # storage bench (point/range index lookups vs full scans at
   # 10k/100k/1M tuples; exits 1 unless the indexed paths beat the scan by
   # 10x at 100k). It runs in $tmpdir, so its BENCH_storage.json does not
