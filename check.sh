@@ -10,7 +10,8 @@
 #
 # --quick skips the crash/faults campaigns, the profiler smokes and the
 # benches (build + tests + the replica/tx campaigns + out-of-range
-# argument and file-error checks + the overhead-ledger gate self-check).
+# argument and file-error checks + the overhead-ledger gate self-check +
+# the replicated audit package checksum).
 set -e
 cd "$(dirname "$0")"
 root=$(pwd)
@@ -123,6 +124,11 @@ echo "$plans" | grep -q "update(indexscan(emp.emp_dno))" || {
 # (exit 5), proving the gate can actually catch a regression
 dune exec bin/ldv.exe -- --obs "jsonl:$tmpdir/ov.jsonl" \
   audit --sessions 4 --replicas 2 -o "$tmpdir/ov.ldv" > /dev/null
+# the replicated audit's package is deterministic: its checksum and size
+# are pinned, so a change to durability or replication that alters what
+# gets packaged shows here
+cksum < "$tmpdir/ov.ldv" > "$tmpdir/ov.cksum"
+diff test/golden/audit-sessions4-replicas2-cksum.txt "$tmpdir/ov.cksum"
 dune exec bin/ldv.exe -- overhead "$tmpdir/ov.jsonl" --gate 500 > /dev/null
 if dune exec bin/ldv.exe -- overhead "$tmpdir/ov.jsonl" --gate 0.0001 \
     > /dev/null 2>&1; then
