@@ -77,14 +77,26 @@ for sf in abc 0; do
   expect 2 dune exec bench/main.exe -- table1 --sf "$sf"
 done
 
+# names PATH: the last expect's stderr names PATH, the file asked for
+names() {
+  grep -qF "ldv: $1: " "$tmpdir/stderr" || {
+    echo "check.sh: the diagnostic does not name $1:" >&2
+    cat "$tmpdir/stderr" >&2
+    exit 1
+  }
+}
+
 # a file that cannot be opened or created is a diagnostic with exit 3,
 # the status of an unusable package, not an internal error: a missing
-# package, an output in a missing directory, a trace file in a missing
-# directory (also under --quick)
+# package, an output in a missing directory or onto a directory, a trace
+# file in a missing directory (also under --quick)
 for sub in exec inspect trace; do
   expect 3 dune exec bin/ldv.exe -- "$sub" "$tmpdir/missing.ldv"
 done
 expect 3 dune exec bin/ldv.exe -- audit -o "$tmpdir/missing/app.ldv"
+names "$tmpdir/missing/app.ldv"
+expect 3 dune exec bin/ldv.exe -- audit -o "$tmpdir"
+names "$tmpdir"
 expect 3 dune exec bin/ldv.exe -- --obs "jsonl:$tmpdir/missing/t.jsonl" \
   sql "CREATE TABLE t (a INT)"
 

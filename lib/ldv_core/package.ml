@@ -650,7 +650,19 @@ let write_file (t : t) ~(path : string) : unit =
     Ldv_faults.with_retries ~op:"package.write" attempt
   with e ->
     (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+    match e with
+    | Sys_error msg ->
+      (* name the path asked for: the open names the temp file, and the
+         rename names no file at all *)
+      let tmp_prefix = tmp ^ ": " in
+      let reason =
+        if String.starts_with ~prefix:tmp_prefix msg then
+          String.sub msg (String.length tmp_prefix)
+            (String.length msg - String.length tmp_prefix)
+        else msg
+      in
+      raise (Sys_error (path ^ ": " ^ reason))
+    | e -> raise e
 
 (** The execution trace embedded in the package. *)
 let trace (t : t) : Prov.Trace.t =

@@ -134,11 +134,13 @@ val of_bytes_result : string -> (restored, Ldv_errors.t) result
     @raise Ldv_errors.Error on malformed or corrupt input. *)
 val of_bytes : string -> t
 
-(** Crash-safe package write: serialize, write to [path ^ ".tmp"], then
-    atomically rename over [path]. Injected I/O faults are retried
-    (bounded); on failure the destination is untouched and the temp file
-    removed.
-    @raise Ldv_errors.Error with [Io_fault] or [Retries_exhausted]. *)
+(** Crash-safe package write: serialize, write to a temp file beside
+    [path], then atomically rename over [path]. Injected I/O faults are
+    retried (bounded); on failure the destination is untouched and the
+    temp file removed.
+    @raise Ldv_errors.Error with [Io_fault] or [Retries_exhausted].
+    @raise Sys_error ["<path>: <reason>"] when the file cannot be created
+    or renamed into place. *)
 val write_file : t -> path:string -> unit
 
 (** The execution trace embedded in the package. *)

@@ -459,6 +459,18 @@ let test_crashcheck_no_recover_diverges () =
 
 (* ---------------- crash-safe package writer --------------------- *)
 
+(* A failed write names the path asked for, never the temp file. *)
+let check_write_fails pkg ~dest =
+  match Ldv_core.Package.write_file pkg ~path:dest with
+  | () -> Alcotest.failf "expected the write to %s to fail" dest
+  | exception Sys_error msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S starts with the destination" msg)
+      true
+      (String.starts_with ~prefix:(dest ^ ": ") msg);
+    Alcotest.(check bool) (Printf.sprintf "%S names no .tmp" msg) false
+      (Fixtures.contains_substring ~needle:".tmp" msg)
+
 let test_write_file_no_tmp_after_failure () =
   let audit = Lazy.force Ldv_fixtures.included in
   let pkg = Ldv_core.Package.build audit in
@@ -473,6 +485,10 @@ let test_write_file_no_tmp_after_failure () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () ->
+      (* the destination's directory is missing: the temp file cannot be
+         created *)
+      check_write_fails pkg
+        ~dest:(Filename.concat (Filename.concat dir "missing") "app.ldv");
       (* the destination is a directory: serialization and the temp write
          succeed, the final rename fails *)
       let dest = Filename.concat dir "taken" in
@@ -480,9 +496,7 @@ let test_write_file_no_tmp_after_failure () =
       Fun.protect
         ~finally:(fun () -> Unix.rmdir dest)
         (fun () ->
-          (match Ldv_core.Package.write_file pkg ~path:dest with
-          | () -> Alcotest.fail "expected the rename to fail"
-          | exception Sys_error _ -> ());
+          check_write_fails pkg ~dest;
           let leftovers =
             Array.to_list (Sys.readdir dir)
             |> List.filter (fun f -> f <> "taken")
