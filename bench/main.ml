@@ -752,6 +752,22 @@ let micro () =
      server-included and PTU audit pays around the app *)
   let server_kernel = Minios.Kernel.create () in
   let server = Dbclient.Server.install server_kernel bench_db in
+  (* a durable server over 10k accounts, the size of ldvbench
+     cluster-mix's table: what every replica checkpoint captures *)
+  let _, accounts = Dbclient.Durable.boot () in
+  let accounts_db = Dbclient.Server.db (Dbclient.Durable.server accounts) in
+  ignore
+    (Minidb.Database.exec accounts_db
+       "CREATE TABLE accounts (id INT, owner TEXT, balance INT)");
+  ignore
+    (Minidb.Database.bulk_insert accounts_db ~table:"accounts"
+       (List.init 10_000 (fun k ->
+            [| Minidb.Value.Int (k + 1);
+               Minidb.Value.Str (Printf.sprintf "owner%d" (k * 31 mod 500));
+               Minidb.Value.Int (k * 7 mod 10_000) |])));
+  ignore
+    (Minidb.Database.exec accounts_db
+       "CREATE INDEX accounts_id ON accounts (id)");
   let tests =
     [ Test.make ~name:"sql-parse(Q2)"
         (Staged.stage (fun () -> Minidb.Sql_parser.parse q2.Tpch.Queries.sql));
@@ -799,6 +815,8 @@ let micro () =
         (Staged.stage (fun () ->
              ignore (Dbclient.Server.start_traced server_kernel server);
              Dbclient.Server.stop_traced server_kernel server));
+      Test.make ~name:"durable/checkpoint(10k rows)"
+        (Staged.stage (fun () -> Dbclient.Durable.checkpoint accounts));
       Test.make ~name:"faults/crc32(lineitem image)"
         (Staged.stage (fun () -> Ldv_faults.Crc32.digest lineitem_file));
       Test.make ~name:"fig9/csv-encode-row"

@@ -223,7 +223,9 @@ let enable_group_commit (t : t) : unit =
     and atomically renamed into place before the log is truncated, so a
     crash in any window leaves either the old image + full log or the new
     image (+ a log whose covered prefix recovery skips by sequence
-    number). Must not run inside an open transaction. *)
+    number). The image is captured here and encoded only when something
+    reads it ({!Server.checkpoint_content}). Must not run inside an open
+    transaction. *)
 let checkpoint (t : t) : unit =
   Ldv_obs.with_span "server.checkpoint" @@ fun () ->
   let db = Server.db t.server in
@@ -231,9 +233,9 @@ let checkpoint (t : t) : unit =
     invalid_arg "Durable.checkpoint: open transaction";
   (* the image must not get ahead of the log's durable prefix *)
   flush t;
-  let payload = Server.encode_checkpoint db ~last_seq:(t.next_seq - 1) in
+  let image = Server.checkpoint_content db ~last_seq:(t.next_seq - 1) in
   let tmp = checkpoint_tmp_path t.server in
-  Minios.Kernel.overwrite_path t.kernel ~pid:t.pid ~path:tmp payload;
+  Minios.Kernel.overwrite_path_content t.kernel ~pid:t.pid ~path:tmp image;
   Ldv_faults.crash_point ~site:"ckpt.image";
   Minios.Kernel.fsync_path t.kernel ~pid:t.pid ~path:tmp;
   Ldv_faults.crash_point ~site:"ckpt.pre_rename";

@@ -249,21 +249,30 @@ let framed ~magic ~body_size (put_body : writer -> unit) : string =
 let encode (img : t) : string =
   framed ~magic:table_magic ~body_size:(table_size img) (fun w -> put_table w img)
 
-(** The length of [encode img], computed without encoding: the body and
-    its frame (magic, version byte, CRC). *)
-let encoded_size (img : t) = String.length table_magic + 1 + table_size img + 4
+(* A body's length plus its frame's: magic, version byte, CRC. *)
+let framed_size ~magic body_size = String.length magic + 1 + body_size + 4
+
+(** The length of [encode img], computed without encoding. *)
+let encoded_size (img : t) = framed_size ~magic:table_magic (table_size img)
+
+let checkpoint_body_size ~last_seq ~clock (tables : t list) =
+  uvarint_size last_seq + uvarint_size clock
+  + uvarint_size (List.length tables)
+  + List.fold_left (fun acc img -> acc + table_size img) 0 tables
 
 let encode_checkpoint ~last_seq ~clock (tables : t list) : string =
-  let body_size =
-    uvarint_size last_seq + uvarint_size clock
-    + uvarint_size (List.length tables)
-    + List.fold_left (fun acc img -> acc + table_size img) 0 tables
-  in
+  let body_size = checkpoint_body_size ~last_seq ~clock tables in
   framed ~magic:checkpoint_magic ~body_size (fun w ->
       put_uvarint w last_seq;
       put_uvarint w clock;
       put_uvarint w (List.length tables);
       List.iter (put_table w) tables)
+
+(** The length of [encode_checkpoint ~last_seq ~clock tables], computed
+    without encoding. *)
+let checkpoint_encoded_size ~last_seq ~clock (tables : t list) =
+  framed_size ~magic:checkpoint_magic
+    (checkpoint_body_size ~last_seq ~clock tables)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding.                                                           *)

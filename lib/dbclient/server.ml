@@ -78,11 +78,25 @@ let restore_table_image (db : Database.t) (img : table_image) =
    is atomic across tables — recovery never sees table A from before a
    checkpoint and table B from after it. *)
 
-let encode_checkpoint (db : Database.t) ~last_seq : string =
+(* What a checkpoint encodes, captured now: the logical clock and every
+   table's image. *)
+let capture_checkpoint (db : Database.t) =
   let tables = ref [] in
   Catalog.iter (Database.catalog db) (fun table ->
       tables := Image.of_table table :: !tables);
-  Image.encode_checkpoint ~last_seq ~clock:(Database.clock db) (List.rev !tables)
+  (Database.clock db, List.rev !tables)
+
+let encode_checkpoint (db : Database.t) ~last_seq : string =
+  let clock, tables = capture_checkpoint db in
+  Image.encode_checkpoint ~last_seq ~clock tables
+
+(* The checkpoint of [db] as of now, produced only when something reads
+   it: only recovery, a replica restart or a test asks for its bytes. *)
+let checkpoint_content (db : Database.t) ~last_seq : Minios.Vfs.content =
+  let clock, tables = capture_checkpoint db in
+  Minios.Vfs.Deferred
+    { size = lazy (Image.checkpoint_encoded_size ~last_seq ~clock tables);
+      bytes = lazy (Image.encode_checkpoint ~last_seq ~clock tables) }
 
 (** Load a checkpoint into [db] (normally fresh); returns the WAL
     sequence number the images already cover, so recovery replays only

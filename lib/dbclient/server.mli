@@ -52,6 +52,12 @@ val restore_table_image : Database.t -> table_image -> unit
     records up to [last_seq]. *)
 val encode_checkpoint : Database.t -> last_seq:int -> string
 
+(** The same payload as [Minios.Vfs.Deferred] content: every table's
+    image and the clock are captured now, and the size and the bytes,
+    equal to {!encode_checkpoint}'s at this instant, are computed only
+    when a reader asks for them. *)
+val checkpoint_content : Database.t -> last_seq:int -> Minios.Vfs.content
+
 (** Load a checkpoint into a (normally fresh) database; returns the WAL
     sequence number the images already cover.
     @raise Errors.Db_error [Corrupt_image] as {!decode_table_image}. *)

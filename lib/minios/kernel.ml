@@ -298,15 +298,23 @@ let append_path t ~pid ~path (data : string) =
   let time = tick t in
   Vfs.append_buffered t.vfs ~path ~mtime:time data
 
-let overwrite_path t ~pid ~path (data : string) =
+(** Replace [path]'s content through the buffered path, as an open for
+    write plus one write would: the truncation and the new content are
+    lost by a crash until an fsync covers them. Deferred content stays
+    deferred. *)
+let overwrite_path_content t ~pid ~path (content : Vfs.content) =
   yield_point t;
   ignore (live_process t pid);
   fault_gate ~op:"write" ~path;
   Obs.counter "os.syscall.write";
-  if Obs.enabled () then Obs.counter ~by:(String.length data) "os.bytes_written";
+  if Obs.enabled () then
+    Obs.counter ~by:(Vfs.content_size content) "os.bytes_written";
   let time = tick t in
   Vfs.truncate_buffered t.vfs ~path ~mtime:time ();
-  Vfs.append_buffered t.vfs ~path ~mtime:time data
+  Vfs.append_content_buffered t.vfs ~path ~mtime:time content
+
+let overwrite_path t ~pid ~path (data : string) =
+  overwrite_path_content t ~pid ~path (Vfs.Data data)
 
 let fsync_path t ~pid ~path =
   yield_point t;

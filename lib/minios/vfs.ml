@@ -5,10 +5,10 @@
     ([Opaque]) used to model large binary artifacts — DBMS server binaries,
     shared libraries, VM base images — whose bytes never matter but whose
     sizes drive the package-size experiments (Figure 9, §IX-F), or bytes
-    produced on demand ([Deferred]): the DB server's data files, whose
-    size and bytes are each computed by the first reader that asks for
-    them ({!read}, {!size}, {!content_size}, {!content_bytes}, the
-    appends) and then kept.
+    produced on demand ([Deferred]): the DB server's data files and
+    checkpoint images, whose size and bytes are each computed by the
+    first reader that asks for them ({!read}, {!size}, {!content_size},
+    {!content_bytes}, the appends) and then kept.
 
     {b Durability model.} Every file carries two states: [content] (what
     readers see — the page cache) and [synced] (what survives a simulated

@@ -150,6 +150,125 @@ let test_deferred_fsync_survives () =
         (String.equal bytes (V.read v path)))
     at_stop
 
+(* ---------------- deferred checkpoints -------------------------- *)
+
+let checkpoint_img = data_dir ^ "/checkpoint.img"
+
+(* The bytes of deferred content, or [None] while none were produced. *)
+let produced (c : V.content) =
+  match c with
+  | V.Deferred { bytes; _ } when Lazy.is_val bytes -> Some (Lazy.force bytes)
+  | V.Deferred _ -> None
+  | _ -> Alcotest.fail "expected deferred content"
+
+(* A durable server with a few rows in [t], and the payload that an eager
+   encode produces at the instant of its next checkpoint. *)
+let checkpointed_server () =
+  let kernel, d = Durable.boot () in
+  exec d "CREATE TABLE t (a INT, s TEXT)";
+  exec d "INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')";
+  let expected =
+    Server.encode_checkpoint
+      (Server.db (Durable.server d))
+      ~last_seq:(Durable.next_seq d - 1)
+  in
+  (kernel, d, expected)
+
+let test_deferred_checkpoint_bytes () =
+  let kernel, d, expected = checkpointed_server () in
+  Durable.checkpoint d;
+  (* rewrite a row, drop the highest rid and insert past it: the rows,
+     the row-id allocator and the clock all move after the capture *)
+  exec d "UPDATE t SET s = 'uno' WHERE a = 1";
+  exec d "DELETE FROM t WHERE a = 3";
+  exec d "INSERT INTO t VALUES (4, 'four')";
+  let v = K.vfs kernel in
+  Alcotest.(check bool) "not produced by the checkpoint" true
+    (produced (V.content v checkpoint_img) = None);
+  Alcotest.(check bool) "the checkpoint instant's bytes" true
+    (String.equal expected (V.read v checkpoint_img))
+
+let test_deferred_checkpoint_size () =
+  let kernel, d, _ = checkpointed_server () in
+  Durable.checkpoint d;
+  let v = K.vfs kernel in
+  let size = V.size v checkpoint_img in
+  Alcotest.(check bool) "the size produces no bytes" true
+    (produced (V.content v checkpoint_img) = None);
+  Alcotest.(check int) "size is the length of the bytes"
+    (String.length (V.read v checkpoint_img))
+    size
+
+(* Replicas checkpoint every 8 applied records, and nothing reads those
+   images until a replica recovers. *)
+let test_deferred_replica_checkpoints () =
+  let kernel, leader = Durable.boot () in
+  let cluster = Replication.create kernel ~leader ~replicas:2 () in
+  let write sql =
+    match Replication.exec cluster sql with
+    | Protocol.Error_response m -> Alcotest.failf "cluster exec failed: %s" m
+    | _ -> ()
+  in
+  write "CREATE TABLE t (a INT, s TEXT)";
+  for i = 1 to 36 do
+    write (Printf.sprintf "INSERT INTO t VALUES (%d, 's%d')" i i)
+  done;
+  write "UPDATE t SET s = 'even' WHERE a = 2";
+  write "DELETE FROM t WHERE a = 36";
+  let v = K.vfs kernel in
+  let image i =
+    V.content v (Replication.data_dir_of i ^ "/checkpoint.img")
+  in
+  for i = 0 to 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "replica %d: checkpoint.img unproduced" i)
+      true
+      (produced (image i) = None)
+  done;
+  let before = image 0 in
+  Replication.crash_replica cluster cluster.Replication.replicas.(0);
+  Replication.recover cluster 0;
+  Alcotest.(check bool) "recovery produced replica 0's image" true
+    (produced before <> None);
+  Alcotest.(check bool) "replica 1's image still unproduced" true
+    (produced (image 1) = None);
+  write "INSERT INTO t VALUES (37, 's37')";
+  Replication.quiesce cluster;
+  for i = 0 to 1 do
+    Alcotest.(check string)
+      (Printf.sprintf "replica %d byte-identical" i)
+      (Minidb.Fingerprint.state (Replication.leader_db cluster))
+      (Minidb.Fingerprint.state (Replication.replica_db cluster i))
+  done
+
+(* The checkpoint protocol's crash windows: at [ckpt.image] the
+   unsynced image vanishes, at [ckpt.pre_rename] it survives whole. A
+   torn tail is granted only to [Data] appends such as the WAL's, so the
+   image never tears, even when the crash offers it one. *)
+let test_deferred_checkpoint_crash_windows () =
+  let tmp = checkpoint_img ^ ".new" in
+  let crash_at site =
+    let kernel, d, expected = checkpointed_server () in
+    let plan = F.make ~crash:(site, 1) ~seed:7 () in
+    (F.with_plan plan @@ fun () ->
+     match Durable.checkpoint d with
+     | () -> Alcotest.failf "expected a crash at %s" site
+     | exception F.Crash _ -> ());
+    let v = K.vfs kernel in
+    Alcotest.(check int) (site ^ ": no unsynced tail to tear") 0
+      (V.unsynced_bytes v tmp);
+    K.crash kernel ~keep:[ (tmp, 16) ] ();
+    (kernel, v, expected)
+  in
+  let _, v, _ = crash_at "ckpt.image" in
+  Alcotest.(check bool) "ckpt.image: the image vanishes" false (V.exists v tmp);
+  let kernel, v, expected = crash_at "ckpt.pre_rename" in
+  Alcotest.(check bool) "ckpt.pre_rename: the image survives whole" true
+    (String.equal expected (V.read v tmp));
+  let d', _ = Durable.recover kernel ~data_dir () in
+  Alcotest.(check int) "recovery redoes the WAL" 3
+    (rows (Server.db (Durable.server d')) "t")
+
 (* ---------------- WAL format ------------------------------------ *)
 
 let test_wal_roundtrip () =
@@ -521,6 +640,14 @@ let suite =
       test_deferred_crash_restores_start;
     Alcotest.test_case "deferred: fsync keeps stop bytes" `Quick
       test_deferred_fsync_survives;
+    Alcotest.test_case "deferred: checkpoint bytes are the capture's" `Quick
+      test_deferred_checkpoint_bytes;
+    Alcotest.test_case "deferred: checkpoint size is its length" `Quick
+      test_deferred_checkpoint_size;
+    Alcotest.test_case "deferred: replica checkpoints unread until recovery"
+      `Quick test_deferred_replica_checkpoints;
+    Alcotest.test_case "deferred: checkpoint crash windows" `Quick
+      test_deferred_checkpoint_crash_windows;
     Alcotest.test_case "wal: records round-trip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal: torn tail detected" `Quick
       test_wal_torn_tail_detected;
