@@ -134,7 +134,7 @@ let create (kernel : Minios.Kernel.t) ~(leader : Durable.t) ~replicas
           rep_applied = ship_seq0;
           rep_delayed = None;
           rep_stash = [];
-          rep_ckpt_due = 8 })
+          rep_ckpt_due = ckpt_every })
   in
   let t =
     { kernel;

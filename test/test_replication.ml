@@ -112,6 +112,9 @@ let test_resync_wal_ahead_of_checkpoint () =
     (R.replica_state cluster 0 = R.Down);
   (* the replica checkpointed at apply #4 and then applied durably past
      it: its WAL is strictly ahead of the checkpoint image *)
+  Alcotest.(check int) "replica checkpoint covers apply #4" 4
+    (Server.checkpoint_seq
+       (Minios.Vfs.read (K.vfs kernel) (R.data_dir_of 0 ^ "/checkpoint.img")));
   Alcotest.(check bool) "replica applied past its checkpoint" true
     (R.replica_applied cluster 0 > 4);
   Alcotest.(check bool) "replica behind the leader" true
