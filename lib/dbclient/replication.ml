@@ -96,10 +96,10 @@ let lag t (rep : replica) = t.ship_seq - rep.rep_applied
 let data_dir_of i = Printf.sprintf "/var/minidb/replica%d" i
 
 (** Build a cluster of [replicas] read replicas behind [leader]. Each
-    replica bootstraps from a base backup — the leader's current
-    checkpoint image, persisted as the replica's own initial checkpoint so
-    node-local crash recovery can rebuild from it — and then follows the
-    ship stream. [staleness] bounds how many records behind a replica may
+    replica bootstraps from a base backup — one capture of the leader's
+    current state, restored into the replica as it is and persisted,
+    encoded, as the replica's own initial checkpoint so node-local crash
+    recovery can rebuild from it — and then follows the ship stream. [staleness] bounds how many records behind a replica may
     be while still serving reads; [torn] maps a crashed replica's
     unsynced WAL byte count to the surviving torn-tail length (campaigns
     pass a seeded draw; the default loses everything unsynced). *)
@@ -108,18 +108,20 @@ let create (kernel : Minios.Kernel.t) ~(leader : Durable.t) ~replicas
   if replicas < 0 then invalid_arg "Replication.create: replicas < 0";
   let vfs = Minios.Kernel.vfs kernel in
   let ship_seq0 = Durable.next_seq leader - 1 in
-  let base =
-    Server.encode_checkpoint (Server.db (Durable.server leader))
-      ~last_seq:ship_seq0
-  in
+  (* one capture of the leader: encoded once for the replicas'
+     checkpoint files, and restored into each replica as it is *)
+  let capture = Server.capture_checkpoint (Server.db (Durable.server leader)) in
+  let base = lazy (Server.encode_capture capture ~last_seq:ship_seq0) in
   let reps =
     Array.init replicas (fun i ->
         let data_dir = data_dir_of i in
         (* persist the base backup as the replica's initial checkpoint:
            a crash before its first own checkpoint must not lose it *)
-        Minios.Vfs.write_string vfs ~path:(data_dir ^ "/checkpoint.img") base;
+        Minios.Vfs.write_string vfs
+          ~path:(data_dir ^ "/checkpoint.img")
+          (Lazy.force base);
         let db = Database.create () in
-        ignore (Server.restore_checkpoint db base);
+        Server.restore_capture db capture;
         let server = Server.attach ~data_dir db in
         let proc =
           Minios.Kernel.start_process kernel

@@ -61,6 +61,8 @@ let restore_table_image (db : Database.t) (img : table_image) =
   Database.sync_clock db
     ~at:(Table.restore_versions table (Image.row_list img));
   Table.restore_next_rid table img.Image.next_rid;
+  (* the specs list each kind's indexes newest first: create them oldest
+     first so the restored table lists them as the captured one did *)
   List.iter
     (fun (index_name, column, ordered) ->
       if
@@ -70,7 +72,7 @@ let restore_table_image (db : Database.t) (img : table_image) =
         (* register through the catalog so DROP INDEX finds the owner *)
         Catalog.create_index ~ordered catalog ~index:index_name
           ~table:img.Image.name ~column)
-    img.Image.indexes
+    (List.rev img.Image.indexes)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint image: every table plus the WAL high-water mark and the
@@ -80,31 +82,43 @@ let restore_table_image (db : Database.t) (img : table_image) =
 
 (* What a checkpoint encodes, captured now: the logical clock and every
    table's image. *)
-let capture_checkpoint (db : Database.t) =
+type capture = { cap_clock : int; cap_tables : table_image list }
+
+let capture_checkpoint (db : Database.t) : capture =
   let tables = ref [] in
   Catalog.iter (Database.catalog db) (fun table ->
       tables := Image.of_table table :: !tables);
-  (Database.clock db, List.rev !tables)
+  { cap_clock = Database.clock db; cap_tables = List.rev !tables }
 
-let encode_checkpoint (db : Database.t) ~last_seq : string =
-  let clock, tables = capture_checkpoint db in
-  Image.encode_checkpoint ~last_seq ~clock tables
+let encode_capture (c : capture) ~last_seq : string =
+  Image.encode_checkpoint ~last_seq ~clock:c.cap_clock c.cap_tables
 
 (* The checkpoint of [db] as of now, produced only when something reads
    it: only recovery, a replica restart or a test asks for its bytes. *)
 let checkpoint_content (db : Database.t) ~last_seq : Minios.Vfs.content =
-  let clock, tables = capture_checkpoint db in
+  let c = capture_checkpoint db in
   Minios.Vfs.Deferred
-    { size = lazy (Image.checkpoint_encoded_size ~last_seq ~clock tables);
-      bytes = lazy (Image.encode_checkpoint ~last_seq ~clock tables) }
+    { size =
+        lazy
+          (Image.checkpoint_encoded_size ~last_seq ~clock:c.cap_clock
+             c.cap_tables);
+      bytes = lazy (encode_capture c ~last_seq) }
+
+let restore_tables (db : Database.t) ~clock tables =
+  List.iter (restore_table_image db) tables;
+  Database.sync_clock db ~at:clock
+
+(** Load a capture into [db] (normally fresh), as decoding its encoded
+    bytes would, without encoding or decoding anything. *)
+let restore_capture (db : Database.t) (c : capture) =
+  restore_tables db ~clock:c.cap_clock c.cap_tables
 
 (** Load a checkpoint into [db] (normally fresh); returns the WAL
     sequence number the images already cover, so recovery replays only
     the suffix past it. *)
 let restore_checkpoint (db : Database.t) (payload : string) : int =
   let last_seq, clock, tables = Image.decode_checkpoint payload in
-  List.iter (restore_table_image db) tables;
-  Database.sync_clock db ~at:clock;
+  restore_tables db ~clock tables;
   last_seq
 
 let checkpoint_seq = Image.checkpoint_seq

@@ -48,14 +48,29 @@ val restore_table_image : Database.t -> table_image -> unit
     published by one atomic rename, so recovery is never torn across
     tables. *)
 
-(** Snapshot every table of [db] into one checkpoint payload covering WAL
-    records up to [last_seq]. *)
-val encode_checkpoint : Database.t -> last_seq:int -> string
+(** What a checkpoint of a database holds, captured at one instant:
+    every table's image (a snapshot of its live versions, as
+    {!table_image}) and the logical clock. Later writes to the database
+    leave it as it was. *)
+type capture
 
-(** The same payload as [Minios.Vfs.Deferred] content: every table's
-    image and the clock are captured now, and the size and the bytes,
-    equal to {!encode_checkpoint}'s at this instant, are computed only
-    when a reader asks for them. *)
+val capture_checkpoint : Database.t -> capture
+
+(** The checkpoint payload of a capture, covering WAL records up to
+    [last_seq]. *)
+val encode_capture : capture -> last_seq:int -> string
+
+(** Load a capture into a (normally fresh) database: the same tables,
+    rows, row-id allocators, indexes and clock as restoring its encoded
+    payload with {!restore_checkpoint}, without encoding or decoding. The
+    restored tables share the captured rows' value arrays, which are never
+    changed in place. *)
+val restore_capture : Database.t -> capture -> unit
+
+(** The checkpoint of [db] as [Minios.Vfs.Deferred] content: every
+    table's image and the clock are captured now, and the size and the
+    bytes, equal to {!encode_capture}'s at this instant, are computed
+    only when a reader asks for them. *)
 val checkpoint_content : Database.t -> last_seq:int -> Minios.Vfs.content
 
 (** Load a checkpoint into a (normally fresh) database; returns the WAL

@@ -4,8 +4,9 @@
     CDE-style into a chroot-like root), the serialized execution trace,
     and the DB content appropriate to its kind —
 
-    - [Server_included]: server binaries, table DDL, and the relevant
-      tuple subset as CSVs (an otherwise *empty* data directory);
+    - [Server_included]: server binaries, table and index DDL, and the
+      relevant tuple subset as CSVs (an otherwise *empty* data
+      directory);
     - [Server_excluded]: no server artifacts at all, plus the recorded
       query responses for replay;
     - [Ptu_full]: the application-virtualization baseline — everything the
@@ -35,6 +36,9 @@ type t = {
   entries : entry list;
   db_subset : (string * string) list;  (** table -> CSV (server-included) *)
   db_schemas : (string * string) list;  (** table -> DDL (server-included) *)
+  db_indexes : (string * string) list;
+      (** table -> its index DDL lines (server-included, tables with
+          indexes only) *)
   recording : Dbclient.Recorder.recorded list;  (** server-excluded *)
   trace_data : string;  (** serialized combined execution trace *)
   metadata : (string * string) list;
@@ -52,15 +56,32 @@ let recording_bytes (t : t) = Dbclient.Recorder.byte_size t.recording
 
 let trace_bytes (t : t) = String.length t.trace_data
 
+(* Each table's DDL bytes: its CREATE TABLE plus its index lines, in
+   schema order, then tables that have index lines only. *)
+let ddl_by_table (t : t) : (string * int) list =
+  let size table ddls =
+    match List.assoc_opt table ddls with
+    | Some ddl -> String.length ddl
+    | None -> 0
+  in
+  List.map
+    (fun (table, ddl) -> (table, String.length ddl + size table t.db_indexes))
+    t.db_schemas
+  @ List.filter_map
+      (fun (table, lines) ->
+        if List.mem_assoc table t.db_schemas then None
+        else Some (table, String.length lines))
+      t.db_indexes
+
 let total_bytes (t : t) =
   entries_bytes t + db_subset_bytes t + recording_bytes t + trace_bytes t
-  + List.fold_left
-      (fun acc (_, ddl) -> acc + String.length ddl)
-      0 t.db_schemas
+  + List.fold_left (fun acc (_, n) -> acc + n) 0 (ddl_by_table t)
 
-(** Path -> size manifest, for inspection. *)
+(** Path -> size manifest, for inspection; the sizes add up to
+    [total_bytes]. *)
 let manifest (t : t) : (string * int) list =
   List.map (fun e -> (e.e_path, e.e_size)) t.entries
+  @ List.map (fun (table, n) -> ("db/" ^ table ^ ".sql", n)) (ddl_by_table t)
   @ List.map
       (fun (table, csv) -> ("db/" ^ table ^ ".csv", String.length csv))
       t.db_subset
@@ -214,12 +235,14 @@ let build_included (audit : Audit.t) : t =
   let entries = collect_entries audit ~exclude:(under data_dir) in
   let db = Dbclient.Server.db audit.Audit.server in
   let tids = Slice.relevant audit in
+  let tables = Slice.accessed_tables audit tids in
   { kind = Server_included;
     app_name = audit.Audit.app_name;
     app_binary = audit.Audit.app_binary;
     entries;
     db_subset = Slice.to_csvs db tids;
-    db_schemas = Slice.schema_ddl_for db (Slice.accessed_tables audit tids);
+    db_schemas = Slice.schema_ddl_for db tables;
+    db_indexes = Slice.index_ddl_for db tables;
     recording = [];
     trace_data = Prov.Trace.serialize (Audit.compact_trace audit);
     metadata = base_metadata audit @ [ ("packaging", "included") ] }
@@ -242,6 +265,7 @@ let build_excluded (audit : Audit.t) : t =
     entries;
     db_subset = [];
     db_schemas = [];
+    db_indexes = [];
     recording = Dbclient.Interceptor.recorded audit.Audit.session;
     trace_data = Prov.Trace.serialize (Audit.compact_trace audit);
     metadata = base_metadata audit @ [ ("packaging", "excluded") ] }
@@ -338,7 +362,8 @@ let build (audit : Audit.t) : t =
    The CRC32 covers the payload only; headers without a checksum (the
    pre-checksum format) still parse but their sections go unverified. On
    restore, a checksum mismatch in a *content* section (file:, opaque:,
-   output:, schema:, csv:) skips just that section and reports it; a
+   output:, schema:, index:, csv:) skips just that section and reports
+   it; a
    mismatch in a structural section (kind, app, binary, meta:, recording,
    trace) makes the whole package unreadable.                           *)
 
@@ -375,6 +400,7 @@ let to_bytes (t : t) : string =
       | None -> section ("output:" ^ e.e_path) "")
     t.entries;
   List.iter (fun (tbl, ddl) -> section ("schema:" ^ tbl) ddl) t.db_schemas;
+  List.iter (fun (tbl, ddl) -> section ("index:" ^ tbl) ddl) t.db_indexes;
   List.iter (fun (tbl, csv) -> section ("csv:" ^ tbl) csv) t.db_subset;
   if t.recording <> [] then
     section "recording" (Dbclient.Recorder.encode t.recording);
@@ -397,7 +423,8 @@ let has_prefix prefix name =
 (* Content sections describe individual shippable artifacts; losing one
    degrades the package (skip + report). Everything else is structural:
    without it the package cannot be interpreted at all. *)
-let content_prefixes = [ "file:"; "opaque:"; "output:"; "schema:"; "csv:" ]
+let content_prefixes =
+  [ "file:"; "opaque:"; "output:"; "schema:"; "index:"; "csv:" ]
 
 let skippable name = List.exists (fun p -> has_prefix p name) content_prefixes
 
@@ -609,6 +636,7 @@ let of_bytes_result (data : string) : (restored, Ldv_errors.t) result =
             entries;
             db_subset = with_prefix "csv:";
             db_schemas = with_prefix "schema:";
+            db_indexes = with_prefix "index:";
             recording;
             trace_data;
             metadata = with_prefix "meta:" };

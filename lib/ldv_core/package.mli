@@ -2,7 +2,8 @@
 
 type kind =
   | Server_included
-      (** server binaries + table DDL + the relevant tuple subset as CSVs *)
+      (** server binaries + table and index DDL + the relevant tuple
+          subset as CSVs *)
   | Server_excluded  (** no server artifacts; recorded responses instead *)
   | Ptu_full
       (** application-virtualization baseline: everything the traced
@@ -25,6 +26,9 @@ type t = {
   entries : entry list;
   db_subset : (string * string) list;  (** table -> CSV *)
   db_schemas : (string * string) list;  (** table -> DDL *)
+  db_indexes : (string * string) list;
+      (** table -> its [CREATE [ORDERED] INDEX] lines, newline-separated;
+          only tables with indexes have an entry *)
   recording : Dbclient.Recorder.recorded list;
   trace_data : string;  (** serialized compact execution trace *)
   metadata : (string * string) list;
@@ -38,7 +42,10 @@ val recording_bytes : t -> int
 val trace_bytes : t -> int
 val total_bytes : t -> int
 
-(** Path -> size manifest, for inspection. *)
+(** Path -> size manifest, for inspection: the file entries, one
+    [db/<table>.sql] row per table (its CREATE TABLE plus its index
+    lines), the CSV subsets, the recording and the trace. The sizes add
+    up to [total_bytes]. *)
 val manifest : t -> (string * int) list
 
 (** {2 Table III's contents matrix} *)
@@ -124,7 +131,7 @@ type restored = {
 }
 
 (** Parse package bytes, tolerating corrupt {e content} sections (files,
-    CSV tables, schemas, outputs): each is skipped and reported in
+    CSV tables, schemas, index DDL, outputs): each is skipped and reported in
     [r_skipped] so the caller can degrade gracefully. Structural damage
     (bad framing, truncation, corrupt kind/app/binary/trace/recording)
     returns [Error]. Never raises. *)

@@ -23,6 +23,7 @@ let build (audit : Audit.t) : Package.t =
     entries;
     db_subset = [];
     db_schemas = [];
+    db_indexes = [];
     recording = [];
     trace_data =
       Prov.Trace.serialize (Minios.Tracer.build_bb_trace audit.Audit.tracer);

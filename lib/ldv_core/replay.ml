@@ -3,8 +3,9 @@
     [prepare] rebuilds the chroot-like environment from the package and
     initializes the DB side (this is Figure 7b's "Initialization" bar):
 
-    - server-included: create the accessed tables and restore the relevant
-      tuple subset from the packaged CSVs, tuple by tuple;
+    - server-included: create the accessed tables, restore the relevant
+      tuple subset from the packaged CSVs, tuple by tuple, then create
+      the audit's indexes over it;
     - PTU: load the server's native data files (cheap bulk load);
     - server-excluded: nothing to restore — queue the recorded responses.
 
@@ -23,6 +24,18 @@ type prepared = {
   server : Dbclient.Server.t;
   session : I.t;
 }
+
+(* Run one packaged index line through the catalog: one backfill, and no
+   clock tick, so the restored versions' stamps stay the audit's. A line
+   that is not a CREATE INDEX, or names a table or column the package
+   lacks (its schema section was lost, say), is skipped and counted. *)
+let create_packaged_index (db : Database.t) (sql : string) =
+  match Sql_parser.parse sql with
+  | Sql_ast.Create_index { index; table; column; ordered } -> (
+    try Catalog.create_index ~ordered (Database.catalog db) ~index ~table ~column
+    with Errors.Db_error _ -> Ldv_obs.counter "replay.skipped_indexes")
+  | _ | (exception Errors.Db_error _) ->
+    Ldv_obs.counter "replay.skipped_indexes"
 
 (** Rebuild the package environment and initialize its DB state. *)
 let prepare (pkg : Package.t) : prepared =
@@ -68,7 +81,15 @@ let prepare (pkg : Package.t) : prepared =
             match Catalog.find_opt (Database.catalog db) table with
             | Some tbl -> Table.pin_row_stats tbl ~rows
             | None -> ())
-          (Package.table_rows pkg)
+          (Package.table_rows pkg);
+        (* the audit's access paths, built once over the restored rows;
+           every replica inherits them from the base backup *)
+        List.iter
+          (fun (_, lines) ->
+            List.iter
+              (fun sql -> if sql <> "" then create_packaged_index db sql)
+              (String.split_on_char '\n' lines))
+          pkg.Package.db_indexes
       | Package.Ptu_full ->
         (* bulk-load the server's own data files from the package *)
         List.iter

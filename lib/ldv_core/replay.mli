@@ -15,8 +15,12 @@ type prepared = {
 }
 
 (** Rebuild the package environment:
-    - server-included: create the accessed tables and restore the relevant
-      tuple subset from the packaged CSVs, tuple by tuple;
+    - server-included: create the accessed tables, restore the relevant
+      tuple subset from the packaged CSVs, tuple by tuple, then create the
+      packaged indexes over it (an index line naming a table or column
+      the package lacks is skipped and counted in
+      [replay.skipped_indexes]); a cluster package's replicas start from
+      the indexed state;
     - PTU: bulk-load the server's native data files;
     - server-excluded: queue the recorded responses. *)
 val prepare : Package.t -> prepared

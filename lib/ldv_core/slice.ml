@@ -142,6 +142,32 @@ let schema_ddl_for (db : Database.t) (tables : string list) :
         Some (table, Printf.sprintf "CREATE TABLE %s (%s)" table cols))
     tables
 
+(** Index DDL for the given tables: per table with at least one index,
+    one [CREATE [ORDERED] INDEX] line per entry of [Table.index_specs],
+    newline-separated. [index_specs] lists each kind's indexes newest
+    first, so the lines run in reverse: a replay that creates them in
+    order recreates the same specs. *)
+let index_ddl_for (db : Database.t) (tables : string list) :
+    (string * string) list =
+  List.filter_map
+    (fun table ->
+      match Catalog.find_opt (Database.catalog db) table with
+      | None -> None
+      | Some tbl -> (
+        match List.rev (Table.index_specs tbl) with
+        | [] -> None
+        | specs ->
+          Some
+            ( table,
+              List.map
+                (fun (index, column, ordered) ->
+                  Printf.sprintf "CREATE %sINDEX %s ON %s (%s)"
+                    (if ordered then "ORDERED " else "")
+                    index table column)
+                specs
+              |> String.concat "\n" )))
+    tables
+
 (** DDL for the tables contributing tuples to [tids]. *)
 let schema_ddl (db : Database.t) (tids : Tid.Set.t) : (string * string) list =
   schema_ddl_for db (tables_of_tids tids)

@@ -34,6 +34,12 @@ val accessed_tables : Audit.t -> Tid.Set.t -> string list
 (** CREATE TABLE statements for the given tables. *)
 val schema_ddl_for : Database.t -> string list -> (string * string) list
 
+(** Index DDL for the given tables, one entry per table that has
+    indexes: a [CREATE [ORDERED] INDEX] line per [Table.index_specs]
+    entry, newline-separated, ordered so that creating them in turn
+    recreates the same specs. *)
+val index_ddl_for : Database.t -> string list -> (string * string) list
+
 (** CREATE TABLE statements for the tables contributing tuples to the
     set. *)
 val schema_ddl : Database.t -> Tid.Set.t -> (string * string) list

@@ -312,6 +312,83 @@ let test_real_roundtrip_with_checksums () =
   | Ok _ -> Alcotest.fail "clean bytes must skip nothing"
   | Error e -> Alcotest.failf "clean bytes must parse: %s" (E.to_string e)
 
+(* ---------------- partial restore of index sections ------------- *)
+
+(* [data] with one payload byte of section [name] flipped: the section
+   keeps its framing and fails its checksum. *)
+let corrupt_section data name =
+  let header = "@" ^ name ^ " " in
+  let n = String.length header in
+  let rec find i =
+    if i + n > String.length data then Alcotest.failf "no section %s" name
+    else if String.sub data i n = header then i
+    else find (i + 1)
+  in
+  let payload = String.index_from data (find 0) '\n' + 1 in
+  String.mapi
+    (fun i c -> if i = payload then Char.chr (Char.code c lxor 0x20) else c)
+    data
+
+(* Parse [data], expecting exactly [section] to be skipped as corrupt. *)
+let restore_skipping data ~section =
+  match Package.of_bytes_result data with
+  | Ok { Package.r_pkg; r_skipped } ->
+    Alcotest.(check (list string)) "reported as skipped" [ section ]
+      (List.map (fun c -> c.Package.c_section) r_skipped);
+    r_pkg
+  | Error e -> Alcotest.failf "unexpected structural error: %s" (E.to_string e)
+
+(* [replay.skipped_indexes] counted while [f] runs. *)
+let skipped_indexes f =
+  Ldv_obs.set_sink Ldv_obs.Memory;
+  Ldv_obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Ldv_obs.set_sink Ldv_obs.Null;
+      Ldv_obs.reset ())
+    (fun () ->
+      let r = f () in
+      ( r,
+        Option.value ~default:0
+          (List.assoc_opt "replay.skipped_indexes"
+             (Ldv_obs.snapshot ()).Ldv_obs.counters) ))
+
+(* A lost index section costs the replay its access path, not its
+   results. *)
+let test_corrupt_index_section_skipped () =
+  let audit = Lazy.force Ldv_fixtures.included in
+  let data = Package.to_bytes (Package.build audit) in
+  let pkg = restore_skipping (corrupt_section data "index:orders") ~section:"index:orders" in
+  Alcotest.(check bool) "the orders index lines are gone" false
+    (List.mem_assoc "orders" pkg.Package.db_indexes);
+  let prepared = Replay.prepare pkg in
+  let orders =
+    Minidb.Catalog.find
+      (Minidb.Database.catalog (Dbclient.Server.db prepared.Replay.server))
+      "orders"
+  in
+  Alcotest.(check (list string)) "orders restored unindexed" []
+    (Minidb.Table.index_names orders);
+  Alcotest.(check (list string)) "replay verified" []
+    (Replay.verify ~audit (Replay.run prepared))
+
+(* A lost schema section drops its table; the table's index lines then
+   name a table the replay does not have, and are skipped and counted. *)
+let test_index_of_lost_table_skipped () =
+  let audit = Lazy.force Ldv_fixtures.included in
+  let data = Package.to_bytes (Package.build audit) in
+  let pkg =
+    restore_skipping (corrupt_section data "schema:orders") ~section:"schema:orders"
+  in
+  Alcotest.(check bool) "the orders index lines survive" true
+    (List.mem_assoc "orders" pkg.Package.db_indexes);
+  let prepared, skipped = skipped_indexes (fun () -> Replay.prepare pkg) in
+  Alcotest.(check int) "the orphaned index line is counted" 1 skipped;
+  Alcotest.(check bool) "no orders table" false
+    (Minidb.Catalog.mem
+       (Minidb.Database.catalog (Dbclient.Server.db prepared.Replay.server))
+       "orders")
+
 let test_random_corruption_never_uncaught () =
   (* the acceptance property at the parser level: random bit flips and
      truncations either parse (possibly degraded) or fail typed *)
@@ -452,6 +529,10 @@ let suite =
       test_legacy_headers_accepted;
     Alcotest.test_case "real package roundtrip" `Quick
       test_real_roundtrip_with_checksums;
+    Alcotest.test_case "corrupt index section skipped" `Quick
+      test_corrupt_index_section_skipped;
+    Alcotest.test_case "index lines of a lost table skipped" `Quick
+      test_index_of_lost_table_skipped;
     Alcotest.test_case "random corruption never uncaught" `Quick
       test_random_corruption_never_uncaught;
     Alcotest.test_case "atomic write" `Quick test_write_file_atomic;

@@ -23,6 +23,9 @@ let test_included_contents () =
        paths);
   Alcotest.(check bool) "csv subset present" true (pkg.Package.db_subset <> []);
   Alcotest.(check bool) "ddl present" true (pkg.Package.db_schemas <> []);
+  Alcotest.(check (option string)) "orders ships its index"
+    (Some "CREATE INDEX orders_pk ON orders (o_orderkey)")
+    (List.assoc_opt "orders" pkg.Package.db_indexes);
   Alcotest.(check bool) "no recording" true (pkg.Package.recording = [])
 
 let test_excluded_contents () =
@@ -129,6 +132,26 @@ let test_manifest () =
   Alcotest.(check bool) "manifest sizes roughly total" true
     (sum <= Package.total_bytes pkg + 4096)
 
+(* Every byte [total_bytes] counts has a manifest row: the DDL of each
+   table, its index lines included, is its db/<table>.sql row. *)
+let test_manifest_sums_to_total () =
+  List.iter
+    (fun (kind, pkg) ->
+      let manifest = Package.manifest pkg in
+      Alcotest.(check int)
+        (kind ^ ": manifest rows add up to the total size")
+        (Package.total_bytes pkg)
+        (List.fold_left (fun a (_, s) -> a + s) 0 manifest))
+    [ ("server-included", Package.build (Lazy.force Ldv_fixtures.included));
+      ("server-excluded", Package.build (Lazy.force Ldv_fixtures.excluded));
+      ("ptu", Ptu.build (Lazy.force Ldv_fixtures.ptu)) ];
+  let pkg = Package.build (Lazy.force Ldv_fixtures.included) in
+  let ddl = List.assoc "orders" pkg.Package.db_schemas
+  and lines = List.assoc "orders" pkg.Package.db_indexes in
+  Alcotest.(check (option int)) "orders.sql holds its table and index DDL"
+    (Some (String.length ddl + String.length lines))
+    (List.assoc_opt "db/orders.sql" (Package.manifest pkg))
+
 let suite =
   [ Alcotest.test_case "included contents" `Quick test_included_contents;
     Alcotest.test_case "excluded contents" `Quick test_excluded_contents;
@@ -137,4 +160,6 @@ let suite =
     Alcotest.test_case "Table III matrix" `Quick test_table3_matrix;
     Alcotest.test_case "serialization roundtrip" `Quick test_serialization_roundtrip;
     Alcotest.test_case "embedded trace" `Quick test_trace_embedded;
-    Alcotest.test_case "manifest" `Quick test_manifest ]
+    Alcotest.test_case "manifest" `Quick test_manifest;
+    Alcotest.test_case "manifest sums to the total size" `Quick
+      test_manifest_sums_to_total ]

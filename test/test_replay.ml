@@ -130,6 +130,95 @@ let test_roundtripped_package_replays () =
   Alcotest.(check (list string)) "no divergences after roundtrip" []
     (Replay.verify ~audit result)
 
+(* ---------------- packaged indexes ------------------------------ *)
+
+let replay_db (p : Replay.prepared) = Dbclient.Server.db p.Replay.server
+
+(* The restored tables carry the audited tables' indexes, and the replay
+   plans a point read of orders on the audit's own access path. *)
+let test_replay_uses_packaged_indexes () =
+  let audit = Lazy.force Ldv_fixtures.included in
+  let pkg = Package.of_bytes (Package.to_bytes (Package.build audit)) in
+  Alcotest.(check bool) "orders ships its index" true
+    (List.mem_assoc "orders" pkg.Package.db_indexes);
+  let prepared = Replay.prepare pkg in
+  let audited = Minidb.Database.catalog (Dbclient.Server.db audit.Audit.server) in
+  let replayed = Minidb.Database.catalog (replay_db prepared) in
+  List.iter
+    (fun name ->
+      Alcotest.(check (list (triple string string bool)))
+        (name ^ " index specs")
+        (Minidb.Table.index_specs (Minidb.Catalog.find audited name))
+        (Minidb.Table.index_specs (Minidb.Catalog.find replayed name)))
+    (Minidb.Catalog.table_names replayed);
+  (match
+     Minidb.Database.query (replay_db prepared)
+       "EXPLAIN SELECT o_totalprice FROM orders WHERE o_orderkey = 7"
+   with
+  | { Minidb.Executor.rows =
+        [ { Minidb.Executor.values = [| Minidb.Value.Str plan |]; _ } ];
+      _ } ->
+    Alcotest.(check bool) ("hash index scan: " ^ plan) true
+      (Fixtures.contains_substring ~needle:"indexscan(orders.orders_pk)" plan)
+  | _ -> Alcotest.fail "EXPLAIN returned no plan");
+  Alcotest.(check (list string)) "replay verified" []
+    (Replay.verify ~audit (Replay.run prepared))
+
+(* A package written without index sections (as before they existed)
+   replays unindexed and still verifies. *)
+let test_package_without_indexes_replays () =
+  let audit = Lazy.force Ldv_fixtures.included in
+  let data =
+    Package.to_bytes { (Package.build audit) with Package.db_indexes = [] }
+  in
+  Alcotest.(check bool) "no index section" false
+    (Fixtures.contains_substring ~needle:"\n@index:" data);
+  let prepared = Replay.prepare (Package.of_bytes data) in
+  Minidb.Catalog.iter (Minidb.Database.catalog (replay_db prepared)) (fun t ->
+      Alcotest.(check (list string)) (Minidb.Table.name t ^ " unindexed") []
+        (Minidb.Table.index_names t));
+  Alcotest.(check (list string)) "replay verified" []
+    (Replay.verify ~audit (Replay.run prepared))
+
+(* Index lines that name a missing table or column, or are not a CREATE
+   INDEX at all, are skipped and counted; the rest are created. *)
+let test_bad_index_lines_skipped () =
+  let audit = Lazy.force Ldv_fixtures.included in
+  let pkg = Package.build audit in
+  let bad =
+    [ ("ghost", "CREATE INDEX ghost_k ON ghost (k)");
+      ( "orders",
+        "CREATE INDEX orders_x ON orders (no_such_column)\n\
+         DROP TABLE orders\n\
+         CREATE INDEX" ) ]
+  in
+  let pkg =
+    Package.of_bytes
+      (Package.to_bytes
+         { pkg with Package.db_indexes = pkg.Package.db_indexes @ bad })
+  in
+  Ldv_obs.set_sink Ldv_obs.Memory;
+  Ldv_obs.reset ();
+  let prepared, skipped =
+    Fun.protect
+      ~finally:(fun () ->
+        Ldv_obs.set_sink Ldv_obs.Null;
+        Ldv_obs.reset ())
+      (fun () ->
+        let prepared = Replay.prepare pkg in
+        ( prepared,
+          List.assoc_opt "replay.skipped_indexes"
+            (Ldv_obs.snapshot ()).Ldv_obs.counters ))
+  in
+  Alcotest.(check (option int)) "four lines skipped" (Some 4) skipped;
+  let catalog = Minidb.Database.catalog (replay_db prepared) in
+  Alcotest.(check bool) "no ghost table" false (Minidb.Catalog.mem catalog "ghost");
+  Alcotest.(check (list string)) "orders keeps only its own index"
+    [ "orders_pk" ]
+    (Minidb.Table.index_names (Minidb.Catalog.find catalog "orders"));
+  Alcotest.(check (list string)) "replay verified" []
+    (Replay.verify ~audit (Replay.run prepared))
+
 (* The included package with the rid and version of the first tuple of
    its first non-empty table subset replaced by [rid] and [version]. *)
 let with_first_tuple ~rid ~version =
@@ -283,6 +372,12 @@ let suite =
     Alcotest.test_case "included allows changed program" `Quick
       test_included_allows_changed_program;
     Alcotest.test_case "replay of replay" `Quick test_replay_is_itself_repeatable;
+    Alcotest.test_case "replay plans on the packaged indexes" `Quick
+      test_replay_uses_packaged_indexes;
+    Alcotest.test_case "package without index sections replays" `Quick
+      test_package_without_indexes_replays;
+    Alcotest.test_case "bad index lines skipped and counted" `Quick
+      test_bad_index_lines_skipped;
     Alcotest.test_case "roundtripped package replays" `Quick
       test_roundtripped_package_replays;
     Alcotest.test_case "package rid or version not an integer" `Quick

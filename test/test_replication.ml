@@ -307,6 +307,84 @@ let test_cluster_audit_replays_byte_identically () =
   Alcotest.(check (list string)) "replay verified, routes included" []
     (Replay.verify ~audit r)
 
+(* ---------------- replica bootstrap ------------------------------ *)
+
+let specs_of db =
+  List.map
+    (fun name ->
+      (name, Minidb.Table.index_specs (Minidb.Catalog.find (Minidb.Database.catalog db) name)))
+    (Minidb.Catalog.table_names (Minidb.Database.catalog db))
+
+let specs = Alcotest.(list (pair string (list (triple string string bool))))
+
+(* Each replica restores the leader's capture as it is; decoding the
+   checkpoint.img it persisted from that capture gives the same
+   database, and both list the leader's indexes in the leader's order. *)
+let test_replica_from_capture_matches_decoded () =
+  let kernel, d = Durable.boot () in
+  List.iter (lexec d)
+    [ "CREATE TABLE t (k INT, s TEXT, f FLOAT)";
+      "CREATE INDEX t_k ON t (k)";
+      "CREATE ORDERED INDEX t_f ON t (f)";
+      "CREATE INDEX t_s ON t (s)";
+      "INSERT INTO t VALUES (1, 'a', 1.5), (2, 'b', NULL), (3, 'a', 2)";
+      "UPDATE t SET s = 'c' WHERE k = 1";
+      "DELETE FROM t WHERE k = 3";
+      "CREATE TABLE u (x INT)" ];
+  let cluster = R.create kernel ~leader:d ~replicas:2 () in
+  let leader = R.leader_db cluster in
+  for i = 0 to 1 do
+    let decoded = Minidb.Database.create () in
+    ignore
+      (Server.restore_checkpoint decoded
+         (Minios.Vfs.read (K.vfs kernel) (R.data_dir_of i ^ "/checkpoint.img")));
+    let replica = R.replica_db cluster i in
+    Alcotest.(check string)
+      (Printf.sprintf "replica %d state" i)
+      (Minidb.Fingerprint.state decoded)
+      (Minidb.Fingerprint.state replica);
+    Alcotest.check specs
+      (Printf.sprintf "replica %d index specs, as decoded" i)
+      (specs_of decoded) (specs_of replica);
+    Alcotest.check specs
+      (Printf.sprintf "replica %d index specs, as the leader's" i)
+      (specs_of leader) (specs_of replica)
+  done
+
+(* A replayed cluster package builds its indexes before the cluster
+   bootstrap, so every replica starts with the leader's. *)
+let test_replayed_replicas_carry_indexes () =
+  let audit = Concurrent.audited ~sessions:3 ~statements:6 ~seed:11
+      ~replicas:2 ()
+  in
+  let pkg = Package.build audit in
+  let pkg =
+    { pkg with
+      Package.db_indexes =
+        [ ( "notes",
+            "CREATE INDEX notes_id ON notes (id)\n\
+             CREATE ORDERED INDEX notes_author ON notes (author)" ) ] }
+  in
+  let prepared = Replay.prepare (Package.of_bytes (Package.to_bytes pkg)) in
+  let cluster =
+    match Interceptor.cluster prepared.Replay.session with
+    | Some c -> c
+    | None -> Alcotest.fail "the replay has no cluster"
+  in
+  let leader = R.leader_db cluster in
+  Alcotest.check specs "leader indexes"
+    [ ( "notes",
+        [ ("notes_id", "id", false); ("notes_author", "author", true) ] ) ]
+    (specs_of leader);
+  for i = 0 to R.replica_count cluster - 1 do
+    Alcotest.check specs
+      (Printf.sprintf "replica %d indexes" i)
+      (specs_of leader)
+      (specs_of (R.replica_db cluster i))
+  done;
+  Alcotest.(check (list string)) "replay verified" []
+    (Replay.verify ~audit (Replay.run prepared))
+
 let test_plain_audit_has_no_cluster_metadata () =
   let audit = Concurrent.audited ~sessions:2 ~statements:4 ~seed:3 () in
   Alcotest.(check bool) "no cluster recorded" true
@@ -336,6 +414,10 @@ let suite =
       test_replicacheck_deterministic;
     Alcotest.test_case "cluster audit records routes" `Quick
       test_cluster_audit_records_routes;
+    Alcotest.test_case "replica from the capture equals the decoded base backup"
+      `Quick test_replica_from_capture_matches_decoded;
+    Alcotest.test_case "replayed replicas carry the leader's indexes" `Quick
+      test_replayed_replicas_carry_indexes;
     Alcotest.test_case "cluster audit replays byte-identically" `Quick
       test_cluster_audit_replays_byte_identically;
     Alcotest.test_case "plain audit has no cluster metadata" `Quick

@@ -197,6 +197,11 @@ let small_data_file () =
   Server.encode_table_image
     (Server.table_image (Catalog.find (Database.catalog db) "t"))
 
+(* A checkpoint's bytes, produced at once. *)
+let checkpoint_bytes db ~last_seq =
+  Option.get
+    (Minios.Vfs.content_bytes (Server.checkpoint_content db ~last_seq))
+
 let flip s pos =
   String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor 0x20) else c) s
 
@@ -287,14 +292,14 @@ let test_resealed_flips_never_untyped () =
     (Database.exec db
        "INSERT INTO t VALUES (1, 'a', 1.5, TRUE), (2, 'a', NULL, FALSE)");
   ignore (Database.exec db "DELETE FROM t WHERE k = 2");
-  check "checkpoint" (Server.encode_checkpoint db ~last_seq:3) (fun bytes ->
+  check "checkpoint" (checkpoint_bytes db ~last_seq:3) (fun bytes ->
       ignore (Server.restore_checkpoint (Database.create ()) bytes))
 
 let test_checkpoint_seq_checks_frame () =
   let db = Database.create () in
   ignore (Database.exec db "CREATE TABLE t (k INT, s TEXT)");
   ignore (Database.exec db "INSERT INTO t VALUES (1, 'needle-one')");
-  let payload = Server.encode_checkpoint db ~last_seq:300 in
+  let payload = checkpoint_bytes db ~last_seq:300 in
   Alcotest.(check int) "covered sequence number" 300 (Server.checkpoint_seq payload);
   expect_db_error "flipped row string" (fun () ->
       ignore (Server.checkpoint_seq (flip payload (index_of payload "needle-one"))));
@@ -463,7 +468,7 @@ let prop_image_roundtrip =
       in
       let via_ckpt = Database.create () in
       let seq =
-        Server.restore_checkpoint via_ckpt (Server.encode_checkpoint db ~last_seq:17)
+        Server.restore_checkpoint via_ckpt (checkpoint_bytes db ~last_seq:17)
       in
       let newest =
         List.fold_left
