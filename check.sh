@@ -11,7 +11,7 @@
 # --quick skips the crash/faults campaigns, the profiler smokes and the
 # benches (build + tests + the replica/tx campaigns + out-of-range
 # argument and file-error checks + the overhead-ledger gate self-check +
-# the replicated audit package checksum).
+# the replicated and server-included audit package checksums).
 set -e
 cd "$(dirname "$0")"
 root=$(pwd)
@@ -141,6 +141,12 @@ dune exec bin/ldv.exe -- --obs "jsonl:$tmpdir/ov.jsonl" \
 # gets packaged shows here
 cksum < "$tmpdir/ov.ldv" > "$tmpdir/ov.cksum"
 diff test/golden/audit-sessions4-replicas2-cksum.txt "$tmpdir/ov.cksum"
+# the same for a server-included TPC-H package, whose tables carry
+# indexes: its index DDL sections are pinned with the rest
+dune exec bin/ldv.exe -- audit --sf 0.002 --inserts 20 --selects 3 \
+  --updates 5 -o "$tmpdir/inc.ldv" > /dev/null
+cksum < "$tmpdir/inc.ldv" > "$tmpdir/inc.cksum"
+diff test/golden/audit-sf0.002-cksum.txt "$tmpdir/inc.cksum"
 dune exec bin/ldv.exe -- overhead "$tmpdir/ov.jsonl" --gate 500 > /dev/null
 if dune exec bin/ldv.exe -- overhead "$tmpdir/ov.jsonl" --gate 0.0001 \
     > /dev/null 2>&1; then
