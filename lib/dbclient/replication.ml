@@ -99,8 +99,9 @@ let data_dir_of i = Printf.sprintf "/var/minidb/replica%d" i
     replica bootstraps from a base backup — one capture of the leader's
     current state, restored into the replica as it is and persisted,
     encoded, as the replica's own initial checkpoint so node-local crash
-    recovery can rebuild from it — and then follows the ship stream. [staleness] bounds how many records behind a replica may
-    be while still serving reads; [torn] maps a crashed replica's
+    recovery can rebuild from it — and then follows the ship stream.
+    [staleness] bounds how many records behind a replica may be while
+    still serving reads; [torn] maps a crashed replica's
     unsynced WAL byte count to the surviving torn-tail length (campaigns
     pass a seeded draw; the default loses everything unsynced). *)
 let create (kernel : Minios.Kernel.t) ~(leader : Durable.t) ~replicas

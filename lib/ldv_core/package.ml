@@ -363,9 +363,8 @@ let build (audit : Audit.t) : t =
    pre-checksum format) still parse but their sections go unverified. On
    restore, a checksum mismatch in a *content* section (file:, opaque:,
    output:, schema:, index:, csv:) skips just that section and reports
-   it; a
-   mismatch in a structural section (kind, app, binary, meta:, recording,
-   trace) makes the whole package unreadable.                           *)
+   it; a mismatch in a structural section (kind, app, binary, meta:,
+   recording, trace) makes the whole package unreadable.                *)
 
 let b64 = Fun.id (* entries may contain arbitrary bytes; keep raw with length prefixes *)
 

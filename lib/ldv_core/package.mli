@@ -131,10 +131,10 @@ type restored = {
 }
 
 (** Parse package bytes, tolerating corrupt {e content} sections (files,
-    CSV tables, schemas, index DDL, outputs): each is skipped and reported in
-    [r_skipped] so the caller can degrade gracefully. Structural damage
-    (bad framing, truncation, corrupt kind/app/binary/trace/recording)
-    returns [Error]. Never raises. *)
+    CSV tables, schemas, index DDL, outputs): each is skipped and
+    reported in [r_skipped] so the caller can degrade gracefully.
+    Structural damage (bad framing, truncation, corrupt
+    kind/app/binary/trace/recording) returns [Error]. Never raises. *)
 val of_bytes_result : string -> (restored, Ldv_errors.t) result
 
 (** Strict parse: any corruption at all is an error.

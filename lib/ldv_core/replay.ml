@@ -32,7 +32,9 @@ type prepared = {
 let create_packaged_index (db : Database.t) (sql : string) =
   match Sql_parser.parse sql with
   | Sql_ast.Create_index { index; table; column; ordered } -> (
-    try Catalog.create_index ~ordered (Database.catalog db) ~index ~table ~column
+    try
+      Catalog.create_index ~ordered (Database.catalog db) ~index ~table
+        ~column
     with Errors.Db_error _ -> Ldv_obs.counter "replay.skipped_indexes")
   | _ | (exception Errors.Db_error _) ->
     Ldv_obs.counter "replay.skipped_indexes"

@@ -583,12 +583,13 @@ let create_index ?(ordered = false) t ~index_name ~column =
     t.ordered <- oidx :: t.ordered
   end
   else begin
-    (* sized once from the rows the backfill adds: a table restored
+    (* sized once from the rows the backfill adds: a Hashtbl grows when
+       it holds twice as many keys as buckets, so a table restored
        before its indexes are created backfills without a resize *)
     let idx =
       { idx_name = index_name;
         idx_column = position;
-        idx_entries = Hashtbl.create (max 256 t.n_live) }
+        idx_entries = Hashtbl.create (max 256 (t.n_live / 2)) }
     in
     iter_live t (fun rid tv -> index_add idx tv.values.(position) rid);
     t.indexes <- idx :: t.indexes

@@ -358,7 +358,10 @@ let skipped_indexes f =
 let test_corrupt_index_section_skipped () =
   let audit = Lazy.force Ldv_fixtures.included in
   let data = Package.to_bytes (Package.build audit) in
-  let pkg = restore_skipping (corrupt_section data "index:orders") ~section:"index:orders" in
+  let pkg =
+    restore_skipping (corrupt_section data "index:orders")
+      ~section:"index:orders"
+  in
   Alcotest.(check bool) "the orders index lines are gone" false
     (List.mem_assoc "orders" pkg.Package.db_indexes);
   let prepared = Replay.prepare pkg in
@@ -378,7 +381,8 @@ let test_index_of_lost_table_skipped () =
   let audit = Lazy.force Ldv_fixtures.included in
   let data = Package.to_bytes (Package.build audit) in
   let pkg =
-    restore_skipping (corrupt_section data "schema:orders") ~section:"schema:orders"
+    restore_skipping (corrupt_section data "schema:orders")
+      ~section:"schema:orders"
   in
   Alcotest.(check bool) "the orders index lines survive" true
     (List.mem_assoc "orders" pkg.Package.db_indexes);

@@ -142,7 +142,9 @@ let test_replay_uses_packaged_indexes () =
   Alcotest.(check bool) "orders ships its index" true
     (List.mem_assoc "orders" pkg.Package.db_indexes);
   let prepared = Replay.prepare pkg in
-  let audited = Minidb.Database.catalog (Dbclient.Server.db audit.Audit.server) in
+  let audited =
+    Minidb.Database.catalog (Dbclient.Server.db audit.Audit.server)
+  in
   let replayed = Minidb.Database.catalog (replay_db prepared) in
   List.iter
     (fun name ->
@@ -212,7 +214,8 @@ let test_bad_index_lines_skipped () =
   in
   Alcotest.(check (option int)) "four lines skipped" (Some 4) skipped;
   let catalog = Minidb.Database.catalog (replay_db prepared) in
-  Alcotest.(check bool) "no ghost table" false (Minidb.Catalog.mem catalog "ghost");
+  Alcotest.(check bool) "no ghost table" false
+    (Minidb.Catalog.mem catalog "ghost");
   Alcotest.(check (list string)) "orders keeps only its own index"
     [ "orders_pk" ]
     (Minidb.Table.index_names (Minidb.Catalog.find catalog "orders"));

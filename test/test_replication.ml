@@ -310,10 +310,11 @@ let test_cluster_audit_replays_byte_identically () =
 (* ---------------- replica bootstrap ------------------------------ *)
 
 let specs_of db =
+  let catalog = Minidb.Database.catalog db in
   List.map
     (fun name ->
-      (name, Minidb.Table.index_specs (Minidb.Catalog.find (Minidb.Database.catalog db) name)))
-    (Minidb.Catalog.table_names (Minidb.Database.catalog db))
+      (name, Minidb.Table.index_specs (Minidb.Catalog.find catalog name)))
+    (Minidb.Catalog.table_names catalog)
 
 let specs = Alcotest.(list (pair string (list (triple string string bool))))
 
@@ -337,7 +338,8 @@ let test_replica_from_capture_matches_decoded () =
     let decoded = Minidb.Database.create () in
     ignore
       (Server.restore_checkpoint decoded
-         (Minios.Vfs.read (K.vfs kernel) (R.data_dir_of i ^ "/checkpoint.img")));
+         (Minios.Vfs.read (K.vfs kernel)
+            (R.data_dir_of i ^ "/checkpoint.img")));
     let replica = R.replica_db cluster i in
     Alcotest.(check string)
       (Printf.sprintf "replica %d state" i)
