@@ -11,7 +11,7 @@
 # --quick skips the crash/faults campaigns, the profiler smokes and the
 # benches (build + tests + the replica/tx campaigns + out-of-range
 # argument and file-error checks + the overhead-ledger gate self-check +
-# the replicated and server-included audit package checksums).
+# the replicated, server-included and Q3-1 audit package checksums).
 set -e
 cd "$(dirname "$0")"
 root=$(pwd)
@@ -147,6 +147,15 @@ dune exec bin/ldv.exe -- audit --sf 0.002 --inserts 20 --selects 3 \
   --updates 5 -o "$tmpdir/inc.ldv" > /dev/null
 cksum < "$tmpdir/inc.ldv" > "$tmpdir/inc.cksum"
 diff test/golden/audit-sf0.002-cksum.txt "$tmpdir/inc.cksum"
+# and for a Q3-1 package, whose three-table join carries thousands of
+# tuple versions per select: the trace counts and the sliced subset
+{
+  dune exec bin/ldv.exe -- audit --query Q3-1 --sf 0.002 --inserts 20 \
+    --selects 3 --updates 5 -o "$tmpdir/q3.ldv" \
+    | grep '^execution trace:' || true
+  cksum < "$tmpdir/q3.ldv"
+} > "$tmpdir/q3.txt"
+diff test/golden/audit-q3-sf0.002.txt "$tmpdir/q3.txt"
 dune exec bin/ldv.exe -- overhead "$tmpdir/ov.jsonl" --gate 500 > /dev/null
 if dune exec bin/ldv.exe -- overhead "$tmpdir/ov.jsonl" --gate 0.0001 \
     > /dev/null 2>&1; then
