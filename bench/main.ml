@@ -728,6 +728,19 @@ let micro () =
       .audit
   in
   let q3_stmts = Audit.stmts q3_audit in
+  (* a server-included session whose slice already holds Q3-1's lineage:
+     each further execution is the warm audited select of the paper's
+     Select step *)
+  let q3_session =
+    let kernel = Minios.Kernel.create () in
+    let server = Dbclient.Server.install kernel (Instance.fresh_db inst) in
+    let session =
+      Dbclient.Interceptor.create ~mode:Dbclient.Interceptor.Audit_included
+        ~kernel server
+    in
+    ignore (Dbclient.Interceptor.execute session ~pid:1 q3.Tpch.Queries.sql);
+    session
+  in
   let csv_schema =
     Minidb.Schema.of_list
       [ Minidb.Schema.column "a" Minidb.Value.Tint;
@@ -783,6 +796,10 @@ let micro () =
       Test.make ~name:"perm/lineage(Q3-1)"
         (Staged.stage (fun () ->
              Perm.Provenance_sql.query_lineage db q3.Tpch.Queries.sql));
+      Test.make ~name:"audit/select(Q3-1)"
+        (Staged.stage (fun () ->
+             Dbclient.Interceptor.execute q3_session ~pid:1
+               q3.Tpch.Queries.sql));
       Test.make ~name:"aggregate-groupby"
         (Staged.stage (fun () ->
              Minidb.Database.query sales

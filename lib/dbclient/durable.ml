@@ -84,13 +84,19 @@ let kind_of_sql (sql : string) : Wal.kind =
 
 (** Wrap a freshly installed (or recovered) server whose process [pid]
     performs the durability I/O. [next_seq] continues from whatever the
-    checkpoint and log already contain. *)
-let start (kernel : Minios.Kernel.t) (server : Server.t) ~pid : t =
+    checkpoint and log already contain. A caller that wrote the
+    checkpoint itself passes the sequence number it covers as
+    [checkpoint_seq], so the checkpoint need not be read. *)
+let start ?checkpoint_seq (kernel : Minios.Kernel.t) (server : Server.t) ~pid
+    : t =
   let vfs = Minios.Kernel.vfs kernel in
   let ck_seq =
-    match checkpoint_bytes vfs server with
-    | Some payload -> Server.checkpoint_seq payload
-    | None -> 0
+    match checkpoint_seq with
+    | Some seq -> seq
+    | None -> (
+      match checkpoint_bytes vfs server with
+      | Some payload -> Server.checkpoint_seq payload
+      | None -> 0)
   in
   let wal_seq =
     List.fold_left

@@ -69,9 +69,9 @@ type stmt_event = {
       (** which node answered: a replica id when a read was served by a
           read replica, -1 for the leader. Recorded in the package so
           replay re-runs the whole cluster deterministically. *)
-  results : (Tid.t * Tid.t list) list;
+  results : (Tid.t * Lineage.t) list;
       (** produced tuple version -> versions in its lineage *)
-  reads : Tid.t list;  (** tuple versions the statement read *)
+  reads : Lineage.t;  (** tuple versions the statement read *)
   schema : Schema.t option;
   rows : Value.t array list;
   affected : int;
@@ -119,10 +119,11 @@ type t = {
   mutable log : stmt_event list;  (** newest first *)
   mutable recorded : Recorder.recorded list;  (** audit-excluded, newest first *)
   mutable replay_queue : Recorder.recorded list;  (** replay-excluded, in order *)
-  slice : unit Tid.Tbl.t;
+  slice : (string, unit Lineage.Tbl.t) Hashtbl.t;
       (** deduplicated tuple versions relevant to the run (the paper's
-          in-memory hash table, §VII-D); shared across sibling sessions
-          so the run's slice stays one deduplicated set *)
+          in-memory hash table, §VII-D), per table by packed id; shared
+          across sibling sessions so the run's slice stays one
+          deduplicated set *)
   (* §VII-D: the prototype "immediately computes the provenance for every
      operation ... and writes these tuples to files on disk". The eager
      buffers model that write path: server-included audits append each
@@ -162,7 +163,7 @@ let create ?(mode = Passthrough) ?(session_id = 0) ?(snapshot_reads = false)
     log = [];
     recorded = [];
     replay_queue = [];
-    slice = Tid.Tbl.create 1024;
+    slice = Hashtbl.create 16;
     eager_csv = Buffer.create 4096;
     eager_recording = Buffer.create 4096 }
 
@@ -201,38 +202,70 @@ let versioning t = t.versioning
 
 (** Tuple versions accumulated for packaging (before removing
     application-created versions). *)
-let slice_tids t =
-  Tid.Tbl.fold (fun tid () acc -> tid :: acc) t.slice []
-  |> List.sort Tid.compare
+let slice_lineage t =
+  Hashtbl.fold
+    (fun table members acc ->
+      let ids = Array.make (Lineage.Tbl.length members) 0 in
+      let i = ref 0 in
+      Lineage.Tbl.iter
+        (fun p () ->
+          ids.(!i) <- p;
+          incr i)
+        members;
+      (table, ids) :: acc)
+    t.slice []
+  |> Lineage.of_packed
 
 let eager_csv_bytes t = Buffer.length t.eager_csv
 let eager_recording_bytes t = Buffer.length t.eager_recording
 
-let add_to_slice t tid =
-  if not (Tid.Tbl.mem t.slice tid) then begin
-    Ldv_obs.Ledger.time Ldv_obs.Ledger.Audit_record @@ fun () ->
-    Tid.Tbl.replace t.slice tid ();
-    (* write the newly relevant tuple out immediately (§VII-D) *)
-    match Perm.Versioning.lookup_version t.versioning tid with
-    | Some values ->
-      Buffer.add_string t.eager_csv (string_of_int tid.Tid.rid);
-      Buffer.add_char t.eager_csv ',';
-      Buffer.add_string t.eager_csv (string_of_int tid.Tid.version);
+(* A statement's reads enter the slice table one int probe per version;
+   only a version not seen before is materialized, as a [Tid.t] and as
+   its eager CSV line. *)
+let add_to_slice t (reads : Lineage.t) =
+  Lineage.iter_tables
+    (fun table ids ->
+      let members =
+        match Hashtbl.find_opt t.slice table with
+        | Some m -> m
+        | None ->
+          let m = Lineage.Tbl.create 1024 in
+          Hashtbl.replace t.slice table m;
+          m
+      in
       Array.iter
-        (fun v ->
-          Buffer.add_char t.eager_csv ',';
-          Buffer.add_string t.eager_csv
-            (Csv.quote_field (Csv.encode_value v)))
-        values;
-      Buffer.add_char t.eager_csv '\n'
-    | None -> ()
-  end
+        (fun p ->
+          if not (Lineage.Tbl.mem members p) then begin
+            Ldv_obs.Ledger.time Ldv_obs.Ledger.Audit_record @@ fun () ->
+            Lineage.Tbl.replace members p ();
+            (* write the newly relevant tuple out immediately (§VII-D) *)
+            let rid = Lineage.rid p and version = Lineage.version p in
+            match
+              Perm.Versioning.lookup_version t.versioning
+                (Tid.make ~table ~rid ~version)
+            with
+            | Some values ->
+              Buffer.add_string t.eager_csv (string_of_int rid);
+              Buffer.add_char t.eager_csv ',';
+              Buffer.add_string t.eager_csv (string_of_int version);
+              Array.iter
+                (fun v ->
+                  Buffer.add_char t.eager_csv ',';
+                  Buffer.add_string t.eager_csv
+                    (Csv.quote_field (Csv.encode_value v)))
+                values;
+              Buffer.add_char t.eager_csv '\n'
+            | None -> ()
+          end)
+        ids)
+    reads
 
 (* ------------------------------------------------------------------ *)
 (* Statement execution per mode.                                       *)
 
-let synthetic_result_tid ~qid ~row ~at =
-  Tid.make ~table:(Printf.sprintf "#q%d" qid) ~rid:row ~version:at
+(* The table name of statement [qid]'s transient result tuples, whose
+   rid is the row's position. *)
+let result_table qid = Printf.sprintf "#q%d" qid
 
 (** Whether a tid denotes a transient query-result tuple rather than a
     stored tuple version. *)
@@ -248,14 +281,14 @@ let is_result_tid (tid : Tid.t) =
     record carries so replicas stamp identically. *)
 let exec_audit_included t ~qid ~pid ?serve (ast : Sql_ast.statement)
     (sql : string) :
-    Protocol.response * (Tid.t * Tid.t list) list * Tid.t list * Schema.t option
+    Protocol.response * (Tid.t * Lineage.t) list * Lineage.t * Schema.t option
     * Value.t array list * int * int =
   let db = Server.db t.server in
   match ast with
   | Sql_ast.Explain _ ->
     (* plan description only; nothing to audit *)
     let resp = Server.handle t.server (Protocol.Statement { sql }) in
-    (resp, [], [], None, Protocol.response_rows resp, 0, -1)
+    (resp, [], Lineage.empty, None, Protocol.response_rows resp, 0, -1)
   | Sql_ast.Select _ | Sql_ast.Provenance _ ->
     let serve_db = match serve with Some srv -> Server.db srv | None -> db in
     let prov =
@@ -270,22 +303,20 @@ let exec_audit_included t ~qid ~pid ?serve (ast : Sql_ast.statement)
       (fun table -> ignore (Perm.Versioning.enable_table t.versioning table))
       prov.Perm.Provenance_sql.read_tables;
     let at = Database.clock serve_db in
-    let results =
+    let results, reads =
       Ldv_obs.Ledger.time Ldv_obs.Ledger.Provenance @@ fun () ->
-      List.mapi
-        (fun i (row : Perm.Provenance_sql.provenance_row) ->
-          let rtid = synthetic_result_tid ~qid ~row:i ~at in
-          let lineage = Tid.Set.elements row.Perm.Provenance_sql.lineage in
-          List.iter
-            (fun tid ->
-              add_to_slice t tid;
-              Perm.Versioning.record_usage t.versioning tid ~qid ~pid ~at)
-            lineage;
-          (rtid, lineage))
-        prov.Perm.Provenance_sql.rows
-    in
-    let reads =
-      Tid.Set.elements (Perm.Provenance_sql.total_lineage prov)
+      let table = result_table qid in
+      let results =
+        List.mapi
+          (fun i (row : Perm.Provenance_sql.provenance_row) ->
+            ( Tid.make ~table ~rid:i ~version:at,
+              row.Perm.Provenance_sql.lineage ))
+          prov.Perm.Provenance_sql.rows
+      in
+      let reads = Perm.Provenance_sql.union_lineage prov in
+      add_to_slice t reads;
+      Perm.Versioning.record_usage t.versioning reads ~qid ~pid ~at;
+      (results, reads)
     in
     let rows =
       List.map
@@ -327,15 +358,15 @@ let exec_audit_included t ~qid ~pid ?serve (ast : Sql_ast.statement)
       | _ -> assert false
     in
     let at = Database.clock db in
+    let reads = Lineage.of_tids info.Database.read in
     Ldv_obs.Ledger.time Ldv_obs.Ledger.Audit_record (fun () ->
-        List.iter
-          (fun tid ->
-            add_to_slice t tid;
-            Perm.Versioning.record_usage t.versioning tid ~qid ~pid ~at)
-          info.Database.read);
+        add_to_slice t reads;
+        Perm.Versioning.record_usage t.versioning reads ~qid ~pid ~at);
     ( Protocol.Command_ok { affected = info.Database.count },
-      info.Database.deps,
-      info.Database.read,
+      List.map
+        (fun (written, srcs) -> (written, Lineage.of_tids srcs))
+        info.Database.deps,
+      reads,
       None,
       [],
       info.Database.count,
@@ -345,7 +376,7 @@ let exec_audit_included t ~qid ~pid ?serve (ast : Sql_ast.statement)
   | Sql_ast.Rollback_tx ->
     let at_write = Database.clock db in
     let resp = Server.handle t.server (Protocol.Statement { sql }) in
-    (resp, [], [], None, [], 0, at_write)
+    (resp, [], Lineage.empty, None, [], 0, at_write)
 
 let exec_passthrough t (sql : string) = Server.handle t.server (Protocol.Statement { sql })
 
@@ -536,11 +567,11 @@ let execute (t : t) ~pid (sql : string) : Protocol.response =
             Database.with_frozen_clock rdb (fun () ->
                 Server.handle srv (Protocol.Statement { sql = exec_sql }))
           in
-          (resp, [], [], None, Protocol.response_rows resp, 0, -1, rid)
+          (resp, [], Lineage.empty, None, Protocol.response_rows resp, 0, -1, rid)
         | None ->
           let resp = exec_passthrough t exec_sql in
-          ( resp, [], [], None, Protocol.response_rows resp, 0, at_dispatch,
-            -1 ))
+          ( resp, [], Lineage.empty, None, Protocol.response_rows resp, 0,
+            at_dispatch, -1 ))
       | Audit_included ->
         let serve, rid =
           match routed with Some (srv, rid) -> (Some srv, rid) | None -> (None, -1)
@@ -578,10 +609,11 @@ let execute (t : t) ~pid (sql : string) : Protocol.response =
           Buffer.add_string t.eager_recording (Recorder.encode [ record ]);
           (rec_schema, rec_rows, rec_affected)
         in
-        (resp, [], [], rec_schema, rec_rows, rec_affected, at_dispatch, -1)
+        ( resp, [], Lineage.empty, rec_schema, rec_rows, rec_affected,
+          at_dispatch, -1 )
       | Replay_excluded ->
         let resp = exec_replay_excluded t ~kind sql_norm in
-        (resp, [], [], None, Protocol.response_rows resp, 0, -1, -1)
+        (resp, [], Lineage.empty, None, Protocol.response_rows resp, 0, -1, -1)
       with Errors.Db_error (Errors.Serialization_failure detail) ->
         abort_tx ~detail
     in

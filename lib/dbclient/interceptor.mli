@@ -37,9 +37,9 @@ type stmt_event = {
       (** which node answered: a replica id when a read was served by a
           read replica, -1 for the leader. Recorded in the package so
           replay re-runs the whole cluster deterministically. *)
-  results : (Tid.t * Tid.t list) list;
+  results : (Tid.t * Lineage.t) list;
       (** produced tuple version -> versions in its lineage *)
-  reads : Tid.t list;  (** tuple versions the statement read *)
+  reads : Lineage.t;  (** tuple versions the statement read *)
   schema : Schema.t option;
   rows : Value.t array list;
   affected : int;
@@ -87,8 +87,8 @@ val in_tx : t -> bool
 val versioning : t -> Perm.Versioning.t
 
 (** Tuple versions accumulated for packaging (before removing
-    application-created versions), deduplicated. *)
-val slice_tids : t -> Tid.t list
+    application-created versions). *)
+val slice_lineage : t -> Lineage.t
 
 (** Bytes written so far to the eager package files (§VII-D's immediate
     persistence): the tuple CSV buffer and the response recording. *)
@@ -99,8 +99,6 @@ val eager_recording_bytes : t -> int
 (** Whether a tid denotes a transient query-result tuple rather than a
     stored tuple version. *)
 val is_result_tid : Tid.t -> bool
-
-val synthetic_result_tid : qid:int -> row:int -> at:int -> Tid.t
 
 (** Execute one statement on behalf of process [pid].
     @raise Replay_divergence in replay mode when the statement stream

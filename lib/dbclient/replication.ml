@@ -97,9 +97,11 @@ let data_dir_of i = Printf.sprintf "/var/minidb/replica%d" i
 
 (** Build a cluster of [replicas] read replicas behind [leader]. Each
     replica bootstraps from a base backup — one capture of the leader's
-    current state, restored into the replica as it is and persisted,
-    encoded, as the replica's own initial checkpoint so node-local crash
-    recovery can rebuild from it — and then follows the ship stream.
+    current state, restored into the replica as it is and persisted as
+    the replica's own initial checkpoint so node-local crash recovery can
+    rebuild from it — and then follows the ship stream. The checkpoint
+    files are deferred content over the capture: only a recovery that
+    reads one encodes it, once for all replicas.
     [staleness] bounds how many records behind a replica may be while
     still serving reads; [torn] maps a crashed replica's
     unsynced WAL byte count to the surviving torn-tail length (campaigns
@@ -109,18 +111,16 @@ let create (kernel : Minios.Kernel.t) ~(leader : Durable.t) ~replicas
   if replicas < 0 then invalid_arg "Replication.create: replicas < 0";
   let vfs = Minios.Kernel.vfs kernel in
   let ship_seq0 = Durable.next_seq leader - 1 in
-  (* one capture of the leader: encoded once for the replicas'
-     checkpoint files, and restored into each replica as it is *)
+  (* one capture of the leader: the replicas' checkpoint files share its
+     deferred encoding, and each replica restores it as it is *)
   let capture = Server.capture_checkpoint (Server.db (Durable.server leader)) in
-  let base = lazy (Server.encode_capture capture ~last_seq:ship_seq0) in
+  let base = Server.capture_content capture ~last_seq:ship_seq0 in
   let reps =
     Array.init replicas (fun i ->
         let data_dir = data_dir_of i in
         (* persist the base backup as the replica's initial checkpoint:
            a crash before its first own checkpoint must not lose it *)
-        Minios.Vfs.write_string vfs
-          ~path:(data_dir ^ "/checkpoint.img")
-          (Lazy.force base);
+        Minios.Vfs.write vfs ~path:(data_dir ^ "/checkpoint.img") base;
         let db = Database.create () in
         Server.restore_capture db capture;
         let server = Server.attach ~data_dir db in
@@ -129,7 +129,10 @@ let create (kernel : Minios.Kernel.t) ~(leader : Durable.t) ~replicas
             ~name:(Printf.sprintf "minidb-replica%d" i)
             ()
         in
-        let d = Durable.start kernel server ~pid:proc.Minios.Kernel.pid in
+        let d =
+          Durable.start ~checkpoint_seq:ship_seq0 kernel server
+            ~pid:proc.Minios.Kernel.pid
+        in
         { rep_id = i;
           rep_data_dir = data_dir;
           rep_durable = d;

@@ -93,16 +93,19 @@ let capture_checkpoint (db : Database.t) : capture =
 let encode_capture (c : capture) ~last_seq : string =
   Image.encode_checkpoint ~last_seq ~clock:c.cap_clock c.cap_tables
 
-(* The checkpoint of [db] as of now, produced only when something reads
-   it: only recovery, a replica restart or a test asks for its bytes. *)
-let checkpoint_content (db : Database.t) ~last_seq : Minios.Vfs.content =
-  let c = capture_checkpoint db in
+(* A capture's checkpoint payload, produced only when something reads
+   it: only recovery, a replica restart or a test asks for its bytes.
+   Files written with one such value share its bytes. *)
+let capture_content (c : capture) ~last_seq : Minios.Vfs.content =
   Minios.Vfs.Deferred
     { size =
         lazy
           (Image.checkpoint_encoded_size ~last_seq ~clock:c.cap_clock
              c.cap_tables);
       bytes = lazy (encode_capture c ~last_seq) }
+
+let checkpoint_content (db : Database.t) ~last_seq : Minios.Vfs.content =
+  capture_content (capture_checkpoint db) ~last_seq
 
 let restore_tables (db : Database.t) ~clock tables =
   List.iter (restore_table_image db) tables;

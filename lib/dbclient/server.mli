@@ -67,6 +67,11 @@ val encode_capture : capture -> last_seq:int -> string
     changed in place. *)
 val restore_capture : Database.t -> capture -> unit
 
+(** {!encode_capture} as [Minios.Vfs.Deferred] content: the size and the
+    bytes are computed only when a reader asks for them, once for every
+    file written with the same value. *)
+val capture_content : capture -> last_seq:int -> Minios.Vfs.content
+
 (** The checkpoint of [db] as [Minios.Vfs.Deferred] content: every
     table's image and the clock are captured now, and the size and the
     bytes, equal to {!encode_capture}'s at this instant, are computed

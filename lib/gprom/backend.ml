@@ -18,7 +18,7 @@ module type S = sig
 
   (** Execute a query, returning schema, rows, and per-row lineage. *)
   val query :
-    conn -> string -> Schema.t * (Value.t array * Tid.Set.t) list
+    conn -> string -> Schema.t * (Value.t array * Lineage.t) list
 
   (** Execute a DML statement, returning (a) the versions written with,
       per written version, the versions it derives from, and (b) every

@@ -187,28 +187,46 @@ let tx_outcomes (stmts : I.stmt_event list) : (int * int * tx_outcome) list
 (* Fill a combined trace from the tracer's syscall stream and a statement
    log. Every statement gets its node and [run] edge; [keep_tuples s] says
    whether its tuple-version reads, results and lineage enter the trace
-   too. Each tuple version is resolved to its node index once per build,
-   so a tuple edge or dependency costs one [Tid.Tbl] probe. *)
+   too. Tuple versions are interned by packed id, one table of node
+   indices per DB table: a tuple edge or dependency costs one int probe,
+   and a [Tid.t] is made only for a version that gets a new node. Reads
+   and lineage are visited in [Tid.compare] order, which fixes the order
+   nodes are created in. *)
 let fill_trace ~(keep_tuples : I.stmt_event -> bool)
     (tracer : Minios.Tracer.t) (stmts : I.stmt_event list) : Prov.Trace.t =
   let module T = Prov.Trace in
   let trace = Prov.Combined.create () in
   Minios.Tracer.build_bb_into tracer trace;
-  let tuples = Tid.Tbl.create 1024 in
-  let tuple tid =
-    match Tid.Tbl.find_opt tuples tid with
+  let by_table : (string, int Lineage.Tbl.t) Hashtbl.t = Hashtbl.create 16 in
+  let nodes_of table =
+    match Hashtbl.find_opt by_table table with
+    | Some ids -> ids
+    | None ->
+      let ids = Lineage.Tbl.create 16 in
+      Hashtbl.replace by_table table ids;
+      ids
+  in
+  let tid_of table p =
+    Tid.make ~table ~rid:(Lineage.rid p) ~version:(Lineage.version p)
+  in
+  let tuple_in table ids p =
+    match Lineage.Tbl.find_opt ids p with
     | Some ix -> ix
     | None ->
-      let n = Prov.Lineage_model.add_tuple trace tid in
+      let n = Prov.Lineage_model.add_tuple trace (tid_of table p) in
       let ix = T.index_of trace n.T.id in
-      Tid.Tbl.add tuples tid ix;
+      Lineage.Tbl.add ids p ix;
       ix
   in
+  let tuple (tid : Tid.t) =
+    tuple_in tid.Tid.table (nodes_of tid.Tid.table)
+      (Lineage.pack ~rid:tid.Tid.rid ~version:tid.Tid.version)
+  in
   (* lineage sources must already be in the trace, as inputs *)
-  let source tid =
-    match Tid.Tbl.find_opt tuples tid with
+  let source table ids p =
+    match Lineage.Tbl.find_opt ids p with
     | Some ix -> ix
-    | None -> T.index_of trace (Prov.Lineage_model.tuple_id tid)
+    | None -> T.index_of trace (Prov.Lineage_model.tuple_id (tid_of table p))
   in
   List.iter
     (fun (s : I.stmt_event) ->
@@ -231,11 +249,15 @@ let fill_trace ~(keep_tuples : I.stmt_event -> bool)
         ignore (T.add_edge_ix trace ~label:"run" ~src:proc ~dst:stmt ~time);
         if keep_tuples s then begin
           (* input tuple versions *)
-          List.iter
-            (fun tid ->
-              ignore
-                (T.add_edge_ix trace ~label:"hasRead" ~src:(tuple tid)
-                   ~dst:stmt ~time))
+          Lineage.iter_tables
+            (fun table packed ->
+              let ids = nodes_of table in
+              Array.iter
+                (fun p ->
+                  ignore
+                    (T.add_edge_ix trace ~label:"hasRead"
+                       ~src:(tuple_in table ids p) ~dst:stmt ~time))
+                packed)
             s.I.reads;
           (* produced tuple versions and their registered dependencies *)
           List.iter
@@ -251,10 +273,14 @@ let fill_trace ~(keep_tuples : I.stmt_event -> bool)
                   (T.add_edge_ix trace ~label:"readFromDb" ~src:result
                      ~dst:proc ~time)
               | _ -> ());
-              List.iter
-                (fun src ->
-                  T.add_dependency_ix trace ~later:result
-                    ~earlier:(source src))
+              Lineage.iter_tables
+                (fun table packed ->
+                  let ids = nodes_of table in
+                  Array.iter
+                    (fun p ->
+                      T.add_dependency_ix trace ~later:result
+                        ~earlier:(source table ids p))
+                    packed)
                 lineage)
             s.I.results
         end)

@@ -234,13 +234,13 @@ let build_included (audit : Audit.t) : t =
   let data_dir = Dbclient.Server.data_dir audit.Audit.server in
   let entries = collect_entries audit ~exclude:(under data_dir) in
   let db = Dbclient.Server.db audit.Audit.server in
-  let tids = Slice.relevant audit in
-  let tables = Slice.accessed_tables audit tids in
+  let relevant = Slice.relevant_lineage audit in
+  let tables = Slice.lineage_tables audit relevant in
   { kind = Server_included;
     app_name = audit.Audit.app_name;
     app_binary = audit.Audit.app_binary;
     entries;
-    db_subset = Slice.to_csvs db tids;
+    db_subset = Slice.lineage_csvs db relevant;
     db_schemas = Slice.schema_ddl_for db tables;
     db_indexes = Slice.index_ddl_for db tables;
     recording = [];

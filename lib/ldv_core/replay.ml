@@ -39,6 +39,21 @@ let create_packaged_index (db : Database.t) (sql : string) =
   | _ | (exception Errors.Db_error _) ->
     Ldv_obs.counter "replay.skipped_indexes"
 
+(* Run one packaged schema payload through the engine, but only when it is
+   a CREATE TABLE of its own section's table: a checksum-valid package
+   may still carry any statement there. Anything else — another
+   statement, another table's name, a line that does not parse, a table
+   created twice — is skipped and counted, as bad index lines are. *)
+let create_packaged_table (db : Database.t) ~table (sql : string) =
+  match Sql_parser.parse sql with
+  | Sql_ast.Create_table { table = name; _ } as ddl
+    when String.equal (String.lowercase_ascii name)
+           (String.lowercase_ascii table) -> (
+    try ignore (Database.exec_ast db ddl)
+    with Errors.Db_error _ -> Ldv_obs.counter "replay.skipped_schemas")
+  | _ | (exception Errors.Db_error _) ->
+    Ldv_obs.counter "replay.skipped_schemas"
+
 (** Rebuild the package environment and initialize its DB state. *)
 let prepare (pkg : Package.t) : prepared =
   Ldv_obs.with_span
@@ -62,7 +77,7 @@ let prepare (pkg : Package.t) : prepared =
         (* create accessed tables, then restore the relevant subset from CSV,
            tuple by tuple (the expensive initialization of Fig. 7b) *)
         List.iter
-          (fun (_, ddl) -> ignore (Database.exec db ddl))
+          (fun (table, ddl) -> create_packaged_table db ~table ddl)
           pkg.Package.db_schemas;
         List.iter
           (fun (table, csv) ->

@@ -17,36 +17,32 @@ module I = Dbclient.Interceptor
 
 (** Tuple versions created by the audited application: everything a DML
     statement in the log wrote. *)
-let created_by_app (stmts : I.stmt_event list) : Tid.Set.t =
-  List.fold_left
-    (fun acc (s : I.stmt_event) ->
-      List.fold_left
-        (fun acc (tid, _) ->
-          if I.is_result_tid tid then acc else Tid.Set.add tid acc)
-        acc s.I.results)
-    Tid.Set.empty stmts
+let created_by_app (stmts : I.stmt_event list) : Lineage.t =
+  List.concat_map
+    (fun (s : I.stmt_event) ->
+      List.filter_map
+        (fun (tid, _) -> if I.is_result_tid tid then None else Some tid)
+        s.I.results)
+    stmts
+  |> Lineage.of_tids
 
-(** The relevant tuple versions of an audited run: the interceptor's
-    deduplicated lineage table minus application-created versions and
-    transient query-result tuples. *)
-let relevant (audit : Audit.t) : Tid.Set.t =
+(** The relevant tuple versions of an audited run, packed: the
+    interceptor's deduplicated lineage table minus application-created
+    versions. Transient query-result tuples never enter that table. *)
+let relevant_lineage (audit : Audit.t) : Lineage.t =
   Ldv_obs.with_span "slice.relevant" @@ fun () ->
   (* all sessions' logs: a tuple created by *any* session of the audited
      run will be recreated on replay, whichever session reads it *)
   let created = created_by_app (Audit.stmts audit) in
-  let tids =
-    List.fold_left
-      (fun acc tid ->
-        if I.is_result_tid tid || Tid.Set.mem tid created then acc
-        else Tid.Set.add tid acc)
-      Tid.Set.empty
-      (I.slice_tids audit.Audit.session)
-  in
+  let relevant = Lineage.diff (I.slice_lineage audit.Audit.session) created in
   if Ldv_obs.enabled () then begin
-    Ldv_obs.counter ~by:(Tid.Set.cardinal tids) "slice.relevant_tuples";
-    Ldv_obs.counter ~by:(Tid.Set.cardinal created) "slice.app_created_tuples"
+    Ldv_obs.counter ~by:(Lineage.cardinal relevant) "slice.relevant_tuples";
+    Ldv_obs.counter ~by:(Lineage.cardinal created) "slice.app_created_tuples"
   end;
-  tids
+  relevant
+
+let relevant (audit : Audit.t) : Tid.Set.t =
+  Lineage.to_set (relevant_lineage audit)
 
 (** Trace-based computation of the same set: stored tuple entities that
     some statement read ([hasRead] out-edge) but that no statement in the
@@ -75,35 +71,35 @@ let relevant_via_trace (trace : Prov.Trace.t) : Tid.Set.t =
           if read && not produced then Tid.Set.add tid acc else acc)
     Tid.Set.empty (Prov.Trace.entities trace)
 
-(** Materialize a tuple-version set as per-table CSV blobs, looking the
-    values up in the database's version history. *)
-let to_csvs (db : Database.t) (tids : Tid.Set.t) : (string * string) list =
+(** Materialize a packed tuple-version set as per-table CSV blobs, looking
+    the values up in the database's version history: one catalog lookup
+    per table, and rows already in (rid, version) order. A table none of
+    whose versions is found yields no blob. *)
+let lineage_csvs (db : Database.t) (lin : Lineage.t) : (string * string) list =
   Ldv_obs.with_span "slice.to_csvs" @@ fun () ->
-  let by_table : (string, (int * int * Value.t array) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  Tid.Set.iter
-    (fun (tid : Tid.t) ->
-      match Catalog.find_opt (Database.catalog db) tid.Tid.table with
+  let csvs = ref [] in
+  Lineage.iter_tables
+    (fun table ids ->
+      match Catalog.find_opt (Database.catalog db) table with
       | None -> ()
-      | Some table -> (
-        match Table.find_version table tid with
-        | None -> ()
-        | Some tv ->
-          let entry = (tid.Tid.rid, tid.Tid.version, tv.Table.values) in
-          (match Hashtbl.find_opt by_table tid.Tid.table with
-          | Some r -> r := entry :: !r
-          | None -> Hashtbl.replace by_table tid.Tid.table (ref [ entry ]))))
-    tids;
-  Hashtbl.fold
-    (fun table entries acc ->
-      let schema = Table.schema (Catalog.find (Database.catalog db) table) in
-      let sorted =
-        List.sort (fun (r1, v1, _) (r2, v2, _) -> compare (r1, v1) (r2, v2)) !entries
-      in
-      (table, Csv.encode_versions schema sorted) :: acc)
-    by_table []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      | Some tbl -> (
+        let rows =
+          Array.fold_right
+            (fun p acc ->
+              let rid = Lineage.rid p and version = Lineage.version p in
+              match Table.find_version_at tbl ~rid ~version with
+              | Some tv -> (rid, version, tv.Table.values) :: acc
+              | None -> acc)
+            ids []
+        in
+        match rows with
+        | [] -> ()
+        | rows -> csvs := (table, Csv.encode_versions (Table.schema tbl) rows) :: !csvs))
+    lin;
+  List.rev !csvs
+
+let to_csvs (db : Database.t) (tids : Tid.Set.t) : (string * string) list =
+  lineage_csvs db (Lineage.of_set tids)
 
 (** The tables contributing tuples to a version set — the one derivation
     both [accessed_tables] and [schema_ddl] build on, so the DDL set can
@@ -113,16 +109,21 @@ let tables_of_tids (tids : Tid.Set.t) : string list =
   |> List.sort_uniq String.compare
 
 (** Every table the audited application touched: the query-read and
-    DML-target tables of the interceptor's versioning registry plus any
-    table contributing tuples to [tids]. All of them need DDL in the
-    package even when none of their tuples survives slicing (a table the
-    app populates itself must still exist on replay). The versioning
-    registry is shared across a concurrent run's sibling sessions, so the
-    primary session covers every session's accesses. *)
-let accessed_tables (audit : Audit.t) (tids : Tid.Set.t) : string list =
-  Perm.Versioning.enabled_tables (I.versioning audit.Audit.session)
-  @ tables_of_tids tids
+    DML-target tables of the interceptor's versioning registry plus
+    [tables]. All of them need DDL in the package even when none of their
+    tuples survives slicing (a table the app populates itself must still
+    exist on replay). The versioning registry is shared across a
+    concurrent run's sibling sessions, so the primary session covers every
+    session's accesses. *)
+let touched_tables (audit : Audit.t) (tables : string list) : string list =
+  Perm.Versioning.enabled_tables (I.versioning audit.Audit.session) @ tables
   |> List.sort_uniq String.compare
+
+let accessed_tables (audit : Audit.t) (tids : Tid.Set.t) : string list =
+  touched_tables audit (tables_of_tids tids)
+
+let lineage_tables (audit : Audit.t) (lin : Lineage.t) : string list =
+  touched_tables audit (Lineage.tables lin)
 
 (** DDL for recreating the given tables at replay time. *)
 let schema_ddl_for (db : Database.t) (tables : string list) :

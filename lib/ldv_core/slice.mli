@@ -8,10 +8,13 @@ open Minidb
 
 (** Tuple versions created by the audited application: everything a DML
     statement in the log wrote. *)
-val created_by_app : Dbclient.Interceptor.stmt_event list -> Tid.Set.t
+val created_by_app : Dbclient.Interceptor.stmt_event list -> Lineage.t
 
 (** The relevant tuple versions of an audited run, from the interceptor's
-    deduplicated lineage table. *)
+    deduplicated lineage table, packed. *)
+val relevant_lineage : Audit.t -> Lineage.t
+
+(** [relevant_lineage] as a set of identifiers. *)
 val relevant : Audit.t -> Tid.Set.t
 
 (** The same set computed by walking the execution trace (stored tuples
@@ -19,7 +22,11 @@ val relevant : Audit.t -> Tid.Set.t
     cross-check [relevant]. *)
 val relevant_via_trace : Prov.Trace.t -> Tid.Set.t
 
-(** Materialize a tuple-version set as per-table CSV blobs. *)
+(** Materialize a packed tuple-version set as per-table CSV blobs, in
+    table order, each blob's rows in (rid, version) order. *)
+val lineage_csvs : Database.t -> Lineage.t -> (string * string) list
+
+(** [lineage_csvs] over a set of identifiers. *)
 val to_csvs : Database.t -> Tid.Set.t -> (string * string) list
 
 (** The tables contributing tuples to a version set — the shared
@@ -30,6 +37,9 @@ val tables_of_tids : Tid.Set.t -> string list
     and tables contributing tuples to the given set): all of them need DDL
     in the package, even when none of their tuples survives slicing. *)
 val accessed_tables : Audit.t -> Tid.Set.t -> string list
+
+(** [accessed_tables] for a packed set. *)
+val lineage_tables : Audit.t -> Lineage.t -> string list
 
 (** CREATE TABLE statements for the given tables. *)
 val schema_ddl_for : Database.t -> string list -> (string * string) list

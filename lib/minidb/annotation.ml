@@ -105,11 +105,8 @@ module Nf = struct
          (fun m n -> m.coeff = n.coeff && compare_vars m.vars n.vars = 0)
          p q
 
-  let lineage (p : t) : Tid.Set.t =
-    List.fold_left
-      (fun acc m ->
-        List.fold_left (fun acc (v, _) -> Tid.Set.add v acc) acc m.vars)
-      Tid.Set.empty p
+  let variables (p : t) : Tid.t list =
+    List.concat_map (fun m -> List.map fst m.vars) p
 end
 
 (* ------------------------------------------------------------------ *)
@@ -191,16 +188,19 @@ let epoch = ref 0
 (** All variables occurring in the polynomial: the Lineage of the annotated
     tuple (Definition 7's [Lin]). Without negative constants nothing
     cancels, so these are the circuit's variables: one walk visiting each
-    gate once, then one sort. *)
-let lineage (p : t) : Tid.Set.t =
-  if neg p then Nf.lineage (normalize p)
-  else begin
+    gate once and appending each variable to its table's int buffer, then
+    one sort per buffer. A lone variable needs no buffer. *)
+let lineage (p : t) : Lineage.t =
+  match p with
+  | Var v -> Lineage.singleton v
+  | p when neg p -> Lineage.of_tids (Nf.variables (normalize p))
+  | p ->
     incr epoch;
     let e = !epoch in
-    let vars = ref [] in
+    let vars = Lineage.builder () in
     let rec go = function
       | Zero | One | Const _ -> ()
-      | Var v -> vars := v :: !vars
+      | Var v -> Lineage.add vars v
       | Add g ->
         if g.mark <> e then begin
           g.mark <- e;
@@ -214,8 +214,7 @@ let lineage (p : t) : Tid.Set.t =
         end
     in
     go p;
-    Tid.Set.of_list !vars
-  end
+    Lineage.build vars
 
 (** Why-provenance: the witness sets, one per distinct monomial. *)
 let why (p : t) : Tid.Set.t list =

@@ -38,8 +38,9 @@ val equal : t -> t -> bool
 
 val is_zero : t -> bool
 
-(** All variables of the polynomial: the Lineage [Lin] of Definition 7. *)
-val lineage : t -> Tid.Set.t
+(** All variables of the polynomial: the Lineage [Lin] of Definition 7,
+    packed. *)
+val lineage : t -> Lineage.t
 
 (** Why-provenance: the distinct witness sets, one per monomial. *)
 val why : t -> Tid.Set.t list

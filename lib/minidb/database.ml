@@ -189,13 +189,13 @@ let run_provenance t (s : Sql_ast.select) : Executor.result =
     List.concat_map
       (fun (row : Executor.arow) ->
         let lin = Annotation.lineage row.Executor.ann in
-        if Tid.Set.is_empty lin then
+        if Lineage.is_empty lin then
           [ { Executor.values =
                 Array.append row.Executor.values
                   [| Value.Null; Value.Null; Value.Null |];
               ann = row.Executor.ann } ]
         else
-          Tid.Set.elements lin
+          Lineage.elements lin
           |> List.map (fun (tid : Tid.t) ->
                  { Executor.values =
                      Array.append row.Executor.values
@@ -243,7 +243,7 @@ let run_insert t ~table ~columns ~(source : Sql_ast.insert_source) : dml_info =
       List.map
         (fun (r : Executor.arow) ->
           ( Array.to_list r.Executor.values,
-            Tid.Set.elements (Annotation.lineage r.Executor.ann) ))
+            Lineage.elements (Annotation.lineage r.Executor.ann) ))
         result.Executor.rows
   in
   let clock = tick t in
@@ -336,7 +336,7 @@ let run_update t ~table ~sets ~where : dml_info =
   let affected = affected_rows tbl where bound_where in
   serialization_check t tbl affected;
   let clock = tick t in
-  let extra = Tid.Set.elements (Annotation.lineage where_ann) in
+  let extra = Lineage.elements (Annotation.lineage where_ann) in
   let deps =
     List.map
       (fun (tv : Table.tuple_version) ->
@@ -384,7 +384,7 @@ let run_delete t ~table ~where : dml_info =
   let info =
     { count = List.length read;
       written = [];
-      read = read @ Tid.Set.elements (Annotation.lineage where_ann);
+      read = read @ Lineage.elements (Annotation.lineage where_ann);
       deps = [] }
   in
   record_tx_stmt t info.deps info.read;

@@ -407,10 +407,8 @@ let run (n : Planner.node) : result =
 
 (** Union of the lineage of every result row: exactly the tuple versions the
     query read that mattered. *)
-let result_lineage (r : result) : Tid.Set.t =
-  List.fold_left
-    (fun acc row -> Tid.Set.union acc (Annotation.lineage row.ann))
-    Tid.Set.empty r.rows
+let result_lineage (r : result) : Lineage.t =
+  Lineage.union_all (List.map (fun row -> Annotation.lineage row.ann) r.rows)
 
 (** Plain values of the result, dropping annotations. *)
 let result_values (r : result) : Value.t array list =

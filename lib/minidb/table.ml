@@ -95,6 +95,12 @@ type t = {
     restores reject rids above it rather than allocate for them. *)
 let max_rid = 1 lsl 26
 
+(** The highest version a table may hold: a tuple version packs into one
+    int as a 26-bit [rid - 1] and a 36-bit version ({!Lineage.pack}), so
+    restores reject versions outside [0 .. max_version] rather than
+    stamp a version whose packed id would name another tuple. *)
+let max_version = Lineage.max_version
+
 let create ~name ~schema =
   { name = String.lowercase_ascii name;
     schema;
@@ -138,6 +144,13 @@ let check_rid t rid =
     Errors.fail
       (Errors.Constraint_violation
          (Printf.sprintf "rid %d of table %s outside 1..%d" rid t.name max_rid))
+
+let check_version t ~rid version =
+  if version < 0 || version > max_version then
+    Errors.fail
+      (Errors.Constraint_violation
+         (Printf.sprintf "version %d of rid %d of table %s outside 0..%d"
+            version rid t.name max_version))
 
 let chain_at t rid =
   if rid > 0 && rid < Array.length t.slots then t.slots.(rid) else []
@@ -463,13 +476,14 @@ let scan_array t : tuple_version array = scan_map t Fun.id
 (** Live tuple versions in ascending-rid order. *)
 let scan t : tuple_version list = Array.to_list (scan_array t)
 
-(** Look up any historical version by tid, walking that rid's chain. *)
+(** Look up any historical version of [rid], walking that rid's chain. *)
+let find_version_at t ~rid ~version =
+  List.find_opt (fun tv -> tv.tid.Tid.version = version) (chain_at t rid)
+
+(** Look up any historical version by tid. *)
 let find_version t (tid : Tid.t) =
   if not (String.equal tid.Tid.table t.name) then None
-  else
-    List.find_opt
-      (fun tv -> tv.tid.Tid.version = tid.Tid.version)
-      (chain_at t tid.Tid.rid)
+  else find_version_at t ~rid:tid.Tid.rid ~version:tid.Tid.version
 
 (** All versions ever written, ordered by (rid, version). *)
 let all_versions t =
@@ -487,9 +501,11 @@ let all_versions t =
     callers pass freshly decoded rows, or rows of another table, which
     are never changed in place.
     @raise Errors.Db_error [Constraint_violation] for a rid outside
-    [1 .. max_rid] or a version no newer than the live one. *)
+    [1 .. max_rid], a version outside [0 .. max_version] or a version no
+    newer than the live one. *)
 let restore_version t ~rid ~version (row : Value.t array) =
   check_rid t rid;
+  check_version t ~rid version;
   let values = Schema.coerce_row_in_place t.schema row in
   let tv =
     { tid = Tid.make ~table:t.name ~rid ~version;
@@ -520,15 +536,16 @@ let restore_version t ~rid ~version (row : Value.t array) =
 
 (** Restore a batch of [(rid, version, values)] rows, in order — a
     package's CSV subset, a data file, a checkpoint or a replica base
-    backup. Every rid is checked before anything changes, and the slots
-    are sized once from the highest rid, so a sparse subset costs no
-    repeated regrowth. Returns the newest version restored (0 for none):
-    the caller advances its clock to it once. *)
+    backup. Every rid and version is checked before anything changes, and
+    the slots are sized once from the highest rid, so a sparse subset
+    costs no repeated regrowth. Returns the newest version restored (0 for
+    none): the caller advances its clock to it once. *)
 let restore_versions t (rows : (int * int * Value.t array) list) : int =
   let highest =
     List.fold_left
-      (fun acc (rid, _, _) ->
+      (fun acc (rid, version, _) ->
         check_rid t rid;
+        check_version t ~rid version;
         max acc rid)
       0 rows
   in

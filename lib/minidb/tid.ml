@@ -34,15 +34,6 @@ let equal a b =
   && Int.equal a.version b.version
   && String.equal a.table b.table
 
-(* Monomorphic: a polynomial hash over the table name's bytes mixed with
-   the two integers. *)
-let hash t =
-  let h = ref ((t.rid * 65599) + t.version) in
-  for i = 0 to String.length t.table - 1 do
-    h := (!h * 31) + Char.code t.table.[i]
-  done;
-  !h land max_int
-
 let pp ppf t = Format.fprintf ppf "%s:%d@@%d" t.table t.rid t.version
 
 let to_string t =
@@ -77,11 +68,4 @@ module Map = Map.Make (struct
   type nonrec t = t
 
   let compare = compare
-end)
-
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
 end)

@@ -15,7 +15,6 @@ val make : table:string -> rid:int -> version:int -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 
@@ -27,6 +26,3 @@ val of_string : string -> t option
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
-
-(** Hash table keyed by tuple version, with monomorphic [equal]/[hash]. *)
-module Tbl : Hashtbl.S with type key = t

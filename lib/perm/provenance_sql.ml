@@ -11,7 +11,7 @@ open Minidb
 
 type provenance_row = {
   values : Value.t array;
-  lineage : Tid.Set.t;  (** Lin(Q, t) for this result row *)
+  lineage : Lineage.t;  (** Lin(Q, t) for this result row *)
   witnesses : Tid.Set.t list Lazy.t;
       (** why-provenance: one witness per derivation. Lazy: computing
           witness sets for a large aggregate is expensive and the audit
@@ -51,8 +51,9 @@ let query_lineage (db : Database.t) (sql : string) : provenance_result =
   | _ -> Errors.unsupported "query_lineage expects a SELECT statement"
 
 (** Union of all rows' lineage: every tuple version the query actually
-    used. *)
+    used. One sort-and-dedup pass per table over all rows. *)
+let union_lineage (r : provenance_result) : Lineage.t =
+  Lineage.union_all (List.map (fun row -> row.lineage) r.rows)
+
 let total_lineage (r : provenance_result) : Tid.Set.t =
-  List.fold_left
-    (fun acc row -> Tid.Set.union acc row.lineage)
-    Tid.Set.empty r.rows
+  Lineage.to_set (union_lineage r)

@@ -6,7 +6,7 @@ open Minidb
 
 type provenance_row = {
   values : Value.t array;
-  lineage : Tid.Set.t;  (** Lin(Q, t) for this result row *)
+  lineage : Lineage.t;  (** Lin(Q, t) for this result row *)
   witnesses : Tid.Set.t list Lazy.t;  (** why-provenance (lazy: expensive) *)
   derivations : int Lazy.t;  (** bag multiplicity under N[X] *)
 }
@@ -24,4 +24,7 @@ type provenance_result = {
 val query_lineage : Database.t -> string -> provenance_result
 
 (** Union of all rows' lineage. *)
+val union_lineage : provenance_result -> Lineage.t
+
+(** [union_lineage] as a set of identifiers. *)
 val total_lineage : provenance_result -> Tid.Set.t

@@ -6,7 +6,8 @@
     natively, so these helpers expose the same information — which version
     of which row existed when, and which statement/process used it —
     without the schema rewrite. The [usage] registry reproduces the
-    [prov_usedby]/[prov_p] bookkeeping for inspection and tests. *)
+    [prov_usedby]/[prov_p] bookkeeping for inspection and tests: one
+    record per statement, holding the statement's packed reads. *)
 
 open Minidb
 
@@ -14,13 +15,13 @@ type usage = { used_by_qid : int; used_by_pid : int; at : int }
 
 type t = {
   db : Database.t;
-  usages : usage list ref Tid.Tbl.t;
+  mutable usages : (usage * Lineage.t) list;  (** newest first *)
   (* tables whose versioning has been "enabled" — in the paper, the lazy
      ALTER TABLE performed on first access *)
   enabled : (string, unit) Hashtbl.t;
 }
 
-let create db = { db; usages = Tid.Tbl.create 256; enabled = Hashtbl.create 16 }
+let create db = { db; usages = []; enabled = Hashtbl.create 16 }
 
 (** Mark a table as provenance-enabled; idempotent. Returns [true] the
     first time, which is when the paper's implementation pays the schema
@@ -36,20 +37,18 @@ let enable_table t name =
 let enabled_tables t =
   Hashtbl.fold (fun n () acc -> n :: acc) t.enabled [] |> List.sort compare
 
-(** Record that [tid] was used by statement [qid] issued by process
-    [pid] — the [prov_usedby]/[prov_p] columns of the paper. *)
-let record_usage t tid ~qid ~pid ~at =
-  let u = { used_by_qid = qid; used_by_pid = pid; at } in
-  match Tid.Tbl.find_opt t.usages tid with
-  | Some r -> r := u :: !r
-  | None -> Tid.Tbl.replace t.usages tid (ref [ u ])
+(** Record that the versions [reads] were used by statement [qid] issued
+    by process [pid] — the [prov_usedby]/[prov_p] columns of the paper. *)
+let record_usage t reads ~qid ~pid ~at =
+  if not (Lineage.is_empty reads) then
+    t.usages <- ({ used_by_qid = qid; used_by_pid = pid; at }, reads) :: t.usages
 
 let usages_of t tid =
-  match Tid.Tbl.find_opt t.usages tid with Some r -> List.rev !r | None -> []
+  List.fold_left
+    (fun acc (u, reads) -> if Lineage.mem tid reads then u :: acc else acc)
+    [] t.usages
 
-let used_tids t =
-  Tid.Tbl.fold (fun tid _ acc -> tid :: acc) t.usages []
-  |> List.sort Tid.compare
+let used_tids t = Lineage.elements (Lineage.union_all (List.map snd t.usages))
 
 (** Fetch the stored values of a tuple version, if it still exists in the
     table's history. *)

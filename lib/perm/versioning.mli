@@ -16,8 +16,11 @@ val enable_table : t -> string -> bool
 
 val enabled_tables : t -> string list
 
-(** Record that [tid] was used by statement [qid] of process [pid]. *)
-val record_usage : t -> Tid.t -> qid:int -> pid:int -> at:int -> unit
+(** Record that the versions a statement read were used by statement
+    [qid] of process [pid]: one record per statement. *)
+val record_usage : t -> Lineage.t -> qid:int -> pid:int -> at:int -> unit
+
+(** The statements that used [tid], oldest first. *)
 
 val usages_of : t -> Tid.t -> usage list
 val used_tids : t -> Tid.t list

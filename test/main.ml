@@ -6,6 +6,7 @@ let () =
     [ ("value", Test_value.suite);
       ("schema", Test_schema.suite);
       ("annotation", Test_annotation.suite);
+      ("lineage", Test_lineage.suite);
       ("sql-lexer", Test_sql_lexer.suite);
       ("sql-parser", Test_sql_parser.suite);
       ("eval-expr", Test_eval_expr.suite);

@@ -29,8 +29,8 @@ let test_sum_matches_folded_add () =
 let test_lineage () =
   let open Annotation in
   let p = add (mul (var a) (var b)) (var c) in
-  Alcotest.(check int) "lineage cardinality" 3 (Tid.Set.cardinal (lineage p));
-  Alcotest.(check bool) "lineage membership" true (Tid.Set.mem c (lineage p))
+  Alcotest.(check int) "lineage cardinality" 3 (Lineage.cardinal (lineage p));
+  Alcotest.(check bool) "lineage membership" true (Lineage.mem c (lineage p))
 
 let test_why () =
   let open Annotation in
@@ -70,18 +70,18 @@ let test_cancellation () =
   let cancelled = add (var a) (mul (of_int (-1)) (var a)) in
   Alcotest.(check bool) "x + (-1)*x is zero" true (is_zero cancelled);
   Alcotest.(check int) "x + (-1)*x has empty lineage" 0
-    (Tid.Set.cardinal (lineage cancelled));
+    (Lineage.cardinal (lineage cancelled));
   Alcotest.check poly "x + (-1)*x = 0" zero cancelled;
   let p = add (mul (var b) cancelled) (var c) in
   Alcotest.(check (list string)) "a cancelled factor drops its variables"
     [ Tid.to_string c ]
-    (List.map Tid.to_string (Tid.Set.elements (lineage p)))
+    (List.map Tid.to_string (Lineage.elements (lineage p)))
 
 let test_shared_subcircuits () =
   let open Annotation in
   let s = sum [ var a; var b ] in
   let p = mul s (add s (var c)) in
-  let names q = List.map Tid.to_string (Tid.Set.elements (lineage q)) in
+  let names q = List.map Tid.to_string (Lineage.elements (lineage q)) in
   Alcotest.(check (list string)) "shared sum counted once"
     (List.map Tid.to_string [ a; b; c ]) (names p);
   (* a later walk must not see the earlier walk's visited marks *)
@@ -98,7 +98,7 @@ let test_lineage_semiring_agrees () =
   match le with
   | Lineage_semiring.Set s ->
     Alcotest.(check bool) "lineage semiring = syntactic lineage" true
-      (Tid.Set.equal s (lineage p))
+      (Tid.Set.equal s (Lineage.to_set (lineage p)))
   | Lineage_semiring.Bottom -> Alcotest.fail "expected a set"
 
 (* ------------------------------------------------------------------ *)
@@ -179,8 +179,10 @@ let semiring_laws =
       (fun (p, q) ->
         if is_zero p || is_zero q then QCheck.assume_fail ()
         else
-          Tid.Set.equal (lineage (mul p q))
-            (Tid.Set.union (lineage p) (lineage q)));
+          Tid.Set.equal
+            (Lineage.to_set (lineage (mul p q)))
+            (Tid.Set.union (Lineage.to_set (lineage p))
+               (Lineage.to_set (lineage q))));
     prop "eval is additive homomorphism (Nat)" 200 arb2 (fun (p, q) ->
         let f _ = 2 in
         eval (module Nat_semiring) f (add p q)
@@ -199,8 +201,19 @@ let circuit_vs_normal_form =
   let open Annotation in
   let arb = QCheck.make ~print:to_string signed_poly_gen in
   [ prop "lineage p = union of why p" 300 arb (fun p ->
-        Tid.Set.equal (lineage p)
+        Tid.Set.equal
+          (Lineage.to_set (lineage p))
           (List.fold_left Tid.Set.union Tid.Set.empty (why p)));
+    (* a product of nonzero polynomials over Z[X] is nonzero and keeps
+       every variable of both factors, so the law holds with signs too *)
+    prop "lineage(p*q) = lineage p U lineage q (signed)" 300
+      (QCheck.pair arb arb) (fun (p, q) ->
+        if is_zero p || is_zero q then QCheck.assume_fail ()
+        else
+          Tid.Set.equal
+            (Lineage.to_set (lineage (mul p q)))
+            (Tid.Set.union (Lineage.to_set (lineage p))
+               (Lineage.to_set (lineage q))));
     prop "is_zero p iff why p = []" 300 arb (fun p ->
         is_zero p = (why p = []));
     prop "equal to zero/one agrees with the normal form" 300 arb (fun p ->

@@ -243,6 +243,41 @@ let test_deferred_replica_checkpoints () =
       (Minidb.Fingerprint.state (Replication.replica_db cluster i))
   done
 
+(* The base backup each replica starts from is deferred content over one
+   capture of the leader: creating the cluster encodes nothing, and a
+   replica that crashes before its first own checkpoint recovers from
+   exactly the eager encoding of that capture. *)
+let test_deferred_replica_base_backup () =
+  let kernel, leader = Durable.boot () in
+  exec leader "CREATE TABLE t (a INT, s TEXT)";
+  exec leader "CREATE INDEX t_a ON t (a)";
+  for i = 1 to 12 do
+    exec leader (Printf.sprintf "INSERT INTO t VALUES (%d, 's%d')" i i)
+  done;
+  exec leader "DELETE FROM t WHERE a = 12";
+  let expected =
+    Server.encode_capture
+      (Server.capture_checkpoint (Server.db (Durable.server leader)))
+      ~last_seq:(Durable.next_seq leader - 1)
+  in
+  let cluster = Replication.create kernel ~leader ~replicas:2 () in
+  let v = K.vfs kernel in
+  let image i = V.content v (Replication.data_dir_of i ^ "/checkpoint.img") in
+  for i = 0 to 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "replica %d: base backup unproduced" i)
+      true
+      (produced (image i) = None)
+  done;
+  let base = image 0 in
+  Replication.crash_replica cluster cluster.Replication.replicas.(0);
+  Replication.recover cluster 0;
+  Alcotest.(check (option string)) "recovery read the eager encoding"
+    (Some expected) (produced base);
+  Alcotest.(check string) "replica 0 recovered to the leader's state"
+    (Minidb.Fingerprint.state (Replication.leader_db cluster))
+    (Minidb.Fingerprint.state (Replication.replica_db cluster 0))
+
 (* The checkpoint protocol's crash windows: at [ckpt.image] the
    unsynced image vanishes, at [ckpt.pre_rename] it survives whole. A
    torn tail is granted only to [Data] appends such as the WAL's, so the
@@ -652,6 +687,8 @@ let suite =
       test_deferred_checkpoint_size;
     Alcotest.test_case "deferred: replica checkpoints unread until recovery"
       `Quick test_deferred_replica_checkpoints;
+    Alcotest.test_case "deferred: replica base backup unread until recovery"
+      `Quick test_deferred_replica_base_backup;
     Alcotest.test_case "deferred: checkpoint crash windows" `Quick
       test_deferred_checkpoint_crash_windows;
     Alcotest.test_case "wal: records round-trip" `Quick test_wal_roundtrip;

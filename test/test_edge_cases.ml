@@ -53,7 +53,7 @@ let test_self_join_aliases () =
   (match r.Executor.rows with
   | [ row ] ->
     Alcotest.(check int) "one tuple, squared annotation" 1
-      (Tid.Set.cardinal (Annotation.lineage row.Executor.ann))
+      (Lineage.cardinal (Annotation.lineage row.Executor.ann))
   | _ -> Alcotest.fail "expected one row")
 
 let test_empty_table_queries () =

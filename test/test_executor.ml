@@ -28,7 +28,7 @@ let test_paper_sum_example () =
   Fixtures.check_rows "ttl = 25" [ "25" ] r;
   let lineage = Executor.result_lineage r in
   let rids =
-    Tid.Set.elements lineage |> List.map (fun (t : Tid.t) -> t.Tid.rid)
+    Lineage.elements lineage |> List.map (fun (t : Tid.t) -> t.Tid.rid)
   in
   Alcotest.(check (list int)) "lineage is {t2, t3}" [ 2; 3 ] (List.sort compare rids)
 
@@ -46,7 +46,7 @@ let test_hash_join () =
     (fun (row : Executor.arow) ->
       let lin = Annotation.lineage row.Executor.ann in
       let tables =
-        Tid.Set.elements lin |> List.map (fun (t : Tid.t) -> t.Tid.table)
+        Lineage.elements lin |> List.map (fun (t : Tid.t) -> t.Tid.table)
         |> List.sort_uniq compare
       in
       Alcotest.(check (list string)) "both sides in lineage"
@@ -104,7 +104,7 @@ let test_group_lineage_unions_members () =
   in
   (* group for okey=1: orders tuple 1 + items tuples 1,2 *)
   Alcotest.(check int) "lineage of group has 3 tuples" 3
-    (Tid.Set.cardinal (Annotation.lineage row1.Executor.ann))
+    (Lineage.cardinal (Annotation.lineage row1.Executor.ann))
 
 let test_aggregate_empty_input () =
   let db = Fixtures.sales_db () in
@@ -204,7 +204,9 @@ let prop_lineage_sufficiency =
       done;
       let sql = random_query rng in
       let r = Database.query db sql in
-      let restricted = Fixtures.restrict_db db (Executor.result_lineage r) in
+      let restricted =
+        Fixtures.restrict_db db (Lineage.to_set (Executor.result_lineage r))
+      in
       let r' = Database.query restricted sql in
       Fixtures.row_strings (Fixtures.rows_of r)
       = Fixtures.row_strings (Fixtures.rows_of r'))

@@ -17,7 +17,7 @@ let test_backend_query () =
   Alcotest.(check int) "two rows" 2 (List.length rows);
   List.iter
     (fun (_, lineage) ->
-      Alcotest.(check int) "row lineage singleton" 1 (Tid.Set.cardinal lineage))
+      Alcotest.(check int) "row lineage singleton" 1 (Lineage.cardinal lineage))
     rows
 
 let test_backend_dml_and_command () =

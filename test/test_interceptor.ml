@@ -16,16 +16,17 @@ let test_passthrough () =
     Alcotest.(check int) "rows returned" 2 (List.length rows)
   | _ -> Alcotest.fail "expected rows");
   Alcotest.(check int) "statement logged" 1 (List.length (I.log session));
-  Alcotest.(check int) "nothing sliced" 0 (List.length (I.slice_tids session))
+  Alcotest.(check int) "nothing sliced" 0
+    (Lineage.cardinal (I.slice_lineage session))
 
 let test_audit_included_collects_lineage () =
   let _, _, session = mk_env ~mode:I.Audit_included () in
   ignore (I.execute session ~pid:1 "SELECT id FROM sales WHERE price > 10");
-  let slice = I.slice_tids session in
-  Alcotest.(check int) "two lineage tuples sliced" 2 (List.length slice);
+  let slice = I.slice_lineage session in
+  Alcotest.(check int) "two lineage tuples sliced" 2 (Lineage.cardinal slice);
   (* repeated query does not duplicate slice entries *)
   ignore (I.execute session ~pid:1 "SELECT id FROM sales WHERE price > 10");
-  Alcotest.(check int) "dedup" 2 (List.length (I.slice_tids session));
+  Alcotest.(check int) "dedup" 2 (Lineage.cardinal (I.slice_lineage session));
   (* the log carries result tids with lineage *)
   match I.log session with
   | s :: _ ->
@@ -33,7 +34,8 @@ let test_audit_included_collects_lineage () =
     List.iter
       (fun (rtid, lineage) ->
         Alcotest.(check bool) "result tid synthetic" true (I.is_result_tid rtid);
-        Alcotest.(check int) "each result from one tuple" 1 (List.length lineage))
+        Alcotest.(check int) "each result from one tuple" 1
+          (Lineage.cardinal lineage))
       s.I.results
   | [] -> Alcotest.fail "log empty"
 
@@ -42,11 +44,12 @@ let test_audit_included_dml () =
   ignore (I.execute session ~pid:1 "UPDATE sales SET price = price + 1 WHERE id = 2");
   (match I.log session with
   | [ s ] ->
-    Alcotest.(check int) "read pre-version" 1 (List.length s.I.reads);
+    Alcotest.(check int) "read pre-version" 1 (Lineage.cardinal s.I.reads);
     Alcotest.(check int) "wrote new version" 1 (List.length s.I.results)
   | _ -> Alcotest.fail "expected one event");
   (* pre-version is in the slice (needed to re-run the update) *)
-  Alcotest.(check int) "pre-version sliced" 1 (List.length (I.slice_tids session))
+  Alcotest.(check int) "pre-version sliced" 1
+    (Lineage.cardinal (I.slice_lineage session))
 
 let test_audit_excluded_records () =
   let _, _, session = mk_env ~mode:I.Audit_excluded () in
@@ -62,7 +65,7 @@ let test_audit_excluded_records () =
     Alcotest.(check int) "dml affected recorded" 1 u.Recorder.rec_affected
   | _ -> Alcotest.fail "expected two records");
   Alcotest.(check int) "no slicing in excluded mode" 0
-    (List.length (I.slice_tids session))
+    (Lineage.cardinal (I.slice_lineage session))
 
 let replay_session recording =
   let kernel = Minios.Kernel.create () in

@@ -10,7 +10,7 @@ let test_query_lineage_matches_executor () =
   Alcotest.(check bool) "lineage equals executor lineage" true
     (Tid.Set.equal
        (Perm.Provenance_sql.total_lineage prov)
-       (Executor.result_lineage direct));
+       (Lineage.to_set (Executor.result_lineage direct)));
   Alcotest.(check (list string)) "read tables" [ "sales" ]
     prov.Perm.Provenance_sql.read_tables
 
@@ -82,7 +82,7 @@ let test_versioning_usage () =
   Alcotest.(check (list string)) "enabled tables" [ "sales" ]
     (Perm.Versioning.enabled_tables v);
   let tid = Tid.make ~table:"sales" ~rid:1 ~version:2 in
-  Perm.Versioning.record_usage v tid ~qid:7 ~pid:3 ~at:11;
+  Perm.Versioning.record_usage v (Lineage.singleton tid) ~qid:7 ~pid:3 ~at:11;
   (match Perm.Versioning.usages_of v tid with
   | [ u ] ->
     Alcotest.(check int) "qid" 7 u.Perm.Versioning.used_by_qid;

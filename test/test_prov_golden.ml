@@ -33,7 +33,7 @@ let annotated_rows (r : Executor.result) =
       add_values buf row.Executor.values;
       Buffer.add_string buf (Annotation.to_string ann);
       Buffer.add_char buf '|';
-      Buffer.add_string buf (tids (Annotation.lineage ann));
+      Buffer.add_string buf (tids (Lineage.to_set (Annotation.lineage ann)));
       Buffer.add_char buf '|';
       Buffer.add_string buf
         (String.concat ";" (List.map tids (Annotation.why ann)));

@@ -264,6 +264,100 @@ let test_rid_above_ceiling () =
   expect_restore_error ~kind:"constraint violation" ~rid:"99999999999999"
     ~version:"1"
 
+(* A version outside 0 .. 2^36 - 1 would pack into another tuple's id:
+   refused with a typed error. The rewritten row is one whose rid occurs
+   once in its table's subset, so no other version of it could refuse
+   the restore instead. *)
+let with_lone_version ~version =
+  let pkg = Package.build (Lazy.force Ldv_fixtures.included) in
+  let done_ = ref false in
+  let rewrite (table, csv) =
+    match String.split_on_char '\n' csv with
+    | header :: lines when not !done_ ->
+      let rid_of line = List.hd (Minidb.Csv.split_line line) in
+      let rids = List.map rid_of (List.filter (( <> ) "") lines) in
+      let lone line =
+        line <> ""
+        && List.length (List.filter (String.equal (rid_of line)) rids) = 1
+      in
+      let lines =
+        List.map
+          (fun line ->
+            if (not !done_) && lone line then begin
+              done_ := true;
+              match Minidb.Csv.split_line line with
+              | rid :: _ :: fields ->
+                Minidb.Csv.encode_line (rid :: version :: fields)
+              | _ -> line
+            end
+            else line)
+          lines
+      in
+      (table, String.concat "\n" (header :: lines))
+    | _ -> (table, csv)
+  in
+  let pkg = { pkg with Package.db_subset = List.map rewrite pkg.Package.db_subset } in
+  Alcotest.(check bool) "a lone-rid row was rewritten" true !done_;
+  pkg
+
+let test_version_outside_packed_range () =
+  List.iter
+    (fun version ->
+      match Replay.prepare (with_lone_version ~version) with
+      | _ -> Alcotest.failf "version %s was restored" version
+      | exception Minidb.Errors.Db_error (Minidb.Errors.Constraint_violation _)
+        ->
+        ())
+    [ string_of_int (1 lsl 36); "-1" ]
+
+(* A schema section runs only as a CREATE TABLE of its own table. The
+   crafted [schema:zz] section decodes after [schema:orders], so a DROP
+   there would remove orders before its rows are restored. *)
+let with_schema_section ddl =
+  let pkg = Package.build (Lazy.force Ldv_fixtures.included) in
+  Package.of_bytes
+    (Package.to_bytes
+       { pkg with Package.db_schemas = pkg.Package.db_schemas @ [ ("zz", ddl) ] })
+
+let check_schema_section_skipped ddl =
+  let audit = Lazy.force Ldv_fixtures.included in
+  let pkg = with_schema_section ddl in
+  Ldv_obs.set_sink Ldv_obs.Memory;
+  Ldv_obs.reset ();
+  let prepared, skipped =
+    Fun.protect
+      ~finally:(fun () ->
+        Ldv_obs.set_sink Ldv_obs.Null;
+        Ldv_obs.reset ())
+      (fun () ->
+        let prepared = Replay.prepare pkg in
+        ( prepared,
+          List.assoc_opt "replay.skipped_schemas"
+            (Ldv_obs.snapshot ()).Ldv_obs.counters ))
+  in
+  Alcotest.(check (option int)) "one schema section skipped" (Some 1) skipped;
+  let catalog = Minidb.Database.catalog (replay_db prepared) in
+  Alcotest.(check bool) "no zz table" false (Minidb.Catalog.mem catalog "zz");
+  let audited = Minidb.Database.catalog (Dbclient.Server.db audit.Audit.server) in
+  let restored_orders =
+    List.length
+      (Minidb.Csv.decode_versions (List.assoc "orders" pkg.Package.db_subset))
+  in
+  Alcotest.(check bool) "orders restored" true
+    (Minidb.Catalog.mem catalog "orders"
+    && Minidb.Table.row_count (Minidb.Catalog.find catalog "orders")
+       = restored_orders
+    && Minidb.Table.schema (Minidb.Catalog.find catalog "orders")
+       = Minidb.Table.schema (Minidb.Catalog.find audited "orders"));
+  Alcotest.(check (list string)) "replay verified" []
+    (Replay.verify ~audit (Replay.run prepared))
+
+let test_schema_section_drop_skipped () =
+  check_schema_section_skipped "DROP TABLE orders"
+
+let test_schema_section_malformed_skipped () =
+  check_schema_section_skipped "CREATE TABLE"
+
 (* ---------------- subqueries under a server-included audit -------- *)
 
 let subquery_db () =
@@ -387,7 +481,13 @@ let suite =
       test_non_integer_rid_or_version;
     Alcotest.test_case "package rid below 1" `Quick test_rid_below_one;
     Alcotest.test_case "package rid above the ceiling" `Quick
-      test_rid_above_ceiling ]
+      test_rid_above_ceiling;
+    Alcotest.test_case "package version outside the packed range" `Quick
+      test_version_outside_packed_range;
+    Alcotest.test_case "package schema section holding a DROP is skipped"
+      `Quick test_schema_section_drop_skipped;
+    Alcotest.test_case "malformed package schema section is skipped" `Quick
+      test_schema_section_malformed_skipped ]
   @ List.map
       (fun (name, f) ->
         Alcotest.test_case ("server-included audit: " ^ name) `Quick f)

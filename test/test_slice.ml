@@ -9,7 +9,7 @@ let test_relevant_excludes_app_created () =
   Alcotest.(check bool) "some tuples relevant" true
     (not (Tid.Set.is_empty relevant));
   Alcotest.(check bool) "app-created versions excluded" true
-    (Tid.Set.is_empty (Tid.Set.inter relevant created));
+    (Tid.Set.is_empty (Tid.Set.inter relevant (Lineage.to_set created)));
   (* no synthetic query-result tuples in the slice *)
   Alcotest.(check bool) "no transient result tuples" true
     (Tid.Set.for_all (fun tid -> not (I.is_result_tid tid)) relevant)
@@ -101,7 +101,10 @@ let test_lineage_sufficiency_of_slice () =
            updates, which the audited query saw; restrict to slice +
            app-created *)
         let created = Slice.created_by_app (I.log audit.Audit.session) in
-        let full = Fixtures.restrict_db db (Tid.Set.union relevant created) in
+        let full =
+          Fixtures.restrict_db db
+            (Tid.Set.union relevant (Lineage.to_set created))
+        in
         let r = Database.query full s.I.sql in
         Alcotest.(check int)
           ("row count preserved for " ^ s.I.sql_norm)

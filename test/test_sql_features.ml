@@ -41,7 +41,7 @@ let test_left_join_pads_nulls () =
       r.Executor.rows
   in
   let tables =
-    Tid.Set.elements (Annotation.lineage dan.Executor.ann)
+    Lineage.elements (Annotation.lineage dan.Executor.ann)
     |> List.map (fun (t : Tid.t) -> t.Tid.table)
     |> List.sort_uniq compare
   in
@@ -113,7 +113,7 @@ let test_subquery_provenance_conservative () =
   List.iter
     (fun (row : Executor.arow) ->
       let tables =
-        Tid.Set.elements (Annotation.lineage row.Executor.ann)
+        Lineage.elements (Annotation.lineage row.Executor.ann)
         |> List.map (fun (t : Tid.t) -> t.Tid.table)
         |> List.sort_uniq compare
       in

@@ -97,7 +97,7 @@ let test_q5_lineage_spans_all_tables () =
   List.iter
     (fun (row : Executor.arow) ->
       let tables =
-        Tid.Set.elements (Annotation.lineage row.Executor.ann)
+        Lineage.elements (Annotation.lineage row.Executor.ann)
         |> List.map (fun (t : Tid.t) -> t.Tid.table)
         |> List.sort_uniq compare
       in

@@ -278,7 +278,7 @@ let ev sid sql_norm =
     snapshot = 0;
     replica = -1;
     results = [];
-    reads = [];
+    reads = Minidb.Lineage.empty;
     schema = None;
     rows = [];
     affected = 0;
