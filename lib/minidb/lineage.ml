@@ -12,7 +12,8 @@
 
     Sets are built by appending into per-table buffers and sorting each
     buffer once: a buffer that is already ascending (a scan emits a table's
-    versions in rid order) costs one pass, any other an LSD radix sort.
+    versions in rid order) costs one pass, a short one an insertion sort,
+    any other an LSD radix sort.
     Polymorphic or closure-based sorts are avoided throughout: at tens of
     thousands of versions per statement they cost as much as boxing. *)
 
@@ -40,61 +41,96 @@ let radix_bits = 11
 let radix_mask = (1 lsl radix_bits) - 1
 
 let is_sorted (a : int array) n =
-  let rec go i = i >= n || (a.(i - 1) <= a.(i) && go (i + 1)) in
-  go 1
-
-(* A sorted copy of [a.(0 .. n-1)]: an LSD radix sort when every value is
-   non-negative, as every stored version's packed id is. A digit on which
-   all keys agree leaves the order as it is, so its scatter pass is
-   skipped: packed ids leave most of the version's high bits zero. *)
-let sort_copy (a : int array) n : int array =
-  let lo = ref max_int and hi = ref 0 in
-  for i = 0 to n - 1 do
-    let x = a.(i) in
-    if x < !lo then lo := x;
-    if x > !hi then hi := x
+  let i = ref 1 in
+  while !i < n && a.(!i - 1) <= a.(!i) do
+    incr i
   done;
-  let src = ref (Array.sub a 0 n) in
-  if !lo < 0 then Array.stable_sort Int.compare !src
-  else begin
-    let dst = ref (Array.make n 0) in
-    let counts = Array.make (radix_mask + 1) 0 in
-    let shift = ref 0 in
-    while !shift < Sys.int_size && !hi lsr !shift > 0 do
-      let s = !src and d = !dst and sh = !shift in
-      Array.fill counts 0 (radix_mask + 1) 0;
-      for i = 0 to n - 1 do
-        let k = (Array.unsafe_get s i lsr sh) land radix_mask in
-        Array.unsafe_set counts k (Array.unsafe_get counts k + 1)
+  !i >= n
+
+(* Below this length an insertion sort beats the radix sort, whose every
+   pass clears and sums a 2048-entry histogram: an aggregate group's or a
+   join row's lineage holds a handful of versions per table. *)
+let small_sort = 64
+
+let insertion_sort (s : int array) n =
+  for i = 1 to n - 1 do
+    let x = s.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && s.(!j) > x do
+      s.(!j + 1) <- s.(!j);
+      decr j
+    done;
+    s.(!j + 1) <- x
+  done
+
+(* LSD radix sort of the non-negative [a.(0 .. n-1)], [hi] the largest,
+   into a fresh array. A digit on which all keys agree leaves the order as
+   it is, so its scatter pass is skipped: packed ids leave most of the
+   version's high bits zero. *)
+let radix_sort (a : int array) n ~hi : int array =
+  let src = ref (Array.sub a 0 n) and dst = ref (Array.make n 0) in
+  let counts = Array.make (radix_mask + 1) 0 in
+  let shift = ref 0 in
+  while !shift < Sys.int_size && hi lsr !shift > 0 do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill counts 0 (radix_mask + 1) 0;
+    for i = 0 to n - 1 do
+      let k = (Array.unsafe_get s i lsr sh) land radix_mask in
+      Array.unsafe_set counts k (Array.unsafe_get counts k + 1)
+    done;
+    if counts.((s.(0) lsr sh) land radix_mask) <> n then begin
+      let sum = ref 0 in
+      for k = 0 to radix_mask do
+        let c = counts.(k) in
+        counts.(k) <- !sum;
+        sum := !sum + c
       done;
-      if counts.((s.(0) lsr sh) land radix_mask) <> n then begin
-        let sum = ref 0 in
-        for k = 0 to radix_mask do
-          let c = counts.(k) in
-          counts.(k) <- !sum;
-          sum := !sum + c
-        done;
-        for i = 0 to n - 1 do
-          let x = Array.unsafe_get s i in
-          let k = (x lsr sh) land radix_mask in
-          let pos = Array.unsafe_get counts k in
-          Array.unsafe_set d pos x;
-          Array.unsafe_set counts k (pos + 1)
-        done;
-        src := d;
-        dst := s
-      end;
-      shift := sh + radix_bits
-    done
-  end;
+      for i = 0 to n - 1 do
+        let x = Array.unsafe_get s i in
+        let k = (x lsr sh) land radix_mask in
+        let pos = Array.unsafe_get counts k in
+        Array.unsafe_set d pos x;
+        Array.unsafe_set counts k (pos + 1)
+      done;
+      src := d;
+      dst := s
+    end;
+    shift := sh + radix_bits
+  done;
   !src
 
-(* The distinct values of [a.(0 .. n-1)], ascending. Returns [a] itself
-   when it is already exactly that, so callers pass arrays they own. *)
+(* An array whose first [n] values are [a.(0 .. n-1)] ascending: [a]
+   itself when they already are or when few enough to sort in place,
+   else a radix-sorted copy. Negative values, which no stored version's
+   packed id is, fall back to a comparison sort. *)
+let sort_prefix (a : int array) n : int array =
+  if is_sorted a n then a
+  else if n <= small_sort then begin
+    insertion_sort a n;
+    a
+  end
+  else begin
+    let lo = ref max_int and hi = ref 0 in
+    for i = 0 to n - 1 do
+      let x = a.(i) in
+      if x < !lo then lo := x;
+      if x > !hi then hi := x
+    done;
+    if !lo >= 0 then radix_sort a n ~hi:!hi
+    else begin
+      let s = Array.sub a 0 n in
+      Array.stable_sort Int.compare s;
+      s
+    end
+  end
+
+(* The distinct values of [a.(0 .. n-1)], ascending, as an array of
+   exactly that length. [a] is sorted in place and may be returned
+   itself, so callers pass arrays they own. *)
 let sort_dedup (a : int array) n : int array =
   if n = 0 then [||]
   else begin
-    let s = if is_sorted a n then a else sort_copy a n in
+    let s = sort_prefix a n in
     let distinct = ref 1 in
     for i = 1 to n - 1 do
       if s.(i) <> s.(i - 1) then incr distinct
@@ -118,52 +154,170 @@ let by_table (a, _) (b, _) = String.compare a b
 (* ------------------------------------------------------------------ *)
 (* Building.                                                           *)
 
-type buf = { table : string; mutable ids : int array; mutable len : int }
+(* A walk appends each version's packed id, and the index of its table in
+   [names], to two int arrays. [names] registers every table a scratch has
+   seen, and [rank] orders them by name, so a build orders its tables by
+   int comparison. Versions of one table share their name string, so a
+   lookup is a physical-equality test against the last table, then
+   against the registered ones; the string comparison runs only for a
+   name not seen before under that string. [counts] holds how many ids
+   each table got in the current walk, and [used] which tables those are. *)
+type scratch = {
+  mutable ids : int array;
+  mutable tix : int array;
+  mutable len : int;
+  mutable names : string array;
+  mutable rank : int array;
+  mutable n_names : int;
+  mutable counts : int array;
+  mutable used : int array;
+  mutable n_used : int;
+  mutable last : int;  (** index of the last table used, -1 before any *)
+}
 
-(* [last] caches the most recently used buffer: a scan appends runs of one
-   table, and tables of one name share their name string, so the cache is
-   a physical-equality test. *)
-type builder = { mutable bufs : buf list; mutable last : buf }
+let fresh_scratch () =
+  { ids = Array.make 256 0;
+    tix = Array.make 256 0;
+    len = 0;
+    names = Array.make 8 "";
+    rank = Array.make 8 0;
+    n_names = 0;
+    counts = Array.make 8 0;
+    used = Array.make 8 0;
+    n_used = 0;
+    last = -1 }
 
-(* The sentinel's name is a string no caller can hold. *)
-let no_buf = { table = String.make 0 ' '; ids = [||]; len = 0 }
-let builder () = { bufs = []; last = no_buf }
+(* The scratch [builder] hands out whenever no other builder holds it, so
+   a walk allocates little besides its result: an aggregate's lineage is
+   one walk per group. A builder abandoned before [build] (an exception
+   mid-walk) leaves it held, and later builders allocate their own. *)
+let shared = fresh_scratch ()
+let shared_busy = ref false
 
-let buf_for b table =
-  if b.last.table == table then b.last
+type builder = scratch
+
+let builder () =
+  if !shared_busy then fresh_scratch ()
   else begin
-    let found =
-      match List.find_opt (fun u -> u.table == table) b.bufs with
-      | Some _ as u -> u
-      | None -> List.find_opt (fun u -> String.equal u.table table) b.bufs
-    in
-    let u =
-      match found with
-      | Some u -> u
-      | None ->
-        let u = { table; ids = Array.make 64 0; len = 0 } in
-        b.bufs <- u :: b.bufs;
-        u
-    in
-    b.last <- u;
-    u
+    shared_busy := true;
+    shared
   end
 
-let push u p =
-  if u.len = Array.length u.ids then begin
-    let ids = Array.make (2 * u.len) 0 in
-    Array.blit u.ids 0 ids 0 u.len;
-    u.ids <- ids
+let register sc table =
+  let i = sc.n_names in
+  if i = Array.length sc.names then begin
+    let widen a fill = Array.append a (Array.make i fill) in
+    sc.names <- widen sc.names "";
+    sc.rank <- widen sc.rank 0;
+    sc.counts <- widen sc.counts 0;
+    sc.used <- widen sc.used 0
   end;
-  Array.unsafe_set u.ids u.len p;
-  u.len <- u.len + 1
+  sc.names.(i) <- table;
+  sc.n_names <- i + 1;
+  (* the new name's rank, and one more for every name above it *)
+  let r = ref 0 in
+  for j = 0 to i - 1 do
+    if String.compare sc.names.(j) table < 0 then incr r
+    else sc.rank.(j) <- sc.rank.(j) + 1
+  done;
+  sc.rank.(i) <- !r;
+  i
 
-let add b (tid : Tid.t) =
-  push (buf_for b tid.Tid.table) (pack ~rid:tid.Tid.rid ~version:tid.Tid.version)
+let rec find_same sc table i =
+  if i = sc.n_names then find_equal sc table 0
+  else if sc.names.(i) == table then i
+  else find_same sc table (i + 1)
 
-let build b : t =
-  List.map (fun u -> (u.table, sort_dedup u.ids u.len)) b.bufs
-  |> List.sort by_table
+and find_equal sc table i =
+  if i = sc.n_names then register sc table
+  else if String.equal sc.names.(i) table then begin
+    (* later lookups of this string take the physical test *)
+    sc.names.(i) <- table;
+    i
+  end
+  else find_equal sc table (i + 1)
+
+let add sc (tid : Tid.t) =
+  let table = tid.Tid.table in
+  let i =
+    if sc.last >= 0 && sc.names.(sc.last) == table then sc.last
+    else begin
+      let i = find_same sc table 0 in
+      sc.last <- i;
+      i
+    end
+  in
+  if sc.len = Array.length sc.ids then begin
+    let ids = Array.make (2 * sc.len) 0 and tix = Array.make (2 * sc.len) 0 in
+    Array.blit sc.ids 0 ids 0 sc.len;
+    Array.blit sc.tix 0 tix 0 sc.len;
+    sc.ids <- ids;
+    sc.tix <- tix
+  end;
+  Array.unsafe_set sc.ids sc.len (pack ~rid:tid.Tid.rid ~version:tid.Tid.version);
+  Array.unsafe_set sc.tix sc.len i;
+  sc.len <- sc.len + 1;
+  if sc.counts.(i) = 0 then begin
+    sc.used.(sc.n_used) <- i;
+    sc.n_used <- sc.n_used + 1
+  end;
+  sc.counts.(i) <- sc.counts.(i) + 1
+
+(* One array per table, sorted and deduplicated once, consed in
+   descending name order so the list ends in name order. Leaves the
+   scratch empty for the next walk. *)
+let build sc : t =
+  let k = sc.n_used in
+  let used = sc.used in
+  let l =
+    if k = 1 then
+      let ids =
+        if sc.len = 1 then [| sc.ids.(0) |]
+        else sort_dedup (Array.sub sc.ids 0 sc.len) sc.len
+      in
+      [ (sc.names.(used.(0)), ids) ]
+    else begin
+      (* the walk's tables by rank: an insertion sort over a handful *)
+      for i = 1 to k - 1 do
+        let x = used.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && sc.rank.(used.(!j)) > sc.rank.(x) do
+          used.(!j + 1) <- used.(!j);
+          decr j
+        done;
+        used.(!j + 1) <- x
+      done;
+      let l = ref [] in
+      for r = k - 1 downto 0 do
+        let i = used.(r) in
+        let n = sc.counts.(i) in
+        let part = if n = 1 then [| 0 |] else Array.make n 0 in
+        let filled = ref 0 in
+        for j = 0 to sc.len - 1 do
+          if Array.unsafe_get sc.tix j = i then begin
+            part.(!filled) <- Array.unsafe_get sc.ids j;
+            incr filled
+          end
+        done;
+        l := (sc.names.(i), if n = 1 then part else sort_dedup part n) :: !l
+      done;
+      !l
+    end
+  in
+  for r = 0 to k - 1 do
+    sc.counts.(used.(r)) <- 0
+  done;
+  sc.n_used <- 0;
+  sc.len <- 0;
+  if sc == shared then begin
+    shared_busy := false;
+    (* a walk over a huge circuit must not pin its buffers *)
+    if Array.length sc.ids > 1 lsl 16 then begin
+      sc.ids <- Array.make 256 0;
+      sc.tix <- Array.make 256 0
+    end
+  end;
+  l
 
 let singleton (tid : Tid.t) : t =
   [ (tid.Tid.table, [| pack ~rid:tid.Tid.rid ~version:tid.Tid.version |]) ]

@@ -67,7 +67,9 @@ val diff : t -> t -> t
 (** {2 Building} *)
 
 (** Per-table int buffers that a walk appends versions into, sorted and
-    deduplicated once by [build]. *)
+    deduplicated once by [build]. Builders reuse one scratch area, so a
+    walk allocates little besides its result; call [build] on every
+    builder. *)
 type builder
 
 val builder : unit -> builder
