@@ -323,6 +323,29 @@ let test_wal_roundtrip () =
   Alcotest.(check (list int)) "sequence numbers are 1-based ordinals" [ 1; 2 ]
     (List.map (fun (r : Wal.record) -> r.Wal.seq) loaded.Wal.records)
 
+(* Text that does not parse is refused before anything is logged: the
+   durable path raises the parser's typed error and appends no record,
+   and the server answers it with an error response. *)
+let test_wal_unparseable_logs_nothing () =
+  let kernel, d = Durable.boot () in
+  exec d "CREATE TABLE t (a INT)";
+  let vfs = K.vfs kernel in
+  let before = V.read vfs wal in
+  let seq = Durable.next_seq d in
+  Alcotest.(check bool) "typed parse error" true
+    (match Durable.exec d "UPDATE t SET WHERE" with
+    | _ -> false
+    | exception Minidb.Errors.Db_error (Minidb.Errors.Parse_error _) -> true);
+  Alcotest.(check string) "no record appended" before (V.read vfs wal);
+  Alcotest.(check int) "no sequence number used" seq (Durable.next_seq d);
+  Alcotest.(check bool) "the server answers with an error" true
+    (match
+       Server.handle (Durable.server d)
+         (Protocol.Statement { sql = "UPDATE t SET WHERE" })
+     with
+    | Protocol.Error_response _ -> true
+    | _ -> false)
+
 let test_wal_torn_tail_detected () =
   let kernel, d = Durable.boot () in
   exec d "CREATE TABLE t (a INT)";
@@ -692,6 +715,8 @@ let suite =
     Alcotest.test_case "deferred: checkpoint crash windows" `Quick
       test_deferred_checkpoint_crash_windows;
     Alcotest.test_case "wal: records round-trip" `Quick test_wal_roundtrip;
+    Alcotest.test_case "wal: unparseable SQL logs nothing" `Quick
+      test_wal_unparseable_logs_nothing;
     Alcotest.test_case "wal: torn tail detected" `Quick
       test_wal_torn_tail_detected;
     Alcotest.test_case "wal: durable cut drops open tx" `Quick

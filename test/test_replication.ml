@@ -396,6 +396,97 @@ let test_plain_audit_has_no_cluster_metadata () =
     (Package.replication pkg);
   Alcotest.(check int) "no routes" 0 (List.length (Package.routes pkg))
 
+(* ---------------- ship-log and WAL records ---------------------- *)
+
+(* A log's byte size and MD5 digest. *)
+let log_pin kernel path =
+  let data = Minios.Vfs.read (K.vfs kernel) path in
+  Printf.sprintf "%d %s" (String.length data) (Digest.to_hex (Digest.string data))
+
+(* The kind letter and SQL of every record in the log at [path]. *)
+let log_records kernel path =
+  List.map
+    (fun (r : Wal.record) ->
+      Printf.sprintf "%c %s" (Wal.kind_char r.Wal.kind) r.Wal.sql)
+    (Wal.load (K.vfs kernel) path).Wal.records
+
+let replica_wal i = R.data_dir_of i ^ "/wal.log"
+
+(* A durable leader holding two rows, behind two replicas. *)
+let two_replica_cluster () =
+  let kernel, leader = Durable.boot () in
+  lexec leader "CREATE TABLE t (k INT, v INT)";
+  lexec leader "INSERT INTO t VALUES (1, 10), (2, 20)";
+  (kernel, leader, R.create kernel ~leader ~replicas:2 ())
+
+(* An interceptor session ships a transaction's writes at its COMMIT,
+   each as an ordinary statement record, and an autocommit write as
+   it executes; every replica logs exactly the shipped records. *)
+let test_ship_log_interceptor_records () =
+  let kernel, leader, cluster = two_replica_cluster () in
+  let session =
+    Interceptor.create ~mode:Interceptor.Passthrough ~snapshot_reads:true
+      ~kernel (Durable.server leader)
+  in
+  Interceptor.attach_cluster session cluster;
+  List.iter
+    (fun sql ->
+      match Interceptor.execute session ~pid:1 sql with
+      | Protocol.Error_response m -> Alcotest.failf "%s failed: %s" sql m
+      | _ -> ())
+    [ "BEGIN";
+      "UPDATE t SET v = 11 WHERE k = 1";
+      "COMMIT";
+      "UPDATE t SET v = 21 WHERE k = 2" ];
+  Alcotest.(check (list string)) "ship-log records"
+    [ "S UPDATE t SET v = 11 WHERE k = 1";
+      "S UPDATE t SET v = 21 WHERE k = 2" ]
+    (log_records kernel cluster.R.ship_log);
+  Alcotest.(check string) "ship log"
+    "102 51e656d2f2e092bc9a0aec32dafb0f43" (log_pin kernel cluster.R.ship_log);
+  for i = 0 to 1 do
+    Alcotest.(check string)
+      (Printf.sprintf "replica %d WAL" i)
+      "102 51e656d2f2e092bc9a0aec32dafb0f43"
+      (log_pin kernel (replica_wal i))
+  done;
+  check_converged "interceptor writes" cluster
+
+(* [Replication.exec] ships every statement the leader accepts, with
+   its WAL kind: BEGIN, COMMIT and ROLLBACK travel as their own
+   records. *)
+let test_ship_log_exec_records () =
+  let kernel, leader, cluster = two_replica_cluster () in
+  List.iter (exec cluster)
+    [ "BEGIN";
+      "UPDATE t SET v = 11 WHERE k = 1";
+      "COMMIT";
+      "BEGIN";
+      "UPDATE t SET v = 12 WHERE k = 1";
+      "ROLLBACK";
+      "INSERT INTO t VALUES (3, 30)" ];
+  Alcotest.(check (list string)) "ship-log records"
+    [ "B BEGIN";
+      "S UPDATE t SET v = 11 WHERE k = 1";
+      "C COMMIT";
+      "B BEGIN";
+      "S UPDATE t SET v = 12 WHERE k = 1";
+      "R ROLLBACK";
+      "S INSERT INTO t VALUES (3, 30)" ]
+    (log_records kernel cluster.R.ship_log);
+  Alcotest.(check string) "ship log"
+    "250 96dd212837adf10adb40752b681e27d2" (log_pin kernel cluster.R.ship_log);
+  for i = 0 to 1 do
+    Alcotest.(check string)
+      (Printf.sprintf "replica %d WAL" i)
+      "250 96dd212837adf10adb40752b681e27d2"
+      (log_pin kernel (replica_wal i))
+  done;
+  Alcotest.(check string) "leader WAL"
+    "356 73312e15aab5398bd73112f9c4f71ecb"
+    (log_pin kernel (Durable.wal_path (Durable.server leader)));
+  check_converged "exec writes" cluster
+
 let suite =
   [ Alcotest.test_case "durable-cut: empty log" `Quick test_durable_cut_empty;
     Alcotest.test_case "durable-cut: torn record mid-batch (grouped)" `Quick
@@ -423,4 +514,8 @@ let suite =
     Alcotest.test_case "cluster audit replays byte-identically" `Quick
       test_cluster_audit_replays_byte_identically;
     Alcotest.test_case "plain audit has no cluster metadata" `Quick
-      test_plain_audit_has_no_cluster_metadata ]
+      test_plain_audit_has_no_cluster_metadata;
+    Alcotest.test_case "ship log: interceptor records and log bytes" `Quick
+      test_ship_log_interceptor_records;
+    Alcotest.test_case "ship log: exec records and log bytes" `Quick
+      test_ship_log_exec_records ]
