@@ -11,7 +11,8 @@
 # --quick skips the crash/faults campaigns, the profiler smokes and the
 # benches (build + tests + the replica/tx campaigns + out-of-range
 # argument and file-error checks + the overhead-ledger gate self-check +
-# the replicated, server-included and Q3-1 audit package checksums).
+# the replicated, server-included and Q3-1 audit package checksums + the
+# replicated audit's SQL parse count).
 set -e
 cd "$(dirname "$0")"
 root=$(pwd)
@@ -141,6 +142,13 @@ dune exec bin/ldv.exe -- --obs "jsonl:$tmpdir/ov.jsonl" \
 # gets packaged shows here
 cksum < "$tmpdir/ov.ldv" > "$tmpdir/ov.cksum"
 diff test/golden/audit-sessions4-replicas2-cksum.txt "$tmpdir/ov.cksum"
+# and so is the number of SQL parses it ran: each node parses a
+# statement's text once, so a second parse on the server, WAL or ship
+# path shows here
+dune exec bin/ldv.exe -- stats "$tmpdir/ov.jsonl" \
+  | sed -n 's/^| \(sql\.parse\)  *| \([0-9]*\) *|$/\1 \2/p' \
+  > "$tmpdir/ov.parses"
+diff test/golden/audit-sessions4-replicas2-parses.txt "$tmpdir/ov.parses"
 # the same for a server-included TPC-H package, whose tables carry
 # indexes: its index DDL sections are pinned with the rest
 dune exec bin/ldv.exe -- audit --sf 0.002 --inserts 20 --selects 3 \

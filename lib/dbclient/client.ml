@@ -76,7 +76,7 @@ let query_result (conn : conn) (sql : string) : Schema.t * Value.t array list =
   | Protocol.Result_set { schema; rows } -> (schema, rows)
   | Protocol.Error_response msg ->
     Errors.unsupported "server error: %s" msg
-  | Protocol.Command_ok _ | Protocol.Ddl_ok | Protocol.Connected _ ->
+  | Protocol.Command_ok _ | Protocol.Ddl_ok ->
     Errors.unsupported "expected a result set from %s" sql
 
 (** Run a SELECT and return just the rows. *)
@@ -89,7 +89,7 @@ let exec (conn : conn) (sql : string) : int =
   | Protocol.Command_ok { affected } -> affected
   | Protocol.Ddl_ok -> 0
   | Protocol.Error_response msg -> Errors.unsupported "server error: %s" msg
-  | Protocol.Result_set _ | Protocol.Connected _ ->
+  | Protocol.Result_set _ ->
     Errors.unsupported "expected a command acknowledgement from %s" sql
 
 (** Run [stmts] as one BEGIN..COMMIT block, retrying the *whole*
@@ -127,7 +127,7 @@ let transaction ?attempts (conn : conn) (stmts : string list) : int =
           match send conn sql with
           | Protocol.Command_ok { affected } -> acc + affected
           | Protocol.Error_response msg -> Errors.unsupported "server error: %s" msg
-          | Protocol.Result_set _ | Protocol.Ddl_ok | Protocol.Connected _ -> acc)
+          | Protocol.Result_set _ | Protocol.Ddl_ok -> acc)
         0 stmts
     in
     ignore (send conn "COMMIT");

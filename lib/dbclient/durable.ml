@@ -75,13 +75,6 @@ let checkpoint_bytes vfs server =
     (Minios.Vfs.find_opt vfs (checkpoint_path server))
     (fun f -> Minios.Vfs.content_bytes f.Minios.Vfs.content)
 
-let kind_of_sql (sql : string) : Wal.kind =
-  match Sql_parser.parse sql with
-  | Sql_ast.Begin_tx -> Wal.Begin
-  | Sql_ast.Commit_tx -> Wal.Commit
-  | Sql_ast.Rollback_tx -> Wal.Rollback
-  | _ -> Wal.Stmt
-
 (** Wrap a freshly installed (or recovered) server whose process [pid]
     performs the durability I/O. [next_seq] continues from whatever the
     checkpoint and log already contain. A caller that wrote the
@@ -179,10 +172,12 @@ let note_session (t : t) (db : Database.t) ~sid =
   | 0 -> Hashtbl.remove t.sids sid
   | id -> Hashtbl.replace t.sids sid id
 
-(** Execute one SQL statement durably for session [sid]: log, sync if the
-    policy demands it, then run it. Returns the server's response. *)
-let exec ?(sid = 0) (t : t) (sql : string) : Protocol.response =
-  let kind = kind_of_sql sql in
+(** Execute one parsed statement durably for session [sid]: log [sql],
+    its text, as a record of the statement's kind, sync if the policy
+    demands it, then run the statement. Returns the server's response. *)
+let exec_ast ?(sid = 0) (t : t) ~(sql : string) (stmt : Sql_ast.statement) :
+    Protocol.response =
+  let kind = Wal.kind_of_statement stmt in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let path = wal_path t.server in
@@ -211,10 +206,17 @@ let exec ?(sid = 0) (t : t) (sql : string) : Protocol.response =
       end
   end;
   switch_session t db ~sid;
-  let resp = Server.handle t.server (Protocol.Statement { sql }) in
+  let resp = Server.exec_ast t.server stmt in
   note_session t db ~sid;
   Ldv_faults.crash_point ~site:"stmt.post_exec";
   resp
+
+(** Execute one SQL statement durably: parsed once, then run as
+    {!exec_ast}.
+    @raise Minidb.Errors.Db_error [Parse_error] when [sql] does not
+    parse; nothing is logged then. *)
+let exec ?sid (t : t) (sql : string) : Protocol.response =
+  exec_ast ?sid t ~sql (Database.parse sql)
 
 (** Arm group commit on this handle: switch the policy and register the
     flush as a quantum hook so each scheduling round ends with at most
@@ -309,7 +311,7 @@ let recover ?(apply = true) (kernel : Minios.Kernel.t) ~data_dir () :
         in
         (try Database.set_current_tx db tx
          with Minidb.Errors.Db_error _ -> Database.set_current_tx db 0);
-        ignore (Server.handle server (Protocol.Statement { sql = r.Wal.sql }));
+        ignore (Server.handle server r.Wal.sql);
         match Database.current_tx db with
         | 0 -> Hashtbl.remove sids r.Wal.sid
         | id -> Hashtbl.replace sids r.Wal.sid id)

@@ -287,7 +287,7 @@ let exec_audit_included t ~qid ~pid ?serve (ast : Sql_ast.statement)
   match ast with
   | Sql_ast.Explain _ ->
     (* plan description only; nothing to audit *)
-    let resp = Server.handle t.server (Protocol.Statement { sql }) in
+    let resp = Server.handle t.server sql in
     (resp, [], Lineage.empty, None, Protocol.response_rows resp, 0, -1)
   | Sql_ast.Select _ | Sql_ast.Provenance _ ->
     let serve_db = match serve with Some srv -> Server.db srv | None -> db in
@@ -375,10 +375,10 @@ let exec_audit_included t ~qid ~pid ?serve (ast : Sql_ast.statement)
   | Sql_ast.Drop_index _ | Sql_ast.Begin_tx | Sql_ast.Commit_tx
   | Sql_ast.Rollback_tx ->
     let at_write = Database.clock db in
-    let resp = Server.handle t.server (Protocol.Statement { sql }) in
+    let resp = Server.handle t.server sql in
     (resp, [], Lineage.empty, None, [], 0, at_write)
 
-let exec_passthrough t (sql : string) = Server.handle t.server (Protocol.Statement { sql })
+let exec_passthrough t (sql : string) = Server.handle t.server sql
 
 let exec_replay_excluded t ~(kind : stmt_kind) (sql_norm : string) :
     Protocol.response =
@@ -437,9 +437,7 @@ let execute (t : t) ~pid (sql : string) : Protocol.response =
   Ldv_obs.Ledger.stmt_begin ();
   Fun.protect ~finally:Ldv_obs.Ledger.stmt_end @@ fun () ->
   let db = Server.db t.server in
-  let ast =
-    Ldv_obs.Ledger.time Ldv_obs.Ledger.Parse (fun () -> Sql_parser.parse sql)
-  in
+  let ast = Database.parse sql in
   let sql_norm = Pretty.statement_to_string ast in
   let kind = stmt_kind_of_ast ast in
   if Ldv_obs.enabled () then begin
@@ -565,7 +563,7 @@ let execute (t : t) ~pid (sql : string) : Protocol.response =
           let rdb = Server.db srv in
           let resp =
             Database.with_frozen_clock rdb (fun () ->
-                Server.handle srv (Protocol.Statement { sql = exec_sql }))
+                Server.handle srv exec_sql)
           in
           (resp, [], Lineage.empty, None, Protocol.response_rows resp, 0, -1, rid)
         | None ->
@@ -593,8 +591,7 @@ let execute (t : t) ~pid (sql : string) : Protocol.response =
             | Protocol.Error_response msg ->
               (* the original run failed here; replay must fail identically *)
               (Recorder.Rerror, None, [ [| Value.Str msg |] ], 0)
-            | Protocol.Ddl_ok | Protocol.Connected _ ->
-              (Recorder.Rddl, None, [], 0)
+            | Protocol.Ddl_ok -> (Recorder.Rddl, None, [], 0)
           in
           let record =
             { Recorder.rec_index = qid;
@@ -627,7 +624,9 @@ let execute (t : t) ~pid (sql : string) : Protocol.response =
     (* ship every successfully executed write to the replicas before the
        latch releases, so the ship order is the execution order;
        transactional writes are held back until their COMMIT executes —
-       a replica must never apply writes the leader may yet roll back *)
+       a replica must never apply writes the leader may yet roll back.
+       Transaction control itself never ships, so every shipped record
+       is an ordinary statement *)
     (match !(t.cluster) with
     | Some cl
       when kind <> Squery && at_write >= 0 && t.mode <> Replay_excluded -> (
@@ -638,14 +637,15 @@ let execute (t : t) ~pid (sql : string) : Protocol.response =
         | Sql_ast.Begin_tx -> ()
         | Sql_ast.Commit_tx ->
           List.iter
-            (fun (at, sql) -> Replication.note_write cl ~at sql)
+            (fun (at, sql) -> Replication.note_write cl ~at ~kind:Wal.Stmt sql)
             (List.rev t.tx_ship);
           t.tx_ship <- []
         | Sql_ast.Rollback_tx -> t.tx_ship <- []
         | _ ->
           if tx_before <> 0 then
             t.tx_ship <- (at_write, sql_norm) :: t.tx_ship
-          else Replication.note_write cl ~at:at_write sql_norm))
+          else
+            Replication.note_write cl ~at:at_write ~kind:Wal.Stmt sql_norm))
     | Some _ | None -> ());
     (response, results, reads, schema, rows, affected, replica)
   in

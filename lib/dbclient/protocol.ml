@@ -1,19 +1,13 @@
 (** The client/server wire protocol.
 
     Mirrors the slice of the PostgreSQL frontend/backend protocol that
-    libpq interposition sees: connection establishment, one statement per
-    request, and either a row set, an affected-row count, or an error
-    back. *)
+    libpq interposition sees: a request is one statement's SQL text
+    ({!Server.handle}), and the response is either a row set, an
+    affected-row count, or an error. *)
 
 open Minidb
 
-type request =
-  | Connect of { db_name : string; pid : int }
-  | Statement of { sql : string }
-  | Disconnect
-
 type response =
-  | Connected of { backend_id : int }
   | Result_set of { schema : Schema.t; rows : Value.t array list }
   | Command_ok of { affected : int }
   | Ddl_ok
@@ -21,12 +15,11 @@ type response =
 
 let response_rows = function
   | Result_set { rows; _ } -> rows
-  | Connected _ | Command_ok _ | Ddl_ok | Error_response _ -> []
+  | Command_ok _ | Ddl_ok | Error_response _ -> []
 
 (** Byte footprint of a response on the wire; drives recorded-result
     sizes for server-excluded packages. *)
 let response_bytes = function
-  | Connected _ -> 16
   | Ddl_ok -> 8
   | Command_ok _ -> 12
   | Error_response m -> 8 + String.length m
@@ -40,11 +33,3 @@ let response_bytes = function
       (fun acc row ->
         acc + Array.fold_left (fun a v -> a + Value.byte_size v) 4 row)
       header rows
-
-let pp_response ppf = function
-  | Connected { backend_id } -> Format.fprintf ppf "Connected(%d)" backend_id
-  | Result_set { rows; _ } ->
-    Format.fprintf ppf "Result_set(%d rows)" (List.length rows)
-  | Command_ok { affected } -> Format.fprintf ppf "Command_ok(%d)" affected
-  | Ddl_ok -> Format.fprintf ppf "Ddl_ok"
-  | Error_response m -> Format.fprintf ppf "Error(%s)" m

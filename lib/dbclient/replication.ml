@@ -426,14 +426,14 @@ let repair_lagging t =
     t.replicas
 
 (** Record one executed leader write into the ship stream: append the
-    frame to the retained ship log (durably), remember the leader clock
-    [at] observed before the write executed, and push to every live
-    replica. Used by the interceptor after the session path has already
-    executed the statement on the leader. *)
-let note_write t ~at (sql : string) : unit =
+    frame, a record of [kind], to the retained ship log (durably),
+    remember the leader clock [at] observed before the write executed,
+    and push to every live replica. Used by the interceptor after the
+    session path has already executed the statement on the leader. *)
+let note_write t ~at ~(kind : Wal.kind) (sql : string) : unit =
   let seq = t.ship_seq + 1 in
   t.ship_seq <- seq;
-  let rec_ = { Wal.seq; kind = Durable.kind_of_sql sql; sid = 0; sql } in
+  let rec_ = { Wal.seq; kind; sid = 0; sql } in
   let pid = t.leader.Durable.pid in
   Ldv_obs.Ledger.time Ldv_obs.Ledger.Wal_append (fun () ->
       Wal.append t.kernel ~pid ~path:t.ship_log rec_);
@@ -450,13 +450,16 @@ let note_write t ~at (sql : string) : unit =
   repair_lagging t
 
 (** Execute one write on the leader and ship it. Statements the leader
-    rejects are not shipped (they changed nothing). *)
+    rejects are not shipped (they changed nothing).
+    @raise Minidb.Errors.Db_error [Parse_error] when [sql] does not
+    parse; nothing is logged or shipped then. *)
 let exec t (sql : string) : Protocol.response =
+  let stmt = Database.parse sql in
   let at = Database.clock (leader_db t) in
-  let resp = Durable.exec t.leader sql in
+  let resp = Durable.exec_ast t.leader ~sql stmt in
   (match resp with
   | Protocol.Error_response _ -> ()
-  | _ -> note_write t ~at sql);
+  | _ -> note_write t ~at ~kind:(Wal.kind_of_statement stmt) sql);
   resp
 
 (* ------------------------------------------------------------------ *)
@@ -516,10 +519,8 @@ let serve_pinned (server : Server.t) (ast : Sql_ast.statement) : served * int
   let db = Server.db server in
   let snap = Database.clock db in
   let pinned = Snapshot_pin.pin_statement snap ast in
-  let sql = Pretty.statement_to_string pinned in
   let resp =
-    Database.with_frozen_clock db (fun () ->
-        Server.handle server (Protocol.Statement { sql }))
+    Database.with_frozen_clock db (fun () -> Server.exec_ast server pinned)
   in
   ({ sv_resp = resp; sv_node = -1; sv_version = snap }, snap)
 
@@ -531,7 +532,7 @@ let serve_pinned (server : Server.t) (ast : Sql_ast.statement) : served * int
     service is clock-frozen and pinned at the serving node's applied
     version. *)
 let read t (sql : string) : served =
-  let ast = Sql_parser.parse sql in
+  let ast = Database.parse sql in
   let n = Array.length t.replicas in
   let rec go i =
     if i >= n then None

@@ -204,31 +204,37 @@ let stop_traced (kernel : Minios.Kernel.t) (t : t) =
     Minios.Kernel.exit_process kernel pid;
     t.server_pid <- None
 
-(** Execute one protocol request against the backend. *)
-let handle (t : t) (req : Protocol.request) : Protocol.response =
+(* Run one statement on the backend and map its outcome onto a
+   response. *)
+let respond (run : unit -> Database.exec_result) : Protocol.response =
   Ldv_obs.with_span "server.handle" @@ fun () ->
-  match req with
-  | Protocol.Connect _ -> Protocol.Connected { backend_id = 1 }
-  | Protocol.Disconnect -> Protocol.Ddl_ok
-  | Protocol.Statement { sql } -> (
-    match Database.exec t.db sql with
-    | Database.Rows r ->
-      Protocol.Result_set
-        { schema = r.Executor.schema; rows = Executor.result_values r }
-    | Database.Affected info -> Protocol.Command_ok { affected = info.count }
-    | Database.Ddl_done -> Protocol.Ddl_ok
-    | exception Errors.Db_error (Errors.Serialization_failure _ as kind) ->
-      (* first-updater-wins conflicts are control flow for the client
-         library's abort/rollback/retry path, not an error string the
-         application may swallow *)
-      raise (Errors.Db_error kind)
-    | exception Errors.Db_error kind ->
-      (* tx misuse is a programming error worth flagging out-of-band, not
-         just an error string the client may swallow *)
-      (match kind with
-      | Errors.Tx_state m -> Ldv_errors.warn (Ldv_errors.Tx_state { message = m })
-      | _ -> ());
-      Protocol.Error_response (Errors.to_string kind))
+  match run () with
+  | Database.Rows r ->
+    Protocol.Result_set
+      { schema = r.Executor.schema; rows = Executor.result_values r }
+  | Database.Affected info -> Protocol.Command_ok { affected = info.count }
+  | Database.Ddl_done -> Protocol.Ddl_ok
+  | exception Errors.Db_error (Errors.Serialization_failure _ as kind) ->
+    (* first-updater-wins conflicts are control flow for the client
+       library's abort/rollback/retry path, not an error string the
+       application may swallow *)
+    raise (Errors.Db_error kind)
+  | exception Errors.Db_error kind ->
+    (* tx misuse is a programming error worth flagging out-of-band, not
+       just an error string the client may swallow *)
+    (match kind with
+    | Errors.Tx_state m -> Ldv_errors.warn (Ldv_errors.Tx_state { message = m })
+    | _ -> ());
+    Protocol.Error_response (Errors.to_string kind)
+
+(** Execute one parsed statement against the backend. *)
+let exec_ast (t : t) (stmt : Sql_ast.statement) : Protocol.response =
+  respond (fun () -> Database.exec_ast t.db stmt)
+
+(** Execute one statement's text: parsed once, inside the ledger's Parse
+    frame; text that does not parse is an error response. *)
+let handle (t : t) (sql : string) : Protocol.response =
+  respond (fun () -> Database.exec t.db sql)
 
 (** Restore a table's state from a native data file (PTU replay: the
     package ships the server's own files). *)

@@ -120,9 +120,16 @@ val start_traced : Minios.Kernel.t -> t -> int
     restores the start-time files), and exit the server process. *)
 val stop_traced : Minios.Kernel.t -> t -> unit
 
-(** Execute one protocol request against the backend; engine errors become
-    [Error_response]s. *)
-val handle : t -> Protocol.request -> Protocol.response
+(** Execute one parsed statement against the backend. A serialization
+    failure is re-raised for the client's abort path; every other engine
+    error becomes an [Error_response], and a transaction-state error also
+    warns ({!Ldv_errors.Tx_state}). *)
+val exec_ast : t -> Sql_ast.statement -> Protocol.response
+
+(** Execute one statement's SQL text, the wire request: parsed once
+    ({!Minidb.Database.parse}), then run as {!exec_ast}; text that does
+    not parse is an [Error_response]. *)
+val handle : t -> string -> Protocol.response
 
 (** Restore a table from a native data file (PTU replay).
     @raise Errors.Db_error [Corrupt_image] as {!decode_table_image}. *)

@@ -24,6 +24,14 @@ type kind = Begin | Commit | Rollback | Stmt
 
 type record = { seq : int; kind : kind; sid : int; sql : string }
 
+(** A statement's record kind: the transaction-control statements have
+    their own, everything else is an ordinary [Stmt]. *)
+let kind_of_statement : Minidb.Sql_ast.statement -> kind = function
+  | Minidb.Sql_ast.Begin_tx -> Begin
+  | Minidb.Sql_ast.Commit_tx -> Commit
+  | Minidb.Sql_ast.Rollback_tx -> Rollback
+  | _ -> Stmt
+
 let kind_char = function
   | Begin -> 'B'
   | Commit -> 'C'

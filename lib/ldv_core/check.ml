@@ -780,7 +780,6 @@ let response_fingerprint (resp : Protocol.response) : string =
   | Protocol.Command_ok { affected } -> Printf.sprintf "ok %d" affected
   | Protocol.Ddl_ok -> "ddl"
   | Protocol.Error_response msg -> "error " ^ msg
-  | Protocol.Connected _ -> "connected"
 
 (** One read served during the degraded run. *)
 type read_rec = {
@@ -888,10 +887,9 @@ let control_read (control : Durable.t) (r : read_rec) : string =
   let pinned =
     Snapshot_pin.pin_statement r.rr_version (Minidb.Sql_parser.parse r.rr_sql)
   in
-  let sql = Minidb.Pretty.statement_to_string pinned in
   response_fingerprint
     (Database.with_frozen_clock (Server.db server) (fun () ->
-         Server.handle server (Protocol.Statement { sql })))
+         Server.exec_ast server pinned))
 
 (** Rotates ship faults (dropped / garbled / reordered WAL frames), a
     one-shot [repl.apply] crash that power-fails one replica mid-apply,

@@ -14,8 +14,7 @@ let db_name = "app"
 let install_fixture (server : Dbclient.Server.t) =
   List.iter
     (fun sql ->
-      match Dbclient.Server.handle server (Dbclient.Protocol.Statement { sql })
-      with
+      match Dbclient.Server.handle server sql with
       | Dbclient.Protocol.Error_response m ->
         invalid_arg ("Concurrent.install_fixture: " ^ m)
       | _ -> ())

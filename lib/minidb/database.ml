@@ -582,9 +582,10 @@ let exec_ast t stmt =
   Ldv_obs.Ledger.time Ldv_obs.Ledger.Exec (fun () ->
       with_tx_context t (fun () -> exec_ast t stmt))
 
-let exec t (sql : string) : exec_result =
-  exec_ast t
-    (Ldv_obs.Ledger.time Ldv_obs.Ledger.Parse (fun () -> Sql_parser.parse sql))
+let parse (sql : string) : Sql_ast.statement =
+  Ldv_obs.Ledger.time Ldv_obs.Ledger.Parse (fun () -> Sql_parser.parse sql)
+
+let exec t (sql : string) : exec_result = exec_ast t (parse sql)
 
 (** Run a script of semicolon-separated statements, returning the last
     result. *)

@@ -123,7 +123,11 @@ val run_delete : t -> table:string -> where:Sql_ast.expr option -> dml_info
     @raise Errors.Db_error on every engine error. *)
 val exec_ast : t -> Sql_ast.statement -> exec_result
 
-(** Parse and execute one SQL statement. *)
+(** Parse one SQL statement inside the overhead ledger's Parse frame.
+    @raise Errors.Db_error [Parse_error] when the text does not parse. *)
+val parse : string -> Sql_ast.statement
+
+(** Parse ({!parse}) and execute one SQL statement. *)
 val exec : t -> string -> exec_result
 
 (** Run a semicolon-separated script, returning the last result. *)

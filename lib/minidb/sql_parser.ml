@@ -494,8 +494,10 @@ let rec parse_statement_body lx =
     parse_error lx
       (Printf.sprintf "expected a statement, found %s" (L.token_to_string tok))
 
-(** Parse a single SQL statement (a trailing semicolon is allowed). *)
+(** Parse a single SQL statement (a trailing semicolon is allowed). Each
+    call counts one [sql.parse] while a sink is on. *)
 let parse (input : string) : statement =
+  if Ldv_obs.enabled () then Ldv_obs.counter "sql.parse";
   let lx = L.tokenize input in
   let stmt = parse_statement_body lx in
   ignore (L.accept_sym lx ";");

@@ -339,10 +339,7 @@ let test_wal_unparseable_logs_nothing () =
   Alcotest.(check string) "no record appended" before (V.read vfs wal);
   Alcotest.(check int) "no sequence number used" seq (Durable.next_seq d);
   Alcotest.(check bool) "the server answers with an error" true
-    (match
-       Server.handle (Durable.server d)
-         (Protocol.Statement { sql = "UPDATE t SET WHERE" })
-     with
+    (match Server.handle (Durable.server d) "UPDATE t SET WHERE" with
     | Protocol.Error_response _ -> true
     | _ -> false)
 

@@ -86,10 +86,7 @@ let test_torn_record_mid_batch_grouped () =
   let d', stats = Durable.recover kernel ~data_dir:"/var/minidb/data" () in
   Alcotest.(check int) "recovery redoes the intact prefix" 5
     stats.Durable.redone;
-  match
-    Server.handle (Durable.server d')
-      (Protocol.Statement { sql = "SELECT COUNT(*) FROM t" })
-  with
+  match Server.handle (Durable.server d') "SELECT COUNT(*) FROM t" with
   | Protocol.Result_set { rows = [ [| Minidb.Value.Int n |] ]; _ } ->
     Alcotest.(check int) "torn insert lost, batch prefix kept" 4 n
   | _ -> Alcotest.fail "count query failed after recovery"
@@ -487,6 +484,57 @@ let test_ship_log_exec_records () =
     (log_pin kernel (Durable.wal_path (Durable.server leader)));
   check_converged "exec writes" cluster
 
+(* ---------------- one parse per node ----------------------------- *)
+
+(* How many times [f] ran the SQL parser. *)
+let parses f =
+  let before = counter_of (Obs.snapshot ()) "sql.parse" in
+  f ();
+  counter_of (Obs.snapshot ()) "sql.parse" - before
+
+(* Each node parses a statement's text once: the interceptor parses what
+   the client sends, the leader what crosses the wire, each replica the
+   record it applies. With two replicas a shipped write costs four
+   parses through a session and three through [Replication.exec]; an
+   audited UPDATE adds its reenactment query and an INSERT has none. A
+   replica-served read costs two through a session and one through
+   [Replication.read]. *)
+let test_parses_per_statement () =
+  with_memory @@ fun () ->
+  let kernel, leader, cluster = two_replica_cluster () in
+  let session mode =
+    let s =
+      Interceptor.create ~mode ~snapshot_reads:true ~kernel
+        (Durable.server leader)
+    in
+    Interceptor.attach_cluster s cluster;
+    s
+  in
+  let run s sql () =
+    match Interceptor.execute s ~pid:1 sql with
+    | Protocol.Error_response m -> Alcotest.failf "%s failed: %s" sql m
+    | _ -> ()
+  in
+  let passthrough = session Interceptor.Passthrough in
+  let audited = session Interceptor.Audit_included in
+  Alcotest.(check int) "passthrough autocommit UPDATE" 4
+    (parses (run passthrough "UPDATE t SET v = 11 WHERE k = 1"));
+  Alcotest.(check int) "audited UPDATE" 4
+    (parses (run audited "UPDATE t SET v = 12 WHERE k = 1"));
+  Alcotest.(check int) "audited INSERT" 3
+    (parses (run audited "INSERT INTO t VALUES (3, 30)"));
+  Alcotest.(check int) "Replication.exec UPDATE" 3
+    (parses (fun () -> exec cluster "UPDATE t SET v = 13 WHERE k = 1"));
+  Alcotest.(check int) "Replication.read" 1
+    (parses (fun () -> ignore (R.read cluster "SELECT v FROM t WHERE k = 1")));
+  Alcotest.(check int) "routed passthrough read" 2
+    (parses (run passthrough "SELECT v FROM t WHERE k = 2"));
+  match List.rev (Interceptor.log passthrough) with
+  | last :: _ ->
+    Alcotest.(check bool) "the read was served by a replica" true
+      (last.Interceptor.replica >= 0)
+  | [] -> Alcotest.fail "no statement logged"
+
 let suite =
   [ Alcotest.test_case "durable-cut: empty log" `Quick test_durable_cut_empty;
     Alcotest.test_case "durable-cut: torn record mid-batch (grouped)" `Quick
@@ -518,4 +566,6 @@ let suite =
     Alcotest.test_case "ship log: interceptor records and log bytes" `Quick
       test_ship_log_interceptor_records;
     Alcotest.test_case "ship log: exec records and log bytes" `Quick
-      test_ship_log_exec_records ]
+      test_ship_log_exec_records;
+    Alcotest.test_case "one parse per node: parses per statement" `Quick
+      test_parses_per_statement ]

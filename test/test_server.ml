@@ -17,16 +17,16 @@ let test_handle_statements () =
   let kernel = Minios.Kernel.create () in
   let db = Database.create () in
   let server = Server.install kernel db in
-  (match Server.handle server (Protocol.Statement { sql = "CREATE TABLE t (x INT)" }) with
+  (match Server.handle server "CREATE TABLE t (x INT)" with
   | Protocol.Ddl_ok -> ()
   | _ -> Alcotest.fail "expected ddl ok");
-  (match Server.handle server (Protocol.Statement { sql = "INSERT INTO t VALUES (1)" }) with
+  (match Server.handle server "INSERT INTO t VALUES (1)" with
   | Protocol.Command_ok { affected = 1 } -> ()
   | _ -> Alcotest.fail "expected command ok");
-  (match Server.handle server (Protocol.Statement { sql = "SELECT x FROM t" }) with
+  (match Server.handle server "SELECT x FROM t" with
   | Protocol.Result_set { rows = [ [| Value.Int 1 |] ]; _ } -> ()
   | _ -> Alcotest.fail "expected one row");
-  match Server.handle server (Protocol.Statement { sql = "SELECT nope FROM t" }) with
+  match Server.handle server "SELECT nope FROM t" with
   | Protocol.Error_response _ -> ()
   | _ -> Alcotest.fail "expected an error response"
 
@@ -482,16 +482,6 @@ let prop_image_roundtrip =
       && Database.clock via_ckpt = Database.clock db
       && seq = 17)
 
-let test_connect_disconnect () =
-  let kernel = Minios.Kernel.create () in
-  let server = Server.install kernel (Database.create ()) in
-  (match Server.handle server (Protocol.Connect { db_name = "x"; pid = 1 }) with
-  | Protocol.Connected _ -> ()
-  | _ -> Alcotest.fail "expected connected");
-  match Server.handle server Protocol.Disconnect with
-  | Protocol.Ddl_ok -> ()
-  | _ -> Alcotest.fail "expected ok"
-
 let suite =
   [ Alcotest.test_case "install artifacts" `Quick test_install_writes_artifacts;
     Alcotest.test_case "handle statements" `Quick test_handle_statements;
@@ -501,7 +491,6 @@ let suite =
       test_stop_reuses_unchanged_images;
     Alcotest.test_case "data files are produced on demand" `Quick
       test_data_files_produced_on_demand;
-    Alcotest.test_case "connect/disconnect" `Quick test_connect_disconnect;
     Alcotest.test_case "flipped data file is a typed error" `Quick
       test_flipped_data_file_typed;
     Alcotest.test_case "truncated data file is a typed error" `Quick

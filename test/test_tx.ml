@@ -255,8 +255,7 @@ let test_tx_state_warning_surfaced () =
     Fun.protect
       ~finally:(fun () -> E.on_warning := prev)
       (fun () ->
-        Dbclient.Server.handle server
-          (Dbclient.Protocol.Statement { sql = "COMMIT" }))
+        Dbclient.Server.handle server "COMMIT")
   in
   (match resp with
   | Dbclient.Protocol.Error_response _ -> ()
