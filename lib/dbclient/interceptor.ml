@@ -279,7 +279,7 @@ let is_result_tid (tid : Tid.t) =
     returned [at_write] is the leader clock observed immediately before a
     mutating statement ran (-1 for queries) — the clock the shipped WAL
     record carries so replicas stamp identically. *)
-let exec_audit_included t ~qid ~pid ?serve (ast : Sql_ast.statement)
+let exec_audit_included t ~qid ?serve (ast : Sql_ast.statement)
     (sql : string) :
     Protocol.response * (Tid.t * Lineage.t) list * Lineage.t * Schema.t option
     * Value.t array list * int * int =
@@ -315,7 +315,6 @@ let exec_audit_included t ~qid ~pid ?serve (ast : Sql_ast.statement)
       in
       let reads = Perm.Provenance_sql.union_lineage prov in
       add_to_slice t reads;
-      Perm.Versioning.record_usage t.versioning reads ~qid ~pid ~at;
       (results, reads)
     in
     let rows =
@@ -357,11 +356,9 @@ let exec_audit_included t ~qid ~pid ?serve (ast : Sql_ast.statement)
       | Sql_ast.Delete { table; where } -> Database.run_delete db ~table ~where
       | _ -> assert false
     in
-    let at = Database.clock db in
     let reads = Lineage.of_tids info.Database.read in
     Ldv_obs.Ledger.time Ldv_obs.Ledger.Audit_record (fun () ->
-        add_to_slice t reads;
-        Perm.Versioning.record_usage t.versioning reads ~qid ~pid ~at);
+        add_to_slice t reads);
     ( Protocol.Command_ok { affected = info.Database.count },
       List.map
         (fun (written, srcs) -> (written, Lineage.of_tids srcs))
@@ -575,7 +572,7 @@ let execute (t : t) ~pid (sql : string) : Protocol.response =
           match routed with Some (srv, rid) -> (Some srv, rid) | None -> (None, -1)
         in
         let resp, results, reads, schema, rows, affected, at_write =
-          exec_audit_included t ~qid ~pid ?serve exec_ast exec_sql
+          exec_audit_included t ~qid ?serve exec_ast exec_sql
         in
         (resp, results, reads, schema, rows, affected, at_write, rid)
       | Audit_excluded ->

@@ -19,6 +19,9 @@ type stmt_kind = Squery | Sinsert | Supdate | Sdelete | Sddl
 
 val stmt_kind_of_ast : Sql_ast.statement -> stmt_kind
 
+(** ["query"], ["insert"], ["update"], ["delete"] or ["ddl"]. *)
+val stmt_kind_name : stmt_kind -> string
+
 (** One audited statement: everything the trace builder needs. *)
 type stmt_event = {
   qid : int;

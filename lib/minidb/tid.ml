@@ -63,9 +63,3 @@ module Set = Set.Make (struct
 
   let compare = compare
 end)
-
-module Map = Map.Make (struct
-  type nonrec t = t
-
-  let compare = compare
-end)

@@ -25,4 +25,3 @@ val to_string : t -> string
 val of_string : string -> t option
 
 module Set : Set.S with type elt = t
-module Map : Map.S with type key = t

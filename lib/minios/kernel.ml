@@ -34,7 +34,6 @@ type t = {
   mutable next_pid : int;
   processes : (int, process) Hashtbl.t;
   mutable trace_hook : (Syscall.event -> unit) option;
-  mutable audit_hooks : (string * (unit -> unit)) list;
   mutable preemptive : bool;
   mutable spawn_hook : (pid:int -> (unit -> unit) -> unit) option;
   mutable quantum_hooks : (string * (unit -> unit)) list;
@@ -47,7 +46,6 @@ let create ?(vfs = Vfs.create ()) () =
     next_pid = 1;
     processes = Hashtbl.create 16;
     trace_hook = None;
-    audit_hooks = [];
     preemptive = false;
     spawn_hook = None;
     quantum_hooks = [];
@@ -349,10 +347,3 @@ let crash t ?(keep = []) () =
       end)
     t.processes;
   Vfs.crash t.vfs ~keep ()
-
-(* ------------------------------------------------------------------ *)
-(* Audit hooks: named callbacks other layers (the DB client interceptor)
-   register so the auditor can flush per-run state. *)
-
-let register_audit_hook t ~name f = t.audit_hooks <- (name, f) :: t.audit_hooks
-let run_audit_hooks t = List.iter (fun (_, f) -> f ()) t.audit_hooks

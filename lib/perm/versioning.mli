@@ -1,10 +1,9 @@
-(** Tuple-version bookkeeping: the paper's [prov_rowid]/[prov_v]/
-    [prov_usedby]/[prov_p] schema extension, realized as metadata over
-    MiniDB's native versioning. *)
+(** Tuple-version bookkeeping: the paper's [prov_rowid]/[prov_v] schema
+    extension, realized as metadata over MiniDB's native versioning. Its
+    [prov_usedby]/[prov_p] columns are answered by the interceptor's
+    statement log. *)
 
 open Minidb
-
-type usage = { used_by_qid : int; used_by_pid : int; at : int }
 
 type t
 
@@ -16,17 +15,5 @@ val enable_table : t -> string -> bool
 
 val enabled_tables : t -> string list
 
-(** Record that the versions a statement read were used by statement
-    [qid] of process [pid]: one record per statement. *)
-val record_usage : t -> Lineage.t -> qid:int -> pid:int -> at:int -> unit
-
-(** The statements that used [tid], oldest first. *)
-
-val usages_of : t -> Tid.t -> usage list
-val used_tids : t -> Tid.t list
-
 (** Stored values of a tuple version, if it exists in history. *)
 val lookup_version : t -> Tid.t -> Value.t array option
-
-(** Current live version of a row, if any. *)
-val live_version : t -> table:string -> rid:int -> Tid.t option

@@ -190,24 +190,6 @@ let test_depends_on_matches_enumeration () =
         entities)
     entities
 
-let test_missing_dependencies () =
-  let open Prov in
-  let a = figure4_trace () in
-  (* b: same entities, but C is written before A is read — the C->A
-     dependency the first trace has is absent *)
-  let b = Trace.create Bb_model.model in
-  ignore (Bb_model.add_process b ~pid:1 ~name:"P1");
-  List.iter (fun p -> ignore (Bb_model.add_file b ~path:p)) [ "A"; "B"; "C"; "D" ];
-  ignore (Bb_model.has_written b ~pid:1 ~path:"C" ~time:(Interval.make 1 1));
-  ignore (Bb_model.read_from b ~pid:1 ~path:"A" ~time:(Interval.make 2 3));
-  ignore (Bb_model.read_from b ~pid:1 ~path:"B" ~time:(Interval.make 1 5));
-  ignore (Bb_model.has_written b ~pid:1 ~path:"D" ~time:(Interval.make 8 8));
-  let pairs = [ ("file:C", "file:A"); ("file:D", "file:A") ] in
-  Alcotest.(check (list (pair string string)))
-    "C->A holds in a but not b; D->A holds in both"
-    [ ("file:C", "file:A") ]
-    (Diff.missing_dependencies a b ~pairs)
-
 let suite =
   [ Alcotest.test_case "same seed, same trace and package bytes" `Quick
       test_same_seed_same_bytes;
@@ -222,6 +204,4 @@ let suite =
     Alcotest.test_case "crashcheck with 4 concurrent sessions" `Quick
       test_concurrent_crashcheck;
     Alcotest.test_case "depends_on agrees with full enumeration" `Quick
-      test_depends_on_matches_enumeration;
-    Alcotest.test_case "missing_dependencies finds the lost pair" `Quick
-      test_missing_dependencies ]
+      test_depends_on_matches_enumeration ]

@@ -1,5 +1,5 @@
 (* Tests for partial re-execution (backward slicing + package slimming)
-   and trace diffing. *)
+   and replay validation. *)
 
 open Ldv_core
 module I = Dbclient.Interceptor
@@ -106,65 +106,24 @@ let test_slim_rejects_other_kinds () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------------- trace diff ---------------- *)
-
-let test_diff_identical () =
-  let audit = Lazy.force audit in
-  Alcotest.(check (list string)) "trace equals itself" []
-    (List.map
-       (fun d -> Format.asprintf "%a" Prov.Diff.pp_difference d)
-       (Prov.Diff.compare_traces audit.Audit.trace audit.Audit.trace))
-
-let test_diff_detects_changes () =
-  let t1 = Prov.Combined.create () in
-  ignore (Prov.Bb_model.add_process t1 ~pid:1 ~name:"p");
-  ignore (Prov.Bb_model.add_file t1 ~path:"/x");
-  ignore
-    (Prov.Bb_model.read_from t1 ~pid:1 ~path:"/x" ~time:(Prov.Interval.point 1));
-  ignore
-    (Prov.Lineage_model.add_statement t1 ~qid:0 ~kind:Prov.Lineage_model.Query
-       ~sql:"SELECT 1");
-  let t2 = Prov.Combined.create () in
-  ignore (Prov.Bb_model.add_process t2 ~pid:1 ~name:"p");
-  ignore (Prov.Bb_model.add_file t2 ~path:"/y");
-  ignore
-    (Prov.Bb_model.read_from t2 ~pid:1 ~path:"/y" ~time:(Prov.Interval.point 1));
-  ignore
-    (Prov.Lineage_model.add_statement t2 ~qid:0 ~kind:Prov.Lineage_model.Query
-       ~sql:"SELECT 2");
-  let diffs = Prov.Diff.compare_traces t1 t2 in
-  Alcotest.(check bool) "statement difference found" true
-    (List.exists (fun d -> Fixtures.contains_substring ~needle:"statement" d.Prov.Diff.what) diffs);
-  Alcotest.(check bool) "file difference found" true
-    (List.exists (fun d -> d.Prov.Diff.what = "files read") diffs)
+(* ---------------- replay validation ---------------- *)
 
 let test_diff_validates_replay () =
-  (* replaying a package and re-auditing the replay produces an equivalent
-     trace: the PTU-style validation loop *)
+  (* replaying a package issues the audited run's statement stream:
+     the same kinds and normalized SQL, in the same order *)
   let audit1 = Lazy.force audit in
-  let pkg = Package.build audit1 in
-  let prepared = Replay.prepare pkg in
-  (* re-audit the replayed execution by tracing it again *)
-  let tracer = Minios.Tracer.create () in
-  Minios.Tracer.attach tracer prepared.Replay.kernel;
-  I.bind prepared.Replay.kernel prepared.Replay.session;
-  ignore
-    (Minios.Program.run prepared.Replay.kernel ~binary:"/bin/two-strand"
-       ~name:"two-strand"
-       (Minios.Program.lookup "two-strand"));
-  I.unbind prepared.Replay.kernel;
-  Minios.Tracer.detach prepared.Replay.kernel;
-  let replay_trace = Audit.build_trace tracer (I.log prepared.Replay.session) in
-  (* compare only the statement stream: the replay kernel lacks the
-     server-side OS activity of the original *)
-  Alcotest.(check (list string)) "same statement stream"
-    (Prov.Diff.statements audit1.Audit.trace)
-    (Prov.Diff.statements replay_trace)
+  let replay = Replay.execute (Package.build audit1) in
+  let stream log =
+    List.map
+      (fun (e : I.stmt_event) -> (I.stmt_kind_name e.I.kind, e.I.sql_norm))
+      log
+  in
+  Alcotest.(check (list (pair string string))) "same statement stream"
+    (stream (Audit.stmts audit1))
+    (stream (I.log replay.Replay.session))
 
 let suite =
   [ Alcotest.test_case "requirements slice" `Quick test_requirements_slice;
     Alcotest.test_case "slim package" `Quick test_slim_package;
     Alcotest.test_case "slim rejects other kinds" `Quick test_slim_rejects_other_kinds;
-    Alcotest.test_case "diff: identical" `Quick test_diff_identical;
-    Alcotest.test_case "diff: detects changes" `Quick test_diff_detects_changes;
     Alcotest.test_case "diff validates replay" `Quick test_diff_validates_replay ]

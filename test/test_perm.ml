@@ -80,25 +80,18 @@ let test_versioning_usage () =
   Alcotest.(check bool) "first enable true" true (Perm.Versioning.enable_table v "sales");
   Alcotest.(check bool) "second enable false" false (Perm.Versioning.enable_table v "sales");
   Alcotest.(check (list string)) "enabled tables" [ "sales" ]
-    (Perm.Versioning.enabled_tables v);
-  let tid = Tid.make ~table:"sales" ~rid:1 ~version:2 in
-  Perm.Versioning.record_usage v (Lineage.singleton tid) ~qid:7 ~pid:3 ~at:11;
-  (match Perm.Versioning.usages_of v tid with
-  | [ u ] ->
-    Alcotest.(check int) "qid" 7 u.Perm.Versioning.used_by_qid;
-    Alcotest.(check int) "pid" 3 u.Perm.Versioning.used_by_pid
-  | _ -> Alcotest.fail "expected one usage");
-  Alcotest.(check (list string)) "used tids" [ "sales:1@2" ]
-    (List.map Tid.to_string (Perm.Versioning.used_tids v))
+    (Perm.Versioning.enabled_tables v)
 
 let test_versioning_lookup () =
   let db = Fixtures.sales_db () in
   let v = Perm.Versioning.create db in
   ignore (Database.exec db "UPDATE sales SET price = 99 WHERE id = 1");
   (* live version of rid 1 is now the updated one *)
-  match Perm.Versioning.live_version v ~table:"sales" ~rid:1 with
-  | Some tid -> (
-    match Perm.Versioning.lookup_version v tid with
+  match
+    Table.find_live (Catalog.find (Database.catalog db) "sales") ~rid:1
+  with
+  | Some live -> (
+    match Perm.Versioning.lookup_version v live.Table.tid with
     | Some values ->
       Alcotest.(check bool) "live values updated" true
         (Value.equal values.(1) (Value.Int 99))
