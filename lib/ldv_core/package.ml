@@ -437,35 +437,26 @@ let is_hex8 s =
        (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
        s
 
-(* "name len crc" (current format) or "name len" (pre-checksum format,
-   accepted unverified). *)
-let parse_header header ~offset :
-    (string * int * int32 option, Ldv_errors.t) result =
+(* "name len crc": every section carries its payload's CRC-32. *)
+let parse_header header ~offset : (string * int * int32, Ldv_errors.t) result
+    =
   let malformed what = Error (Ldv_errors.Package_malformed { what; offset }) in
   match String.rindex_opt header ' ' with
   | None -> malformed "section header has no length field"
-  | Some i ->
-    let last = String.sub header (i + 1) (String.length header - i - 1) in
-    let legacy () =
-      match int_of_string_opt last with
-      | Some len when len >= 0 -> Ok (String.sub header 0 i, len, None)
-      | Some _ | None ->
-        malformed (Printf.sprintf "bad section length %S" last)
-    in
-    if is_hex8 last then
-      (* the last token reads as a checksum; the one before it must then
-         be the length, otherwise fall back to the pre-checksum format *)
+  | Some i -> (
+    let crc = String.sub header (i + 1) (String.length header - i - 1) in
+    if not (is_hex8 crc) then
+      malformed (Printf.sprintf "section header has no checksum: %S" header)
+    else
       match String.rindex_from_opt header (max 0 (i - 1)) ' ' with
-      | Some j ->
-        (match int_of_string_opt (String.sub header (j + 1) (i - j - 1)) with
-        | Some len when len >= 0 ->
-          Ok
-            ( String.sub header 0 j,
-              len,
-              Some (Int32.of_string ("0x" ^ last)) )
-        | Some _ | None -> legacy ())
-      | None -> legacy ()
-    else legacy ()
+      | None -> malformed "section header has no length field"
+      | Some j -> (
+        let len = String.sub header (j + 1) (i - j - 1) in
+        match int_of_string_opt len with
+        | Some n when n >= 0 ->
+          Ok (String.sub header 0 j, n, Int32.of_string ("0x" ^ crc))
+        | Some _ | None ->
+          malformed (Printf.sprintf "bad section length %S" len)))
 
 (* Split package bytes into checksum-verified (name, payload) sections.
    Structural damage (bad framing, truncation, corrupt structural
@@ -510,20 +501,17 @@ let parse_sections (data : string) :
                    offset })
           else begin
             let payload = String.sub data (nl + 1) len in
-            (match crc with
-            | Some expected
-              when Ldv_faults.Crc32.digest payload <> expected ->
-              let error =
-                Ldv_errors.Package_corrupt
-                  { section = name;
-                    expected;
-                    actual = Ldv_faults.Crc32.digest payload }
-              in
-              if skippable name then
-                skipped := { c_section = name; c_error = error } :: !skipped
-              else abort error
-            | Some _ | None ->
-              if known_section name then
+            let actual = Ldv_faults.Crc32.digest payload in
+            (if actual <> crc then begin
+               let error =
+                 Ldv_errors.Package_corrupt
+                   { section = name; expected = crc; actual }
+               in
+               if skippable name then
+                 skipped := { c_section = name; c_error = error } :: !skipped
+               else abort error
+             end
+             else if known_section name then
                 sections := (name, payload) :: !sections
               else
                 (* a flipped header byte turns a known section into an

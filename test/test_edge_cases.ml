@@ -119,7 +119,10 @@ let test_package_of_bytes_malformed () =
      with Ldv_errors.Error (Ldv_errors.Package_malformed _) -> true);
   Alcotest.(check bool) "missing sections rejected with a typed error" true
     (try
-       ignore (Ldv_core.Package.of_bytes "@kind 3\nptu\n");
+       ignore
+         (Ldv_core.Package.of_bytes
+            (Printf.sprintf "@kind 3 %08lx\nptu\n"
+               (Ldv_faults.Crc32.digest "ptu")));
        false
      with Ldv_errors.Error (Ldv_errors.Package_malformed _) -> true)
 

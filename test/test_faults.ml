@@ -297,11 +297,14 @@ let test_corrupt_structural_section_fatal () =
   | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
   | Ok _ -> Alcotest.fail "corrupt trace must be fatal"
 
-let test_legacy_headers_accepted () =
-  (* pre-checksum packages (no crc token) still parse, unverified *)
+let test_legacy_headers_rejected () =
+  (* a section header without a crc token is malformed: nothing is read
+     unverified *)
   let legacy = "@kind 3\nptu\n@app 1\na\n@binary 2\n/b\n@trace 0\n\n" in
-  let pkg = Package.of_bytes legacy in
-  Alcotest.(check bool) "kind" true (pkg.Package.kind = Package.Ptu_full)
+  match Package.of_bytes_result legacy with
+  | Error (E.Package_malformed { offset = 0; _ }) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (E.to_string e)
+  | Ok _ -> Alcotest.fail "a header without a checksum must be malformed"
 
 let test_real_roundtrip_with_checksums () =
   let pkg = Package.build (Lazy.force Ldv_fixtures.included) in
@@ -529,8 +532,8 @@ let suite =
       test_corrupt_content_section_skipped;
     Alcotest.test_case "corrupt structural fatal" `Quick
       test_corrupt_structural_section_fatal;
-    Alcotest.test_case "legacy headers accepted" `Quick
-      test_legacy_headers_accepted;
+    Alcotest.test_case "legacy headers rejected" `Quick
+      test_legacy_headers_rejected;
     Alcotest.test_case "real package roundtrip" `Quick
       test_real_roundtrip_with_checksums;
     Alcotest.test_case "corrupt index section skipped" `Quick
