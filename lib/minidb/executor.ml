@@ -111,8 +111,14 @@ end
 let arow_of_tv (tv : Table.tuple_version) =
   { values = tv.Table.values; ann = Annotation.var tv.Table.tid }
 
+(* [db.rows_scanned] counts the rows an access path examined, not the
+   rows it returned: a full scan examines every rid below the allocator,
+   an index probe each candidate rid it resolves. Divided by
+   [db.tuples_emitted] it reads as the work a result cost. *)
 let count_scanned n =
   if Ldv_obs.enabled () then Ldv_obs.counter ~by:n "db.rows_scanned"
+
+let count_full_scan table = count_scanned (table.Table.next_rid - 1)
 
 (* MVCC fallback for index access paths: index entries cover only the live
    snapshot, which is wrong on both sides of an open transaction
@@ -124,6 +130,7 @@ let count_scanned n =
 let mvcc_candidates table candidates ~recheck f =
   let tx = !Tx_context.viewer and at = !Tx_context.snapshot in
   let rids = List.sort_uniq compare (candidates @ Table.hot_rids table) in
+  count_scanned (List.length rids);
   let out = Vec.create () in
   List.iter
     (fun rid ->
@@ -136,6 +143,7 @@ let mvcc_candidates table candidates ~recheck f =
 (* Historical index probes on a non-frozen table cannot use the live
    index at all (old versions are not in it): filter a full AS-OF scan. *)
 let scan_filter table ~at pred f =
+  count_full_scan table;
   let out = Vec.create () in
   List.iter
     (fun tv -> if pred tv then Vec.push out (f tv))
@@ -168,8 +176,21 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
      by row instead made ldvbench's cluster-mix reads and writes 25%
      slower on a 2-core x86-64 VM. *)
   let map_list tvs = Array.of_list (List.map f tvs) in
+  (* the live index is exactly the snapshot: resolve each candidate to
+     its live version *)
+  let live table rids ~keep =
+    count_scanned (List.length rids);
+    map_list
+      (List.filter_map
+         (fun rid ->
+           match Table.find_live table ~rid with
+           | Some tv when keep tv -> Some tv
+           | _ -> None)
+         rids)
+  in
   match n.op with
   | Planner.Scan { table; as_of = None; _ } ->
+    count_full_scan table;
     (* while any transaction is open on this database the live table may
        hold uncommitted foreign versions (and lack rows deleted by open
        transactions), so take the history-walking MVCC path *)
@@ -179,6 +200,7 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
            table)
     else Table.scan_map table f
   | Planner.Scan { table; as_of = Some at; _ } ->
+    count_full_scan table;
     map_list (Table.scan_as_of ~tx:!Tx_context.viewer table ~at)
   | Planner.Index_scan { table; index; key; as_of; _ } -> (
     let value = Eval_expr.eval [||] key in
@@ -197,7 +219,7 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
       | _ ->
         (* no transaction open, or nothing pending and no commit newer
            than [at]: the live index is exactly the snapshot *)
-        map_list (Table.index_lookup table index value))
+        live table (Table.index_candidate_rids table index value) ~keep)
   | Planner.Range_scan { table; oindex; lo; hi; as_of; _ } -> (
     let keep (tv : Table.tuple_version) =
       in_bounds ~lo ~hi tv.Table.values.(oindex.Table.oidx_column)
@@ -209,15 +231,13 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
         ~recheck:keep f
     | Some at when not (Table.frozen_at table ~at) ->
       scan_filter table ~at keep f
-    | _ -> map_list (Table.range_lookup table oindex ~lo ~hi))
+    | _ -> live table (Table.range_candidate_rids table oindex ~lo ~hi) ~keep)
   | _ -> invalid_arg "Executor.scan_leaf: not an access path"
 
 let rec run_node (n : Planner.node) : arow array =
   match n.op with
   | Planner.Scan _ | Planner.Index_scan _ | Planner.Range_scan _ ->
-    let rows = scan_leaf n arow_of_tv in
-    count_scanned (Array.length rows);
-    rows
+    scan_leaf n arow_of_tv
   | Planner.Filter (pred, _, input) ->
     let out = Vec.create () in
     Array.iter

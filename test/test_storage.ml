@@ -227,6 +227,56 @@ let test_delete_heavy_workload () =
     Alcotest.failf "delete-heavy workload took %.1fs (quadratic rebuild?)" dt
 
 (* ------------------------------------------------------------------ *)
+(* [db.rows_scanned] counts the rows each access path examined, for
+   SELECT and DML alike                                                 *)
+
+(* [f ()]'s result and the [db.rows_scanned] it counted, against a clean
+   in-memory collector that is switched off again afterwards *)
+let rows_scanned f =
+  Ldv_obs.set_sink Ldv_obs.Memory;
+  Ldv_obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Ldv_obs.set_sink Ldv_obs.Null;
+      Ldv_obs.reset ();
+      Ldv_obs.set_ring_capacity 65536)
+    (fun () ->
+      let r = f () in
+      let counters = (Ldv_obs.snapshot ()).Ldv_obs.counters in
+      (r, Option.value ~default:0 (List.assoc_opt "db.rows_scanned" counters)))
+
+let int_answer (r : Executor.result) =
+  match r.Executor.rows with
+  | [ { Executor.values = [| Value.Int n |]; _ } ] -> n
+  | _ -> Alcotest.fail "expected one integer"
+
+let test_rows_scanned_counts_examined () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE acc (id INT, balance INT)");
+  ignore
+    (Database.bulk_insert db ~table:"acc"
+       (List.init 10_000 (fun k -> [| Value.Int (k + 1); Value.Int (k mod 97) |])));
+  ignore (Database.exec db "CREATE INDEX acc_id ON acc (id)");
+  let query sql = rows_scanned (fun () -> Database.query db sql) in
+  let dml sql = snd (rows_scanned (fun () -> Database.dml db sql)) in
+  let pin = Database.clock db in
+  (* two retirements after the pin: an update of the row read, and a
+     delete of another *)
+  Alcotest.(check int) "an indexed UPDATE examines its one candidate" 1
+    (dml "UPDATE acc SET balance = balance + 1000 WHERE id = 7");
+  Alcotest.(check int) "an unindexed DELETE examines every row" 10_000
+    (dml "DELETE FROM acc WHERE balance = 96");
+  let r, n =
+    query (Printf.sprintf "SELECT balance FROM acc AS OF %d WHERE id = 7" pin)
+  in
+  Alcotest.(check int) "stale pinned point read: the pinned answer" 6
+    (int_answer r);
+  Alcotest.(check int) "stale pinned point read: rows examined" 10_000 n;
+  let r, n = query "SELECT COUNT(*) FROM acc WHERE id BETWEEN 100 AND 105" in
+  Alcotest.(check int) "6-key BETWEEN count: the count" 6 (int_answer r);
+  Alcotest.(check int) "6-key BETWEEN count: rows examined" 10_000 n
+
+(* ------------------------------------------------------------------ *)
 (* Model-based property: a [Table] inside a [Database] and a naive
    reference (every version ever written, with its commit and retirement
    clocks) go through the same random operations; every read path must
@@ -510,4 +560,6 @@ let suite =
       test_restore_version_maintains_indexes;
     Alcotest.test_case "delete-heavy workload" `Slow
       test_delete_heavy_workload;
+    Alcotest.test_case "rows_scanned counts rows examined" `Quick
+      test_rows_scanned_counts_examined;
     QCheck_alcotest.to_alcotest prop_storage_model ]
