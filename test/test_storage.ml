@@ -548,6 +548,234 @@ let prop_storage_model =
       check_against_model db table m;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Property: AS-OF and in-transaction reads through a hash index (= and
+   BETWEEN) and an ordered index (ranges) return the rows, rid order and
+   Lineage of an unindexed copy. Three copies of one table go through
+   the same random history: autocommit and transactional writes
+   (updates of the indexed key among them), COMMIT and ROLLBACK, a
+   version restore, and more retirements than the table has live rows.
+   Indexes are added through the catalog, which leaves the clock alone,
+   so every copy stamps every version identically.                      *)
+
+type hop =
+  | H_insert of int * int  (* k, v *)
+  | H_add of int * int  (* k, delta to v *)
+  | H_move of int * int  (* k, new k *)
+  | H_delete of int  (* k *)
+  | H_begin
+  | H_commit
+  | H_rollback
+  | H_switch  (* the next writes run in the transaction / autocommit *)
+  | H_restore of (int * int) list  (* rid pick, k *)
+
+let show_hop = function
+  | H_insert (k, v) -> Printf.sprintf "insert(%d,%d)" k v
+  | H_add (k, d) -> Printf.sprintf "add(%d,%d)" k d
+  | H_move (k, k') -> Printf.sprintf "move(%d->%d)" k k'
+  | H_delete k -> Printf.sprintf "delete %d" k
+  | H_begin -> "begin"
+  | H_commit -> "commit"
+  | H_rollback -> "rollback"
+  | H_switch -> "switch"
+  | H_restore rows ->
+    Printf.sprintf "restore[%s]"
+      (String.concat ";"
+         (List.map (fun (r, k) -> Printf.sprintf "%d,%d" r k) rows))
+
+let n_keys = 6
+
+let hop_gen =
+  let open QCheck.Gen in
+  let key = int_bound (n_keys - 1) in
+  frequency
+    [ (2, map2 (fun k v -> H_insert (k, v)) key (int_bound 99));
+      (4, map2 (fun k d -> H_add (k, d)) key (int_range 1 9));
+      (3, map2 (fun k k' -> H_move (k, k')) key key);
+      (2, map (fun k -> H_delete k) key);
+      (2, return H_begin);
+      (1, return H_commit);
+      (1, return H_rollback);
+      (2, return H_switch);
+      (1, map (fun rows -> H_restore rows)
+            (list_size (int_range 1 3) (pair (int_bound 40) key))) ]
+
+let arb_history =
+  QCheck.make
+    ~print:(fun hops -> String.concat "; " (List.map show_hop hops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 10 40) hop_gen)
+
+(* One copy of the table: its database and its open transaction (0 =
+   none; transaction ids differ between copies). *)
+type copy = { db : Database.t; mutable tx : int }
+
+let copy_db index =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE t (k INT, v INT)");
+  ignore
+    (Database.exec db
+       ("INSERT INTO t VALUES "
+       ^ String.concat ", "
+           (List.init (3 * n_keys) (fun i ->
+                Printf.sprintf "(%d, %d)" (i mod n_keys) i))));
+  Option.iter
+    (fun ordered ->
+      Catalog.create_index ~ordered (Database.catalog db) ~index:"t_k"
+        ~table:"t" ~column:"k")
+    index;
+  { db; tx = 0 }
+
+(* Rows, rid order and Lineage of a read, or the error it raised. Reads
+   leave the clock alone, so only writes advance it. *)
+let answer db sql =
+  match Database.with_frozen_clock db (fun () -> Database.query db sql) with
+  | r ->
+    String.concat "; "
+      (List.map
+         (fun (row : Executor.arow) ->
+           String.concat ","
+             (Array.to_list (Array.map Value.to_string row.Executor.values))
+           ^ " <- "
+           ^ String.concat " "
+               (List.map Tid.to_string
+                  (Lineage.elements (Annotation.lineage row.Executor.ann))))
+         r.Executor.rows)
+  | exception Errors.Db_error e -> "error " ^ Errors.to_string e
+
+(* The same outcome on every copy, or a failure naming [what]. *)
+let same what (outcomes : string list) =
+  match outcomes with
+  | reference :: indexed ->
+    List.iter
+      (fun o ->
+        if o <> reference then
+          QCheck.Test.fail_reportf "%s:@ unindexed %s@ indexed %s" (what ())
+            reference o)
+      indexed
+  | [] -> ()
+
+(* Every read shape, each over [t] or [t AS OF s]: hash equality (a key
+   no row holds among them), short BETWEEN ranges (an empty one among
+   them) and ordered ranges. *)
+let reads from =
+  let sel = Printf.sprintf "SELECT k, v FROM %s WHERE %s" from in
+  List.init (n_keys + 1) (fun c -> sel (Printf.sprintf "k = %d" c))
+  @ List.concat_map
+      (fun c ->
+        [ sel (Printf.sprintf "k BETWEEN %d AND %d" c (c + 1));
+          sel (Printf.sprintf "k BETWEEN %d AND %d" c (c + 2)) ])
+      [ 0; 2; 4 ]
+  @ [ sel "k BETWEEN 3 AND 1"; sel "k > 3"; sel "k <= 1" ]
+
+(* Run [f] on every copy with its session bound to its transaction
+   ([in_tx]) or to autocommit, then restore the session. *)
+let as_viewer copies ~in_tx f =
+  List.map
+    (fun c ->
+      let saved = Database.current_tx c.db in
+      Database.set_current_tx c.db (if in_tx then c.tx else 0);
+      Fun.protect
+        ~finally:(fun () -> Database.set_current_tx c.db saved)
+        (fun () -> f c))
+    copies
+
+let check_reads copies ~label ~in_tx from =
+  List.iter
+    (fun sql ->
+      same
+        (fun () -> Printf.sprintf "%s: %s" label sql)
+        (as_viewer copies ~in_tx (fun c -> answer c.db sql)))
+    (reads from)
+
+(* Every AS-OF read at every clock, by an autocommit reader and, while a
+   transaction is open, by the transaction. *)
+let check_as_of_sweep copies =
+  let clock = Database.clock (List.hd copies).db in
+  let open_tx = (List.hd copies).tx <> 0 in
+  for s = 0 to clock + 1 do
+    let from = Printf.sprintf "t AS OF %d" s in
+    check_reads copies ~label:"autocommit" ~in_tx:false from;
+    if open_tx then check_reads copies ~label:"in the transaction" ~in_tx:true from
+  done
+
+let run_hop copies hop =
+  let exec_all sql =
+    same
+      (fun () -> sql)
+      (List.map
+         (fun c ->
+           match Database.exec c.db sql with
+           | Database.Affected info ->
+             String.concat " " (List.map Tid.to_string info.Database.written)
+             ^ " / "
+             ^ String.concat " " (List.map Tid.to_string info.Database.read)
+           | _ -> "done"
+           | exception Errors.Db_error e -> "error " ^ Errors.to_string e)
+         copies)
+  in
+  let open_tx = (List.hd copies).tx <> 0 in
+  match hop with
+  | H_insert (k, v) -> exec_all (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" k v)
+  | H_add (k, d) ->
+    exec_all (Printf.sprintf "UPDATE t SET v = v + %d WHERE k = %d" d k)
+  | H_move (k, k') -> exec_all (Printf.sprintf "UPDATE t SET k = %d WHERE k = %d" k' k)
+  | H_delete k -> exec_all (Printf.sprintf "DELETE FROM t WHERE k = %d" k)
+  | H_begin ->
+    if not open_tx then begin
+      exec_all "BEGIN";
+      List.iter (fun c -> c.tx <- Database.current_tx c.db) copies
+    end
+  | H_commit | H_rollback ->
+    if open_tx then begin
+      List.iter (fun c -> Database.set_current_tx c.db c.tx) copies;
+      exec_all (if hop = H_commit then "COMMIT" else "ROLLBACK");
+      List.iter (fun c -> c.tx <- 0) copies
+    end
+  | H_switch ->
+    if open_tx then
+      List.iter
+        (fun c ->
+          Database.set_current_tx c.db
+            (if Database.current_tx c.db = 0 then c.tx else 0))
+        copies
+  | H_restore picks ->
+    (* a restore runs between transactions; every row gets a fresh
+       version, the same on every copy *)
+    if not open_tx then begin
+      check_as_of_sweep copies;
+      List.iter
+        (fun c ->
+          let table = Catalog.find (Database.catalog c.db) "t" in
+          let rows =
+            List.map
+              (fun (pick, k) ->
+                ( 1 + (pick mod (table.Table.next_rid + 1)),
+                  Database.tick c.db,
+                  [| Value.Int k; Value.Int (-pick) |] ))
+              picks
+          in
+          ignore (Table.restore_versions table rows))
+        copies
+    end
+
+let prop_as_of_index_reads =
+  QCheck.Test.make ~count:40
+    ~name:"AS-OF and in-transaction index reads match an unindexed copy"
+    arb_history (fun hops ->
+      let copies =
+        [ copy_db None; copy_db (Some false); copy_db (Some true) ]
+      in
+      List.iter
+        (fun hop ->
+          run_hop copies hop;
+          if (List.hd copies).tx <> 0 then
+            check_reads copies ~label:"in the transaction" ~in_tx:true "t")
+        hops;
+      check_reads copies ~label:"autocommit" ~in_tx:false "t";
+      check_as_of_sweep copies;
+      true)
+
 let suite =
   [ Alcotest.test_case "scan_as_of ascending rids" `Quick
       test_scan_as_of_ascending_rids;
@@ -562,4 +790,5 @@ let suite =
       test_delete_heavy_workload;
     Alcotest.test_case "rows_scanned counts rows examined" `Quick
       test_rows_scanned_counts_examined;
-    QCheck_alcotest.to_alcotest prop_storage_model ]
+    QCheck_alcotest.to_alcotest prop_storage_model;
+    QCheck_alcotest.to_alcotest prop_as_of_index_reads ]
