@@ -120,28 +120,8 @@ let count_scanned n =
 
 let count_full_scan table = count_scanned (table.Table.next_rid - 1)
 
-(* MVCC fallback for index access paths: index entries cover only the live
-   snapshot, which is wrong on both sides of an open transaction
-   (uncommitted entries present, tx-deleted rows absent). Rather than
-   falling all the way back to a full MVCC scan, walk the version chains
-   of (index candidates ∪ hot rids) — the only rids whose visibility can
-   diverge from the live snapshot — re-checking the key predicate against
-   the visible version. *)
-let mvcc_candidates table candidates ~recheck f =
-  let tx = !Tx_context.viewer and at = !Tx_context.snapshot in
-  let rids = List.sort_uniq compare (candidates @ Table.hot_rids table) in
-  count_scanned (List.length rids);
-  let out = Vec.create () in
-  List.iter
-    (fun rid ->
-      match Table.visible_version ~tx ~at table ~rid with
-      | Some tv when recheck tv -> Vec.push out (f tv)
-      | _ -> ())
-    rids;
-  Vec.to_array out
-
-(* Historical index probes on a non-frozen table cannot use the live
-   index at all (old versions are not in it): filter a full AS-OF scan. *)
+(* A full AS-OF scan, filtered: the fallback of an index probe at a
+   snapshot the retirement log no longer reaches back to. *)
 let scan_filter table ~at pred f =
   count_full_scan table;
   let out = Vec.create () in
@@ -176,17 +156,39 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
      by row instead made ldvbench's cluster-mix reads and writes 25%
      slower on a 2-core x86-64 VM. *)
   let map_list tvs = Array.of_list (List.map f tvs) in
-  (* the live index is exactly the snapshot: resolve each candidate to
-     its live version *)
-  let live table rids ~keep =
-    count_scanned (List.length rids);
-    map_list
-      (List.filter_map
-         (fun rid ->
-           match Table.find_live table ~rid with
-           | Some tv when keep tv -> Some tv
-           | _ -> None)
-         rids)
+  (* An index probe: its candidate rids (thunked, since the fallback
+     needs none), resolved under the ambient snapshot in ascending-rid
+     order and re-checked with [keep]. With no transaction open, or AS
+     OF a snapshot the table is frozen at, the live index is exactly the
+     snapshot, so each candidate resolves to its live version. Otherwise
+     a rid's version at the snapshot may differ from its live one only if
+     an open transaction wrote it ([hot]) or, AS OF a past snapshot, a
+     commit retired a version of it since ([Table.retired_since]): the
+     probe walks the version chains of those rids and the candidates.
+     When the retirement log no longer reaches back to the snapshot it
+     filters a full AS-OF scan instead. *)
+  let probe table ~as_of candidates ~keep =
+    let resolve find rids =
+      count_scanned (List.length rids);
+      map_list
+        (List.filter_map
+           (fun rid ->
+             match find rid with Some tv when keep tv -> Some tv | _ -> None)
+           rids)
+    in
+    let visible ~at rids =
+      resolve
+        (fun rid -> Table.visible_version ~tx:!Tx_context.viewer ~at table ~rid)
+        (List.sort_uniq compare (rids @ Table.hot_rids table))
+    in
+    match as_of with
+    | None when !Tx_context.active ->
+      visible ~at:!Tx_context.snapshot (candidates ())
+    | Some at when not (Table.frozen_at table ~at) -> (
+      match Table.retired_since table ~at with
+      | Some retired -> visible ~at (candidates () @ retired)
+      | None -> scan_filter table ~at keep f)
+    | _ -> resolve (fun rid -> Table.find_live table ~rid) (candidates ())
   in
   match n.op with
   | Planner.Scan { table; as_of = None; _ } ->
@@ -202,36 +204,18 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
   | Planner.Scan { table; as_of = Some at; _ } ->
     count_full_scan table;
     map_list (Table.scan_as_of ~tx:!Tx_context.viewer table ~at)
-  | Planner.Index_scan { table; index; key; as_of; _ } -> (
+  | Planner.Index_scan { table; index; key; as_of; _ } ->
     let value = Eval_expr.eval [||] key in
-    let keep (tv : Table.tuple_version) =
-      tv.Table.values.(index.Table.idx_column) = value
-    in
     if Value.is_null value then [||]
     else
-      match as_of with
-      | None when !Tx_context.active ->
-        mvcc_candidates table
-          (Table.index_candidate_rids table index value)
-          ~recheck:keep f
-      | Some at when not (Table.frozen_at table ~at) ->
-        scan_filter table ~at keep f
-      | _ ->
-        (* no transaction open, or nothing pending and no commit newer
-           than [at]: the live index is exactly the snapshot *)
-        live table (Table.index_candidate_rids table index value) ~keep)
-  | Planner.Range_scan { table; oindex; lo; hi; as_of; _ } -> (
-    let keep (tv : Table.tuple_version) =
-      in_bounds ~lo ~hi tv.Table.values.(oindex.Table.oidx_column)
-    in
-    match as_of with
-    | None when !Tx_context.active ->
-      mvcc_candidates table
-        (Table.range_candidate_rids table oindex ~lo ~hi)
-        ~recheck:keep f
-    | Some at when not (Table.frozen_at table ~at) ->
-      scan_filter table ~at keep f
-    | _ -> live table (Table.range_candidate_rids table oindex ~lo ~hi) ~keep)
+      probe table ~as_of
+        (fun () -> Table.index_candidate_rids table index value)
+        ~keep:(fun tv -> tv.Table.values.(index.Table.idx_column) = value)
+  | Planner.Range_scan { table; oindex; lo; hi; as_of; _ } ->
+    probe table ~as_of
+      (fun () -> Table.range_candidate_rids table oindex ~lo ~hi)
+      ~keep:(fun tv ->
+        in_bounds ~lo ~hi tv.Table.values.(oindex.Table.oidx_column))
   | _ -> invalid_arg "Executor.scan_leaf: not an access path"
 
 let rec run_node (n : Planner.node) : arow array =
