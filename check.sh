@@ -113,6 +113,7 @@ while [ "$i" -le 40 ]; do
   sql="$sql INSERT INTO emp VALUES ($i, $((i % 5)), $i);"
   i=$((i + 1))
 done
+setup="$sql"
 sql="$sql EXPLAIN SELECT id FROM emp WHERE dno = 3;
 EXPLAIN SELECT id FROM emp WHERE sal > 35;
 EXPLAIN UPDATE emp SET sal = 0 WHERE dno = 3"
@@ -127,6 +128,20 @@ echo "$plans" | grep -q "rangescan(emp.emp_sal" || {
 }
 echo "$plans" | grep -q "update(indexscan(emp.emp_dno))" || {
   echo "check.sh: EXPLAIN UPDATE did not choose the hash index" >&2
+  exit 1
+}
+# a short INT BETWEEN probes the hash index key by key; a range whose
+# probes would cost more than the table has rows stays a full scan
+dune exec bin/ldv.exe -- sql "$setup
+EXPLAIN SELECT id FROM emp WHERE dno BETWEEN 1 AND 2" \
+  | grep -q "indexscan(emp.emp_dno)" || {
+  echo "check.sh: EXPLAIN did not choose the hash index for a short BETWEEN" >&2
+  exit 1
+}
+dune exec bin/ldv.exe -- sql "$setup
+EXPLAIN SELECT id FROM emp WHERE dno BETWEEN 0 AND 9" \
+  | grep -q "scan(emp)" || {
+  echo "check.sh: EXPLAIN probed the hash index for a wide BETWEEN" >&2
   exit 1
 }
 

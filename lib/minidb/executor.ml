@@ -204,13 +204,21 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
   | Planner.Scan { table; as_of = Some at; _ } ->
     count_full_scan table;
     map_list (Table.scan_as_of ~tx:!Tx_context.viewer table ~at)
-  | Planner.Index_scan { table; index; key; as_of; _ } ->
+  | Planner.Index_scan { table; index; keys = Planner.Key key; as_of; _ } ->
     let value = Eval_expr.eval [||] key in
     if Value.is_null value then [||]
     else
       probe table ~as_of
         (fun () -> Table.index_candidate_rids table index value)
         ~keep:(fun tv -> tv.Table.values.(index.Table.idx_column) = value)
+  | Planner.Index_scan
+      { table; index; keys = Planner.Int_range (lo, hi); as_of; _ } ->
+    probe table ~as_of
+      (fun () -> Table.index_range_candidate_rids table index ~lo ~hi)
+      ~keep:(fun tv ->
+        match tv.Table.values.(index.Table.idx_column) with
+        | Value.Int k -> lo <= k && k <= hi
+        | _ -> false)
   | Planner.Range_scan { table; oindex; lo; hi; as_of; _ } ->
     probe table ~as_of
       (fun () -> Table.range_candidate_rids table oindex ~lo ~hi)

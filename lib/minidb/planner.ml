@@ -25,7 +25,7 @@ and op =
       table : Table.t;
       binding : string;
       index : Table.index;
-      key : Eval_expr.bound;  (** constant expression, bound to [||] *)
+      keys : keys;
       sel : float;  (** static selectivity of the absorbed conjunct *)
       as_of : int option;
     }
@@ -69,6 +69,11 @@ and op =
   | Union of node * node  (** bag union; wrap in Distinct for UNION *)
   | Annotate of Annotation.t * node
       (** multiply every row's annotation (subquery provenance) *)
+
+(** The keys a hash [Index_scan] probes. *)
+and keys =
+  | Key of Eval_expr.bound  (** one constant expression, bound to [||] *)
+  | Int_range of int * int  (** every INT key in [lo, hi]; none when lo > hi *)
 
 (** Evaluator for uncorrelated subqueries: run a plan, return its rows and
     the sum of their annotations. Supplied by {!Database} to avoid a
@@ -407,8 +412,23 @@ and apply_index (scan : node) (conjs : expr list) : node * expr list =
       | Col (q, n) -> Schema.find_opt scan.schema ?qualifier:q n
       | _ -> None
     in
-    (* hash-index equality probes: cost = rows / distinct buckets *)
-    let hash_candidates = ref [] in
+    (* hash-index probes: cost = keys probed * rows / distinct buckets *)
+    let hash_probe c pos index keys ~width =
+      let distinct =
+        match Table.distinct_on table ~column:pos with
+        | Some d when d > 0 -> float_of_int d
+        | _ -> 1.0
+      in
+      let node =
+        { schema = scan.schema;
+          op =
+            Index_scan
+              { table; binding; index; keys; sel = conjunct_selectivity c;
+                as_of } }
+      in
+      ((width *. full_cost /. distinct) +. 1.0, node)
+    in
+    let hash_candidates = ref [] and hash_ranges = ref [] in
     Array.iteri
       (fun i c ->
         match c with
@@ -418,30 +438,36 @@ and apply_index (scan : node) (conjs : expr list) : node * expr list =
             | Some pos when not (has_cols const_e) -> (
               match Table.index_on table ~column:pos with
               | Some index ->
-                let distinct =
-                  match Table.distinct_on table ~column:pos with
-                  | Some d when d > 0 -> float_of_int d
-                  | _ -> 1.0
+                let cost, node =
+                  hash_probe c pos index
+                    (Key (Eval_expr.bind [||] const_e))
+                    ~width:1.0
                 in
-                let node =
-                  { schema = scan.schema;
-                    op =
-                      Index_scan
-                        { table;
-                          binding;
-                          index;
-                          key = Eval_expr.bind [||] const_e;
-                          sel = conjunct_selectivity c;
-                          as_of } }
-                in
-                hash_candidates :=
-                  ((full_cost /. distinct) +. 1.0, node, [ i ])
-                  :: !hash_candidates;
+                hash_candidates := (cost, node, [ i ]) :: !hash_candidates;
                 true
               | None -> false)
             | _ -> false
           in
           if not (try_side a b) then ignore (try_side b a)
+        | Between (a, b1, b2) -> (
+          (* a short INT range probes each of its keys; the width is
+             taken in floats, where hi - lo + 1 cannot overflow *)
+          match col_pos a with
+          | Some pos when scan.schema.(pos).Schema.ty = Value.Tint -> (
+            match
+              (Table.index_on table ~column:pos, const_value b1, const_value b2)
+            with
+            | Some index, Some (Value.Int lo), Some (Value.Int hi) ->
+              let width =
+                if lo > hi then 0.0
+                else Float.of_int hi -. Float.of_int lo +. 1.0
+              in
+              let cost, node =
+                hash_probe c pos index (Int_range (lo, hi)) ~width
+              in
+              hash_ranges := (cost, node, [ i ]) :: !hash_ranges
+            | _ -> ())
+          | _ -> ())
         | _ -> ())
       conjs_arr;
     (* ordered-index range scans: tighten bounds across all usable
@@ -543,7 +569,8 @@ and apply_index (scan : node) (conjs : expr list) : node * expr list =
             range_candidates := (cost, node, !absorbed) :: !range_candidates
           end)
       scan.schema;
-    (* cheapest wins; ties prefer hash over range, either over full scan *)
+    (* cheapest wins; ties prefer a hash probe over an ordered range, and
+       that over a hash range, any of them over the full scan *)
     let best =
       List.fold_left
         (fun best (rank, cand) ->
@@ -555,7 +582,8 @@ and apply_index (scan : node) (conjs : expr list) : node * expr list =
           | _ -> Some (cost, rank, cand))
         None
         (List.map (fun c -> (0, c)) !hash_candidates
-        @ List.map (fun c -> (1, c)) !range_candidates)
+        @ List.map (fun c -> (1, c)) !range_candidates
+        @ List.map (fun c -> (2, c)) !hash_ranges)
     in
     (match best with
     | Some (_, _, (cost, node, absorbed)) when cost < full_cost ->

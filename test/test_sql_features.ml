@@ -274,6 +274,49 @@ let test_index_scan_plan_and_results () =
   Fixtures.check_rows "predicate beyond the index still applies" [ "ada" ]
     (q db "SELECT ename FROM emp WHERE dno = 1 AND sal > 100")
 
+(* A hash index serves a short INT BETWEEN by probing each key; the
+   width is taken without overflow, so the widest range falls back to
+   the full scan and counts every row, and an empty range counts none. *)
+let test_hash_index_between () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE h (k INT, v INT)");
+  for k = 1 to 12 do
+    ignore (Database.exec db (Printf.sprintf "INSERT INTO h VALUES (%d, %d)" k k))
+  done;
+  ignore (Database.exec db "CREATE INDEX h_k ON h (k)");
+  let plan where =
+    match q db ("EXPLAIN SELECT COUNT(*) FROM h WHERE " ^ where) with
+    | { Executor.rows = [ { Executor.values = [| Value.Str p |]; _ } ]; _ } -> p
+    | _ -> Alcotest.fail "explain failed"
+  in
+  let count where =
+    match q db ("SELECT COUNT(*) FROM h WHERE " ^ where) with
+    | { Executor.rows = [ { Executor.values = [| Value.Int n |]; _ } ]; _ } -> n
+    | _ -> Alcotest.fail "count failed"
+  in
+  let case where ~path ~rows =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %s names %s" where (plan where) path)
+      true
+      (Fixtures.contains_substring ~needle:(path ^ ")") (plan where));
+    Alcotest.(check int) (where ^ ": count") rows (count where)
+  in
+  case "k BETWEEN 2 AND 3" ~path:"indexscan(h.h_k" ~rows:2;
+  case "k BETWEEN 3 AND 1" ~path:"indexscan(h.h_k" ~rows:0;
+  case "k BETWEEN -4611686018427387903 AND 4611686018427387903"
+    ~path:"scan(h" ~rows:12;
+  case "k BETWEEN 4611686018427387900 AND 4611686018427387903"
+    ~path:"indexscan(h.h_k" ~rows:0;
+  case "k BETWEEN 0 AND 20" ~path:"scan(h" ~rows:12;
+  (* the rows an UPDATE reads come through the same probe *)
+  let update = "UPDATE h SET v = 0 WHERE k BETWEEN 11 AND 13" in
+  (match q db ("EXPLAIN " ^ update) with
+  | { Executor.rows = [ { Executor.values = [| Value.Str p |]; _ } ]; _ } ->
+    Alcotest.(check string) "EXPLAIN UPDATE" "update(indexscan(h.h_k))" p
+  | _ -> Alcotest.fail "explain failed");
+  ignore (Database.exec db update);
+  Alcotest.(check int) "update through the probe" 2 (count "v = 0")
+
 let test_index_maintenance () =
   let db = mk_pair_db () in
   ignore (Database.exec db "CREATE INDEX emp_dno ON emp (dno)");
@@ -439,6 +482,7 @@ let suite =
     Alcotest.test_case "AS OF snapshots" `Quick test_as_of;
     Alcotest.test_case "AS OF join with current" `Quick test_as_of_join_with_current;
     Alcotest.test_case "index scan" `Quick test_index_scan_plan_and_results;
+    Alcotest.test_case "hash index BETWEEN" `Quick test_hash_index_between;
     Alcotest.test_case "index maintenance" `Quick test_index_maintenance;
     Alcotest.test_case "index null keys" `Quick test_index_null_keys;
     Alcotest.test_case "index ddl errors" `Quick test_index_ddl_errors;

@@ -103,7 +103,7 @@ let dml_script ~seed =
              "scan(t)",
              "rangescan(t.t_k" );
            ( Printf.sprintf "DELETE FROM t WHERE k BETWEEN %d AND %d" c (c + 1),
-             "scan(t)",
+             "indexscan(t.t_k)",
              "rangescan(t.t_k" );
            ( Printf.sprintf
                "UPDATE t SET tag = 'x' WHERE tag LIKE 'g%d%%' AND v > %d"
