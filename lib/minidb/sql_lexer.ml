@@ -64,8 +64,15 @@ let tokenize (input : string) : t =
         let s = String.sub input start (!i - start) in
         emit (Float_lit (float_of_string s)) start
       end
-      else
-        emit (Int_lit (int_of_string (String.sub input start (!i - start)))) start
+      else begin
+        let digits = String.sub input start (!i - start) in
+        match int_of_string_opt digits with
+        | Some v -> emit (Int_lit v) start
+        | None ->
+          Errors.parse_error ~position:start
+            (Printf.sprintf "integer literal %s is out of range (above %d)"
+               digits max_int)
+      end
     end
     else if c = '\'' then begin
       let buf = Buffer.create 16 in

@@ -90,6 +90,27 @@ let test_parse_error_position () =
     Alcotest.(check bool) "position at end" true (position >= 13)
   | _ -> Alcotest.fail "expected parse error"
 
+(* An integer literal above max_int is a typed parse error at its
+   offset, through the engine and through the server; max_int itself
+   still reads. *)
+let test_int_literal_out_of_range () =
+  let sql = "SELECT 4611686018427387904" in
+  (match Database.exec (Database.create ()) sql with
+  | exception Errors.Db_error (Errors.Parse_error { position; _ }) ->
+    Alcotest.(check int) "at the literal" 7 position
+  | _ -> Alcotest.fail "expected a parse error");
+  let server =
+    Dbclient.Server.install (Minios.Kernel.create ()) (Database.create ())
+  in
+  (match Dbclient.Server.handle server sql with
+  | Dbclient.Protocol.Error_response _ -> ()
+  | _ -> Alcotest.fail "expected an error response");
+  let db = small () in
+  Alcotest.(check int) "max_int still reads" 0
+    (List.length
+       (Database.query db "SELECT x FROM t WHERE x = 4611686018427387903")
+         .Executor.rows)
+
 let test_error_to_string () =
   Alcotest.(check string) "renders kind"
     "unknown table \"zzz\""
@@ -186,6 +207,8 @@ let suite =
     Alcotest.test_case "empty tables" `Quick test_empty_table_queries;
     Alcotest.test_case "update/delete corners" `Quick test_update_no_match_and_delete_all;
     Alcotest.test_case "rid space not reused" `Quick test_insert_into_deleted_table_space;
+    Alcotest.test_case "integer literal out of range" `Quick
+      test_int_literal_out_of_range;
     Alcotest.test_case "parse error position" `Quick test_parse_error_position;
     Alcotest.test_case "error rendering" `Quick test_error_to_string;
     Alcotest.test_case "trace deserialize errors" `Quick test_trace_deserialize_malformed;
