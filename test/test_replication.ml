@@ -535,6 +535,100 @@ let test_parses_per_statement () =
       (last.Interceptor.replica >= 0)
   | [] -> Alcotest.fail "no statement logged"
 
+(* ---------------- routed reads at a stale pin -------------------- *)
+
+(* Run [f] with the kernel preemptive and run [between] at the first
+   yield point [f] reaches, with preemption masked. For an interceptor
+   statement that point comes after its snapshot is pinned and before it
+   executes: [between] lands in the request's flight. *)
+let at_first_yield kernel ~between f =
+  let fired = ref false in
+  K.set_preemptive kernel true;
+  Fun.protect ~finally:(fun () -> K.set_preemptive kernel false) @@ fun () ->
+  Effect.Deep.match_with f ()
+    { Effect.Deep.retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | K.Yield ->
+            Some
+              (fun (k : (a, _) Effect.Deep.continuation) ->
+                if not !fired then begin
+                  fired := true;
+                  K.set_preemptive kernel false;
+                  between ();
+                  K.set_preemptive kernel true
+                end;
+                Effect.Deep.continue k ())
+          | _ -> None) }
+
+(* Session B deletes a row, or moves it to another id, while session A's
+   read is in flight. A's routed point read and its BETWEEN count are
+   served by a replica that has applied B's write, and both return the
+   answer at A's pin: the replica's index probes re-check the rows B
+   retired after it. *)
+let test_routed_read_at_a_stale_pin () =
+  let kernel, leader = Durable.boot () in
+  lexec leader "CREATE TABLE acc (id INT, v INT)";
+  lexec leader
+    ("INSERT INTO acc VALUES "
+    ^ String.concat ", "
+        (List.init 40 (fun i -> Printf.sprintf "(%d, %d)" (i + 1) (101 + i))));
+  lexec leader "CREATE INDEX acc_id ON acc (id)";
+  let cluster = R.create kernel ~leader ~replicas:2 () in
+  let a =
+    Interceptor.create ~mode:Interceptor.Passthrough ~snapshot_reads:true
+      ~kernel (Durable.server leader)
+  in
+  Interceptor.attach_cluster a cluster;
+  let b = Interceptor.create_sibling a ~session_id:1 in
+  let run s ~pid sql =
+    match Interceptor.execute s ~pid sql with
+    | Protocol.Error_response m -> Alcotest.failf "%s failed: %s" sql m
+    | r -> r
+  in
+  let answer = function
+    | Protocol.Result_set { rows = [ [| Minidb.Value.Int n |] ]; _ } -> n
+    | _ -> Alcotest.fail "expected one integer"
+  in
+  let race what ~write read =
+    let resp =
+      at_first_yield kernel
+        ~between:(fun () -> ignore (run b ~pid:2 write))
+        (fun () -> run a ~pid:1 read)
+    in
+    (match List.rev (Interceptor.log a) with
+    | last :: _ ->
+      let rep = last.Interceptor.replica in
+      Alcotest.(check bool) (what ^ ": served by a replica") true (rep >= 0);
+      Alcotest.(check int)
+        (what ^ ": the replica applied B's write")
+        cluster.R.ship_seq (R.replica_applied cluster rep)
+    | [] -> Alcotest.fail "no statement logged");
+    answer resp
+  in
+  List.iter
+    (fun (what, write, point, range) ->
+      Alcotest.(check int)
+        (what ^ ": point read at A's pin")
+        (100 + point)
+        (race (what ^ " point read") ~write:(write point)
+           (Printf.sprintf "SELECT v FROM acc WHERE id = %d" point));
+      Alcotest.(check int)
+        (what ^ ": BETWEEN count at A's pin")
+        5
+        (race (what ^ " BETWEEN count") ~write:(write range)
+           (Printf.sprintf "SELECT COUNT(*) FROM acc WHERE id BETWEEN %d AND %d"
+              (range - 2) (range + 2))))
+    [ ("delete", Printf.sprintf "DELETE FROM acc WHERE id = %d", 7, 20);
+      ( "move",
+        (fun k -> Printf.sprintf "UPDATE acc SET id = %d WHERE id = %d" (k + 1000) k),
+        9,
+        30 ) ];
+  Alcotest.(check int) "after the race the count misses the moved row" 4
+    (answer (run a ~pid:1 "SELECT COUNT(*) FROM acc WHERE id BETWEEN 28 AND 32"))
+
 let suite =
   [ Alcotest.test_case "durable-cut: empty log" `Quick test_durable_cut_empty;
     Alcotest.test_case "durable-cut: torn record mid-batch (grouped)" `Quick
@@ -568,4 +662,6 @@ let suite =
     Alcotest.test_case "ship log: exec records and log bytes" `Quick
       test_ship_log_exec_records;
     Alcotest.test_case "one parse per node: parses per statement" `Quick
-      test_parses_per_statement ]
+      test_parses_per_statement;
+    Alcotest.test_case "routed reads answer at a stale pin" `Quick
+      test_routed_read_at_a_stale_pin ]
