@@ -781,6 +781,23 @@ let micro () =
   ignore
     (Minidb.Database.exec accounts_db
        "CREATE INDEX accounts_id ON accounts (id)");
+  (* a plain 10k-row table with a hash index on its key, for the reads
+     cluster-mix's sessions issue: a point read pinned before a commit
+     it must not see, and a short BETWEEN count *)
+  let reads_db = Minidb.Database.create () in
+  ignore (Minidb.Database.exec reads_db "CREATE TABLE acc (id INT, balance INT)");
+  ignore
+    (Minidb.Database.bulk_insert reads_db ~table:"acc"
+       (List.init 10_000 (fun k ->
+            [| Minidb.Value.Int (k + 1); Minidb.Value.Int (k * 7 mod 10_000) |])));
+  ignore (Minidb.Database.exec reads_db "CREATE INDEX acc_id ON acc (id)");
+  let pin = Minidb.Database.clock reads_db in
+  ignore
+    (Minidb.Database.exec reads_db
+       "UPDATE acc SET balance = balance + 1 WHERE id = 7");
+  let stale_read =
+    Printf.sprintf "SELECT balance FROM acc AS OF %d WHERE id = 7" pin
+  in
   let tests =
     [ Test.make ~name:"sql-parse(Q2)"
         (Staged.stage (fun () -> Minidb.Sql_parser.parse q2.Tpch.Queries.sql));
@@ -834,6 +851,12 @@ let micro () =
              Dbclient.Server.stop_traced server_kernel server));
       Test.make ~name:"durable/checkpoint(10k rows)"
         (Staged.stage (fun () -> Dbclient.Durable.checkpoint accounts));
+      Test.make ~name:"exec/asof-point-read(10k, stale)"
+        (Staged.stage (fun () -> Minidb.Database.query reads_db stale_read));
+      Test.make ~name:"exec/between-count(10k, hash)"
+        (Staged.stage (fun () ->
+             Minidb.Database.query reads_db
+               "SELECT COUNT(*) FROM acc WHERE id BETWEEN 100 AND 105"));
       Test.make ~name:"faults/crc32(lineitem image)"
         (Staged.stage (fun () -> Ldv_faults.Crc32.digest lineitem_file));
       Test.make ~name:"fig9/csv-encode-row"
