@@ -5,8 +5,10 @@
     - comma joins and explicit [JOIN .. ON] become hash joins when
       column-equality conjuncts are available (left-outer joins pad
       unmatched rows with NULLs);
-    - equality predicates against indexed columns become index scans;
-    - [AS OF] table references scan the version history snapshot;
+    - equality predicates against indexed columns, and short INT
+      [BETWEEN] ranges against hash-indexed ones, become index scans;
+    - [AS OF] table references read the version history snapshot, through
+      the same access paths;
     - aggregates in the projection/HAVING are collected into slots and the
       surrounding expressions rewritten to reference them;
     - UNION [ALL] concatenates compatible bodies;
@@ -396,13 +398,18 @@ and scan_node (ctx : ctx) ~table ~alias ~as_of : node =
 
 (** Cost-based access-path selection for one base-table scan, shared by
     SELECT planning and UPDATE/DELETE ({!Database}): choose among the full
-    scan, hash-index equality probes, and ordered-index range scans built
-    from the [<, <=, >, >=, =, BETWEEN, prefix-LIKE] conjuncts over indexed
-    columns. Costs use *live* statistics (row count, bucket counts,
-    range-entry counts) — safe because every access path emits the same
-    rows in the same ascending-rid order, so the choice can never perturb
-    result bytes. Absorbed conjuncts are removed from the residual; LIKE
-    always stays residual (its bounds only cover the literal prefix). *)
+    scan, hash-index probes, and ordered-index range scans built from the
+    [<, <=, >, >=, =, BETWEEN, prefix-LIKE] conjuncts over indexed
+    columns. A hash probe serves an equality with a constant, or an INT
+    column's [BETWEEN lo AND hi] with INT constant bounds, probing each of
+    its keys (none when lo > hi); its cost is keys × rows / distinct keys.
+    Costs use *live* statistics (row count, bucket counts, range-entry
+    counts) — safe because every access path emits the same rows in the
+    same ascending-rid order, so the choice can never perturb result
+    bytes. An absorbed conjunct keeps its static selectivity in
+    [est_rows], which the replay-stable join decisions read. Absorbed
+    conjuncts are removed from the residual; LIKE always stays residual
+    (its bounds only cover the literal prefix). *)
 and apply_index (scan : node) (conjs : expr list) : node * expr list =
   match scan.op with
   | Scan { table; binding; as_of } ->
