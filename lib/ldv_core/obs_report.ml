@@ -77,7 +77,18 @@ let print_summary (snap : Obs.snapshot) =
       Report.print_table ~header:[ "counter"; "value" ]
         (List.map
            (fun (name, v) -> [ name; string_of_int v ])
-           snap.Obs.counters)
+           snap.Obs.counters);
+      match
+        ( List.assoc_opt "db.rows_scanned" snap.Obs.counters,
+          List.assoc_opt "db.tuples_emitted" snap.Obs.counters )
+      with
+      | Some examined, Some emitted when emitted > 0 ->
+        Report.note
+          "rows examined per result row: %.2f (%d examined by access paths, \
+           DML reads included; %d result rows)\n"
+          (float_of_int examined /. float_of_int emitted)
+          examined emitted
+      | _ -> ()
     end;
     if snap.Obs.gauges <> [] then begin
       Report.section "Gauges";
