@@ -83,6 +83,17 @@ type t = {
   hot : (int, unit) Hashtbl.t;
   mutable pending_writes : int;
   mutable last_stamp : int;
+  (* Retirement log: the rid and clock of every committed retirement (an
+     autocommit UPDATE's superseded version or DELETE, a transactional
+     one at its commit stamp), oldest first in [0 .. log_n-1], clocks
+     nondecreasing. Together with the live index and [hot] it names every
+     rid whose version at a past snapshot may differ from its live one,
+     so AS-OF index probes re-check only those. It is complete for
+     retirements after [log_floor]: trimming and restores raise it. *)
+  mutable log_rids : int array;
+  mutable log_clocks : int array;
+  mutable log_n : int;
+  mutable log_floor : int;
   (* Planner statistics pin: [(rows_at_audit, live_rows_at_pin)]. A
      package-restored table holds only the sliced tuple subset; pinning the
      audit-time row count keeps cost-based join decisions identical between
@@ -114,6 +125,10 @@ let create ~name ~schema =
     hot = Hashtbl.create 16;
     pending_writes = 0;
     last_stamp = 0;
+    log_rids = [||];
+    log_clocks = [||];
+    log_n = 0;
+    log_floor = 0;
     pinned_rows = None }
 
 let name t = t.name
@@ -188,10 +203,64 @@ let note_tx_closed t =
 let hot_rids t = Hashtbl.fold (fun rid () acc -> rid :: acc) t.hot []
 
 (** Whether the committed snapshot at [at] equals the live snapshot: no
-    uncommitted writes anywhere and nothing committed after [at]. Index
-    lookups under AS-OF use this to stay on the fast path (snapshot-pinned
-    replica reads are almost always frozen in this sense). *)
+    uncommitted writes anywhere and nothing committed after [at]. An
+    AS-OF index probe then reads the live index as it is. A snapshot-
+    pinned read whose session saw another commit land while its request
+    was in flight is not frozen: it re-checks the rids {!retired_since}
+    names. *)
 let frozen_at t ~at = t.pending_writes = 0 && at >= t.last_stamp
+
+(* ------------------------------------------------------------------ *)
+(* Retirement log.                                                     *)
+
+(* The log never holds fewer than this many entries before trimming, so
+   a table of a few rows still serves recent snapshots. *)
+let log_min = 16
+
+(** Log a committed retirement of [rid] at [clock]. A clock below the
+    newest logged one is logged as that one: a later clock only makes
+    more snapshots re-check the rid, which is always safe. When the log
+    outgrows the table's live rows (or [log_min]) its older half is
+    dropped and the floor rises to the newest clock dropped. *)
+let log_retirement t ~rid ~clock =
+  let clock =
+    if t.log_n > 0 then max clock t.log_clocks.(t.log_n - 1) else clock
+  in
+  if t.log_n >= max log_min t.n_live then begin
+    let drop = t.log_n - (t.log_n / 2) in
+    t.log_floor <- max t.log_floor t.log_clocks.(drop - 1);
+    Array.blit t.log_rids drop t.log_rids 0 (t.log_n - drop);
+    Array.blit t.log_clocks drop t.log_clocks 0 (t.log_n - drop);
+    t.log_n <- t.log_n - drop
+  end;
+  if t.log_n = Array.length t.log_rids then begin
+    let grow a =
+      let b = Array.make (max log_min (2 * t.log_n)) 0 in
+      Array.blit a 0 b 0 t.log_n;
+      b
+    in
+    t.log_rids <- grow t.log_rids;
+    t.log_clocks <- grow t.log_clocks
+  end;
+  t.log_rids.(t.log_n) <- rid;
+  t.log_clocks.(t.log_n) <- clock;
+  t.log_n <- t.log_n + 1
+
+(** The rids of the committed retirements after [at], or [None] when the
+    log no longer reaches back to [at] (a trim or a restore raised its
+    floor past it): the caller then scans. Inserts need no entry: the
+    live index holds the new rid, and visibility hides it from older
+    snapshots. *)
+let retired_since t ~at : int list option =
+  if at < t.log_floor then None
+  else begin
+    let acc = ref [] and i = ref (t.log_n - 1) in
+    while !i >= 0 && t.log_clocks.(!i) > at do
+      acc := t.log_rids.(!i) :: !acc;
+      decr i
+    done;
+    Some !acc
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Version chains.                                                     *)
@@ -412,7 +481,8 @@ let update ?(tx = 0) t ~clock ~rid (row : Value.t array) =
     chain_add t tv;
     indexes_remove t old_tv;
     indexes_add t tv;
-    if tx <> 0 then t.pending_writes <- t.pending_writes + 2;
+    if tx = 0 then log_retirement t ~rid ~clock
+    else t.pending_writes <- t.pending_writes + 2;
     stamp t clock;
     note_churn t rid;
     (old_tv, tv)
@@ -430,7 +500,8 @@ let delete ?(tx = 0) t ~clock ~rid =
     tv.retired_commit <- (if tx = 0 then clock else 0);
     t.n_live <- t.n_live - 1;
     indexes_remove t tv;
-    if tx <> 0 then t.pending_writes <- t.pending_writes + 1;
+    if tx = 0 then log_retirement t ~rid ~clock
+    else t.pending_writes <- t.pending_writes + 1;
     stamp t clock;
     note_churn t rid;
     tv
@@ -452,6 +523,7 @@ let commit_retire_stamp t (tv : tuple_version) ~commit_clock =
   tv.retired_tx <- 0;
   tv.retired_commit <- commit_clock;
   tv.retired_at <- Some commit_clock;
+  log_retirement t ~rid:tv.tid.Tid.rid ~clock:commit_clock;
   stamp t commit_clock
 
 (* ------------------------------------------------------------------ *)
@@ -531,6 +603,8 @@ let restore_version t ~rid ~version (row : Value.t array) =
   if rid >= t.next_rid then t.next_rid <- rid + 1;
   chain_add t tv;
   stamp t version;
+  (* a superseding restore retires the old version unlogged *)
+  t.log_floor <- max t.log_floor version;
   note_churn t rid;
   tv
 
@@ -654,6 +728,18 @@ let index_candidate_rids _t (idx : index) (value : Value.t) : int list =
   | None -> []
   | Some rids -> List.sort_uniq compare !rids
 
+(** Candidate rids for every INT key in [lo, hi] (none when [lo > hi]),
+    ascending: the buckets of those keys, merged. The planner asks only
+    for ranges with fewer keys than the index has buckets. *)
+let index_range_candidate_rids _t (idx : index) ~lo ~hi : int list =
+  let rids = ref [] in
+  for k = lo to hi do
+    match Hashtbl.find_opt idx.idx_entries (Value.Int k) with
+    | Some r -> rids := List.rev_append !r !rids
+    | None -> ()
+  done;
+  List.sort_uniq compare !rids
+
 (** Live tuple versions whose indexed column lies within [lo, hi] (each
     bound optional, (value, inclusive)), in ascending-rid order. *)
 let range_lookup t (oidx : ordered_index) ~(lo : bound option)
@@ -667,10 +753,12 @@ let range_lookup t (oidx : ordered_index) ~(lo : bound option)
   done;
   List.sort_uniq compare !rids |> List.filter_map (fun rid -> find_live t ~rid)
 
-(** Candidate rids for a range probe, ascending, without live validation
-    (the MVCC fallback path re-checks values against visible versions). *)
-let range_candidate_rids _t (oidx : ordered_index) ~(lo : bound option)
+(** Candidate rids for a range probe, ascending, without live validation:
+    stale entries included, so callers re-check the value of the version
+    they resolve each rid to. *)
+let range_candidate_rids t (oidx : ordered_index) ~(lo : bound option)
     ~(hi : bound option) : int list =
+  settle_oindex t oidx;
   let first = lower_bound oidx lo and past = upper_bound oidx hi in
   let rids = ref [] in
   for i = past - 1 downto first do
