@@ -114,11 +114,13 @@ let arow_of_tv (tv : Table.tuple_version) =
 (* [db.rows_scanned] counts the rows an access path examined, not the
    rows it returned: a full scan examines every rid below the allocator,
    an index probe each candidate rid it resolves. Divided by
-   [db.tuples_emitted] it reads as the work a result cost. *)
+   [db.tuples_emitted] it reads as the work a result cost. [n] is
+   thunked so that nothing is counted while observability is off. *)
 let count_scanned n =
-  if Ldv_obs.enabled () then Ldv_obs.counter ~by:n "db.rows_scanned"
+  if Ldv_obs.enabled () then Ldv_obs.counter ~by:(n ()) "db.rows_scanned"
 
-let count_full_scan table = count_scanned (table.Table.next_rid - 1)
+let count_full_scan table =
+  count_scanned (fun () -> table.Table.next_rid - 1)
 
 (* A full AS-OF scan, filtered: the fallback of an index probe at a
    snapshot the retirement log no longer reaches back to. *)
@@ -169,7 +171,7 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
      filters a full AS-OF scan instead. *)
   let probe table ~as_of candidates ~keep =
     let resolve find rids =
-      count_scanned (List.length rids);
+      count_scanned (fun () -> List.length rids);
       map_list
         (List.filter_map
            (fun rid ->
