@@ -457,8 +457,8 @@ and apply_index (scan : node) (conjs : expr list) : node * expr list =
           in
           if not (try_side a b) then ignore (try_side b a)
         | Between (a, b1, b2) -> (
-          (* a short INT range probes each of its keys; the width is
-             taken in floats, where hi - lo + 1 cannot overflow *)
+          (* probing each key beats the scan only with fewer keys than
+             buckets; the width is a float, so hi - lo + 1 cannot overflow *)
           match col_pos a with
           | Some pos when scan.schema.(pos).Schema.ty = Value.Tint -> (
             match
