@@ -11,7 +11,8 @@
 # --quick skips the crash/faults campaigns, the profiler smokes and the
 # benches (build + tests + the replica/tx campaigns + out-of-range
 # argument and file-error checks + the overhead-ledger gate self-check +
-# the replicated, server-included and Q3-1 audit package checksums + the
+# the replicated audit's and the sf-0.002 server-included, server-excluded,
+# PTU and Q3-1 audits' package checksums + the
 # replicated audit's SQL parse count).
 set -e
 cd "$(dirname "$0")"
@@ -170,6 +171,15 @@ dune exec bin/ldv.exe -- audit --sf 0.002 --inserts 20 --selects 3 \
   --updates 5 -o "$tmpdir/inc.ldv" > /dev/null
 cksum < "$tmpdir/inc.ldv" > "$tmpdir/inc.cksum"
 diff test/golden/audit-sf0.002-cksum.txt "$tmpdir/inc.cksum"
+# and for the same workload's other two package kinds: the recorded
+# responses of a server-excluded package and the full data files of a
+# PTU package
+for mode in excluded ptu; do
+  dune exec bin/ldv.exe -- audit --mode "$mode" --sf 0.002 --inserts 20 \
+    --selects 3 --updates 5 -o "$tmpdir/$mode.ldv" > /dev/null
+  cksum < "$tmpdir/$mode.ldv" > "$tmpdir/$mode.cksum"
+  diff "test/golden/audit-$mode-sf0.002-cksum.txt" "$tmpdir/$mode.cksum"
+done
 # and for a Q3-1 package, whose three-table join carries thousands of
 # tuple versions per select: the trace counts and the sliced subset
 {

@@ -333,6 +333,20 @@ let test_tx_package_records_outcomes () =
     (Audit.tx_outcomes (Audit.stmts audit))
     (Package.tx_outcomes pkg)
 
+(* No CLI path reaches the transactional concurrent audit, so its package
+   bytes are pinned here: a change to the monitored run, the scheduler or
+   packaging that alters what this audit packages shows as a new digest. *)
+let test_tx_package_bytes_pinned () =
+  let audit = Concurrent.audited_tx ~sessions:4 ~rounds:6 ~seed:3 () in
+  let pkg = Package.build audit in
+  let data = Package.to_bytes pkg in
+  Alcotest.(check string) "package bytes (length and MD5)"
+    "19737 c7922aa360cd36ef351fce25ef2173ed"
+    (Printf.sprintf "%d %s" (String.length data)
+       (Digest.to_hex (Digest.string data)));
+  Alcotest.(check (list string)) "replay verifies" []
+    (Replay.verify ~audit (Replay.execute pkg))
+
 let test_tx_replay_reproduces_decisions () =
   let audit = Concurrent.audited_tx ~sessions:3 ~rounds:5 ~seed:7 () in
   let pkg = Package.build audit in
@@ -396,6 +410,8 @@ let suite =
       test_audited_tx_conflicts_and_determinism;
     Alcotest.test_case "package: records tx outcomes" `Quick
       test_tx_package_records_outcomes;
+    Alcotest.test_case "package: tx audit bytes pinned, replay verifies"
+      `Quick test_tx_package_bytes_pinned;
     Alcotest.test_case "replay: reproduces commit/abort decisions" `Quick
       test_tx_replay_reproduces_decisions;
     Alcotest.test_case "faults: abort injection + bounded retry" `Quick
