@@ -51,7 +51,10 @@ type t = {
   repl : (int * int) option;
       (** (replica count, staleness bound) when the run served reads from
           a replication cluster; the package records it, with the node
-          that answered each read, so replay re-runs the cluster *)
+          that answered each read, so replay re-runs the cluster. Session
+          reads go through [Replication.route_read] and are always exact:
+          only [Replication.read] (the replica campaigns) applies the
+          bound *)
   trace : Prov.Trace.t;
   app_name : string;  (** program-registry name *)
   app_binary : string;
@@ -326,21 +329,18 @@ let written_files (tracer : Minios.Tracer.t) ~(exclude_pids : int list)
          else None)
   |> List.sort_uniq compare
 
-(** Run [program] under full LDV monitoring.
-
-    The kernel must already contain the application's files; the server
-    must be installed around the database the app will use. For
-    [Included] packaging the server is started and stopped as a traced
-    process (its binary and data files become part of the OS trace); for
-    [Excluded] the server is treated as external and only the client-side
-    interposition records its responses. *)
-let run ~(packaging : packaging) (kernel : Minios.Kernel.t)
-    (server : Dbclient.Server.t) ~app_name ~app_binary ?(app_libs = [])
-    (program : Minios.Program.program) : t =
-  Ldv_obs.with_span
-    ~attrs:[ ("packaging", packaging_name packaging); ("app", app_name) ]
-    "audit.run"
-  @@ fun () ->
+(* The monitored-run sequence both entry points share: capture the start
+   rows, attach the tracer, start the server as a traced process (unless
+   it is external, server-excluded), create the primary session, [launch]
+   the application, stop the server and detach, then assemble the trace
+   and the replay ground truth from every session's statements. [launch]
+   gets the primary session and returns every session it ran, primary
+   first, with the root pid. A run with a recorded schedule reads under
+   snapshot isolation; with [cluster], reads route to its replicas and
+   its processes' file writes are not application outputs. *)
+let monitored ~(packaging : packaging) ?sched ?cluster
+    (kernel : Minios.Kernel.t) (server : Dbclient.Server.t) ~app_name
+    ~app_binary ~(launch : I.t -> I.t list * int) : t =
   let start_rows = table_start_rows server in
   let tracer = Minios.Tracer.create () in
   Minios.Tracer.attach tracer kernel;
@@ -356,25 +356,14 @@ let run ~(packaging : packaging) (kernel : Minios.Kernel.t)
     | Excluded -> I.Audit_excluded
     | Ptu_baseline -> I.Passthrough
   in
-  let session = I.create ~mode ~kernel server in
-  I.bind kernel session;
-  let root_pid =
-    Fun.protect
-      ~finally:(fun () -> I.unbind kernel)
-      (fun () ->
-        Ldv_obs.with_span "audit.app" (fun () ->
-            let pid =
-              Minios.Program.run kernel ~binary:app_binary ~libs:app_libs
-                ~name:app_name program
-            in
-            Ldv_obs.add_attr "prov.proc" (Printf.sprintf "proc:%d" pid);
-            pid))
+  let session =
+    I.create ~mode ~snapshot_reads:(sched <> None) ~kernel server
   in
-  (match packaging with
-  | Included | Ptu_baseline -> Dbclient.Server.stop_traced kernel server
-  | Excluded -> ());
+  Option.iter (I.attach_cluster session) cluster;
+  let sessions, root_pid = launch session in
+  if server_pid <> None then Dbclient.Server.stop_traced kernel server;
   Minios.Tracer.detach kernel;
-  let stmts = I.log session in
+  let stmts = merge_logs sessions in
   let trace =
     match packaging with
     | Ptu_baseline ->
@@ -382,7 +371,10 @@ let run ~(packaging : packaging) (kernel : Minios.Kernel.t)
       build_trace tracer []
     | Included | Excluded -> build_trace tracer stmts
   in
-  let exclude_pids = Option.to_list server_pid in
+  let exclude_pids =
+    Option.to_list server_pid
+    @ Option.fold ~none:[] ~some:Dbclient.Replication.pids cluster
+  in
   let out_files, query_fingerprints =
     Ldv_obs.with_span "audit.collect_outputs" @@ fun () ->
     ( written_files tracer ~exclude_pids (Minios.Kernel.vfs kernel),
@@ -402,9 +394,14 @@ let run ~(packaging : packaging) (kernel : Minios.Kernel.t)
     server;
     tracer;
     session;
-    sessions = [ session ];
-    sched = None;
-    repl = None;
+    sessions;
+    sched;
+    repl =
+      Option.map
+        (fun cl ->
+          ( Dbclient.Replication.replica_count cl,
+            Dbclient.Replication.staleness cl ))
+        cluster;
     trace;
     app_name;
     app_binary;
@@ -413,6 +410,35 @@ let run ~(packaging : packaging) (kernel : Minios.Kernel.t)
     out_files;
     query_fingerprints;
     start_rows }
+
+(** Run [program] under full LDV monitoring.
+
+    The kernel must already contain the application's files; the server
+    must be installed around the database the app will use. For
+    [Included] and [Ptu_baseline] packaging the server is started and
+    stopped as a traced process (its binary and data files become part
+    of the OS trace); for [Excluded] the server is treated as external
+    and only the client-side interposition records its responses. *)
+let run ~(packaging : packaging) (kernel : Minios.Kernel.t)
+    (server : Dbclient.Server.t) ~app_name ~app_binary ?(app_libs = [])
+    (program : Minios.Program.program) : t =
+  Ldv_obs.with_span
+    ~attrs:[ ("packaging", packaging_name packaging); ("app", app_name) ]
+    "audit.run"
+  @@ fun () ->
+  monitored ~packaging kernel server ~app_name ~app_binary
+    ~launch:(fun session ->
+      I.bind kernel session;
+      Fun.protect
+        ~finally:(fun () -> I.unbind kernel)
+        (fun () ->
+          Ldv_obs.with_span "audit.app" (fun () ->
+              let pid =
+                Minios.Program.run kernel ~binary:app_binary ~libs:app_libs
+                  ~name:app_name program
+              in
+              Ldv_obs.add_attr "prov.proc" (Printf.sprintf "proc:%d" pid);
+              ([ session ], pid))))
 
 (** Run N client programs concurrently under full LDV monitoring, each
     with its own interceptor session, interleaved by the seeded
@@ -438,94 +464,50 @@ let run_concurrent ~(packaging : packaging) ?(sched_seed = 0)
     invalid_arg
       "Audit.run_concurrent: concurrent sessions require server-included \
        packaging");
-  (match clients with
-  | [] -> invalid_arg "Audit.run_concurrent: no clients"
-  | _ :: _ -> ());
+  let first =
+    match clients with
+    | [] -> invalid_arg "Audit.run_concurrent: no clients"
+    | first :: _ -> first
+  in
   Ldv_obs.with_span
     ~attrs:
       [ ("packaging", packaging_name packaging);
         ("sessions", string_of_int (List.length clients)) ]
     "audit.run_concurrent"
   @@ fun () ->
-  let start_rows = table_start_rows server in
-  let tracer = Minios.Tracer.create () in
-  Minios.Tracer.attach tracer kernel;
-  let server_pid = Some (Dbclient.Server.start_traced kernel server) in
-  let primary =
-    I.create ~mode:I.Audit_included ~snapshot_reads:true ~kernel server
-  in
-  (match cluster with
-  | Some cl -> I.attach_cluster primary cl
-  | None -> ());
-  let sessions =
-    primary
-    :: List.mapi
-         (fun i _ -> I.create_sibling primary ~session_id:(i + 1))
-         (List.tl clients)
-  in
-  let sched_clients =
-    List.map2
-      (fun cl sess ->
-        Minios.Sched.client ~binary:cl.cl_binary ~libs:cl.cl_libs
-          ~name:cl.cl_name (fun env ->
-            let pid = Minios.Program.pid env in
-            (* this program runs on its own scheduler job; stamp the job's
-               trace context so even quanta before the first statement are
-               attributed to the right session *)
-            if Ldv_obs.enabled () then
-              Ldv_obs.Trace.set_session (I.session_id sess);
-            I.bind_for kernel ~pid sess;
-            Fun.protect
-              ~finally:(fun () -> I.unbind_for kernel ~pid)
-              (fun () -> cl.cl_program env)))
-      clients sessions
-  in
-  let pids = Minios.Sched.run kernel ~seed:sched_seed sched_clients in
-  Dbclient.Server.stop_traced kernel server;
-  Minios.Tracer.detach kernel;
-  let stmts = merge_logs sessions in
-  let trace = build_trace tracer stmts in
-  let exclude_pids =
-    Option.to_list server_pid
-    @ (match cluster with
-      | Some cl -> Dbclient.Replication.pids cl
-      | None -> [])
-  in
-  let out_files, query_fingerprints =
-    Ldv_obs.with_span "audit.collect_outputs" @@ fun () ->
-    ( written_files tracer ~exclude_pids (Minios.Kernel.vfs kernel),
-      fingerprints stmts )
-  in
-  if Ldv_obs.enabled () then begin
-    Ldv_obs.counter ~by:(List.length stmts) "audit.statements";
-    Ldv_obs.counter ~by:(Minios.Tracer.event_count tracer) "audit.os_events"
-  end;
-  let first = List.hd clients in
-  { packaging;
-    kernel;
-    server;
-    tracer;
-    session = primary;
-    sessions;
-    sched =
-      Some
-        { sched_seed;
-          sched_clients =
-            List.map (fun cl -> (cl.cl_name, cl.cl_binary)) clients };
-    repl =
-      Option.map
-        (fun cl ->
-          ( Dbclient.Replication.replica_count cl,
-            Dbclient.Replication.staleness cl ))
-        cluster;
-    trace;
-    app_name = first.cl_name;
-    app_binary = first.cl_binary;
-    root_pid = (match pids with pid :: _ -> pid | [] -> 0);
-    server_pid;
-    out_files;
-    query_fingerprints;
-    start_rows }
+  monitored ~packaging
+    ~sched:
+      { sched_seed;
+        sched_clients = List.map (fun cl -> (cl.cl_name, cl.cl_binary)) clients
+      }
+    ?cluster kernel server ~app_name:first.cl_name ~app_binary:first.cl_binary
+    ~launch:(fun primary ->
+      let sessions =
+        primary
+        :: List.mapi
+             (fun i _ -> I.create_sibling primary ~session_id:(i + 1))
+             (List.tl clients)
+      in
+      let sched_clients =
+        List.map2
+          (fun cl sess ->
+            Minios.Sched.client ~binary:cl.cl_binary ~libs:cl.cl_libs
+              ~name:cl.cl_name (fun env ->
+                let pid = Minios.Program.pid env in
+                (* this program runs on its own scheduler job; stamp the
+                   job's trace context so even quanta before the first
+                   statement are attributed to the right session *)
+                if Ldv_obs.enabled () then
+                  Ldv_obs.Trace.set_session (I.session_id sess);
+                I.bind_for kernel ~pid sess;
+                Fun.protect
+                  ~finally:(fun () -> I.unbind_for kernel ~pid)
+                  (fun () -> cl.cl_program env)))
+          clients sessions
+      in
+      match Minios.Sched.run kernel ~seed:sched_seed sched_clients with
+      | root_pid :: _ -> (sessions, root_pid)
+      | [] -> (sessions, 0))
 
 (** Convenience: pids belonging to the application (everything traced minus
     the server process). *)

@@ -36,7 +36,10 @@ type t = {
   sched : sched_info option;  (** [Some] iff this was a concurrent run *)
   repl : (int * int) option;
       (** (replica count, staleness bound) when the run served reads from
-          a replication cluster; packaged so replay re-runs the cluster *)
+          a replication cluster; packaged so replay re-runs the cluster.
+          Session reads route through [Replication.route_read] and are
+          always exact; only [Replication.read] (the replica campaigns)
+          applies the bound. *)
   trace : Prov.Trace.t;  (** full combined trace, with per-row lineage *)
   app_name : string;
   app_binary : string;
@@ -97,8 +100,13 @@ val written_files :
 
 (** Run [program] under full LDV monitoring. The kernel must already hold
     the application's files; the server must be installed around the
-    database the app uses. [Included]/[Ptu_baseline] start and stop the
-    server as a traced process. *)
+    database the app uses. [run] and {!run_concurrent} share one
+    monitored-run sequence and differ only in how they launch the
+    application: capture the start rows, attach the tracer, start the
+    server as a traced process ([Included]/[Ptu_baseline]; an
+    [Excluded] server is external), launch, stop the server and detach,
+    then build the trace (OS-only for [Ptu_baseline]) and collect the
+    outputs and fingerprints. *)
 val run :
   packaging:packaging ->
   Minios.Kernel.t ->
@@ -110,12 +118,13 @@ val run :
   t
 
 (** Run N client programs concurrently, each with its own session,
-    interleaved deterministically by {!Minios.Sched} under [sched_seed].
-    Reads are snapshot-isolated; the recorded seed and client list land
-    in [sched] so replay re-creates the identical interleaving. With
-    [cluster], snapshot-pinned reads route to the cluster's read replicas
-    and every write is shipped; the replication machinery's file writes
-    are excluded from the recorded application outputs.
+    interleaved deterministically by {!Minios.Sched} under [sched_seed],
+    through the same monitored-run sequence as {!run}. Reads are
+    snapshot-isolated; the recorded seed and client list land in [sched]
+    so replay re-creates the identical interleaving. With [cluster],
+    snapshot-pinned reads route to the cluster's read replicas and every
+    write is shipped; the replication machinery's file writes are
+    excluded from the recorded application outputs.
     @raise Invalid_argument unless [packaging = Included], or if
     [clients] is empty. *)
 val run_concurrent :
