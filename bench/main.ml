@@ -174,11 +174,6 @@ let run_audit ?counts ?(sf = !sf) ~vid system : experiment =
   in
   { audit; steps = st; total_audit_s = total; app_name }
 
-let build_package (e : experiment) : Package.t =
-  match e.audit.Audit.packaging with
-  | Audit.Ptu_baseline -> Ptu.build e.audit
-  | Audit.Included | Audit.Excluded -> Package.build e.audit
-
 (* Replay an experiment's package, timing initialization and steps. *)
 type replay_times = { init_s : float; rsteps : steps; verified : bool }
 
@@ -245,7 +240,7 @@ let table3 () =
       run_audit ~counts:{ n_insert = 20; n_select = 2; n_update = 5 }
         ~vid:"Q1-1" system
     in
-    build_package e
+    Package.build e.audit
   in
   let rows =
     List.map
@@ -313,7 +308,7 @@ let fig7b () =
   let rows =
     List.map
       (fun (sys, e) ->
-        let pkg = build_package e in
+        let pkg = Package.build e.audit in
         let r = run_replay e pkg in
         [ system_name sys;
           s r.init_s;
@@ -384,7 +379,7 @@ let run_sweep () =
                 (e.steps.t_first +. e.steps.t_rest)
                 /. float_of_int counts.n_select
               in
-              let pkg = build_package e in
+              let pkg = Package.build e.audit in
               let r = run_replay e pkg in
               let per_query_replay =
                 (r.rsteps.t_first +. r.rsteps.t_rest)
@@ -540,7 +535,7 @@ let vmi () =
       (fun (sys, e) ->
         match sys with
         | Sys_included | Sys_excluded ->
-          Some (Package.total_bytes (build_package e))
+          Some (Package.total_bytes (Package.build e.audit))
         | Sys_ptu -> None)
       exps
   in
@@ -673,7 +668,7 @@ let ablation () =
     time (fun () -> ignore (Minidb.Database.query db_tt asof_sql))
   in
   let e = run_audit ~counts:(sweep_counts ()) ~vid:"Q1-1" Sys_included in
-  let pkg = build_package e in
+  let pkg = Package.build e.audit in
   let (_ : Replay.prepared), t_restore = time (fun () -> Replay.prepare pkg) in
   Report.print_table ~header:[ "Strategy"; "Time"; "Notes" ]
     [ [ "LDV subset restore + query"; s t_restore;

@@ -209,11 +209,7 @@ let audit_cmd =
         (audit, metadata_of_cfg cfg)
       end
     in
-    let pkg =
-      match mode with
-      | Audit.Ptu_baseline when sessions <= 1 -> Ptu.build audit
-      | _ -> Package.build audit
-    in
+    let pkg = Package.build audit in
     let pkg = { pkg with Package.metadata = pkg.Package.metadata @ meta } in
     (* crash-safe: temp file + rename, so a failed audit never leaves a
        torn package behind *)
@@ -835,11 +831,7 @@ let demo_cmd =
         let audit, _cfg =
           run_audit ~sf ~vid:"Q1-1" ~mode ~n_insert:50 ~n_select:3 ~n_update:10
         in
-        let pkg =
-          match mode with
-          | Audit.Ptu_baseline -> Ptu.build audit
-          | _ -> Package.build audit
-        in
+        let pkg = Package.build audit in
         let result = Replay.execute pkg in
         let problems = Replay.verify ~audit result in
         Printf.printf "%-16s %-9s %s\n"

@@ -59,11 +59,7 @@ let () =
           ~app_binary:"/usr/bin/sensor-report" application
       in
       (* 4. Build the package. *)
-      let pkg =
-        match packaging with
-        | Ldv_core.Audit.Ptu_baseline -> Ldv_core.Ptu.build audit
-        | _ -> Ldv_core.Package.build audit
-      in
+      let pkg = Ldv_core.Package.build audit in
       (* 5. Re-execute it somewhere else (a fresh kernel) and verify. *)
       let replay = Ldv_core.Replay.execute pkg in
       let verdict =

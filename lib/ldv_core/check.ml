@@ -235,12 +235,7 @@ let kinds =
    the count of sections parsing skipped, and verification's findings. *)
 let replay_loop ~audit kind : int * string list =
   let a = audit kind in
-  let pkg =
-    match a.Audit.packaging with
-    | Audit.Ptu_baseline -> Ptu.build a
-    | Audit.Included | Audit.Excluded -> Package.build a
-  in
-  let bytes = Package.to_bytes pkg in
+  let bytes = Package.to_bytes (Package.build a) in
   let bytes =
     match Ldv_faults.corrupt_package bytes with
     | Some (corrupted, _what) -> corrupted

@@ -225,51 +225,6 @@ let schedule_of_metadata (metadata : (string * string) list) :
     else None
   | _ -> None
 
-(** Build a server-included package: server binaries and libraries come
-    along (they were read by the traced server process), raw DB data files
-    are dropped in favour of the relevant tuple subset. *)
-let build_included (audit : Audit.t) : t =
-  Ldv_obs.with_span ~attrs:[ ("kind", "server-included") ] "package.build"
-  @@ fun () ->
-  let data_dir = Dbclient.Server.data_dir audit.Audit.server in
-  let entries = collect_entries audit ~exclude:(under data_dir) in
-  let db = Dbclient.Server.db audit.Audit.server in
-  let relevant = Slice.relevant_lineage audit in
-  let tables = Slice.lineage_tables audit relevant in
-  { kind = Server_included;
-    app_name = audit.Audit.app_name;
-    app_binary = audit.Audit.app_binary;
-    entries;
-    db_subset = Slice.lineage_csvs db relevant;
-    db_schemas = Slice.schema_ddl_for db tables;
-    db_indexes = Slice.index_ddl_for db tables;
-    recording = [];
-    trace_data = Prov.Trace.serialize (Audit.compact_trace audit);
-    metadata = base_metadata audit @ [ ("packaging", "included") ] }
-
-(** Build a server-excluded package: no server artifacts, recorded
-    responses instead. *)
-let build_excluded (audit : Audit.t) : t =
-  Ldv_obs.with_span ~attrs:[ ("kind", "server-excluded") ] "package.build"
-  @@ fun () ->
-  let server = audit.Audit.server in
-  let data_dir = Dbclient.Server.data_dir server in
-  let server_files =
-    Dbclient.Server.binary_path server :: Dbclient.Server.lib_paths server
-  in
-  let exclude path = under data_dir path || List.mem path server_files in
-  let entries = collect_entries audit ~exclude in
-  { kind = Server_excluded;
-    app_name = audit.Audit.app_name;
-    app_binary = audit.Audit.app_binary;
-    entries;
-    db_subset = [];
-    db_schemas = [];
-    db_indexes = [];
-    recording = Dbclient.Interceptor.recorded audit.Audit.session;
-    trace_data = Prov.Trace.serialize (Audit.compact_trace audit);
-    metadata = base_metadata audit @ [ ("packaging", "excluded") ] }
-
 (** The recorded replication-cluster shape — (replica count, staleness
     bound) — when the audited run served reads from a cluster. *)
 let replication_of_metadata (metadata : (string * string) list) :
@@ -342,14 +297,65 @@ let table_rows (t : t) : (string * int) list =
 let tx_outcomes (t : t) : (int * int * Audit.tx_outcome) list =
   tx_outcomes_of_metadata t.metadata
 
-(** Build the package appropriate for how the audit was run. PTU baselines
-    are packaged by {!Ptu.build}. *)
+(** Build the package for how the audit was run. Every kind ships the
+    files the traced processes read (CDE-style) and the audit's metadata;
+    they differ in what they leave out and what they add:
+    - server-included: drops the raw DB data files and ships the
+      relevant tuple subset, with the accessed tables' schema and index
+      DDL, and the compact trace;
+    - server-excluded: also drops the server binary and libraries, and
+      ships the recorded responses and the compact trace;
+    - PTU: ships everything, full DB data files included, and the OS
+      provenance graph only. *)
 let build (audit : Audit.t) : t =
-  match audit.Audit.packaging with
-  | Audit.Included -> build_included audit
-  | Audit.Excluded -> build_excluded audit
-  | Audit.Ptu_baseline ->
-    invalid_arg "Package.build: use Ptu.build for PTU baseline audits"
+  let kind, packaging =
+    match audit.Audit.packaging with
+    | Audit.Included -> (Server_included, "included")
+    | Audit.Excluded -> (Server_excluded, "excluded")
+    | Audit.Ptu_baseline -> (Ptu_full, "ptu")
+  in
+  Ldv_obs.with_span ~attrs:[ ("kind", kind_name kind) ] "package.build"
+  @@ fun () ->
+  let server = audit.Audit.server in
+  let in_data_dir = under (Dbclient.Server.data_dir server) in
+  let server_files =
+    Dbclient.Server.binary_path server :: Dbclient.Server.lib_paths server
+  in
+  let exclude path =
+    match kind with
+    | Server_included -> in_data_dir path
+    | Server_excluded -> in_data_dir path || List.mem path server_files
+    | Ptu_full -> false
+  in
+  let entries = collect_entries audit ~exclude in
+  let db_subset, db_schemas, db_indexes =
+    match kind with
+    | Server_included ->
+      let db = Dbclient.Server.db server in
+      let relevant = Slice.relevant_lineage audit in
+      let tables = Slice.lineage_tables audit relevant in
+      ( Slice.lineage_csvs db relevant,
+        Slice.schema_ddl_for db tables,
+        Slice.index_ddl_for db tables )
+    | Server_excluded | Ptu_full -> ([], [], [])
+  in
+  { kind;
+    app_name = audit.Audit.app_name;
+    app_binary = audit.Audit.app_binary;
+    entries;
+    db_subset;
+    db_schemas;
+    db_indexes;
+    recording =
+      (match kind with
+      | Server_excluded -> Dbclient.Interceptor.recorded audit.Audit.session
+      | Server_included | Ptu_full -> []);
+    trace_data =
+      Prov.Trace.serialize
+        (match kind with
+        | Ptu_full -> Minios.Tracer.build_bb_trace audit.Audit.tracer
+        | Server_included | Server_excluded -> Audit.compact_trace audit);
+    metadata = base_metadata audit @ [ ("packaging", packaging) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Whole-package serialization (for writing packages to a real file and
@@ -359,12 +365,13 @@ let build (audit : Audit.t) : t =
 
      @<name> <payload-length> <crc32-hex>\n<payload>\n
 
-   The CRC32 covers the payload only; headers without a checksum (the
-   pre-checksum format) still parse but their sections go unverified. On
-   restore, a checksum mismatch in a *content* section (file:, opaque:,
-   output:, schema:, index:, csv:) skips just that section and reports
-   it; a mismatch in a structural section (kind, app, binary, meta:,
-   recording, trace) makes the whole package unreadable.                *)
+   The CRC32 covers the payload only; a header without one (the
+   pre-checksum format) is a typed [Package_malformed], so no section
+   goes unverified. On restore, a checksum mismatch in a *content*
+   section (file:, opaque:, output:, schema:, index:, csv:) skips just
+   that section and reports it; a mismatch in a structural section
+   (kind, app, binary, meta:, recording, trace) makes the whole package
+   unreadable.                                                          *)
 
 let b64 = Fun.id (* entries may contain arbitrary bytes; keep raw with length prefixes *)
 

@@ -61,12 +61,6 @@ val summarize : t -> contents_summary
 
 (** {2 Construction} *)
 
-(** CDE-style file collection from an audit: every path read gets its
-    first-access snapshot; write-only paths are recreated empty. *)
-val collect_entries : Audit.t -> exclude:(string -> bool) -> entry list
-
-val base_metadata : Audit.t -> (string * string) list
-
 (** The recorded multi-session schedule in a metadata list (scheduler
     seed, per-session (registry name, binary) in session order); [None]
     for single-session packages. *)
@@ -110,11 +104,11 @@ val table_rows_of_metadata : (string * string) list -> (string * int) list
 (** [table_rows_of_metadata] applied to the package's own metadata. *)
 val table_rows : t -> (string * int) list
 
-val build_included : Audit.t -> t
-val build_excluded : Audit.t -> t
-
-(** Dispatch on the audit's packaging mode.
-    @raise Invalid_argument on PTU audits (use {!Ptu.build}). *)
+(** Build the package of the audit's packaging mode: [Included] gives a
+    [Server_included] package, [Excluded] a [Server_excluded] one and
+    [Ptu_baseline] a [Ptu_full] one. Every kind ships the files the
+    traced processes read, CDE-style (first-read snapshots; write-only
+    paths are recreated empty), and the audit's metadata. *)
 val build : Audit.t -> t
 
 (** {2 Whole-package serialization} *)

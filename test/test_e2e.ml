@@ -13,12 +13,7 @@ let run_case ~packaging seed =
   let n_update = Tpch.Prng.int rng 5 in
   let n_select = 1 + Tpch.Prng.int rng 3 in
   let audit = Ldv_fixtures.audit ~vid ~n_insert ~n_update ~n_select packaging in
-  let pkg =
-    match packaging with
-    | Audit.Ptu_baseline -> Ptu.build audit
-    | Audit.Included | Audit.Excluded -> Package.build audit
-  in
-  let result = Replay.execute pkg in
+  let result = Replay.execute (Package.build audit) in
   Replay.verify ~audit result
 
 let prop packaging name =

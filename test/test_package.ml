@@ -44,7 +44,7 @@ let test_excluded_contents () =
 
 let test_ptu_contents () =
   let audit = Lazy.force Ldv_fixtures.ptu in
-  let pkg = Ptu.build audit in
+  let pkg = Package.build audit in
   let paths = entry_paths pkg in
   Alcotest.(check bool) "full data files included" true
     (List.exists
@@ -62,7 +62,7 @@ let test_size_ordering () =
     Ldv_fixtures.audit_at ~sf:0.002 ~vid:"Q1-1" ~n_insert:5 ~n_update:2
       ~n_select:2 packaging
   in
-  let ptu = Ptu.build (run Audit.Ptu_baseline) in
+  let ptu = Package.build (run Audit.Ptu_baseline) in
   let inc = Package.build (run Audit.Included) in
   let exc = Package.build (run Audit.Excluded) in
   let p = Package.total_bytes ptu
@@ -84,7 +84,7 @@ let test_size_ordering () =
     (ptu_data > Package.db_subset_bytes inc)
 
 let test_table3_matrix () =
-  let ptu = Package.summarize (Ptu.build (Lazy.force Ldv_fixtures.ptu)) in
+  let ptu = Package.summarize (Package.build (Lazy.force Ldv_fixtures.ptu)) in
   let inc = Package.summarize (Package.build (Lazy.force Ldv_fixtures.included)) in
   let exc = Package.summarize (Package.build (Lazy.force Ldv_fixtures.excluded)) in
   Alcotest.(check bool) "PTU: server, full data, no DB provenance" true
@@ -144,7 +144,7 @@ let test_manifest_sums_to_total () =
         (List.fold_left (fun a (_, s) -> a + s) 0 manifest))
     [ ("server-included", Package.build (Lazy.force Ldv_fixtures.included));
       ("server-excluded", Package.build (Lazy.force Ldv_fixtures.excluded));
-      ("ptu", Ptu.build (Lazy.force Ldv_fixtures.ptu)) ];
+      ("ptu", Package.build (Lazy.force Ldv_fixtures.ptu)) ];
   let pkg = Package.build (Lazy.force Ldv_fixtures.included) in
   let ddl = List.assoc "orders" pkg.Package.db_schemas
   and lines = List.assoc "orders" pkg.Package.db_indexes in

@@ -15,7 +15,7 @@ let test_excluded_replay_verifies () =
 
 let test_ptu_replay_verifies () =
   let audit = Lazy.force Ldv_fixtures.ptu in
-  let pkg = Ptu.build audit in
+  let pkg = Package.build audit in
   let result = Replay.execute pkg in
   Alcotest.(check (list string)) "no divergences" [] (Replay.verify ~audit result)
 

@@ -113,7 +113,7 @@ let test_stop_reuses_unchanged_images () =
   in
   Alcotest.(check (list string)) "orders file decodes to the live rows"
     (rows (Server.db server)) (rows restored);
-  let result = Ldv_core.Replay.execute (Ldv_core.Ptu.build audit) in
+  let result = Ldv_core.Replay.execute (Ldv_core.Package.build audit) in
   Alcotest.(check (list string)) "ptu package replays" []
     (Ldv_core.Replay.verify ~audit result)
 
@@ -121,42 +121,49 @@ let test_stop_reuses_unchanged_images () =
    encoding one must not produce a data file's bytes; a PTU package
    ships the files, so it produces the start-time ones. *)
 let test_data_files_produced_on_demand () =
-  let kernel, server, _cfg, binary, program, app_name =
-    Ldv_fixtures.make_setup ()
+  (* audit a fresh copy of the fixture under [packaging]: the data
+     files' start images, the audit, the data file paths, and each
+     file's states *)
+  let audited packaging =
+    let kernel, server, _cfg, binary, program, app_name =
+      Ldv_fixtures.make_setup ()
+    in
+    let catalog = Database.catalog (Server.db server) in
+    let start =
+      List.map
+        (fun name ->
+          ( Server.data_file server name,
+            Server.encode_table_image
+              (Server.table_image (Catalog.find catalog name)) ))
+        (Catalog.table_names catalog)
+    in
+    let audit =
+      Ldv_core.Audit.run ~packaging kernel server ~app_name
+        ~app_binary:binary ~app_libs:Tpch.Workload.app_libs program
+    in
+    let vfs = Minios.Kernel.vfs kernel in
+    (* the file as the server left it, its start state (what a crash
+       restores) and the tracer's first-read snapshot (what PTU ships) *)
+    let states path =
+      let f = Option.get (Minios.Vfs.find_opt vfs path) in
+      [ ("content", f.Minios.Vfs.content);
+        ("synced", Option.get f.Minios.Vfs.synced);
+        ( "snapshot",
+          Option.get
+            (Minios.Tracer.snapshot_content audit.Ldv_core.Audit.tracer vfs
+               path) ) ]
+    in
+    let paths = Minios.Vfs.paths_under vfs (Server.data_dir server) in
+    Alcotest.(check (list string)) "one data file per table"
+      (List.sort String.compare (List.map fst start))
+      paths;
+    (start, audit, paths, states)
   in
-  let catalog = Database.catalog (Server.db server) in
-  let start =
-    List.map
-      (fun name ->
-        ( Server.data_file server name,
-          Server.encode_table_image
-            (Server.table_image (Catalog.find catalog name)) ))
-      (Catalog.table_names catalog)
-  in
-  let audit =
-    Ldv_core.Audit.run ~packaging:Ldv_core.Audit.Included kernel server
-      ~app_name ~app_binary:binary ~app_libs:Tpch.Workload.app_libs program
-  in
-  let vfs = Minios.Kernel.vfs kernel in
   let produced = function
     | Minios.Vfs.Deferred { bytes; _ } -> Lazy.is_val bytes
     | Minios.Vfs.Data _ | Minios.Vfs.Opaque _ -> true
   in
-  (* the file as the server left it, its start state (what a crash
-     restores) and the tracer's first-read snapshot (what PTU ships) *)
-  let states path =
-    let f = Option.get (Minios.Vfs.find_opt vfs path) in
-    [ ("content", f.Minios.Vfs.content);
-      ("synced", Option.get f.Minios.Vfs.synced);
-      ( "snapshot",
-        Option.get
-          (Minios.Tracer.snapshot_content audit.Ldv_core.Audit.tracer vfs path)
-      ) ]
-  in
-  let paths = Minios.Vfs.paths_under vfs (Server.data_dir server) in
-  Alcotest.(check (list string)) "one data file per table"
-    (List.sort String.compare (List.map fst start))
-    paths;
+  let _, audit, paths, states = audited Ldv_core.Audit.Included in
   ignore (Ldv_core.Package.to_bytes (Ldv_core.Package.build audit));
   List.iter
     (fun path ->
@@ -167,7 +174,8 @@ let test_data_files_produced_on_demand () =
             false (produced content))
         (states path))
     paths;
-  let ptu = Ldv_core.Ptu.build audit in
+  let start, audit, _, states = audited Ldv_core.Audit.Ptu_baseline in
+  let ptu = Ldv_core.Package.build audit in
   ignore (Ldv_core.Package.to_bytes ptu);
   List.iter
     (fun (path, bytes) ->
