@@ -132,6 +132,14 @@ let positive_float =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let sf_arg =
   let doc = "TPC-H scale factor relative to the paper's SF=1 instance." in
   Arg.(value & opt positive_float 0.002 & info [ "sf" ] ~docv:"SF" ~doc)
@@ -178,10 +186,11 @@ let audit_cmd =
     let doc =
       "Concurrent sessions. With more than one the audit runs the \
        multi-session notes workload under the cooperative scheduler \
-       (server-included packaging; the TPC-H flags are ignored), which is \
-       the workload $(b,ldv timeline) and $(b,ldv contention) analyze."
+       (server-included packaging only; the TPC-H workload flags are \
+       ignored), which is the workload $(b,ldv timeline) and \
+       $(b,ldv contention) analyze."
     in
-    Arg.(value & opt int 1 & info [ "sessions" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 1 & info [ "sessions" ] ~docv:"N" ~doc)
   in
   let sched_seed_arg =
     let doc = "Scheduler seed for the concurrent (--sessions > 1) audit." in
@@ -196,8 +205,18 @@ let audit_cmd =
     in
     Arg.(value & opt int 0 & info [ "replicas" ] ~docv:"N" ~doc)
   in
+  (* flags the chosen workload would otherwise silently ignore *)
+  let check_flags ~mode ~sessions ~replicas =
+    if replicas < 0 then Error "--replicas must not be negative"
+    else if replicas > 0 && sessions = 1 then
+      Error "--replicas needs a concurrent audit (--sessions 2 or more)"
+    else if sessions > 1 && mode <> Audit.Included then
+      Error "a concurrent audit (--sessions 2 or more) needs --mode included"
+    else Ok ()
+  in
   let run obs sf vid mode (n_insert, n_select, n_update) sessions seed
       replicas out =
+    Result.bind (check_flags ~mode ~sessions ~replicas) @@ fun () ->
     with_obs obs @@ fun () ->
     let audit, meta =
       if sessions > 1 then
@@ -225,12 +244,14 @@ let audit_cmd =
       (List.length pkg.Package.db_subset)
       (List.length pkg.Package.recording);
     let stats = Prov.Query.stats audit.Audit.trace in
-    Format.printf "execution trace: %a@." Prov.Query.pp_stats stats
+    Format.printf "execution trace: %a@." Prov.Query.pp_stats stats;
+    Ok ()
   in
   let term =
     Term.(
-      const run $ obs_arg $ sf_arg $ query_arg $ mode_arg $ counts_args
-      $ sessions_arg $ sched_seed_arg $ replicas_arg $ out_arg)
+      term_result' ~usage:true
+        (const run $ obs_arg $ sf_arg $ query_arg $ mode_arg $ counts_args
+        $ sessions_arg $ sched_seed_arg $ replicas_arg $ out_arg))
   in
   Cmd.v
     (Cmd.info "audit"
@@ -645,14 +666,6 @@ let obs_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
-
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let check_cmd =
   let campaigns_arg default =
