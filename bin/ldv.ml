@@ -796,33 +796,47 @@ let sql_cmd =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"SQL" ~doc)
   in
   let run obs script =
-    with_obs obs @@ fun () ->
-    let script =
-      match script with
-      | Some s -> s
-      | None -> In_channel.input_all In_channel.stdin
-    in
-    let db = Minidb.Database.create ~name:"sql" () in
-    List.iter
-      (fun stmt ->
-        match Minidb.Database.exec_ast db stmt with
-        | Minidb.Database.Rows r ->
-          Printf.printf "%s\n"
-            (String.concat " | "
-               (List.map
-                  (fun c -> c.Minidb.Schema.name)
-                  (Array.to_list r.Minidb.Executor.schema)));
-          List.iter
-            (fun (row : Minidb.Executor.arow) ->
+    let failure =
+      with_obs obs @@ fun () ->
+      let script =
+        match script with
+        | Some s -> s
+        | None -> In_channel.input_all In_channel.stdin
+      in
+      let db = Minidb.Database.create ~name:"sql" () in
+      match
+        List.iter
+          (fun stmt ->
+            match Minidb.Database.exec_ast db stmt with
+            | Minidb.Database.Rows r ->
               Printf.printf "%s\n"
                 (String.concat " | "
-                   (List.map Minidb.Value.to_string
-                      (Array.to_list row.Minidb.Executor.values))))
-            r.Minidb.Executor.rows
-        | Minidb.Database.Affected info ->
-          Printf.printf "affected %d\n" info.Minidb.Database.count
-        | Minidb.Database.Ddl_done -> Printf.printf "ok\n")
-      (Minidb.Sql_parser.parse_script script)
+                   (List.map
+                      (fun c -> c.Minidb.Schema.name)
+                      (Array.to_list r.Minidb.Executor.schema)));
+              List.iter
+                (fun (row : Minidb.Executor.arow) ->
+                  Printf.printf "%s\n"
+                    (String.concat " | "
+                       (List.map Minidb.Value.to_string
+                          (Array.to_list row.Minidb.Executor.values))))
+                r.Minidb.Executor.rows
+            | Minidb.Database.Affected info ->
+              Printf.printf "affected %d\n" info.Minidb.Database.count
+            | Minidb.Database.Ddl_done -> Printf.printf "ok\n")
+          (Minidb.Sql_parser.parse_script script)
+      with
+      | () -> None
+      | exception Minidb.Errors.Db_error kind -> Some kind
+    in
+    (* a typed SQL error is the script's, not an internal one: report it
+       after the output of the statements that ran before it *)
+    Option.iter
+      (fun kind ->
+        flush stdout;
+        Printf.eprintf "ldv: %s\n%!" (Minidb.Errors.to_string kind);
+        exit 1)
+      failure
   in
   let term = Term.(const run $ obs_arg $ script_arg) in
   Cmd.v

@@ -80,6 +80,11 @@ for args in "--replicas 2" "--sessions 2 --mode excluded" \
     "--sessions 2 --mode ptu" "--sessions=0" "--sessions 2 --replicas=-1"; do
   expect 124 dune exec bin/ldv.exe -- audit $args -o "$tmpdir/flags.ldv"
 done
+# a SQL error is the script's, not an internal error: `ldv sql` prints it
+# and exits 1
+for sql in "SELEC x" "SELECT x FROM nope" "SELECT 4611686018427387904"; do
+  expect 1 dune exec bin/ldv.exe -- sql "$sql"
+done
 # the bench harness prints its usage line and exits 2 on a malformed or
 # non-positive --sf, as on an unknown command (also under --quick)
 for sf in abc 0; do
