@@ -152,100 +152,85 @@ type run_result = {
   query_fingerprints : (int * string) list;
 }
 
-(** Re-execute a concurrent package: re-create one session per recorded
-    client and run them under the recorded scheduler seed. The schedule,
-    and with it every interleaving-dependent observation, is reproduced
-    exactly: statement order, snapshot pins relative to concurrent
-    commits, and the merged fingerprint stream. *)
-let run_scheduled (p : prepared) ~seed ~(clients : (string * string) list) :
-    run_result =
-  let tracer = Minios.Tracer.create () in
-  Minios.Tracer.attach tracer p.kernel;
-  let sessions =
-    p.session
-    :: List.mapi
-         (fun i _ -> I.create_sibling p.session ~session_id:(i + 1))
-         (List.tl clients)
-  in
-  let sched_clients =
-    List.map2
-      (fun (name, binary) sess ->
-        let program = Minios.Program.lookup name in
-        Minios.Sched.client ~binary ~name (fun env ->
-            let pid = Minios.Program.pid env in
-            I.bind_for p.kernel ~pid sess;
-            Fun.protect
-              ~finally:(fun () -> I.unbind_for p.kernel ~pid)
-              (fun () -> program env)))
-      clients sessions
-  in
-  let pids =
-    Fun.protect
-      ~finally:(fun () -> Minios.Tracer.detach p.kernel)
-      (fun () ->
-        Ldv_obs.with_span "replay.app" (fun () ->
-            Minios.Sched.run p.kernel ~seed sched_clients))
-  in
-  let out_files =
-    Audit.written_files tracer ~exclude_pids:[] (Minios.Kernel.vfs p.kernel)
-  in
-  { root_pid = (match pids with pid :: _ -> pid | [] -> 0);
-    session = p.session;
-    sessions;
-    kernel = p.kernel;
-    out_files;
-    query_fingerprints = Audit.fingerprints (Audit.merge_logs sessions) }
-
 (** Re-execute the packaged application. The program is looked up in the
     registry under the package's app name unless overridden (partial
-    re-execution / modified inputs use the override). Concurrent packages
-    (unless overridden) re-execute every recorded session under the
-    recorded schedule. *)
+    re-execution / modified inputs use the override). A concurrent
+    package (unless overridden) re-creates one session per recorded
+    client and re-runs them all under the recorded scheduler seed, so the
+    schedule, and with it every interleaving-dependent observation, is
+    reproduced exactly: statement order, snapshot pins relative to
+    concurrent commits, and the merged fingerprint stream. *)
 let run ?(program : Minios.Program.program option) (p : prepared) : run_result =
   Ldv_obs.with_span
     ~attrs:[ ("kind", Package.kind_name p.pkg.Package.kind) ]
     "replay.run"
   @@ fun () ->
-  match (Package.schedule p.pkg, program) with
-  | Some (seed, clients), None -> run_scheduled p ~seed ~clients
-  | _ ->
-    let program =
-      match program with
-      | Some prog -> prog
-      | None -> Minios.Program.lookup p.pkg.Package.app_name
-    in
-    let tracer = Minios.Tracer.create () in
-    Minios.Tracer.attach tracer p.kernel;
-    I.bind p.kernel p.session;
-    let root_pid =
+  (* the launch step: every session it ran, primary first, and the root
+     pid *)
+  let launch () =
+    match (Package.schedule p.pkg, program) with
+    | Some (seed, clients), None ->
+      let sessions =
+        p.session
+        :: List.mapi
+             (fun i _ -> I.create_sibling p.session ~session_id:(i + 1))
+             (List.tl clients)
+      in
+      let sched_clients =
+        List.map2
+          (fun (name, binary) sess ->
+            let program = Minios.Program.lookup name in
+            Minios.Sched.client ~binary ~name (fun env ->
+                let pid = Minios.Program.pid env in
+                I.bind_for p.kernel ~pid sess;
+                Fun.protect
+                  ~finally:(fun () -> I.unbind_for p.kernel ~pid)
+                  (fun () -> program env)))
+          clients sessions
+      in
+      ( sessions,
+        match Minios.Sched.run p.kernel ~seed sched_clients with
+        | pid :: _ -> pid
+        | [] -> 0 )
+    | _ ->
+      let program =
+        match program with
+        | Some prog -> prog
+        | None -> Minios.Program.lookup p.pkg.Package.app_name
+      in
+      I.bind p.kernel p.session;
       Fun.protect
-        ~finally:(fun () ->
-          I.unbind p.kernel;
-          Minios.Tracer.detach p.kernel)
+        ~finally:(fun () -> I.unbind p.kernel)
         (fun () ->
-          Ldv_obs.with_span "replay.app" (fun () ->
-              let pid =
-                Minios.Program.run p.kernel ~binary:p.pkg.Package.app_binary
-                  ~name:p.pkg.Package.app_name program
-              in
-              Ldv_obs.add_attr "prov.proc" (Printf.sprintf "proc:%d" pid);
-              pid))
-    in
-    let out_files =
-      Audit.written_files tracer ~exclude_pids:[] (Minios.Kernel.vfs p.kernel)
-    in
-    if Ldv_obs.enabled () then begin
-      Ldv_obs.add_attr "prov.proc" (Printf.sprintf "proc:%d" root_pid);
-      List.iter
-        (fun (path, _) -> Ldv_obs.add_attr "prov.file" ("file:" ^ path))
-        out_files
-    end;
-    { root_pid;
-      session = p.session;
-      sessions = [ p.session ];
-      kernel = p.kernel;
-      out_files;
-      query_fingerprints = Audit.fingerprints (I.log p.session) }
+          let pid =
+            Minios.Program.run p.kernel ~binary:p.pkg.Package.app_binary
+              ~name:p.pkg.Package.app_name program
+          in
+          Ldv_obs.add_attr "prov.proc" (Printf.sprintf "proc:%d" pid);
+          ([ p.session ], pid))
+  in
+  let tracer = Minios.Tracer.create () in
+  Minios.Tracer.attach tracer p.kernel;
+  let sessions, root_pid =
+    Fun.protect
+      ~finally:(fun () -> Minios.Tracer.detach p.kernel)
+      (fun () -> Ldv_obs.with_span "replay.app" launch)
+  in
+  let out_files =
+    Audit.written_files tracer ~exclude_pids:[] (Minios.Kernel.vfs p.kernel)
+  in
+  if Ldv_obs.enabled () then begin
+    Ldv_obs.add_attr "prov.proc" (Printf.sprintf "proc:%d" root_pid);
+    List.iter
+      (fun (path, _) -> Ldv_obs.add_attr "prov.file" ("file:" ^ path))
+      out_files
+  end;
+  { root_pid;
+    session = p.session;
+    sessions;
+    kernel = p.kernel;
+    out_files;
+    query_fingerprints = Audit.fingerprints (Audit.merge_logs sessions) }
 
 (** Prepare and run in one call. *)
 let execute ?program (pkg : Package.t) : run_result =
