@@ -185,6 +185,22 @@ let register_schedule_clients (clients : (string * string) list) =
         | None -> ()))
     clients
 
+(* A fresh kernel and database holding the [notes] fixture, with the
+   client libraries and the binaries [binary 0 .. sessions - 1] in the
+   VFS. *)
+let deploy ~sessions ~binary =
+  let kernel = Minios.Kernel.create () in
+  let db = Database.create ~name:db_name () in
+  let server = Dbclient.Server.install kernel db in
+  install_fixture server;
+  let vfs = Minios.Kernel.vfs kernel in
+  Minios.Vfs.write_opaque vfs ~path:"/usr/lib/libc.so.6" 2_000_000;
+  Minios.Vfs.write_opaque vfs ~path:"/opt/minidb/lib/libpq.so.5" 300_000;
+  for i = 0 to sessions - 1 do
+    Minios.Vfs.write_opaque vfs ~path:(binary i) 120_000
+  done;
+  (kernel, server)
+
 (** A complete concurrent audited run: fresh kernel and database, the
     [notes] fixture, [sessions] clients of [statements] statements each,
     interleaved under [seed]. With [replicas > 0], a WAL-shipping cluster
@@ -193,10 +209,7 @@ let register_schedule_clients (clients : (string * string) list) =
     answering node is recorded per read. *)
 let audited ?(packaging = Audit.Included) ?(replicas = 0) ?(staleness = 4)
     ~sessions ~statements ~seed () : Audit.t =
-  let kernel = Minios.Kernel.create () in
-  let db = Database.create ~name:db_name () in
-  let server = Dbclient.Server.install kernel db in
-  install_fixture server;
+  let kernel, server = deploy ~sessions ~binary:client_binary in
   let cluster =
     if replicas > 0 then begin
       let proc =
@@ -209,12 +222,6 @@ let audited ?(packaging = Audit.Included) ?(replicas = 0) ?(staleness = 4)
     end
     else None
   in
-  let vfs = Minios.Kernel.vfs kernel in
-  Minios.Vfs.write_opaque vfs ~path:"/usr/lib/libc.so.6" 2_000_000;
-  Minios.Vfs.write_opaque vfs ~path:"/opt/minidb/lib/libpq.so.5" 300_000;
-  for i = 0 to sessions - 1 do
-    Minios.Vfs.write_opaque vfs ~path:(client_binary i) 120_000
-  done;
   Audit.run_concurrent ~packaging ~sched_seed:seed ?cluster kernel server
     (clients ~sessions ~statements)
 
@@ -225,15 +232,6 @@ let audited ?(packaging = Audit.Included) ?(replicas = 0) ?(staleness = 4)
     are not combined (see DESIGN.md). *)
 let audited_tx ?(packaging = Audit.Included) ~sessions ~rounds ~seed () :
     Audit.t =
-  let kernel = Minios.Kernel.create () in
-  let db = Database.create ~name:db_name () in
-  let server = Dbclient.Server.install kernel db in
-  install_fixture server;
-  let vfs = Minios.Kernel.vfs kernel in
-  Minios.Vfs.write_opaque vfs ~path:"/usr/lib/libc.so.6" 2_000_000;
-  Minios.Vfs.write_opaque vfs ~path:"/opt/minidb/lib/libpq.so.5" 300_000;
-  for i = 0 to sessions - 1 do
-    Minios.Vfs.write_opaque vfs ~path:(tx_client_binary i) 120_000
-  done;
+  let kernel, server = deploy ~sessions ~binary:tx_client_binary in
   Audit.run_concurrent ~packaging ~sched_seed:seed kernel server
     (tx_clients ~sessions ~rounds)
