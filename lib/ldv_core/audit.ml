@@ -329,6 +329,49 @@ let written_files (tracer : Minios.Tracer.t) ~(exclude_pids : int list)
          else None)
   |> List.sort_uniq compare
 
+(** Launch step of a single-program run: [program] as the root process,
+    bound to [session]. Returns the run's only session and the root
+    pid. *)
+let launch_program (kernel : Minios.Kernel.t) (session : I.t) ~binary ?libs
+    ~name (program : Minios.Program.program) : I.t list * int =
+  I.bind kernel session;
+  Fun.protect ~finally:(fun () -> I.unbind kernel) @@ fun () ->
+  let pid = Minios.Program.run kernel ~binary ?libs ~name program in
+  Ldv_obs.add_attr "prov.proc" (Printf.sprintf "proc:%d" pid);
+  ([ session ], pid)
+
+(** Launch step of a concurrent run: [clients] under {!Minios.Sched} with
+    [seed], the first on [primary] and each other on a sibling session.
+    Returns every session, primary first, and the first client's pid. *)
+let launch_clients (kernel : Minios.Kernel.t) (primary : I.t) ~seed
+    (clients : client list) : I.t list * int =
+  let sessions =
+    primary
+    :: List.mapi
+         (fun i _ -> I.create_sibling primary ~session_id:(i + 1))
+         (List.tl clients)
+  in
+  let sched_clients =
+    List.map2
+      (fun cl sess ->
+        Minios.Sched.client ~binary:cl.cl_binary ~libs:cl.cl_libs
+          ~name:cl.cl_name (fun env ->
+            let pid = Minios.Program.pid env in
+            (* this program runs on its own scheduler job; stamp the job's
+               trace context so even quanta before the first statement
+               are attributed to the right session *)
+            if Ldv_obs.enabled () then
+              Ldv_obs.Trace.set_session (I.session_id sess);
+            I.bind_for kernel ~pid sess;
+            Fun.protect
+              ~finally:(fun () -> I.unbind_for kernel ~pid)
+              (fun () -> cl.cl_program env)))
+      clients sessions
+  in
+  match Minios.Sched.run kernel ~seed sched_clients with
+  | pid :: _ -> (sessions, pid)
+  | [] -> (sessions, 0)
+
 (* The monitored-run sequence both entry points share: capture the start
    rows, attach the tracer, start the server as a traced process (unless
    it is external, server-excluded), create the primary session, [launch]
@@ -428,17 +471,9 @@ let run ~(packaging : packaging) (kernel : Minios.Kernel.t)
   @@ fun () ->
   monitored ~packaging kernel server ~app_name ~app_binary
     ~launch:(fun session ->
-      I.bind kernel session;
-      Fun.protect
-        ~finally:(fun () -> I.unbind kernel)
-        (fun () ->
-          Ldv_obs.with_span "audit.app" (fun () ->
-              let pid =
-                Minios.Program.run kernel ~binary:app_binary ~libs:app_libs
-                  ~name:app_name program
-              in
-              Ldv_obs.add_attr "prov.proc" (Printf.sprintf "proc:%d" pid);
-              ([ session ], pid))))
+      Ldv_obs.with_span "audit.app" (fun () ->
+          launch_program kernel session ~binary:app_binary ~libs:app_libs
+            ~name:app_name program))
 
 (** Run N client programs concurrently under full LDV monitoring, each
     with its own interceptor session, interleaved by the seeded
@@ -482,32 +517,7 @@ let run_concurrent ~(packaging : packaging) ?(sched_seed = 0)
       }
     ?cluster kernel server ~app_name:first.cl_name ~app_binary:first.cl_binary
     ~launch:(fun primary ->
-      let sessions =
-        primary
-        :: List.mapi
-             (fun i _ -> I.create_sibling primary ~session_id:(i + 1))
-             (List.tl clients)
-      in
-      let sched_clients =
-        List.map2
-          (fun cl sess ->
-            Minios.Sched.client ~binary:cl.cl_binary ~libs:cl.cl_libs
-              ~name:cl.cl_name (fun env ->
-                let pid = Minios.Program.pid env in
-                (* this program runs on its own scheduler job; stamp the
-                   job's trace context so even quanta before the first
-                   statement are attributed to the right session *)
-                if Ldv_obs.enabled () then
-                  Ldv_obs.Trace.set_session (I.session_id sess);
-                I.bind_for kernel ~pid sess;
-                Fun.protect
-                  ~finally:(fun () -> I.unbind_for kernel ~pid)
-                  (fun () -> cl.cl_program env)))
-          clients sessions
-      in
-      match Minios.Sched.run kernel ~seed:sched_seed sched_clients with
-      | root_pid :: _ -> (sessions, root_pid)
-      | [] -> (sessions, 0))
+      launch_clients kernel primary ~seed:sched_seed clients)
 
 (** Convenience: pids belonging to the application (everything traced minus
     the server process). *)

@@ -98,15 +98,30 @@ val written_files :
   Minios.Vfs.t ->
   (string * string) list
 
+(** The launch steps of {!run} and {!run_concurrent}, shared with replay.
+    Each returns every session it ran, primary first, and the root pid.
+    [launch_program] runs one program as the root process on the given
+    session; [launch_clients] runs the clients under {!Minios.Sched} with
+    [seed], the first on the given primary session and each other on a
+    sibling of it. *)
+val launch_program :
+  Minios.Kernel.t ->
+  I.t ->
+  binary:string ->
+  ?libs:string list ->
+  name:string ->
+  Minios.Program.program ->
+  I.t list * int
+
+val launch_clients :
+  Minios.Kernel.t -> I.t -> seed:int -> client list -> I.t list * int
+
 (** Run [program] under full LDV monitoring. The kernel must already hold
     the application's files; the server must be installed around the
-    database the app uses. [run] and {!run_concurrent} share one
+    database the app uses. [Included]/[Ptu_baseline] start and stop the
+    server as a traced process. [run] and {!run_concurrent} share one
     monitored-run sequence and differ only in how they launch the
-    application: capture the start rows, attach the tracer, start the
-    server as a traced process ([Included]/[Ptu_baseline]; an
-    [Excluded] server is external), launch, stop the server and detach,
-    then build the trace (OS-only for [Ptu_baseline]) and collect the
-    outputs and fingerprints. *)
+    application. *)
 val run :
   packaging:packaging ->
   Minios.Kernel.t ->

@@ -165,49 +165,23 @@ let run ?(program : Minios.Program.program option) (p : prepared) : run_result =
     ~attrs:[ ("kind", Package.kind_name p.pkg.Package.kind) ]
     "replay.run"
   @@ fun () ->
-  (* the launch step: every session it ran, primary first, and the root
-     pid *)
   let launch () =
     match (Package.schedule p.pkg, program) with
     | Some (seed, clients), None ->
-      let sessions =
-        p.session
-        :: List.mapi
-             (fun i _ -> I.create_sibling p.session ~session_id:(i + 1))
-             (List.tl clients)
-      in
-      let sched_clients =
-        List.map2
-          (fun (name, binary) sess ->
-            let program = Minios.Program.lookup name in
-            Minios.Sched.client ~binary ~name (fun env ->
-                let pid = Minios.Program.pid env in
-                I.bind_for p.kernel ~pid sess;
-                Fun.protect
-                  ~finally:(fun () -> I.unbind_for p.kernel ~pid)
-                  (fun () -> program env)))
-          clients sessions
-      in
-      ( sessions,
-        match Minios.Sched.run p.kernel ~seed sched_clients with
-        | pid :: _ -> pid
-        | [] -> 0 )
+      Audit.launch_clients p.kernel p.session ~seed
+        (List.map
+           (fun (name, binary) ->
+             { Audit.cl_name = name;
+               cl_binary = binary;
+               cl_libs = [];
+               cl_program = Minios.Program.lookup name })
+           clients)
     | _ ->
-      let program =
-        match program with
+      Audit.launch_program p.kernel p.session
+        ~binary:p.pkg.Package.app_binary ~name:p.pkg.Package.app_name
+        (match program with
         | Some prog -> prog
-        | None -> Minios.Program.lookup p.pkg.Package.app_name
-      in
-      I.bind p.kernel p.session;
-      Fun.protect
-        ~finally:(fun () -> I.unbind p.kernel)
-        (fun () ->
-          let pid =
-            Minios.Program.run p.kernel ~binary:p.pkg.Package.app_binary
-              ~name:p.pkg.Package.app_name program
-          in
-          Ldv_obs.add_attr "prov.proc" (Printf.sprintf "proc:%d" pid);
-          ([ p.session ], pid))
+        | None -> Minios.Program.lookup p.pkg.Package.app_name)
   in
   let tracer = Minios.Tracer.create () in
   Minios.Tracer.attach tracer p.kernel;
