@@ -32,12 +32,15 @@
       stops receiving pushes (preserving apply order) and is repaired
       opportunistically by catch-up on a later write.
 
-    Reads route round-robin across replicas; a replica that is down, mid
-    transaction, or lagging beyond the staleness bound is skipped, and
-    when no replica qualifies the read falls back to the leader
-    ([repl.fallbacks]). A read served by a replica that lags within the
-    bound is stale but never wrong: it is pinned at the replica's applied
-    version, which the control verifier re-checks [AS OF] that version. *)
+    Reads route round-robin across replicas. The replica campaigns' reads
+    ({!read}) skip a replica that is down, mid transaction, or lagging
+    beyond the staleness bound, and when no replica qualifies the read
+    falls back to the leader ([repl.fallbacks]). A read served by a
+    replica that lags within the bound is stale but never wrong: it is
+    pinned at the replica's applied version, which the control verifier
+    re-checks [AS OF] that version. Session reads ({!route_read}) ignore
+    the bound: a replica serves one only if it can answer the pinned
+    snapshot exactly. *)
 
 open Minidb
 
@@ -72,7 +75,8 @@ type t = {
   traces : (int, int) Hashtbl.t;
       (** seq -> originating trace id, so catch-up re-ships frames with
           their original causal identity *)
-  staleness : int;  (** max records of lag a replica may serve reads at *)
+  staleness : int;
+      (** max records of lag a replica may serve {!read}s at *)
   torn : int -> int;  (** unsynced bytes -> surviving torn tail, per crash *)
   ckpt_every : int;
   replicas : replica array;
@@ -103,7 +107,9 @@ let data_dir_of i = Printf.sprintf "/var/minidb/replica%d" i
     files are deferred content over the capture: only a recovery that
     reads one encodes it, once for all replicas.
     [staleness] bounds how many records behind a replica may be while
-    still serving reads; [torn] maps a crashed replica's
+    still serving reads through {!read} (the replica campaigns); reads
+    routed by {!route_read}, as every interceptor session's are, are
+    always exact and ignore it. [torn] maps a crashed replica's
     unsynced WAL byte count to the surviving torn-tail length (campaigns
     pass a seeded draw; the default loses everything unsynced). *)
 let create (kernel : Minios.Kernel.t) ~(leader : Durable.t) ~replicas

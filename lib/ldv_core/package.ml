@@ -297,16 +297,9 @@ let table_rows (t : t) : (string * int) list =
 let tx_outcomes (t : t) : (int * int * Audit.tx_outcome) list =
   tx_outcomes_of_metadata t.metadata
 
-(** Build the package for how the audit was run. Every kind ships the
-    files the traced processes read (CDE-style) and the audit's metadata;
-    they differ in what they leave out and what they add:
-    - server-included: drops the raw DB data files and ships the
-      relevant tuple subset, with the accessed tables' schema and index
-      DDL, and the compact trace;
-    - server-excluded: also drops the server binary and libraries, and
-      ships the recorded responses and the compact trace;
-    - PTU: ships everything, full DB data files included, and the OS
-      provenance graph only. *)
+(** Build the package of the audit's packaging mode. The kinds (see the
+    top of this file) differ only in the files they leave out, the DB
+    content they add and whether their trace holds DB provenance. *)
 let build (audit : Audit.t) : t =
   let kind, packaging =
     match audit.Audit.packaging with
