@@ -168,6 +168,8 @@ let run ?(program : Minios.Program.program option) (p : prepared) : run_result =
   let launch () =
     match (Package.schedule p.pkg, program) with
     | Some (seed, clients), None ->
+      (* the recorded schedule names each client's program and binary,
+         not its libraries *)
       Audit.launch_clients p.kernel p.session ~seed
         (List.map
            (fun (name, binary) ->
