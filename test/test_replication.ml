@@ -124,6 +124,58 @@ let test_resync_wal_ahead_of_checkpoint () =
     (R.replica_applied cluster 0);
   check_converged "resync" cluster
 
+(* A replica checkpoints once it has applied as many records as its
+   last checkpoint (here the base backup) held rows, and never before
+   [ckpt_every]: over a 20-row table the first local checkpoint comes
+   with the 20th apply, not the 8th. *)
+let twenty_row_cluster () =
+  let kernel, leader = Durable.boot () in
+  lexec leader "CREATE TABLE t (k INT, v INT)";
+  lexec leader
+    ("INSERT INTO t VALUES "
+    ^ String.concat ", "
+        (List.init 20 (fun i -> Printf.sprintf "(%d, 0)" (i + 1))));
+  (kernel, R.create kernel ~leader ~replicas:1 ())
+
+let update k = Printf.sprintf "UPDATE t SET v = %d WHERE k = %d" k k
+
+let replica_checkpoint_seq kernel =
+  Server.checkpoint_seq
+    (Minios.Vfs.read (K.vfs kernel) (R.data_dir_of 0 ^ "/checkpoint.img"))
+
+let test_replica_checkpoint_amortized () =
+  let kernel, cluster = twenty_row_cluster () in
+  let base = R.ship_seq cluster in
+  for k = 1 to 19 do
+    exec cluster (update k)
+  done;
+  Alcotest.(check int) "19 applies: still the base backup" base
+    (replica_checkpoint_seq kernel);
+  exec cluster (update 20);
+  Alcotest.(check int) "the 20th apply checkpoints" (base + 20)
+    (replica_checkpoint_seq kernel);
+  (* a crash before the first local checkpoint redoes the replica's WAL
+     over the base backup *)
+  let kernel, cluster = twenty_row_cluster () in
+  let base = R.ship_seq cluster in
+  let plan = F.make ~crash:("repl.apply", 15) ~seed:9 () in
+  F.with_plan plan (fun () ->
+      for k = 1 to 20 do
+        exec cluster (update k)
+      done);
+  Alcotest.(check bool) "replica crashed at apply 15" true
+    (R.replica_state cluster 0 = R.Down);
+  Alcotest.(check int) "14 applies survived" (base + 14)
+    (R.replica_applied cluster 0);
+  Alcotest.(check int) "checkpoint still the base backup" base
+    (replica_checkpoint_seq kernel);
+  R.recover cluster 0;
+  Alcotest.(check bool) "replica back up" true
+    (R.replica_state cluster 0 = R.Up);
+  Alcotest.(check int) "caught up to the ship head" (R.ship_seq cluster)
+    (R.replica_applied cluster 0);
+  check_converged "amortized checkpoints" cluster
+
 (* ---------------- convergence under faults ---------------------- *)
 
 let test_ship_faults_converge () =
@@ -225,6 +277,33 @@ let test_read_router_stale_and_fallback () =
   | _ -> Alcotest.fail "fallback read failed");
   Alcotest.(check bool) "fallback counted" true
     (counter_of (Obs.snapshot ()) "repl.fallbacks" >= 1)
+
+(* A replica that applied a shipped BEGIN is mid-transaction, so the
+   read falls back to the leader, which holds the same transaction open:
+   the fallback must answer outside it, never with an uncommitted
+   value, and leave the transaction as it was. *)
+let test_fallback_read_outside_leader_tx () =
+  let kernel, leader = Durable.boot () in
+  let cluster = R.create kernel ~leader ~replicas:1 () in
+  List.iter (exec cluster)
+    [ "CREATE TABLE t (k INT, v INT)";
+      "INSERT INTO t VALUES (1, 1)";
+      "BEGIN";
+      "UPDATE t SET v = 2 WHERE k = 1" ];
+  let value (s : R.served) =
+    match s.R.sv_resp with
+    | Protocol.Result_set { rows = [ [| Minidb.Value.Int n |] ]; _ } -> n
+    | _ -> Alcotest.fail "point read failed"
+  in
+  let served = R.read cluster "SELECT v FROM t WHERE k = 1" in
+  Alcotest.(check int) "the leader answered" (-1) served.R.sv_node;
+  Alcotest.(check int) "no uncommitted value" 1 (value served);
+  Alcotest.(check bool) "the leader's transaction is still open" true
+    (Minidb.Database.in_transaction (R.leader_db cluster));
+  exec cluster "COMMIT";
+  Alcotest.(check int) "the committed value" 2
+    (value (R.read cluster "SELECT v FROM t WHERE k = 1"));
+  check_converged "fallback read" cluster
 
 (* ---------------- retry telemetry ------------------------------- *)
 
@@ -635,12 +714,16 @@ let suite =
       test_torn_record_mid_batch_grouped;
     Alcotest.test_case "resync: replica WAL ahead of checkpoint" `Quick
       test_resync_wal_ahead_of_checkpoint;
+    Alcotest.test_case "replica checkpoints amortized over its table" `Quick
+      test_replica_checkpoint_amortized;
     Alcotest.test_case "ship faults converge" `Quick
       test_ship_faults_converge;
     Alcotest.test_case "crash+recover byte-identical" `Quick
       test_crash_recover_byte_identical;
     Alcotest.test_case "read router: stale bound and fallback" `Quick
       test_read_router_stale_and_fallback;
+    Alcotest.test_case "fallback read outside the leader's transaction"
+      `Quick test_fallback_read_outside_leader_tx;
     Alcotest.test_case "retry telemetry is site-tagged" `Quick
       test_retry_site_tagged_telemetry;
     Alcotest.test_case "retry backoff cap fails fast" `Quick
