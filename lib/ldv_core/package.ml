@@ -126,8 +126,9 @@ let under prefix path =
 
 (* Collect file entries from the trace: every path opened for reading gets
    its first-read snapshot copied in; write-only paths are recreated
-   empty. A deferred snapshot (a server data file, in a PTU package)
-   becomes plain bytes here, so packages compare structurally. *)
+   empty. A deferred snapshot (a server data file, in a PTU package) or
+   an appended one becomes plain bytes here, so packages compare
+   structurally. *)
 let collect_entries (audit : Audit.t) ~(exclude : string -> bool) :
     entry list =
   let vfs = Minios.Kernel.vfs audit.Audit.kernel in
@@ -139,12 +140,7 @@ let collect_entries (audit : Audit.t) ~(exclude : string -> bool) :
              Minios.Tracer.snapshot_content audit.Audit.tracer vfs path
            with
            | Some content ->
-             let content =
-               match content with
-               | Minios.Vfs.Deferred { bytes; _ } ->
-                 Minios.Vfs.Data (Lazy.force bytes)
-               | Minios.Vfs.Data _ | Minios.Vfs.Opaque _ -> content
-             in
+             let content = Minios.Vfs.materialize content in
              Some
                { e_path = path;
                  e_size = Minios.Vfs.content_size content;

@@ -4,11 +4,21 @@
     File contents are either real bytes ([Data]), size-only placeholders
     ([Opaque]) used to model large binary artifacts — DBMS server binaries,
     shared libraries, VM base images — whose bytes never matter but whose
-    sizes drive the package-size experiments (Figure 9, §IX-F), or bytes
+    sizes drive the package-size experiments (Figure 9, §IX-F), bytes
     produced on demand ([Deferred]): the DB server's data files and
     checkpoint images, whose size and bytes are each computed by the
     first reader that asks for them ({!read}, {!size}, {!content_size},
-    {!content_bytes}, the appends) and then kept.
+    {!content_bytes}, the appends) and then kept, or appended bytes
+    ([Chunks]).
+
+    {b Appends cost the bytes appended.} Appending to a non-empty file
+    conses the new record onto the file's chunk list and adds its
+    length; nothing already in the file is copied. The chunks are
+    concatenated only when something reads the bytes ({!read},
+    {!content_bytes}), once per value, and a later append continues from
+    those flat bytes. Content values are immutable, so whoever holds an
+    older value — the synced state, a tracer's first-read snapshot, a
+    package entry — keeps exactly the bytes it saw.
 
     {b Durability model.} Every file carries two states: [content] (what
     readers see — the page cache) and [synced] (what survives a simulated
@@ -26,6 +36,7 @@ type content =
   | Data of string
   | Opaque of int
   | Deferred of { size : int Lazy.t; bytes : string Lazy.t }
+  | Chunks of { rev : string list; len : int; flat : string Lazy.t }
 
 type file = {
   mutable content : content;
@@ -65,6 +76,7 @@ let content_bytes = function
   | Data s -> Some s
   | Opaque _ -> None
   | Deferred d -> Some (Lazy.force d.bytes)
+  | Chunks c -> Some (Lazy.force c.flat)
 
 (* Once the bytes exist, their length is the size: no second pass. *)
 let content_size = function
@@ -72,17 +84,50 @@ let content_size = function
   | Opaque n -> n
   | Deferred d when Lazy.is_val d.bytes -> String.length (Lazy.force d.bytes)
   | Deferred d -> Lazy.force d.size
+  | Chunks c -> c.len
+
+let materialize c =
+  match (c, content_bytes c) with
+  | Data _, _ | _, None -> c
+  | _, Some s -> Data s
+
+(* Chunks newest first, [len] bytes in all: copied into one string the
+   first time anything reads them. No bytes at all are [Data ""], the
+   empty file an append replaces rather than extends. *)
+let chunks rev len =
+  let flatten () =
+    let b = Bytes.create len in
+    ignore
+      (List.fold_left
+         (fun stop s ->
+           let n = String.length s in
+           Bytes.blit_string s 0 b (stop - n) n;
+           stop - n)
+         len rev);
+    Bytes.unsafe_to_string b
+  in
+  if len = 0 then Data "" else Chunks { rev; len; flat = Lazy.from_fun flatten }
 
 (* [old] followed by [c]. An empty file takes [c] as it is, so deferred
    content written after a truncating open stays deferred; any other
-   append produces both sides' bytes. *)
+   append produces both sides' bytes and conses [c]'s onto [old]'s
+   chunks, continuing from [old]'s flat bytes if something read them. *)
 let concat ~op path old c =
+  let bytes c =
+    match content_bytes c with
+    | Some b -> b
+    | None -> invalid_arg (Printf.sprintf "Vfs.%s: %s is opaque" op path)
+  in
   match old with
   | Data "" -> c
-  | _ -> (
-    match (content_bytes old, content_bytes c) with
-    | Some a, Some b -> Data (a ^ b)
-    | _ -> invalid_arg (Printf.sprintf "Vfs.%s: %s is opaque" op path))
+  | Chunks { rev; len; flat } ->
+    let b = bytes c in
+    let rev = if Lazy.is_val flat then [ Lazy.force flat ] else rev in
+    chunks (b :: rev) (len + String.length b)
+  | Data _ | Opaque _ | Deferred _ ->
+    let a = bytes old in
+    let b = bytes c in
+    chunks [ b; a ] (String.length a + String.length b)
 
 let append t ~path ?(mtime = 0) s =
   let path = normalize path in
@@ -135,42 +180,50 @@ let rename t ~src ~dst =
     Hashtbl.remove t.files src;
     Hashtbl.replace t.files dst f
 
-(** Bytes of [path]'s append-only [Data] content not yet covered by an
-    fsync barrier; other content counts 0. *)
+(* The length of append-only content ([Data] or [Chunks]); [None] for
+   [Opaque] and [Deferred] content. *)
+let appended_len = function
+  | Data s -> Some (String.length s)
+  | Chunks c -> Some c.len
+  | Opaque _ | Deferred _ -> None
+
+(** Bytes of [path]'s append-only [Data] or [Chunks] content not yet
+    covered by an fsync barrier; other content counts 0. *)
 let unsynced_bytes t path =
   match find_opt t path with
   | None -> 0
-  | Some { content = Data d; synced; _ } -> (
-    match synced with
-    | Some (Data b) -> max 0 (String.length d - String.length b)
-    | Some (Opaque _ | Deferred _) -> 0
-    | None -> String.length d)
-  | Some { content = Opaque _ | Deferred _; _ } -> 0
+  | Some f -> (
+    match (appended_len f.content, f.synced) with
+    | None, _ -> 0
+    | Some d, None -> d
+    | Some d, Some s -> (
+      match appended_len s with Some b -> max 0 (d - b) | None -> 0))
 
 (** Simulated power failure: every file reverts to its last-synced state;
     files never synced vanish. [keep] maps a path to a number of bytes of
     its unsynced append-only tail that did reach the platter (a torn
-    write); it only applies to [Data] files whose content grew past the
-    synced prefix. Whatever survives is durable afterwards. *)
+    write); it only applies to [Data] or [Chunks] files whose content
+    grew past the synced prefix. Whatever survives is durable
+    afterwards. *)
 let crash_file ~keep ~doomed path f =
   let kept =
     match List.assoc_opt path keep with Some n -> max 0 n | None -> 0
   in
-  match (f.synced, f.content) with
-  | Some (Data b), Data d when String.length d > String.length b && kept > 0
-    ->
-    let bl = String.length b in
-    let survived = String.sub d 0 (bl + min kept (String.length d - bl)) in
-    f.content <- Data survived;
+  (* the first [durable] bytes plus [kept] more of the visible [d] *)
+  let tear ~durable d =
+    let visible = Option.get (content_bytes f.content) in
+    f.content <- Data (String.sub visible 0 (durable + min kept (d - durable)));
     f.synced <- Some f.content
-  | Some c, _ ->
-    f.content <- c;
-    f.synced <- Some c
-  | None, Data d when kept > 0 ->
-    let survived = String.sub d 0 (min kept (String.length d)) in
-    f.content <- Data survived;
-    f.synced <- Some f.content
-  | None, _ -> doomed := path :: !doomed
+  in
+  match (Option.map appended_len f.synced, appended_len f.content) with
+  | Some (Some b), Some d when d > b && kept > 0 -> tear ~durable:b d
+  | None, Some d when kept > 0 -> tear ~durable:0 d
+  | _ -> (
+    match f.synced with
+    | Some c ->
+      f.content <- c;
+      f.synced <- Some c
+    | None -> doomed := path :: !doomed)
 
 let crash t ?(keep = []) () =
   let doomed = ref [] in

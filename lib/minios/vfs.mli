@@ -3,8 +3,12 @@
     Paths are absolute, [/]-separated strings; directories are implicit.
     File contents are real bytes ([Data]), size-only placeholders
     ([Opaque]) modeling large binary artifacts whose bytes never matter
-    but whose sizes drive the package-size experiments, or bytes produced
-    on demand ([Deferred]).
+    but whose sizes drive the package-size experiments, bytes produced
+    on demand ([Deferred]), or appended bytes ([Chunks]).
+
+    An append costs the bytes appended: it never copies what the file
+    already holds, so a log that is never truncated costs linear, not
+    quadratic, copying.
 
     Durability: each file tracks both its visible [content] (page cache)
     and its last-synced state (platter). The plain write API is
@@ -16,11 +20,18 @@
     and then kept.
     [size] must equal the length of [bytes]; once the bytes exist, the
     size is taken from them. Both must be pure — no syscalls, no effects
-    — so a scheduler can never suspend one half-forced. *)
+    — so a scheduler can never suspend one half-forced.
+
+    [Chunks]: what appends to a non-empty file build — the appended
+    strings newest first ([rev]), their total length ([len]) and their
+    concatenation ([flat]), produced the first time anything reads the
+    bytes. Only the appends build it; other code reads any content
+    through {!content_bytes}, {!content_size} or {!materialize}. *)
 type content =
   | Data of string
   | Opaque of int
   | Deferred of { size : int Lazy.t; bytes : string Lazy.t }
+  | Chunks of { rev : string list; len : int; flat : string Lazy.t }
 
 type file = {
   mutable content : content;
@@ -45,7 +56,7 @@ val write_string : t -> path:string -> ?mtime:int -> string -> unit
 val write_opaque : t -> path:string -> ?mtime:int -> int -> unit
 
 (** Appends to a file, creating it if missing; implicitly durable.
-    Deferred content is produced first.
+    Costs the appended bytes; deferred content is produced first.
     @raise Invalid_argument on opaque files. *)
 val append : t -> path:string -> ?mtime:int -> string -> unit
 
@@ -76,8 +87,8 @@ val fsync : t -> string -> unit
     @raise Not_found when [src] is missing. *)
 val rename : t -> src:string -> dst:string -> unit
 
-(** Bytes of append-only [Data] content not yet covered by an fsync
-    barrier; [Opaque] and [Deferred] content count 0. *)
+(** Bytes of append-only content ([Data] or [Chunks]) not yet covered
+    by an fsync barrier; [Opaque] and [Deferred] content count 0. *)
 val unsynced_bytes : t -> string -> int
 
 (** Simulated power failure: revert every file to its last-synced state;
@@ -103,9 +114,14 @@ val size : t -> string -> int
 
 val content_size : content -> int
 
-(** The bytes of [Data] or [Deferred] content (produced if need be);
-    [None] for [Opaque]. *)
+(** The bytes of [Data], [Deferred] or [Chunks] content (produced if
+    need be); [None] for [Opaque]. *)
 val content_bytes : content -> string option
+
+(** The same content as plain [Data] bytes, produced if need be;
+    [Opaque] content as it is. Materialized values compare
+    structurally. *)
+val materialize : content -> content
 
 val remove : t -> string -> unit
 

@@ -161,7 +161,7 @@ let test_data_files_produced_on_demand () =
   in
   let produced = function
     | Minios.Vfs.Deferred { bytes; _ } -> Lazy.is_val bytes
-    | Minios.Vfs.Data _ | Minios.Vfs.Opaque _ -> true
+    | Minios.Vfs.Data _ | Minios.Vfs.Opaque _ | Minios.Vfs.Chunks _ -> true
   in
   let _, audit, paths, states = audited Ldv_core.Audit.Included in
   ignore (Ldv_core.Package.to_bytes (Ldv_core.Package.build audit));
