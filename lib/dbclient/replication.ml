@@ -1,13 +1,22 @@
 (** WAL-shipping replication: one leader, N read replicas.
 
-    The leader executes every write through its {!Durable} handle, appends
-    the same CRC-framed WAL record to a retained ship log, and pushes the
-    record to each live replica over the (simulated) network. A replica
+    Every leader write becomes one CRC-framed WAL record in a retained
+    ship log, pushed to each live replica over the (simulated) network.
+    {!exec} runs the write through the leader's {!Durable} handle, so it
+    also reaches the leader's own WAL; a session write runs through
+    {!Server.handle} on the leader and is then shipped by {!note_write},
+    so it reaches only the ship log, never the leader's WAL. A replica
     applies records strictly in sequence — out-of-order arrivals are
     stashed until the gap closes — and serves snapshot-pinned reads at its
     applied version with a frozen clock, so serving a read never perturbs
     the tuple-version stamps that must stay byte-identical with the
     leader's.
+
+    A replica checkpoints once it has applied as many records since its
+    last checkpoint (or base backup) as that checkpoint held live rows,
+    and never fewer than [ckpt_every]: a checkpoint costs O(rows), so
+    each applied record costs O(1) amortized, and a crash never redoes
+    more records than the restored image holds rows.
 
     Every ship frame carries the leader's logical clock as observed
     immediately before the shipped statement executed; the replica syncs
@@ -65,6 +74,15 @@ type replica = {
   mutable rep_ckpt_due : int;  (** applies until the next local checkpoint *)
 }
 
+(* Applies until the next checkpoint of a replica whose database [db]
+   was just captured whole (base backup, checkpoint, recovery): the live
+   rows the capture held, and at least [ckpt_every]. *)
+let ckpt_due ~ckpt_every (db : Database.t) =
+  let rows = ref 0 in
+  Catalog.iter (Database.catalog db) (fun table ->
+      rows := !rows + Table.row_count table);
+  max ckpt_every !rows
+
 type t = {
   kernel : Minios.Kernel.t;
   leader : Durable.t;
@@ -79,6 +97,8 @@ type t = {
       (** max records of lag a replica may serve {!read}s at *)
   torn : int -> int;  (** unsynced bytes -> surviving torn tail, per crash *)
   ckpt_every : int;
+      (** fewest applies between two replica checkpoints; a replica
+          whose last checkpoint held more live rows waits that many *)
   replicas : replica array;
   mutable ship_seq : int;  (** last sequence appended to the ship log *)
   mutable rr : int;  (** round-robin read cursor *)
@@ -111,7 +131,11 @@ let data_dir_of i = Printf.sprintf "/var/minidb/replica%d" i
     routed by {!route_read}, as every interceptor session's are, are
     always exact and ignore it. [torn] maps a crashed replica's
     unsynced WAL byte count to the surviving torn-tail length (campaigns
-    pass a seeded draw; the default loses everything unsynced). *)
+    pass a seeded draw; the default loses everything unsynced).
+    A replica checkpoints after [max ckpt_every R] applies, where R is
+    the live row count of its base backup or last checkpoint: over a
+    10k-row table it checkpoints once per 10k applies, over a table
+    smaller than [ckpt_every] rows every [ckpt_every] applies. *)
 let create (kernel : Minios.Kernel.t) ~(leader : Durable.t) ~replicas
     ?(staleness = 4) ?(torn = fun _ -> 0) ?(ckpt_every = 8) () : t =
   if replicas < 0 then invalid_arg "Replication.create: replicas < 0";
@@ -146,7 +170,7 @@ let create (kernel : Minios.Kernel.t) ~(leader : Durable.t) ~replicas
           rep_applied = ship_seq0;
           rep_delayed = None;
           rep_stash = [];
-          rep_ckpt_due = ckpt_every })
+          rep_ckpt_due = ckpt_due ~ckpt_every db })
   in
   let t =
     { kernel;
@@ -207,12 +231,10 @@ let garble (frame : string) ~seq : string =
 
 let maybe_checkpoint (rep : replica) ~ckpt_every =
   rep.rep_ckpt_due <- rep.rep_ckpt_due - 1;
-  if
-    rep.rep_ckpt_due <= 0
-    && not (Database.in_transaction (Server.db (Durable.server rep.rep_durable)))
-  then begin
+  let db = Server.db (Durable.server rep.rep_durable) in
+  if rep.rep_ckpt_due <= 0 && not (Database.in_transaction db) then begin
     Durable.checkpoint rep.rep_durable;
-    rep.rep_ckpt_due <- ckpt_every
+    rep.rep_ckpt_due <- ckpt_due ~ckpt_every db
   end
 
 (** Apply one shipped record at [rep], strictly in sequence: duplicates
@@ -364,7 +386,8 @@ let recover_replica t (rep : replica) : unit =
     rep.rep_durable <- d;
     rep.rep_applied <- stats.Durable.redo_upto;
     rep.rep_state <- Lagging;
-    rep.rep_ckpt_due <- t.ckpt_every;
+    rep.rep_ckpt_due <-
+      ckpt_due ~ckpt_every:t.ckpt_every (Server.db (Durable.server d));
     Ldv_obs.counter "repl.recover";
     match catch_up t rep with
     | () -> ()
