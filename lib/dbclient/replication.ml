@@ -553,13 +553,24 @@ let serve_pinned (server : Server.t) (ast : Sql_ast.statement) : served * int
   in
   ({ sv_resp = resp; sv_node = -1; sv_version = snap }, snap)
 
+(* The leader's fallback answer, outside whatever transaction {!exec}
+   holds open on it: a read must never see uncommitted writes. The
+   ambient transaction is restored afterwards. *)
+let serve_leader t (ast : Sql_ast.statement) : served =
+  let db = leader_db t in
+  let tx = Database.current_tx db in
+  Database.set_current_tx db 0;
+  Fun.protect
+    ~finally:(fun () -> Database.set_current_tx db tx)
+    (fun () -> fst (serve_pinned (Durable.server t.leader) ast))
+
 (** Session-level read for the replica campaigns' workload loop:
     round-robin across replicas, skipping any that is down,
     mid-transaction, or lagging beyond the staleness bound; a replica
     lagging *within* the bound serves (counted as [repl.stale_reads]);
-    with no eligible replica the leader answers ([repl.fallbacks]). All
-    service is clock-frozen and pinned at the serving node's applied
-    version. *)
+    with no eligible replica the leader answers ([repl.fallbacks]),
+    outside any transaction open on it. All service is clock-frozen and
+    pinned at the serving node's applied version. *)
 let read t (sql : string) : served =
   let ast = Database.parse sql in
   let n = Array.length t.replicas in
@@ -581,8 +592,7 @@ let read t (sql : string) : served =
   match picked with
   | None ->
     if n > 0 && Ldv_obs.enabled () then Ldv_obs.counter "repl.fallbacks";
-    let s, _ = serve_pinned (Durable.server t.leader) ast in
-    s
+    serve_leader t ast
   | Some rep ->
     if Ldv_obs.enabled () then begin
       Ldv_obs.counter "repl.reads.replica";
