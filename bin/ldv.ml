@@ -193,8 +193,11 @@ let audit_cmd =
     Arg.(value & opt positive_int 1 & info [ "sessions" ] ~docv:"N" ~doc)
   in
   let sched_seed_arg =
-    let doc = "Scheduler seed for the concurrent (--sessions > 1) audit." in
-    Arg.(value & opt int 42 & info [ "sched-seed" ] ~docv:"SEED" ~doc)
+    let doc =
+      "Scheduler seed for the concurrent (--sessions > 1) audit \
+       (default 42)."
+    in
+    Arg.(value & opt (some int) None & info [ "sched-seed" ] ~docv:"SEED" ~doc)
   in
   let replicas_arg =
     let doc =
@@ -206,20 +209,23 @@ let audit_cmd =
     Arg.(value & opt int 0 & info [ "replicas" ] ~docv:"N" ~doc)
   in
   (* flags the chosen workload would otherwise silently ignore *)
-  let check_flags ~mode ~sessions ~replicas =
+  let check_flags ~mode ~sessions ~seed ~replicas =
     if replicas < 0 then Error "--replicas must not be negative"
     else if replicas > 0 && sessions = 1 then
       Error "--replicas needs a concurrent audit (--sessions 2 or more)"
+    else if seed <> None && sessions = 1 then
+      Error "--sched-seed needs a concurrent audit (--sessions 2 or more)"
     else if sessions > 1 && mode <> Audit.Included then
       Error "a concurrent audit (--sessions 2 or more) needs --mode included"
     else Ok ()
   in
   let run obs sf vid mode (n_insert, n_select, n_update) sessions seed
       replicas out =
-    Result.bind (check_flags ~mode ~sessions ~replicas) @@ fun () ->
+    Result.bind (check_flags ~mode ~sessions ~seed ~replicas) @@ fun () ->
     with_obs obs @@ fun () ->
     let audit, meta =
       if sessions > 1 then
+        let seed = Option.value seed ~default:42 in
         (Concurrent.audited ~replicas ~sessions ~statements:8 ~seed (), [])
       else begin
         let audit, cfg =

@@ -74,9 +74,10 @@ for args in "crash --sessions 0" "tx --sessions 0" "replica --replicas 0" \
 done
 expect 124 dune exec bin/ldv.exe -- audit --sf=0 -o "$tmpdir/sf0.ldv"
 # so are audit flags the chosen workload would silently ignore: replicas
-# without concurrent sessions, a concurrent audit under another package
-# kind, a non-positive session count, a negative replica count
-for args in "--replicas 2" "--sessions 2 --mode excluded" \
+# or a scheduler seed without concurrent sessions, a concurrent audit
+# under another package kind, a non-positive session count, a negative
+# replica count
+for args in "--replicas 2" "--sched-seed 7" "--sessions 2 --mode excluded" \
     "--sessions 2 --mode ptu" "--sessions=0" "--sessions 2 --replicas=-1"; do
   expect 124 dune exec bin/ldv.exe -- audit $args -o "$tmpdir/flags.ldv"
 done
