@@ -793,6 +793,9 @@ let micro () =
   let stale_read =
     Printf.sprintf "SELECT balance FROM acc AS OF %d WHERE id = 7" pin
   in
+  (* one WAL-sized record: a log of 2,000 of them, each made durable, is
+     what a leader's never-truncated ship log grows by *)
+  let log_record = String.make 100 'r' in
   let tests =
     [ Test.make ~name:"sql-parse(Q2)"
         (Staged.stage (fun () -> Minidb.Sql_parser.parse q2.Tpch.Queries.sql));
@@ -846,6 +849,13 @@ let micro () =
              Dbclient.Server.stop_traced server_kernel server));
       Test.make ~name:"durable/checkpoint(10k rows)"
         (Staged.stage (fun () -> Dbclient.Durable.checkpoint accounts));
+      Test.make ~name:"vfs/append-log(2k x 100 B)"
+        (Staged.stage (fun () ->
+             let vfs = Minios.Vfs.create () in
+             for _ = 1 to 2_000 do
+               Minios.Vfs.append_buffered vfs ~path:"/log" log_record;
+               Minios.Vfs.fsync vfs "/log"
+             done));
       Test.make ~name:"exec/asof-point-read(10k, stale)"
         (Staged.stage (fun () -> Minidb.Database.query reads_db stale_read));
       Test.make ~name:"exec/between-count(10k, hash)"
