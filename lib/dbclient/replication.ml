@@ -541,28 +541,24 @@ type served = {
 }
 
 (* Serve [ast] on [server]'s database pinned AS OF its current clock,
-   clock-frozen: replicas (and the leader, in degraded fallback) answer
-   reads without perturbing their version stamps. *)
+   clock-frozen, and outside the ambient transaction, restored
+   afterwards: replicas (and the leader, in degraded fallback) answer
+   reads without perturbing their version stamps, and never with the
+   uncommitted writes of a transaction {!exec} holds open. *)
 let serve_pinned (server : Server.t) (ast : Sql_ast.statement) : served * int
     =
   let db = Server.db server in
   let snap = Database.clock db in
   let pinned = Snapshot_pin.pin_statement snap ast in
-  let resp =
-    Database.with_frozen_clock db (fun () -> Server.exec_ast server pinned)
-  in
-  ({ sv_resp = resp; sv_node = -1; sv_version = snap }, snap)
-
-(* The leader's fallback answer, outside whatever transaction {!exec}
-   holds open on it: a read must never see uncommitted writes. The
-   ambient transaction is restored afterwards. *)
-let serve_leader t (ast : Sql_ast.statement) : served =
-  let db = leader_db t in
   let tx = Database.current_tx db in
   Database.set_current_tx db 0;
-  Fun.protect
-    ~finally:(fun () -> Database.set_current_tx db tx)
-    (fun () -> fst (serve_pinned (Durable.server t.leader) ast))
+  let resp =
+    Fun.protect
+      ~finally:(fun () -> Database.set_current_tx db tx)
+      (fun () ->
+        Database.with_frozen_clock db (fun () -> Server.exec_ast server pinned))
+  in
+  ({ sv_resp = resp; sv_node = -1; sv_version = snap }, snap)
 
 (** Session-level read for the replica campaigns' workload loop:
     round-robin across replicas, skipping any that is down,
@@ -592,7 +588,8 @@ let read t (sql : string) : served =
   match picked with
   | None ->
     if n > 0 && Ldv_obs.enabled () then Ldv_obs.counter "repl.fallbacks";
-    serve_leader t ast
+    let s, _ = serve_pinned (Durable.server t.leader) ast in
+    s
   | Some rep ->
     if Ldv_obs.enabled () then begin
       Ldv_obs.counter "repl.reads.replica";
