@@ -86,10 +86,10 @@ let content_size = function
   | Deferred d -> Lazy.force d.size
   | Chunks c -> c.len
 
-let materialize c =
-  match (c, content_bytes c) with
-  | Data _, _ | _, None -> c
-  | _, Some s -> Data s
+let materialize = function
+  | (Data _ | Opaque _) as c -> c
+  | Deferred d -> Data (Lazy.force d.bytes)
+  | Chunks c -> Data (Lazy.force c.flat)
 
 (* Chunks newest first, [len] bytes in all: copied into one string the
    first time anything reads them. No bytes at all are [Data ""], the
@@ -108,25 +108,25 @@ let chunks rev len =
   in
   if len = 0 then Data "" else Chunks { rev; len; flat = Lazy.from_fun flatten }
 
+let appendable_bytes ~op path c =
+  match content_bytes c with
+  | Some b -> b
+  | None -> invalid_arg (Printf.sprintf "Vfs.%s: %s is opaque" op path)
+
 (* [old] followed by [c]. An empty file takes [c] as it is, so deferred
    content written after a truncating open stays deferred; any other
    append produces both sides' bytes and conses [c]'s onto [old]'s
    chunks, continuing from [old]'s flat bytes if something read them. *)
 let concat ~op path old c =
-  let bytes c =
-    match content_bytes c with
-    | Some b -> b
-    | None -> invalid_arg (Printf.sprintf "Vfs.%s: %s is opaque" op path)
-  in
   match old with
   | Data "" -> c
   | Chunks { rev; len; flat } ->
-    let b = bytes c in
+    let b = appendable_bytes ~op path c in
     let rev = if Lazy.is_val flat then [ Lazy.force flat ] else rev in
     chunks (b :: rev) (len + String.length b)
   | Data _ | Opaque _ | Deferred _ ->
-    let a = bytes old in
-    let b = bytes c in
+    let a = appendable_bytes ~op path old in
+    let b = appendable_bytes ~op path c in
     chunks [ b; a ] (String.length a + String.length b)
 
 let append t ~path ?(mtime = 0) s =
