@@ -190,10 +190,10 @@ let arb_ops =
 
 (* Run [ops] against both the VFS and the model. After every step each
    path must agree on [exists], [size], [unsynced_bytes] and, unless its
-   visible value is an unforced deferred content, [read]; and every
-   deferred content must have produced its bytes exactly when the model
-   says it has (an explicit read, or an append onto it or of it into a
-   non-empty file). *)
+   visible value is a deferred content (only a [Read] step reads one),
+   [read]; and every deferred content must have produced its bytes
+   exactly when the model says it has (a [Read], or an append onto it or
+   of it into a non-empty file). *)
 let run_model ops =
   let v = Vfs.create () in
   let files : (string, mfile) Hashtbl.t = Hashtbl.create 8 in
