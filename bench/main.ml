@@ -874,24 +874,29 @@ let micro () =
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
+  (* minor words per run beside the time: an allocation count does not
+     move with machine speed or code layout, so a saving shows in one run *)
+  let instances =
+    Toolkit.Instance.[ monotonic_clock; minor_allocated ]
+  in
   let rows =
     List.concat_map
       (fun test ->
         List.map
           (fun elt ->
             let m = Benchmark.run cfg instances elt in
-            let est = Analyze.one ols Toolkit.Instance.monotonic_clock m in
-            let ns =
-              match Analyze.OLS.estimates est with
+            let per_run instance =
+              match Analyze.OLS.estimates (Analyze.one ols instance m) with
               | Some (v :: _) -> v
               | _ -> nan
             in
-            [ Test.Elt.name elt; Report.seconds (ns /. 1e9) ])
+            [ Test.Elt.name elt;
+              Report.seconds (per_run Toolkit.Instance.monotonic_clock /. 1e9);
+              Printf.sprintf "%.0f" (per_run Toolkit.Instance.minor_allocated) ])
           (Test.elements test))
       tests
   in
-  Report.print_table ~header:[ "benchmark"; "time/run" ] rows
+  Report.print_table ~header:[ "benchmark"; "time/run"; "minor words/run" ] rows
 
 (* ------------------------------------------------------------------ *)
 (* Storage: ordered/hash index lookups vs full scans at growing table

@@ -284,19 +284,14 @@ let access_path (tbl : Table.t) (where : Sql_ast.expr option) : Planner.node =
     (Planner.apply_index scan
        (Option.fold ~none:[] ~some:Sql_ast.conjuncts where))
 
-(* The pre-state an UPDATE/DELETE modifies: the access path's rows, read
-   by the executor's scan leaf under the ambient MVCC context (a
+(* The pre-state an UPDATE/DELETE modifies: the access path's rows that
+   satisfy the whole predicate, read by the executor's filtered scan leaf
+   (the one a SELECT's filter runs in) under the ambient MVCC context (a
    transaction sees its begin snapshot plus its own writes, an autocommit
-   statement the committed present), filtered by the whole predicate. *)
+   statement the committed present). *)
 let affected_rows tbl where bound_where : Table.tuple_version list =
-  let rows = Executor.scan_leaf (access_path tbl where) Fun.id in
-  match bound_where with
-  | None -> Array.to_list rows
-  | Some p ->
-    Array.fold_right
-      (fun (tv : Table.tuple_version) acc ->
-        if Eval_expr.eval_pred tv.Table.values p then tv :: acc else acc)
-      rows []
+  Array.to_list
+    (Executor.scan_leaf ?pred:bound_where (access_path tbl where) Fun.id)
 
 (* First-updater-wins, abort immediately (NOWAIT): a DML may write a row
    only if the version it read is still the row's live version. Anything

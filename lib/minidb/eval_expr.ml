@@ -85,30 +85,35 @@ let rec bind (schema : Schema.t) (e : expr) : bound =
     Errors.unsupported
       "subquery not resolved before binding (subqueries must be uncorrelated)"
 
-(** SQL LIKE pattern matching: [%] matches any sequence, [_] any single
-    character. *)
-let like_match ~pattern (s : string) =
-  let np = String.length pattern and ns = String.length s in
-  (* memoized on (pi, si) via an explicit matrix *)
-  let memo = Array.make_matrix (np + 1) (ns + 1) None in
-  let rec go pi si =
-    match memo.(pi).(si) with
-    | Some r -> r
-    | None ->
-      let r =
-        if pi = np then si = ns
-        else
-          match pattern.[pi] with
-          | '%' -> go (pi + 1) si || (si < ns && go pi (si + 1))
-          | '_' -> si < ns && go (pi + 1) (si + 1)
-          | c -> si < ns && s.[si] = c && go (pi + 1) (si + 1)
-      in
-      memo.(pi).(si) <- Some r;
-      r
-  in
-  go 0 0
+(* Two pointers over [pattern] and [s]. [star] is the index of the last
+   [%] passed (-1 before any) and [mark] the position in [s] it absorbs
+   up to; on a mismatch the match resumes just past that [%], which
+   absorbs one more character. Revisiting only the last [%] is enough:
+   whatever an earlier one absorbed, the later one can absorb instead. *)
+let rec like_from pattern s pi si star mark =
+  if si < String.length s then
+    if pi < String.length pattern && pattern.[pi] = '%' then
+      like_from pattern s (pi + 1) si pi si
+    else if
+      pi < String.length pattern && (pattern.[pi] = '_' || pattern.[pi] = s.[si])
+    then like_from pattern s (pi + 1) (si + 1) star mark
+    else if star >= 0 then like_from pattern s (star + 1) (mark + 1) star (mark + 1)
+    else false
+  else like_rest pattern pi
 
-(* Three-valued logic connectives over Value.t (Bool or Null). *)
+(* [s] is consumed: only [%]s may remain of the pattern. *)
+and like_rest pattern pi =
+  pi = String.length pattern || (pattern.[pi] = '%' && like_rest pattern (pi + 1))
+
+(** SQL LIKE pattern matching: [%] matches any sequence, [_] any single
+    character. It runs in O(|pattern| * |s|) time and allocates nothing. *)
+let like_match ~pattern (s : string) = like_from pattern s 0 0 (-1) 0
+
+(* Three-valued logic over Value.t (Bool or Null). Every boolean result
+   is one of the two statically allocated constants [Value.Bool true] and
+   [Value.Bool false], so evaluating a predicate allocates nothing. *)
+let of_bool b = if b then Value.Bool true else Value.Bool false
+
 let tv_and a b =
   match (a, b) with
   | Value.Bool false, _ | _, Value.Bool false -> Value.Bool false
@@ -122,69 +127,55 @@ let tv_or a b =
   | _ -> Value.Null
 
 let tv_not = function
-  | Value.Bool b -> Value.Bool (not b)
+  | Value.Bool b -> of_bool (not b)
   | _ -> Value.Null
 
 let as_bool name = function
   | Value.Bool _ | Value.Null as v -> v
   | _ -> Errors.type_error "%s expects a boolean operand" name
 
-let cmp_result op c =
-  Value.Bool
-    (match op with
-    | Eq -> c = 0
-    | Neq -> c <> 0
-    | Lt -> c < 0
-    | Le -> c <= 0
-    | Gt -> c > 0
-    | Ge -> c >= 0)
+(* [a op b]: NULL when either side is NULL. *)
+let compare_op op a b =
+  if Value.is_null a || Value.is_null b then Value.Null
+  else
+    let c = Value.compare_non_null a b in
+    of_bool
+      (match op with
+      | Eq -> c = 0
+      | Neq -> c <> 0
+      | Lt -> c < 0
+      | Le -> c <= 0
+      | Gt -> c > 0
+      | Ge -> c >= 0)
+
+let like v pattern =
+  match v with
+  | Value.Str s -> of_bool (like_match ~pattern s)
+  | Value.Null -> Value.Null
+  | _ -> Errors.type_error "LIKE expects a string operand"
 
 (** Evaluate a bound expression against a row. *)
 let rec eval (row : Value.t array) (e : bound) : Value.t =
   match e with
   | Bconst v -> v
   | Bcol i -> row.(i)
-  | Bcmp (op, a, b) -> (
-    match Value.compare_sql (eval row a) (eval row b) with
-    | None -> Value.Null
-    | Some c -> cmp_result op c)
+  | Bcmp (op, a, b) ->
+    let vb = eval row b in
+    compare_op op (eval row a) vb
   | Band (a, b) -> tv_and (as_bool "AND" (eval row a)) (as_bool "AND" (eval row b))
   | Bor (a, b) -> tv_or (as_bool "OR" (eval row a)) (as_bool "OR" (eval row b))
   | Bnot a -> tv_not (as_bool "NOT" (eval row a))
-  | Bis_null a -> Value.Bool (Value.is_null (eval row a))
-  | Bis_not_null a -> Value.Bool (not (Value.is_null (eval row a)))
+  | Bis_null a -> of_bool (Value.is_null (eval row a))
+  | Bis_not_null a -> of_bool (not (Value.is_null (eval row a)))
   | Bbetween (a, lo, hi) ->
     let v = eval row a in
-    let c1 =
-      match Value.compare_sql (eval row lo) v with
-      | None -> Value.Null
-      | Some c -> Value.Bool (c <= 0)
-    in
-    let c2 =
-      match Value.compare_sql v (eval row hi) with
-      | None -> Value.Null
-      | Some c -> Value.Bool (c <= 0)
-    in
-    tv_and c1 c2
-  | Blike (a, pat) -> (
-    match eval row a with
-    | Value.Str s -> Value.Bool (like_match ~pattern:pat s)
-    | Value.Null -> Value.Null
-    | _ -> Errors.type_error "LIKE expects a string operand")
-  | Bnot_like (a, pat) -> tv_not (eval row (Blike (a, pat)))
+    let c1 = compare_op Le (eval row lo) v in
+    tv_and c1 (compare_op Le v (eval row hi))
+  | Blike (a, pat) -> like (eval row a) pat
+  | Bnot_like (a, pat) -> tv_not (like (eval row a) pat)
   | Bin_list (a, es) ->
     let v = eval row a in
-    if Value.is_null v then Value.Null
-    else
-      let rec go saw_null = function
-        | [] -> if saw_null then Value.Null else Value.Bool false
-        | e :: rest -> (
-          match Value.equal_sql v (eval row e) with
-          | Some true -> Value.Bool true
-          | Some false -> go saw_null rest
-          | None -> go true rest)
-      in
-      go false es
+    if Value.is_null v then Value.Null else in_list row v false es
   | Barith (op, a, b) ->
     let va = eval row a and vb = eval row b in
     (match op with
@@ -194,18 +185,27 @@ let rec eval (row : Value.t array) (e : bound) : Value.t =
     | Div -> Value.div va vb)
   | Bneg a -> Value.neg (eval row a)
   | Bconcat (a, b) -> Value.concat (eval row a) (eval row b)
-  | Bcase (branches, default) ->
-    let rec go = function
-      | [] -> (
-        match default with Some d -> eval row d | None -> Value.Null)
-      | (c, v) :: rest -> (
-        match eval row c with
-        | Value.Bool true -> eval row v
-        | Value.Bool false | Value.Null -> go rest
-        | _ -> Errors.type_error "CASE condition must be boolean")
-    in
-    go branches
+  | Bcase (branches, default) -> case row default branches
   | Bfunc (fn, args) -> eval_func row fn args
+
+(* [v IN (es)] for a non-NULL [v]: NULL when no member equals it and
+   some member is NULL. *)
+and in_list row v saw_null = function
+  | [] -> if saw_null then Value.Null else Value.Bool false
+  | e :: rest -> (
+    match eval row e with
+    | Value.Null -> in_list row v true rest
+    | w ->
+      if Value.compare_non_null v w = 0 then Value.Bool true
+      else in_list row v saw_null rest)
+
+and case row default = function
+  | [] -> ( match default with Some d -> eval row d | None -> Value.Null)
+  | (c, v) :: rest -> (
+    match eval row c with
+    | Value.Bool true -> eval row v
+    | Value.Bool false | Value.Null -> case row default rest
+    | _ -> Errors.type_error "CASE condition must be boolean")
 
 and eval_func row fn args =
   let arity n =

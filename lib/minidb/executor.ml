@@ -10,8 +10,7 @@ type arow = { values : Value.t array; ann : Annotation.t }
 
 type result = { schema : Schema.t; rows : arow list }
 
-(* Hashtable keyed by a list of values, used by hash join, group-by and
-   distinct. *)
+(* Hashtable keyed by a list of values, used by group-by and distinct. *)
 module Row_key = struct
   type t = Value.t list
 
@@ -21,7 +20,15 @@ end
 
 module Row_tbl = Hashtbl.Make (Row_key)
 
-let eval_keys row keys = List.map (Eval_expr.eval row) keys
+(* Hashtable keyed by one value: a hash join's build side. The planner
+   pairs join keys of one column type, where [Value.equal] is SQL [=] on
+   non-NULL values. *)
+module Value_tbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Hashtbl.hash
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate computation.                                              *)
@@ -151,13 +158,24 @@ let in_bounds ~lo ~hi (v : Value.t) =
 (** The access-path leaf shared by SELECT and UPDATE/DELETE: the tuple
     versions a [Scan], [Index_scan] or [Range_scan] node reads under the
     ambient MVCC context ({!Tx_context}), in ascending-rid order, each
-    passed through [f] in the same pass.
+    passed through [f] in the same pass. With [pred], a SELECT's filter
+    over the access path or an UPDATE/DELETE's WHERE, only the versions
+    whose values satisfy it reach [f]: a version it rejects costs no row.
     @raise Invalid_argument on any other node. *)
-let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
+let scan_leaf ?pred (n : Planner.node) (f : Table.tuple_version -> 'a) :
+    'a array =
+  let holds (tv : Table.tuple_version) =
+    match pred with
+    | None -> true
+    | Some p -> Eval_expr.eval_pred tv.Table.values p
+  in
   (* Map the whole list before building the array: filling the array row
      by row instead made ldvbench's cluster-mix reads and writes 25%
      slower on a 2-core x86-64 VM. *)
   let map_list tvs = Array.of_list (List.map f tvs) in
+  let map_holding tvs =
+    map_list (if Option.is_none pred then tvs else List.filter holds tvs)
+  in
   (* An index probe: its candidate rids (thunked, since the fallback
      needs none), resolved under the ambient snapshot in ascending-rid
      order and re-checked with [keep]. With no transaction open, or AS
@@ -175,7 +193,9 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
       map_list
         (List.filter_map
            (fun rid ->
-             match find rid with Some tv when keep tv -> Some tv | _ -> None)
+             match find rid with
+             | Some tv when keep tv && holds tv -> Some tv
+             | _ -> None)
            rids)
     in
     let visible ~at rids =
@@ -189,30 +209,37 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
     | Some at when not (Table.frozen_at table ~at) -> (
       match Table.retired_since table ~at with
       | Some retired -> visible ~at (candidates () @ retired)
-      | None -> scan_filter table ~at keep f)
+      | None -> scan_filter table ~at (fun tv -> keep tv && holds tv) f)
     | _ -> resolve (fun rid -> Table.find_live table ~rid) (candidates ())
   in
   match n.op with
-  | Planner.Scan { table; as_of = None; _ } ->
+  | Planner.Scan { table; as_of = None; _ } -> (
     count_full_scan table;
     (* while any transaction is open on this database the live table may
        hold uncommitted foreign versions (and lack rows deleted by open
        transactions), so take the history-walking MVCC path *)
     if !Tx_context.active then
-      map_list
+      map_holding
         (Table.scan_visible ~tx:!Tx_context.viewer ~at:!Tx_context.snapshot
            table)
-    else Table.scan_map table f
+    else
+      match pred with
+      | None -> Table.scan_map table f
+      | Some _ ->
+        let out = Vec.create () in
+        Table.iter_live table (fun _ tv -> if holds tv then Vec.push out (f tv));
+        Vec.to_array out)
   | Planner.Scan { table; as_of = Some at; _ } ->
     count_full_scan table;
-    map_list (Table.scan_as_of ~tx:!Tx_context.viewer table ~at)
+    map_holding (Table.scan_as_of ~tx:!Tx_context.viewer table ~at)
   | Planner.Index_scan { table; index; keys = Planner.Key key; as_of; _ } ->
     let value = Eval_expr.eval [||] key in
     if Value.is_null value then [||]
     else
       probe table ~as_of
         (fun () -> Table.index_candidate_rids table index value)
-        ~keep:(fun tv -> tv.Table.values.(index.Table.idx_column) = value)
+        ~keep:(fun tv ->
+          Value.equal tv.Table.values.(index.Table.idx_column) value)
   | Planner.Index_scan
       { table; index; keys = Planner.Int_range (lo, hi); as_of; _ } ->
     probe table ~as_of
@@ -228,10 +255,63 @@ let scan_leaf (n : Planner.node) (f : Table.tuple_version -> 'a) : 'a array =
         in_bounds ~lo ~hi tv.Table.values.(oindex.Table.oidx_column))
   | _ -> invalid_arg "Executor.scan_leaf: not an access path"
 
+(* Whether a row has a NULL among [keys]: SQL equality never joins it. *)
+let rec null_key values = function
+  | [] -> false
+  | k :: keys -> Value.is_null (Eval_expr.eval values k) || null_key values keys
+
+(* A hash join's build side: the rows with no NULL key, bucketed by the
+   value of their first key, each bucket in input order (it is filled
+   back to front). *)
+let build_side (rows : arow array) keys =
+  let first = List.hd keys in
+  let table = Value_tbl.create (Array.length rows + 1) in
+  for i = Array.length rows - 1 downto 0 do
+    let r = rows.(i) in
+    if not (null_key r.values keys) then begin
+      let k = Eval_expr.eval r.values first in
+      let bucket =
+        match Value_tbl.find table k with b -> b | exception Not_found -> []
+      in
+      Value_tbl.replace table k (r :: bucket)
+    end
+  done;
+  table
+
+(* The build rows that join probe row [p], in input order: the bucket of
+   its first key's value, narrowed by the further keys of a multi-column
+   join. A one-column probe allocates nothing. *)
+let lookup table ~build_keys ~probe_keys (p : arow) =
+  if null_key p.values probe_keys then []
+  else
+    match Value_tbl.find table (Eval_expr.eval p.values (List.hd probe_keys)) with
+    | exception Not_found -> []
+    | bucket -> (
+      match (List.tl build_keys, List.tl probe_keys) with
+      | [], _ | _, [] -> bucket
+      | build_rest, probe_rest ->
+        List.filter
+          (fun (b : arow) ->
+            List.for_all2
+              (fun bk pk ->
+                Value.equal (Eval_expr.eval b.values bk)
+                  (Eval_expr.eval p.values pk))
+              build_rest probe_rest)
+          bucket)
+
+let join_row l r =
+  { values = Array.append l.values r.values; ann = Annotation.mul l.ann r.ann }
+
 let rec run_node (n : Planner.node) : arow array =
   match n.op with
   | Planner.Scan _ | Planner.Index_scan _ | Planner.Range_scan _ ->
     scan_leaf n arow_of_tv
+  | Planner.Filter
+      ( pred,
+        _,
+        ({ op = Planner.Scan _ | Planner.Index_scan _ | Planner.Range_scan _; _ }
+         as leaf) ) ->
+    scan_leaf ~pred leaf arow_of_tv
   | Planner.Filter (pred, _, input) ->
     let out = Vec.create () in
     Array.iter
@@ -247,63 +327,33 @@ let rec run_node (n : Planner.node) : arow array =
           ann = r.ann })
       (run_node input)
   | Planner.Hash_join { left; right; left_keys; right_keys; outer; build_left }
-    when build_left ->
-    (* inner join, hashing the (smaller) left input and probing with the
-       right: output is probe-major, but each row is still left|right *)
-    let lrows = run_node left in
-    let index = Row_tbl.create (Array.length lrows + 1) in
-    Array.iter
-      (fun l ->
-        let key = eval_keys l.values left_keys in
-        (* SQL equality: NULL join keys never match *)
-        if not (List.exists Value.is_null key) then Row_tbl.add index key l)
-      lrows;
-    assert (not outer);
+    ->
+    (* Hash the right input and probe with the left, or, when the planner
+       chose to build on the (smaller) left input of an inner join, the
+       other way round: the output is then probe-major, but each row is
+       still left|right. *)
+    assert (not (outer && build_left));
+    let build, build_keys, probe, probe_keys =
+      if build_left then (left, left_keys, right, right_keys)
+      else (right, right_keys, left, left_keys)
+    in
+    let table = build_side (run_node build) build_keys in
+    let null_pad = Array.make (Schema.arity right.Planner.schema) Value.Null in
     let out = Vec.create () in
+    let rec emit p = function
+      | [] -> ()
+      | b :: bs ->
+        Vec.push out (if build_left then join_row b p else join_row p b);
+        emit p bs
+    in
     Array.iter
-      (fun r ->
-        let key = eval_keys r.values right_keys in
-        if not (List.exists Value.is_null key) then
-          List.iter
-            (fun l ->
-              Vec.push out
-                { values = Array.append l.values r.values;
-                  ann = Annotation.mul l.ann r.ann })
-            (List.rev (Row_tbl.find_all index key)))
-      (run_node right);
-    Vec.to_array out
-  | Planner.Hash_join { left; right; left_keys; right_keys; outer; _ } ->
-    let rrows = run_node right in
-    let right_width = Schema.arity right.Planner.schema in
-    let index = Row_tbl.create (Array.length rrows + 1) in
-    Array.iter
-      (fun r ->
-        let key = eval_keys r.values right_keys in
-        (* SQL equality: NULL join keys never match *)
-        if not (List.exists Value.is_null key) then Row_tbl.add index key r)
-      rrows;
-    let null_pad = Array.make right_width Value.Null in
-    let out = Vec.create () in
-    Array.iter
-      (fun l ->
-        let key = eval_keys l.values left_keys in
-        let matches =
-          if List.exists Value.is_null key then []
-          else List.rev (Row_tbl.find_all index key)
-        in
-        match matches with
+      (fun p ->
+        match lookup table ~build_keys ~probe_keys p with
         | [] ->
           if outer then
-            Vec.push out
-              { values = Array.append l.values null_pad; ann = l.ann }
-        | matches ->
-          List.iter
-            (fun r ->
-              Vec.push out
-                { values = Array.append l.values r.values;
-                  ann = Annotation.mul l.ann r.ann })
-            matches)
-      (run_node left);
+            Vec.push out { values = Array.append p.values null_pad; ann = p.ann }
+        | matches -> emit p matches)
+      (run_node probe);
     Vec.to_array out
   | Planner.Nested_loop { left; right; pred; outer } ->
     let rrows = run_node right in

@@ -133,12 +133,16 @@ let resolvable (schema : Schema.t) (e : expr) =
 let has_cols (e : expr) = Sql_ast.fold_cols (fun _ _ _ -> true) false e
 
 (* An equi-join conjunct usable between [left] and [right]: col = col with
-   one side in each schema. Returns (left_col_expr, right_col_expr). *)
+   one side in each schema, both of one type. A hash join matches keys by
+   value, so an INT column equated with a FLOAT one stays a filter, whose
+   [=] compares them numerically. Returns (left_col_expr, right_col_expr). *)
 let equi_join_key (left : Schema.t) (right : Schema.t) = function
   | Cmp (Eq, (Col _ as a), (Col _ as b)) ->
-    if resolvable left a && resolvable right b then Some (a, b)
-    else if resolvable left b && resolvable right a then Some (b, a)
-    else None
+    let keys l r =
+      resolvable left l && resolvable right r
+      && infer_type left l = infer_type right r
+    in
+    if keys a b then Some (a, b) else if keys b a then Some (b, a) else None
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -440,9 +444,18 @@ and apply_index (scan : node) (conjs : expr list) : node * expr list =
       (fun i c ->
         match c with
         | Cmp (Eq, a, b) ->
+          (* a hash probe finds its key by value, so a constant of
+             another type than the column (7.0 against an INT column)
+             stays a filter, whose [=] compares them numerically *)
+          let same_type pos const_e =
+            match const_value const_e with
+            | Some v -> Value.type_of v = Some scan.schema.(pos).Schema.ty
+            | None -> true
+          in
           let try_side col_e const_e =
             match col_pos col_e with
-            | Some pos when not (has_cols const_e) -> (
+            | Some pos when (not (has_cols const_e)) && same_type pos const_e
+              -> (
               match Table.index_on table ~column:pos with
               | Some index ->
                 let cost, node =

@@ -58,19 +58,30 @@ let coerce v ty =
         | Bool b -> string_of_bool b)
         (type_name ty)
 
-(** SQL comparison: [None] when either side is [NULL] or the types are
-    incomparable, [Some c] otherwise with [c] as for [compare]. *)
+(** SQL comparison of two non-NULL values, as for [compare]; integers
+    compare with floats by value. It returns an unboxed [int], so a
+    predicate's comparison allocates nothing.
+    @raise Errors.Db_error [Type_error] when the types are incomparable.
+    @raise Invalid_argument on [NULL]. *)
+let compare_non_null a b =
+  match (a, b) with
+  | Int x, Int y -> Int.compare x y
+  | Float x, Float y -> Float.compare x y
+  | Int x, Float y -> Float.compare (float_of_int x) y
+  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Str x, Str y -> String.compare x y
+  | Bool x, Bool y -> Bool.compare x y
+  | Null, _ | _, Null -> invalid_arg "Value.compare_non_null: NULL"
+  | (Int _ | Float _ | Str _ | Bool _), _ ->
+    Errors.type_error "cannot compare values of different types"
+
+(** SQL comparison: [None] when either side is [NULL], [Some c] otherwise
+    with [c] as for [compare].
+    @raise Errors.Db_error [Type_error] when the types are incomparable. *)
 let compare_sql a b =
   match (a, b) with
   | Null, _ | _, Null -> None
-  | Int x, Int y -> Some (compare x y)
-  | Float x, Float y -> Some (compare x y)
-  | Int x, Float y -> Some (compare (float_of_int x) y)
-  | Float x, Int y -> Some (compare x (float_of_int y))
-  | Str x, Str y -> Some (compare x y)
-  | Bool x, Bool y -> Some (compare x y)
-  | (Int _ | Float _ | Str _ | Bool _), _ ->
-    Errors.type_error "cannot compare values of different types"
+  | a, b -> Some (compare_non_null a b)
 
 let equal_sql a b =
   match compare_sql a b with None -> None | Some c -> Some (c = 0)
@@ -93,10 +104,7 @@ let compare_total a b =
   | Null, Null -> 0
   | Null, _ -> -1
   | _, Null -> 1
-  | a, b -> (
-    match compare_sql a b with
-    | Some c -> c
-    | None -> assert false)
+  | a, b -> compare_non_null a b
 
 let to_float = function
   | Int i -> Some (float_of_int i)

@@ -182,13 +182,22 @@ let naive_select (catalog : Catalog.t) (s : select) : Value.t array list =
 (* --------------------------------------------------------------- *)
 (* Random data and queries.                                         *)
 
+(* A FLOAT literal: a whole number (equal to an INT) or a half. *)
+let float_lit rng =
+  Printf.sprintf "%d.%d" (Tpch.Prng.int rng 6) (if Tpch.Prng.bool rng then 0 else 5)
+
 let random_db rng =
   let db = Database.create () in
   ignore (Database.exec db "CREATE TABLE t1 (a INT, b INT)");
-  ignore (Database.exec db "CREATE TABLE t2 (k INT, v INT)");
+  ignore (Database.exec db "CREATE TABLE t2 (k INT, v INT, w FLOAT)");
   if Tpch.Prng.bool rng then
     ignore (Database.exec db "CREATE INDEX t1_a ON t1 (a)");
-  let lit rng = if Tpch.Prng.int rng 8 = 0 then "NULL" else string_of_int (Tpch.Prng.int rng 6) in
+  (match Tpch.Prng.int rng 3 with
+  | 0 -> ignore (Database.exec db "CREATE INDEX t2_w ON t2 (w)")
+  | 1 -> ignore (Database.exec db "CREATE ORDERED INDEX t2_w ON t2 (w)")
+  | _ -> ());
+  let null_or rng lit = if Tpch.Prng.int rng 8 = 0 then "NULL" else lit rng in
+  let lit rng = null_or rng (fun rng -> string_of_int (Tpch.Prng.int rng 6)) in
   for _ = 1 to 2 + Tpch.Prng.int rng 8 do
     ignore
       (Database.exec db
@@ -197,13 +206,17 @@ let random_db rng =
   for _ = 1 to 1 + Tpch.Prng.int rng 5 do
     ignore
       (Database.exec db
-         (Printf.sprintf "INSERT INTO t2 VALUES (%s, %s)" (lit rng) (lit rng)))
+         (Printf.sprintf "INSERT INTO t2 VALUES (%s, %s, %s)" (lit rng) (lit rng)
+            (null_or rng float_lit)))
   done;
   db
 
 let random_pred rng cols =
   let col () = List.nth cols (Tpch.Prng.int rng (List.length cols)) in
-  let const () = string_of_int (Tpch.Prng.int rng 6) in
+  let const () =
+    if Tpch.Prng.int rng 4 = 0 then float_lit rng
+    else string_of_int (Tpch.Prng.int rng 6)
+  in
   let atom () =
     match Tpch.Prng.int rng 5 with
     | 0 -> Printf.sprintf "%s = %s" (col ()) (const ())
@@ -220,12 +233,28 @@ let random_pred rng cols =
 
 let random_query rng =
   let two_tables = Tpch.Prng.bool rng in
-  let cols = if two_tables then [ "a"; "b"; "k"; "v" ] else [ "a"; "b" ] in
+  let cols = if two_tables then [ "a"; "b"; "k"; "v"; "w" ] else [ "a"; "b" ] in
   let from = if two_tables then "t1, t2" else "t1" in
-  let where =
-    if Tpch.Prng.bool rng then " WHERE " ^ random_pred rng cols else ""
+  let shape = Tpch.Prng.int rng 4 in
+  (* An equi-join conjunct: INT = INT makes a hash join, built on either
+     side by size; INT = FLOAT stays a filter. Not under LIMIT without
+     ORDER BY, which keeps rows in the order of the join, not of the
+     reference's cartesian product. *)
+  let join =
+    if two_tables && shape <> 1 && Tpch.Prng.bool rng then
+      [ List.nth [ "t1.a = t2.k"; "t2.k = t1.b"; "t1.a = t2.w" ]
+          (Tpch.Prng.int rng 3) ]
+    else []
   in
-  match Tpch.Prng.int rng 4 with
+  let pred =
+    if Tpch.Prng.bool rng then [ "(" ^ random_pred rng cols ^ ")" ] else []
+  in
+  let where =
+    match join @ pred with
+    | [] -> ""
+    | conjs -> " WHERE " ^ String.concat " AND " conjs
+  in
+  match shape with
   | 0 ->
     let distinct = if Tpch.Prng.bool rng then "DISTINCT " else "" in
     Printf.sprintf "SELECT %s%s FROM %s%s" distinct

@@ -584,8 +584,12 @@ let prop_storage_model =
    BETWEEN) and an ordered index (ranges) return the rows, rid order and
    Lineage of an unindexed copy. Three copies of one table go through
    the same random history: autocommit and transactional writes
-   (updates of the indexed key among them), COMMIT and ROLLBACK, a
-   version restore, and more retirements than the table has live rows.
+   (updates of the indexed key among them, and updates and deletes whose
+   WHERE adds a residual conjunct on the unindexed column), COMMIT and
+   ROLLBACK, a version restore, and more retirements than the table has
+   live rows. Reads with a residual conjunct run its filter inside each
+   access path: the full scan, the hash-key and hash-range probes and
+   the ordered range.
    Indexes are added through the catalog, which leaves the clock alone,
    so every copy stamps every version identically.                      *)
 
@@ -594,6 +598,8 @@ type hop =
   | H_add of int * int  (* k, delta to v *)
   | H_move of int * int  (* k, new k *)
   | H_delete of int  (* k *)
+  | H_bump of int * int  (* k, v floor: a residual in an UPDATE's WHERE *)
+  | H_trim of int * int  (* k, v ceiling: a residual in a DELETE's WHERE *)
   | H_begin
   | H_commit
   | H_rollback
@@ -605,6 +611,8 @@ let show_hop = function
   | H_add (k, d) -> Printf.sprintf "add(%d,%d)" k d
   | H_move (k, k') -> Printf.sprintf "move(%d->%d)" k k'
   | H_delete k -> Printf.sprintf "delete %d" k
+  | H_bump (k, v) -> Printf.sprintf "bump(%d,v>%d)" k v
+  | H_trim (k, v) -> Printf.sprintf "trim(%d,v<%d)" k v
   | H_begin -> "begin"
   | H_commit -> "commit"
   | H_rollback -> "rollback"
@@ -624,6 +632,8 @@ let hop_gen =
       (4, map2 (fun k d -> H_add (k, d)) key (int_range 1 9));
       (3, map2 (fun k k' -> H_move (k, k')) key key);
       (2, map (fun k -> H_delete k) key);
+      (2, map2 (fun k v -> H_bump (k, v)) key (int_bound 30));
+      (2, map2 (fun k v -> H_trim (k, v)) key (int_bound 30));
       (2, return H_begin);
       (1, return H_commit);
       (1, return H_rollback);
@@ -688,7 +698,8 @@ let same what (outcomes : string list) =
 
 (* Every read shape, each over [t] or [t AS OF s]: hash equality (a key
    no row holds among them), short BETWEEN ranges (an empty one among
-   them) and ordered ranges. *)
+   them) and ordered ranges, some with a residual conjunct on the
+   unindexed [v], and the residual alone (a full scan on every copy). *)
 let reads from =
   let sel = Printf.sprintf "SELECT k, v FROM %s WHERE %s" from in
   List.init (n_keys + 1) (fun c -> sel (Printf.sprintf "k = %d" c))
@@ -698,6 +709,8 @@ let reads from =
           sel (Printf.sprintf "k BETWEEN %d AND %d" c (c + 2)) ])
       [ 0; 2; 4 ]
   @ [ sel "k BETWEEN 3 AND 1"; sel "k > 3"; sel "k <= 1" ]
+  @ [ sel "k = 2 AND v > 8"; sel "k BETWEEN 1 AND 3 AND v > 8";
+      sel "k > 3 AND v > 8"; sel "v > 8" ]
 
 (* Run [f] on every copy with its session bound to its transaction
    ([in_tx]) or to autocommit, then restore the session. *)
@@ -752,6 +765,12 @@ let run_hop copies hop =
     exec_all (Printf.sprintf "UPDATE t SET v = v + %d WHERE k = %d" d k)
   | H_move (k, k') -> exec_all (Printf.sprintf "UPDATE t SET k = %d WHERE k = %d" k' k)
   | H_delete k -> exec_all (Printf.sprintf "DELETE FROM t WHERE k = %d" k)
+  | H_bump (k, v) ->
+    exec_all (Printf.sprintf "UPDATE t SET v = v + 1 WHERE k = %d AND v > %d" k v)
+  | H_trim (k, v) ->
+    exec_all
+      (Printf.sprintf "DELETE FROM t WHERE k BETWEEN %d AND %d AND v < %d" k
+         (k + 1) v)
   | H_begin ->
     if not open_tx then begin
       exec_all "BEGIN";
