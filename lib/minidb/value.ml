@@ -83,9 +83,6 @@ let compare_sql a b =
   | Null, _ | _, Null -> None
   | a, b -> Some (compare_non_null a b)
 
-let equal_sql a b =
-  match compare_sql a b with None -> None | Some c -> Some (c = 0)
-
 (** Structural equality used for result comparison (treats [NULL] = [NULL]
     as true, unlike SQL equality). *)
 let equal a b =

@@ -226,9 +226,8 @@ let prop_boolean_operators =
         let show = function Ok v -> Value.to_string v | Error m -> m in
         QCheck.Test.fail_reportf "eval %s, reference %s" (show got) (show want))
 
-(* The matcher runs on every row a LIKE filter scans; it allocates no
-   memo table (the one it replaced built a (|pattern|+1) x (|s|+1)
-   matrix per call, about 300 words on these names). *)
+(* The matcher runs on every row a LIKE filter scans, so it allocates
+   nothing per call. *)
 let test_like_allocation () =
   let names =
     Array.init 1_000 (fun i -> Printf.sprintf "Customer#%09d" (i * 37))

@@ -131,10 +131,9 @@ let test_hash_join_int_float_keys () =
   Fixtures.check_rows "left join, unmatched" [ "2" ]
     (q db "SELECT a.x FROM a LEFT JOIN b ON a.x = b.y WHERE b.y IS NULL")
 
-(* A filter over a full scan tests each version inside the scan: a row it
-   rejects allocates nothing, so a 1% selection allocates under two words
-   per scanned row (the executor allocated over 14 when every scanned
-   version became an annotated row before the filter saw it). *)
+(* A filter over a full scan tests each version inside the scan, and a
+   version it rejects allocates nothing: a 1% selection allocates under
+   two words per scanned row. *)
 let test_filtered_scan_allocation () =
   let n = 10_000 in
   let db = Database.create () in
