@@ -159,9 +159,7 @@ let rec eval (row : Value.t array) (e : bound) : Value.t =
   match e with
   | Bconst v -> v
   | Bcol i -> row.(i)
-  | Bcmp (op, a, b) ->
-    let vb = eval row b in
-    compare_op op (eval row a) vb
+  | Bcmp (op, a, b) -> compare_op op (eval row a) (eval row b)
   | Band (a, b) -> tv_and (as_bool "AND" (eval row a)) (as_bool "AND" (eval row b))
   | Bor (a, b) -> tv_or (as_bool "OR" (eval row a)) (as_bool "OR" (eval row b))
   | Bnot a -> tv_not (as_bool "NOT" (eval row a))

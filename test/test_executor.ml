@@ -76,31 +76,25 @@ let test_null_join_keys_never_match () =
   let r = q db "SELECT a.x FROM a, b WHERE a.x = b.x" in
   Fixtures.check_rows "only non-null keys join" [ "1" ] r
 
-(* A table of [n] rows (i, i), i = 1..n, with a hash index on [x] when
-   [index] is given. *)
-let numbered_db ~table ~ty ?index n =
+(* A table [table (k INT, x ty)] of [n] rows (i, i), i = 1..n, with a
+   hash index on [x]. *)
+let indexed_db ~table ~ty n =
   let db = Database.create () in
   ignore
     (Database.exec db (Printf.sprintf "CREATE TABLE %s (k INT, x %s)" table ty));
   ignore
     (Database.bulk_insert db ~table
-       (List.init n (fun i ->
-            let i = i + 1 in
-            [| Value.Int i;
-               (if ty = "FLOAT" then Value.Float (float_of_int i)
-                else Value.Int i) |])));
-  Option.iter
-    (fun name ->
-      ignore
-        (Database.exec db (Printf.sprintf "CREATE INDEX %s ON %s (x)" name table)))
-    index;
+       (List.init n (fun i -> [| Value.Int (i + 1); Value.Int (i + 1) |])));
+  ignore
+    (Database.exec db
+       (Printf.sprintf "CREATE INDEX %s_x ON %s (x)" table table));
   db
 
 (* A hash-index probe selects exactly the rows [=] selects as a filter,
    an INT column probed with a FLOAT constant and a FLOAT column with an
    INT one included. *)
 let test_index_probe_int_float_keys () =
-  let db = numbered_db ~table:"c" ~ty:"INT" ~index:"c_x" 50 in
+  let db = indexed_db ~table:"c" ~ty:"INT" 50 in
   Fixtures.check_rows "INT column = 7.0" [ "7" ]
     (q db "SELECT k FROM c WHERE x = 7.0");
   Fixtures.check_rows "same rows as the unindexable form" [ "7" ]
@@ -110,7 +104,7 @@ let test_index_probe_int_float_keys () =
   | Database.Affected info ->
     Alcotest.(check int) "DELETE .. WHERE x = 7.0" 1 info.Database.count
   | _ -> Alcotest.fail "DELETE returned no count");
-  let db = numbered_db ~table:"f" ~ty:"FLOAT" ~index:"f_x" 50 in
+  let db = indexed_db ~table:"f" ~ty:"FLOAT" 50 in
   Fixtures.check_rows "FLOAT column = 7" [ "7" ]
     (q db "SELECT k FROM f WHERE x = 7")
 
