@@ -252,7 +252,7 @@ let suite =
     Alcotest.test_case "like" `Quick test_like;
     Alcotest.test_case "predicate evaluation" `Quick test_eval_pred;
     Alcotest.test_case "aggregate outside context" `Quick test_agg_outside_context_fails;
+    QCheck_alcotest.to_alcotest prop_like_matches_naive;
     Alcotest.test_case "like_match allocates nothing per call" `Quick
       test_like_allocation;
-    QCheck_alcotest.to_alcotest prop_like_matches_naive;
     QCheck_alcotest.to_alcotest prop_boolean_operators ]

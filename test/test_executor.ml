@@ -286,12 +286,6 @@ let suite =
     Alcotest.test_case "hash join" `Quick test_hash_join;
     Alcotest.test_case "join plan shape" `Quick test_join_plan_uses_hash_join;
     Alcotest.test_case "null join keys" `Quick test_null_join_keys_never_match;
-    Alcotest.test_case "index probe: INT/FLOAT keys match as under =" `Quick
-      test_index_probe_int_float_keys;
-    Alcotest.test_case "hash join: INT/FLOAT keys match as under =" `Quick
-      test_hash_join_int_float_keys;
-    Alcotest.test_case "filtered scan allocates per kept row" `Quick
-      test_filtered_scan_allocation;
     Alcotest.test_case "cross join" `Quick test_cross_join;
     Alcotest.test_case "group by" `Quick test_group_by;
     Alcotest.test_case "group lineage" `Quick test_group_lineage_unions_members;
@@ -303,4 +297,10 @@ let suite =
     Alcotest.test_case "order by / limit" `Quick test_order_by_limit;
     Alcotest.test_case "unknown column" `Quick test_unknown_column_in_query;
     Alcotest.test_case "fingerprint stability" `Quick test_fingerprint_stability;
-    QCheck_alcotest.to_alcotest prop_lineage_sufficiency ]
+    QCheck_alcotest.to_alcotest prop_lineage_sufficiency;
+    Alcotest.test_case "index probe: INT/FLOAT keys match as under =" `Quick
+      test_index_probe_int_float_keys;
+    Alcotest.test_case "hash join: INT/FLOAT keys match as under =" `Quick
+      test_hash_join_int_float_keys;
+    Alcotest.test_case "filtered scan allocates per kept row" `Quick
+      test_filtered_scan_allocation ]
