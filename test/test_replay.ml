@@ -222,6 +222,13 @@ let test_bad_index_lines_skipped () =
   Alcotest.(check (list string)) "replay verified" []
     (Replay.verify ~audit (Replay.run prepared))
 
+(* A package CSV row with its rid and version fields replaced. Neither
+   is ever quoted, so the line's first two commas end them. *)
+let with_rid_version line ~rid ~version =
+  let values = String.index_from line (String.index line ',' + 1) ',' in
+  String.concat ","
+    [ rid; version; String.sub line (values + 1) (String.length line - values - 1) ]
+
 (* The included package with the rid and version of the first tuple of
    its first non-empty table subset replaced by [rid] and [version]. *)
 let with_first_tuple ~rid ~version =
@@ -231,8 +238,7 @@ let with_first_tuple ~rid ~version =
     match String.split_on_char '\n' csv with
     | header :: line :: rest when (not !done_) && line <> "" ->
       done_ := true;
-      let fields = List.tl (List.tl (Minidb.Csv.split_line line)) in
-      let line = Minidb.Csv.encode_line (rid :: version :: fields) in
+      let line = with_rid_version line ~rid ~version in
       (table, String.concat "\n" (header :: line :: rest))
     | _ -> (table, csv)
   in
@@ -274,7 +280,7 @@ let with_lone_version ~version =
   let rewrite (table, csv) =
     match String.split_on_char '\n' csv with
     | header :: lines when not !done_ ->
-      let rid_of line = List.hd (Minidb.Csv.split_line line) in
+      let rid_of line = String.sub line 0 (String.index line ',') in
       let rids = List.map rid_of (List.filter (( <> ) "") lines) in
       let lone line =
         line <> ""
@@ -285,10 +291,7 @@ let with_lone_version ~version =
           (fun line ->
             if (not !done_) && lone line then begin
               done_ := true;
-              match Minidb.Csv.split_line line with
-              | rid :: _ :: fields ->
-                Minidb.Csv.encode_line (rid :: version :: fields)
-              | _ -> line
+              with_rid_version line ~rid:(rid_of line) ~version
             end
             else line)
           lines
