@@ -33,10 +33,18 @@ let test_null_vs_empty_string () =
   | _ -> Alcotest.fail "expected one row"
 
 let test_newline_in_field () =
-  (* newlines are not allowed to break framing: they are quoted *)
-  let field = "line1\nline2" in
-  let line = Csv.encode_line [ Csv.encode_value (Value.Str field) ] in
-  Alcotest.(check bool) "quoted" true (String.contains line '"')
+  (* newlines are not allowed to break framing: they are quoted, and a
+     quoted field is read across them *)
+  let text = Schema.of_list [ Schema.column "t" Value.Tstr ] in
+  List.iter
+    (fun field ->
+      let rows = [ (1, 1, [| Value.Str field |]); (2, 1, [| Value.Str "z" |]) ] in
+      let encoded = Csv.encode_versions text rows in
+      Alcotest.(check bool) (Printf.sprintf "%S quoted" field) true
+        (String.contains encoded '"');
+      Alcotest.(check bool) (Printf.sprintf "%S round-trips" field) true
+        (Csv.decode_versions encoded = rows))
+    [ "line1\nline2"; "a\r\nb"; "x\n"; "\n"; "\r"; "\"\n\"" ]
 
 let value_gen =
   QCheck.Gen.(
@@ -110,7 +118,7 @@ let same_row (r1, v1, a1) (r2, v2, a2) =
   && Array.length a1 = Array.length a2
   && Array.for_all2 same_value a1 a2
 
-let text_chars = [ 'a'; ','; '"'; '\''; '\r'; ' ' ]
+let text_chars = [ 'a'; ','; '"'; '\''; '\r'; '\n'; ' ' ]
 
 let table_gen =
   let open QCheck.Gen in
@@ -190,6 +198,40 @@ let test_malformed_numbers_are_typed () =
       "1,1,i99999999999999999999";
       "99999999999999999999,1,i1" ]
 
+(* ---------------- allocation: the codec pays for its bytes -------- *)
+
+let pin_schema =
+  Schema.of_list
+    [ Schema.column "k" Value.Tint;
+      Schema.column "name" Value.Tstr;
+      Schema.column "note" Value.Tstr;
+      Schema.column "flag" Value.Tbool ]
+
+let pin_rows =
+  List.init 10_000 (fun i ->
+      ( i + 1,
+        1,
+        [| Value.Int (i * 7);
+           Value.Str (Printf.sprintf "name%d" i);
+           Value.Null;
+           Value.Bool (i mod 2 = 0) |] ))
+
+(* per row, a few words of output and the decoded values themselves;
+   building each field as its own string costs more than twice that *)
+let check_words_per_row what f =
+  let words = Fixtures.allocated_words f /. 10_000.0 in
+  if words >= 48.0 then
+    Alcotest.failf "%s allocates %.1f words per row" what words
+
+let test_encode_allocation () =
+  check_words_per_row "encoding" (fun () ->
+      ignore (Csv.encode_versions pin_schema pin_rows))
+
+let test_decode_allocation () =
+  let encoded = Csv.encode_versions pin_schema pin_rows in
+  check_words_per_row "decoding" (fun () ->
+      ignore (Csv.decode_versions encoded))
+
 let suite =
   [ Alcotest.test_case "roundtrip" `Quick test_roundtrip_basic;
     Alcotest.test_case "malformed numbers are typed" `Quick
@@ -198,4 +240,8 @@ let suite =
     Alcotest.test_case "newline quoting" `Quick test_newline_in_field;
     QCheck_alcotest.to_alcotest prop_value_roundtrip;
     QCheck_alcotest.to_alcotest prop_line_roundtrip;
-    QCheck_alcotest.to_alcotest prop_codec_matches_reference ]
+    QCheck_alcotest.to_alcotest prop_codec_matches_reference;
+    Alcotest.test_case "encoding allocates per byte" `Quick
+      test_encode_allocation;
+    Alcotest.test_case "decoding allocates per value" `Quick
+      test_decode_allocation ]

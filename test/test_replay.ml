@@ -376,12 +376,12 @@ let subquery_db () =
         INSERT INTO lim VALUES (25)");
   db
 
-(* A tiny app that runs [stmts] in order and writes one line per
-   statement to /out/[name]: a query's rows, or a write's affected
+(* A tiny app over [db] that runs [stmts] in order and writes one line
+   per statement to /out/[name]: a query's rows, or a write's affected
    count. *)
-let audit_subquery_app ~name stmts =
+let audit_app db ~name stmts =
   let kernel = Minios.Kernel.create () in
-  let server = Dbclient.Server.install kernel (subquery_db ()) in
+  let server = Dbclient.Server.install kernel db in
   let binary = "/bin/" ^ name in
   Minios.Vfs.write_opaque (Minios.Kernel.vfs kernel) ~path:binary 1000;
   let program env =
@@ -400,10 +400,12 @@ let audit_subquery_app ~name stmts =
       (String.concat "\n" (List.map line stmts));
     Dbclient.Client.close conn
   in
-  let app_name = "subquery-" ^ name in
+  let app_name = "app-" ^ name in
   Minios.Program.register ~name:app_name program;
   Audit.run ~packaging:Audit.Included kernel server ~app_name
     ~app_binary:binary program
+
+let audit_subquery_app ~name stmts = audit_app (subquery_db ()) ~name stmts
 
 (* The subquery's conservative provenance puts the tuples it read into
    the package: [table]'s subset must carry a tuple holding [value]. *)
@@ -458,6 +460,25 @@ let subquery_cases =
             "SELECT COUNT(*) FROM emp" ]
         ~output:"2\n3" ~table:"dept" ~value:(Minidb.Value.Str "hq") ) ]
 
+(* ---------------- TEXT values holding line breaks ---------------- *)
+
+(* A line break inside a TEXT value is quoted in the package CSV; the
+   restore must read the quoted field across it. *)
+let test_newline_text_replays () =
+  let db = Minidb.Database.create () in
+  ignore (Minidb.Database.exec db "CREATE TABLE notes (k INT, body TEXT)");
+  ignore
+    (Minidb.Database.exec db
+       "INSERT INTO notes VALUES (1, 'one'), (2, 'two\nlines'), (3, 'a\r\nb')");
+  let audit = audit_app db ~name:"notes" [ "SELECT k, body FROM notes" ] in
+  Alcotest.(check (option string)) "audited output"
+    (Some "1,one;2,two\nlines;3,a\r\nb")
+    (List.assoc_opt "/out/notes" audit.Audit.out_files);
+  let pkg = Package.of_bytes (Package.to_bytes (Package.build audit)) in
+  Alcotest.(check (list string)) "no divergences" []
+    (Replay.verify ~audit (Replay.execute pkg));
+  check_subset_has pkg ~table:"notes" ~value:(Minidb.Value.Str "two\nlines")
+
 let suite =
   [ Alcotest.test_case "included replay verifies" `Quick test_included_replay_verifies;
     Alcotest.test_case "excluded replay verifies" `Quick test_excluded_replay_verifies;
@@ -495,3 +516,5 @@ let suite =
       (fun (name, f) ->
         Alcotest.test_case ("server-included audit: " ^ name) `Quick f)
       subquery_cases
+  @ [ Alcotest.test_case "server-included audit: TEXT with line breaks"
+        `Quick test_newline_text_replays ]

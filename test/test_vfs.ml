@@ -104,11 +104,13 @@ let test_append_allocation () =
   let v = Vfs.create () in
   let record = String.make 100 'r' in
   let n = 2_000 in
-  let before = Gc.allocated_bytes () in
-  for _ = 1 to n do
-    Vfs.append_buffered v ~path:"/log" record
-  done;
-  let allocated = Gc.allocated_bytes () -. before in
+  let allocated =
+    Fixtures.allocated_words (fun () ->
+        for _ = 1 to n do
+          Vfs.append_buffered v ~path:"/log" record
+        done)
+    *. float_of_int (Sys.word_size / 8)
+  in
   let appended = n * String.length record in
   if allocated >= 20.0 *. float_of_int appended then
     Alcotest.failf "%d appended bytes allocated %.0f bytes" appended allocated;
