@@ -129,8 +129,8 @@ type t = {
      buffers model that write path: server-included audits append each
      newly-sliced tuple's CSV line on first sight (cold first query, warm
      repeats), server-excluded audits append each response as recorded.
-     Packaging rebuilds the final artifacts from the dedup table — the
-     buffers carry the I/O cost and serve as a cross-check. *)
+     Packaging rebuilds the final artifacts from the dedup table; the
+     buffers carry the I/O cost. *)
   eager_csv : Buffer.t;
   eager_recording : Buffer.t;
 }
@@ -216,9 +216,6 @@ let slice_lineage t =
     t.slice []
   |> Lineage.of_packed
 
-let eager_csv_bytes t = Buffer.length t.eager_csv
-let eager_recording_bytes t = Buffer.length t.eager_recording
-
 (* A statement's reads enter the slice table one int probe per version;
    only a version not seen before is materialized, as a [Tid.t] and as
    its eager CSV line. *)
@@ -244,17 +241,7 @@ let add_to_slice t (reads : Lineage.t) =
               Perm.Versioning.lookup_version t.versioning
                 (Tid.make ~table ~rid ~version)
             with
-            | Some values ->
-              Buffer.add_string t.eager_csv (string_of_int rid);
-              Buffer.add_char t.eager_csv ',';
-              Buffer.add_string t.eager_csv (string_of_int version);
-              Array.iter
-                (fun v ->
-                  Buffer.add_char t.eager_csv ',';
-                  Buffer.add_string t.eager_csv
-                    (Csv.quote_field (Csv.encode_value v)))
-                values;
-              Buffer.add_char t.eager_csv '\n'
+            | Some values -> Csv.add_row t.eager_csv ~rid ~version values
             | None -> ()
           end)
         ids)

@@ -93,12 +93,6 @@ val versioning : t -> Perm.Versioning.t
     application-created versions). *)
 val slice_lineage : t -> Lineage.t
 
-(** Bytes written so far to the eager package files (§VII-D's immediate
-    persistence): the tuple CSV buffer and the response recording. *)
-val eager_csv_bytes : t -> int
-
-val eager_recording_bytes : t -> int
-
 (** Whether a tid denotes a transient query-result tuple rather than a
     stored tuple version. *)
 val is_result_tid : Tid.t -> bool

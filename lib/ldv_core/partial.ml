@@ -123,18 +123,13 @@ let slim (pkg : Package.t) (reqs : requirement list) : Package.t =
           match String.index_opt csv '\n' with
           | None -> None
           | Some i ->
-            let header = String.sub csv 0 (i + 1) in
-            let body =
-              String.concat ""
-                (List.map
-                   (fun (rid, version, values) ->
-                     Csv.encode_line
-                       (string_of_int rid :: string_of_int version
-                       :: (Array.to_list values |> List.map Csv.encode_value))
-                     ^ "\n")
-                   rows)
-            in
-            Some (table, header ^ body))
+            let buf = Buffer.create (String.length csv) in
+            Buffer.add_substring buf csv 0 (i + 1);
+            List.iter
+              (fun (rid, version, values) ->
+                Csv.add_row buf ~rid ~version values)
+              rows;
+            Some (table, Buffer.contents buf))
       pkg.Package.db_subset
   in
   { pkg with

@@ -72,29 +72,31 @@ let relevant_via_trace (trace : Prov.Trace.t) : Tid.Set.t =
     Tid.Set.empty (Prov.Trace.entities trace)
 
 (** Materialize a packed tuple-version set as per-table CSV blobs, looking
-    the values up in the database's version history: one catalog lookup
+    the values up in the database's version history and writing each
+    version found straight into one reused buffer: one catalog lookup
     per table, and rows already in (rid, version) order. A table none of
     whose versions is found yields no blob. *)
 let lineage_csvs (db : Database.t) (lin : Lineage.t) : (string * string) list =
   Ldv_obs.with_span "slice.to_csvs" @@ fun () ->
   let csvs = ref [] in
+  let buf = Buffer.create 4096 in
   Lineage.iter_tables
     (fun table ids ->
       match Catalog.find_opt (Database.catalog db) table with
       | None -> ()
-      | Some tbl -> (
-        let rows =
-          Array.fold_right
-            (fun p acc ->
-              let rid = Lineage.rid p and version = Lineage.version p in
-              match Table.find_version_at tbl ~rid ~version with
-              | Some tv -> (rid, version, tv.Table.values) :: acc
-              | None -> acc)
-            ids []
-        in
-        match rows with
-        | [] -> ()
-        | rows -> csvs := (table, Csv.encode_versions (Table.schema tbl) rows) :: !csvs))
+      | Some tbl ->
+        Buffer.clear buf;
+        Csv.add_header buf (Table.schema tbl);
+        let header = Buffer.length buf in
+        Array.iter
+          (fun p ->
+            let rid = Lineage.rid p and version = Lineage.version p in
+            match Table.find_version_at tbl ~rid ~version with
+            | Some tv -> Csv.add_row buf ~rid ~version tv.Table.values
+            | None -> ())
+          ids;
+        if Buffer.length buf > header then
+          csvs := (table, Buffer.contents buf) :: !csvs)
     lin;
   List.rev !csvs
 

@@ -198,6 +198,23 @@ let test_malformed_numbers_are_typed () =
       "1,1,i99999999999999999999";
       "99999999999999999999,1,i1" ]
 
+(* whatever the bytes after the header, the reader returns rows or fails
+   with a typed error *)
+let prop_any_payload_typed =
+  QCheck.Test.make ~count:500 ~name:"any payload decodes or fails typed"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         string_size
+           ~gen:
+             (oneofl
+                [ '1'; '9'; '-'; ','; '"'; '\n'; '\r'; 'i'; 'f'; 's'; 'b';
+                  't'; 'x'; '.'; 'p' ])
+           (int_bound 40)))
+    (fun body ->
+      match Csv.decode_versions ("rid,version,a\n" ^ body) with
+      | _ -> true
+      | exception Errors.Db_error (Errors.Type_error _) -> true)
+
 (* ---------------- allocation: the codec pays for its bytes -------- *)
 
 let pin_schema =
@@ -244,4 +261,5 @@ let suite =
     Alcotest.test_case "encoding allocates per byte" `Quick
       test_encode_allocation;
     Alcotest.test_case "decoding allocates per value" `Quick
-      test_decode_allocation ]
+      test_decode_allocation;
+    QCheck_alcotest.to_alcotest prop_any_payload_typed ]
