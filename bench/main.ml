@@ -776,6 +776,21 @@ let micro () =
      start and a PTU replay loads *)
   let lineitem_image = Dbclient.Server.table_image lineitem in
   let lineitem_file = Dbclient.Server.encode_table_image lineitem_image in
+  (* the same versions as a package's CSV subset: what server-included
+     packaging writes and its restore reads *)
+  let lineitem_rows =
+    Array.to_list
+      (Array.map
+         (fun (tv : Minidb.Table.tuple_version) ->
+           (tv.Minidb.Table.tid.Minidb.Tid.rid,
+            tv.Minidb.Table.tid.Minidb.Tid.version,
+            tv.Minidb.Table.values))
+         (Minidb.Table.scan_array lineitem))
+  in
+  let lineitem_schema = Minidb.Table.schema lineitem in
+  let lineitem_csv =
+    Minidb.Csv.encode_versions lineitem_schema lineitem_rows
+  in
   (* a traced server over the same database: the fixed cost every
      server-included and PTU audit pays around the app *)
   let server_kernel = Minios.Kernel.create () in
@@ -862,6 +877,11 @@ let micro () =
       Test.make ~name:"server/decode-image(lineitem)"
         (Staged.stage (fun () ->
              Dbclient.Server.decode_table_image lineitem_file));
+      Test.make ~name:"csv/encode(lineitem)"
+        (Staged.stage (fun () ->
+             Minidb.Csv.encode_versions lineitem_schema lineitem_rows));
+      Test.make ~name:"csv/decode(lineitem)"
+        (Staged.stage (fun () -> Minidb.Csv.decode_versions lineitem_csv));
       Test.make
         ~name:(Printf.sprintf "server/start+stop-traced(sf %g)" !sf)
         (Staged.stage (fun () ->
