@@ -38,7 +38,9 @@ let test_newline_in_field () =
   let text = Schema.of_list [ Schema.column "t" Value.Tstr ] in
   List.iter
     (fun field ->
-      let rows = [ (1, 1, [| Value.Str field |]); (2, 1, [| Value.Str "z" |]) ] in
+      let rows =
+        [ (1, 1, [| Value.Str field |]); (2, 1, [| Value.Str "z" |]) ]
+      in
       let encoded = Csv.encode_versions text rows in
       Alcotest.(check bool) (Printf.sprintf "%S quoted" field) true
         (String.contains encoded '"');
@@ -95,7 +97,9 @@ let reference_encode (schema : Schema.t) rows =
   in
   line
     ("rid" :: "version"
-    :: List.map (fun (c : Schema.column) -> c.Schema.name) (Array.to_list schema))
+    :: List.map
+         (fun (c : Schema.column) -> c.Schema.name)
+         (Array.to_list schema))
   ^ String.concat ""
       (List.map
          (fun (rid, version, values) ->
@@ -149,7 +153,8 @@ let table_gen =
     list_size (int_range 1 6) (oneofl Value.[ Tint; Tfloat; Tstr; Tbool ])
   in
   let schema =
-    Schema.of_list (List.mapi (fun i ty -> Schema.column (Printf.sprintf "c%d" i) ty) tys)
+    Schema.of_list
+      (List.mapi (fun i ty -> Schema.column (Printf.sprintf "c%d" i) ty) tys)
   in
   let row =
     map3

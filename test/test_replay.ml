@@ -226,8 +226,8 @@ let test_bad_index_lines_skipped () =
    is ever quoted, so the line's first two commas end them. *)
 let with_rid_version line ~rid ~version =
   let values = String.index_from line (String.index line ',' + 1) ',' in
-  String.concat ","
-    [ rid; version; String.sub line (values + 1) (String.length line - values - 1) ]
+  String.concat ""
+    [ rid; ","; version; String.sub line values (String.length line - values) ]
 
 (* The included package with the rid and version of the first tuple of
    its first non-empty table subset replaced by [rid] and [version]. *)
