@@ -857,6 +857,11 @@ let micro () =
       Test.make ~name:"audit/build-trace(Q3-1)"
         (Staged.stage (fun () ->
              Audit.build_trace q3_audit.Audit.tracer q3_stmts));
+      (* the server-included package of the same audit: its CSV subset
+         copies the rows the audit wrote as each version entered the
+         slice *)
+      Test.make ~name:"package/build(Q3-1)"
+        (Staged.stage (fun () -> Package.build q3_audit));
       Test.make ~name:"fig6/temporal-inference"
         (Staged.stage (fun () ->
              Prov.Dependency.dependencies_of fig6_trace "file:C"));

@@ -85,6 +85,21 @@ type stmt_event = {
     waited and on whom; without a scheduler a held latch is a bug. *)
 type latch = { mutable holder : int }
 
+(* One table's share of the slice. §VII-D: the prototype "immediately
+   computes the provenance for every operation ... and writes these
+   tuples to files on disk". Here each version that enters the slice has
+   its package CSV row written on first sight (cold first query, warm
+   repeats), and those rows are the package's: [slice_csv] copies them
+   out, nothing encodes them again. *)
+type slice_table = {
+  members : int Lineage.Tbl.t;
+      (** packed id -> the member's row, an index into [starts], or -1
+          when the database held no such version *)
+  rows : Buffer.t;  (** the members' CSV rows, in first-sight order *)
+  mutable starts : int array;  (** row -> its offset in [rows] *)
+  mutable n_rows : int;
+}
+
 type t = {
   mode : mode;
   server : Server.t;
@@ -119,19 +134,15 @@ type t = {
   mutable log : stmt_event list;  (** newest first *)
   mutable recorded : Recorder.recorded list;  (** audit-excluded, newest first *)
   mutable replay_queue : Recorder.recorded list;  (** replay-excluded, in order *)
-  slice : (string, unit Lineage.Tbl.t) Hashtbl.t;
+  slice : (string, slice_table) Hashtbl.t;
       (** deduplicated tuple versions relevant to the run (the paper's
-          in-memory hash table, §VII-D), per table by packed id; shared
-          across sibling sessions so the run's slice stays one
-          deduplicated set *)
+          in-memory hash table, §VII-D), per table, each with the CSV row
+          written for it; shared across sibling sessions so the run's
+          slice stays one deduplicated set *)
   (* §VII-D: the prototype "immediately computes the provenance for every
-     operation ... and writes these tuples to files on disk". The eager
-     buffers model that write path: server-included audits append each
-     newly-sliced tuple's CSV line on first sight (cold first query, warm
-     repeats), server-excluded audits append each response as recorded.
-     Packaging rebuilds the final artifacts from the dedup table; the
-     buffers carry the I/O cost. *)
-  eager_csv : Buffer.t;
+     operation ... and writes these tuples to files on disk". A
+     server-excluded audit appends each response to this buffer as it
+     is recorded; packaging encodes the recording from [recorded]. *)
   eager_recording : Buffer.t;
 }
 
@@ -164,7 +175,6 @@ let create ?(mode = Passthrough) ?(session_id = 0) ?(snapshot_reads = false)
     recorded = [];
     replay_queue = [];
     slice = Hashtbl.create 16;
-    eager_csv = Buffer.create 4096;
     eager_recording = Buffer.create 4096 }
 
 let create_replay ~kernel (server : Server.t)
@@ -174,9 +184,9 @@ let create_replay ~kernel (server : Server.t)
 
 (** A sibling session for another client of the same run: it shares the
     mode, server, versioning, qid counter, write latch, in-flight table,
-    trace id, slice table and eager buffers (one run, one slice, one
-    global statement order) but keeps its own statement log, so each
-    session's stream stays attributable. *)
+    trace id, slice (with its CSV rows) and recording buffer (one run,
+    one slice, one global statement order) but keeps its own statement
+    log, so each session's stream stays attributable. *)
 let create_sibling (t : t) ~session_id : t =
   { t with
     session_id;
@@ -204,48 +214,125 @@ let versioning t = t.versioning
     application-created versions). *)
 let slice_lineage t =
   Hashtbl.fold
-    (fun table members acc ->
-      let ids = Array.make (Lineage.Tbl.length members) 0 in
+    (fun table st acc ->
+      let ids = Array.make (Lineage.Tbl.length st.members) 0 in
       let i = ref 0 in
       Lineage.Tbl.iter
-        (fun p () ->
+        (fun p _ ->
           ids.(!i) <- p;
           incr i)
-        members;
+        st.members;
       (table, ids) :: acc)
     t.slice []
   |> Lineage.of_packed
 
-(* A statement's reads enter the slice table one int probe per version;
-   only a version not seen before is materialized, as a [Tid.t] and as
-   its eager CSV line. *)
+(* Append one member's CSV row and return its index. *)
+let add_row st ~rid ~version values =
+  let row = st.n_rows in
+  if row = Array.length st.starts then begin
+    let grown = Array.make (2 * row) 0 in
+    Array.blit st.starts 0 grown 0 row;
+    st.starts <- grown
+  end;
+  st.starts.(row) <- Buffer.length st.rows;
+  st.n_rows <- row + 1;
+  Csv.add_row st.rows ~rid ~version values;
+  row
+
+(* The length of row [row]: up to the next row's start, or the end. *)
+let row_length st row =
+  let stop =
+    if row + 1 < st.n_rows then st.starts.(row + 1) else Buffer.length st.rows
+  in
+  stop - st.starts.(row)
+
+(* A statement's reads enter the slice one int probe per version; only a
+   version not seen before is looked up, once per table in the catalog
+   and once in its row's chain, and written as its CSV row. *)
 let add_to_slice t (reads : Lineage.t) =
+  let catalog = Database.catalog (Server.db t.server) in
   Lineage.iter_tables
     (fun table ids ->
-      let members =
+      let st =
         match Hashtbl.find_opt t.slice table with
-        | Some m -> m
+        | Some st -> st
         | None ->
-          let m = Lineage.Tbl.create 1024 in
-          Hashtbl.replace t.slice table m;
-          m
+          let st =
+            { members = Lineage.Tbl.create 1024;
+              rows = Buffer.create 4096;
+              starts = Array.make 64 0;
+              n_rows = 0 }
+          in
+          Hashtbl.replace t.slice table st;
+          st
       in
+      let stored = Catalog.find_opt catalog table in
       Array.iter
         (fun p ->
-          if not (Lineage.Tbl.mem members p) then begin
+          if not (Lineage.Tbl.mem st.members p) then begin
             Ldv_obs.Ledger.time Ldv_obs.Ledger.Audit_record @@ fun () ->
-            Lineage.Tbl.replace members p ();
             (* write the newly relevant tuple out immediately (§VII-D) *)
             let rid = Lineage.rid p and version = Lineage.version p in
-            match
-              Perm.Versioning.lookup_version t.versioning
-                (Tid.make ~table ~rid ~version)
-            with
-            | Some values -> Csv.add_row t.eager_csv ~rid ~version values
-            | None -> ()
+            let found =
+              match stored with
+              | Some tbl -> Table.find_version_at tbl ~rid ~version
+              | None -> None
+            in
+            let row =
+              match found with
+              | Some tv -> add_row st ~rid ~version tv.Table.values
+              | None -> -1
+            in
+            Lineage.Tbl.replace st.members p row
           end)
         ids)
     reads
+
+(** The package CSV of [table]'s slice members among [ids], ascending
+    packed ids, where [tbl] is [table] as the database holds it now: the
+    header, then the row written for each member whose version [tbl]
+    still holds, in [ids] order, copied into one string sized once.
+    [None] when no row remains. *)
+let slice_csv t ~table (tbl : Table.t) (ids : int array) : string option =
+  match Hashtbl.find_opt t.slice table with
+  | None -> None
+  | Some st ->
+    let kept = Array.make (Array.length ids) 0 in
+    let n = ref 0 and bytes = ref 0 in
+    Array.iter
+      (fun p ->
+        let row =
+          match Lineage.Tbl.find st.members p with
+          | row -> row
+          | exception Not_found -> -1
+        in
+        (* a version a rollback erased is no longer found *)
+        if
+          row >= 0
+          && Option.is_some
+               (Table.find_version_at tbl ~rid:(Lineage.rid p)
+                  ~version:(Lineage.version p))
+        then begin
+          kept.(!n) <- row;
+          incr n;
+          bytes := !bytes + row_length st row
+        end)
+      ids;
+    if !n = 0 then None
+    else begin
+      let header = Buffer.create 256 in
+      Csv.add_header header (Table.schema tbl);
+      let out = Bytes.create (Buffer.length header + !bytes) in
+      Buffer.blit header 0 out 0 (Buffer.length header);
+      let pos = ref (Buffer.length header) in
+      for i = 0 to !n - 1 do
+        let row = kept.(i) in
+        let len = row_length st row in
+        Buffer.blit st.rows st.starts.(row) out !pos len;
+        pos := !pos + len
+      done;
+      Some (Bytes.unsafe_to_string out)
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Statement execution per mode.                                       *)

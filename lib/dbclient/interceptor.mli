@@ -63,9 +63,11 @@ val create :
   t
 
 (** A sibling session for another client of the same run: shares the
-    mode, server, versioning, qid counter, slice table and eager buffers
-    (one run, one slice, one global statement order) but keeps its own
-    statement log, so each session's stream stays attributable. *)
+    mode, server, versioning, qid counter, slice (with the package CSV
+    row written for each of its versions, by whichever session read the
+    version first) and recording buffer (one run, one slice, one global
+    statement order) but keeps its own statement log, so each session's
+    stream stays attributable. *)
 val create_sibling : t -> session_id:int -> t
 
 (** A session answering from a recording (server-excluded replay). *)
@@ -92,6 +94,24 @@ val versioning : t -> Perm.Versioning.t
 (** Tuple versions accumulated for packaging (before removing
     application-created versions). *)
 val slice_lineage : t -> Lineage.t
+
+(** [slice_csv t ~table tbl ids]: the package CSV of [table]'s slice
+    members among [ids] (ascending packed ids), where [tbl] is [table] as
+    the database holds it now. Each version's row was written when it
+    entered the slice; the blob is the header for [tbl]'s schema, then
+    the row of each member whose version [tbl] still holds, in [ids]
+    order, copied into one string. A version a rollback erased is not
+    found, so its row is left out. [None] when no row remains.
+
+    This equals encoding those versions now (as [Slice.lineage_csvs]
+    does) because a version's values never change once written, and a
+    (table, rid, version) names at most one version in a run: each write
+    statement stamps its versions with a tick of the database clock of
+    its own, and the clock never goes back (only reads run clock-frozen,
+    and a rollback does not rewind it). So a version not found when it
+    entered the slice is not found later either. *)
+val slice_csv :
+  t -> table:string -> Table.t -> int array -> string option
 
 (** Whether a tid denotes a transient query-result tuple rather than a
     stored tuple version. *)

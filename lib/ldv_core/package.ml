@@ -323,7 +323,7 @@ let build (audit : Audit.t) : t =
       let db = Dbclient.Server.db server in
       let relevant = Slice.relevant_lineage audit in
       let tables = Slice.lineage_tables audit relevant in
-      ( Slice.lineage_csvs db relevant,
+      ( Slice.slice_csvs audit relevant,
         Slice.schema_ddl_for db tables,
         Slice.index_ddl_for db tables )
     | Server_excluded | Ptu_full -> ([], [], [])

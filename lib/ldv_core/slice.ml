@@ -75,7 +75,9 @@ let relevant_via_trace (trace : Prov.Trace.t) : Tid.Set.t =
     the values up in the database's version history and writing each
     version found straight into one reused buffer: one catalog lookup
     per table, and rows already in (rid, version) order. A table none of
-    whose versions is found yields no blob. *)
+    whose versions is found yields no blob. Packaging copies the rows
+    the audit already wrote instead ([slice_csvs]); this encoder is the
+    reference that copy must equal, and serves sets outside a slice. *)
 let lineage_csvs (db : Database.t) (lin : Lineage.t) : (string * string) list =
   Ldv_obs.with_span "slice.to_csvs" @@ fun () ->
   let csvs = ref [] in
@@ -102,6 +104,26 @@ let lineage_csvs (db : Database.t) (lin : Lineage.t) : (string * string) list =
 
 let to_csvs (db : Database.t) (tids : Tid.Set.t) : (string * string) list =
   lineage_csvs db (Lineage.of_set tids)
+
+(** The package CSV blobs of [lin], a subset of the audit's slice: per
+    table the database still holds, the rows the interceptor wrote as
+    each version entered the slice, copied out in (rid, version) order
+    for the versions still found. Byte for byte [lineage_csvs] of the
+    same set, without encoding a row again. *)
+let slice_csvs (audit : Audit.t) (lin : Lineage.t) : (string * string) list =
+  Ldv_obs.with_span "slice.csvs" @@ fun () ->
+  let catalog = Database.catalog (Dbclient.Server.db audit.Audit.server) in
+  let csvs = ref [] in
+  Lineage.iter_tables
+    (fun table ids ->
+      match Catalog.find_opt catalog table with
+      | None -> ()
+      | Some tbl -> (
+        match I.slice_csv audit.Audit.session ~table tbl ids with
+        | Some csv -> csvs := (table, csv) :: !csvs
+        | None -> ()))
+    lin;
+  List.rev !csvs
 
 (** The tables contributing tuples to a version set — the one derivation
     both [accessed_tables] and [schema_ddl] build on, so the DDL set can

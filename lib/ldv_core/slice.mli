@@ -23,11 +23,19 @@ val relevant : Audit.t -> Tid.Set.t
 val relevant_via_trace : Prov.Trace.t -> Tid.Set.t
 
 (** Materialize a packed tuple-version set as per-table CSV blobs, in
-    table order, each blob's rows in (rid, version) order. *)
+    table order, each blob's rows in (rid, version) order, encoding each
+    version found in the database: the reference [slice_csvs] equals. *)
 val lineage_csvs : Database.t -> Lineage.t -> (string * string) list
 
 (** [lineage_csvs] over a set of identifiers. *)
 val to_csvs : Database.t -> Tid.Set.t -> (string * string) list
+
+(** The package CSV blobs of a subset of the audit's slice (such as
+    [relevant_lineage]): per table, the rows the interceptor wrote as
+    each version entered the slice, copied out in (rid, version) order
+    for the versions the database still holds. Equal to [lineage_csvs]
+    of the same set over the audited database, without re-encoding. *)
+val slice_csvs : Audit.t -> Lineage.t -> (string * string) list
 
 (** The tables contributing tuples to a version set — the shared
     derivation behind [accessed_tables] and [schema_ddl]. *)

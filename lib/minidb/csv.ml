@@ -8,7 +8,7 @@
     This module is the only writer and the only reader of that row
     format. The writer appends each row straight into a buffer; the
     reader walks the payload by index and copies only what it keeps: the
-    text of a TEXT value and the digits of a FLOAT. *)
+    text of a TEXT value. *)
 
 (* Whether [s] from [i] on holds a separator, a quote or a line break.
    A top-level loop, unlike [String.exists], allocates no closure. *)
@@ -51,6 +51,43 @@ let add_int buf i =
   end
   else add_digits buf (-i)
 
+let hex_digits = "0123456789abcdef"
+
+(* [Printf.sprintf "%h" f], without Printf: the sign, then [infinity] or
+   [nan], or [0x], the lead digit, a point and the 52-bit fraction's hex
+   digits up to its last nonzero one when it has any, [p] and the signed
+   decimal exponent. Hex notation is lossless through [float_of_string]
+   (a NaN keeps only its sign). *)
+let add_hex_float buf f =
+  if Float.sign_bit f then Buffer.add_char buf '-';
+  (* the low 63 bits: [Int64.to_int] drops bit 63, the sign *)
+  let bits = Int64.to_int (Int64.bits_of_float f) in
+  let biased = (bits lsr 52) land 0x7ff in
+  let frac = bits land ((1 lsl 52) - 1) in
+  if biased = 0x7ff then
+    Buffer.add_string buf (if frac = 0 then "infinity" else "nan")
+  else begin
+    (* a subnormal or zero leads with 0 *)
+    Buffer.add_string buf (if biased = 0 then "0x0" else "0x1");
+    if frac <> 0 then begin
+      Buffer.add_char buf '.';
+      let last = ref 0 in
+      while (frac lsr (4 * !last)) land 0xf = 0 do
+        incr last
+      done;
+      for k = 12 downto !last do
+        Buffer.add_char buf
+          (String.unsafe_get hex_digits ((frac lsr (4 * k)) land 0xf))
+      done
+    end;
+    Buffer.add_char buf 'p';
+    let exponent =
+      if biased > 0 then biased - 1023 else if frac = 0 then 0 else -1022
+    in
+    if exponent >= 0 then Buffer.add_char buf '+';
+    add_int buf exponent
+  end
+
 (* A value with its type tag, so that NULL and the empty string stay
    apart on the way back. *)
 let add_value buf = function
@@ -58,8 +95,9 @@ let add_value buf = function
   | Value.Int i ->
     Buffer.add_char buf 'i';
     add_int buf i
-  (* hex float notation is lossless through float_of_string *)
-  | Value.Float f -> Printf.bprintf buf "f%h" f
+  | Value.Float f ->
+    Buffer.add_char buf 'f';
+    add_hex_float buf f
   | Value.Str s -> add_field buf "s" s
   | Value.Bool b -> Buffer.add_string buf (if b then "bt" else "bf")
 
@@ -67,7 +105,12 @@ let add_value buf = function
 let encode_value = function
   | Value.Null -> ""
   | Value.Int i -> "i" ^ string_of_int i
-  | Value.Float f -> "f" ^ Printf.sprintf "%h" f
+  | Value.Float f ->
+    (* at most 25 bytes: [f-0x1.] and 13 digits, [p-1022] *)
+    let buf = Buffer.create 25 in
+    Buffer.add_char buf 'f';
+    add_hex_float buf f;
+    Buffer.contents buf
   | Value.Str s -> "s" ^ s
   | Value.Bool b -> if b then "bt" else "bf"
 
@@ -127,16 +170,93 @@ let int_in what s i j =
   else if d > i then -n
   else n
 
+(* [s.[k]], or a NUL past [j]. *)
+let char_at s j k = if k < j then String.unsafe_get s k else '\000'
+
+(* The value of the lowercase hex digit [c], or -1. *)
+let hex_value c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | _ -> -1
+
+(* The float [s.[i .. j-1]] when it is spelled as [add_hex_float] spells
+   a finite float, read in place; NaN for any other spelling. Such a
+   spelling holds at most 53 significant bits and an exponent in range,
+   so its value is exact, the one [float_of_string] reads. *)
+let hex_float_in s i j =
+  let neg = char_at s j i = '-' in
+  let k = ref (if neg then i + 1 else i) in
+  (* [0x] and the lead digit, 0 or 1 *)
+  let lead = Char.code (char_at s j (!k + 2)) - Char.code '0' in
+  if
+    char_at s j !k <> '0'
+    || char_at s j (!k + 1) <> 'x'
+    || lead < 0 || lead > 1
+  then Float.nan
+  else begin
+    k := !k + 3;
+    (* the fraction: a point and 1 to 13 digits, the last nonzero, laid
+       down from bit 52 *)
+    let frac = ref 0 and shift = ref 52 in
+    if char_at s j !k = '.' then begin
+      let d = ref (hex_value (char_at s j (!k + 1))) in
+      while !d >= 0 && !shift > 0 do
+        shift := !shift - 4;
+        frac := !frac lor (!d lsl !shift);
+        incr k;
+        d := hex_value (char_at s j (!k + 1))
+      done;
+      incr k;
+      if !shift = 52 || (!frac lsr !shift) land 0xf = 0 then frac := -1
+    end;
+    (* the exponent: [p], a sign and 1 to 4 decimal digits *)
+    let sign = char_at s j (!k + 1) in
+    let magnitude =
+      if
+        !frac < 0 || char_at s j !k <> 'p' || (sign <> '+' && sign <> '-')
+        || j - (!k + 2) < 1 || j - (!k + 2) > 4
+      then -1
+      else digits s (!k + 2) j 0
+    in
+    let e = if sign = '-' then -magnitude else magnitude in
+    (* a normal float leads with 1; a subnormal with 0 at 2^-1022, and
+       zero with 0 at 2^0 *)
+    let biased =
+      if magnitude < 0 then -1
+      else if lead = 1 then if e >= -1022 && e <= 1023 then e + 1023 else -1
+      else if (!frac > 0 && e = -1022) || (!frac = 0 && e = 0) then 0
+      else -1
+    in
+    if biased < 0 then Float.nan
+    else
+      (* [biased lsl 52] would overflow a native int *)
+      let f =
+        Int64.float_of_bits
+          (Int64.logor
+             (Int64.shift_left (Int64.of_int biased) 52)
+             (Int64.of_int !frac))
+      in
+      if neg then Float.neg f else f
+  end
+
+(* The FLOAT [s.[i .. j-1]]: in place when spelled as written, else
+   through [float_of_string] (infinities and NaNs too), failing typed. *)
+let float_in s i j =
+  let f = hex_float_in s i j in
+  if not (Float.is_nan f) then f
+  else
+    let body = String.sub s i (j - i) in
+    try float_of_string body
+    with Failure _ -> Errors.type_error "malformed CSV float %S" body
+
 (* The tagged value [s.[i .. j-1]]; NULL when empty. *)
 let value_in s i j =
   if i = j then Value.Null
   else
     match String.unsafe_get s i with
     | 'i' -> Value.Int (int_in "integer" s (i + 1) j)
-    | 'f' -> (
-      let body = String.sub s (i + 1) (j - i - 1) in
-      try Value.Float (float_of_string body)
-      with Failure _ -> Errors.type_error "malformed CSV float %S" body)
+    | 'f' -> Value.Float (float_in s (i + 1) j)
     | 's' -> Value.Str (String.sub s (i + 1) (j - i - 1))
     | 'b' -> Value.Bool (j - i = 2 && String.unsafe_get s (i + 1) = 't')
     | _ ->

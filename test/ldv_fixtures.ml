@@ -41,3 +41,17 @@ let audit ?vid ?n_insert ?n_update ?n_select packaging : Ldv_core.Audit.t =
 let included = lazy (audit Ldv_core.Audit.Included)
 let excluded = lazy (audit Ldv_core.Audit.Excluded)
 let ptu = lazy (audit Ldv_core.Audit.Ptu_baseline)
+
+(* [Package.build] copies the CSV rows the interceptor wrote as each
+   version entered the slice. Encoding the relevant versions afresh
+   ([Slice.lineage_csvs]) is the reference that copy must equal, byte
+   for byte. *)
+let reference_subset (audit : Ldv_core.Audit.t) : (string * string) list =
+  Ldv_core.Slice.lineage_csvs
+    (Dbclient.Server.db audit.Ldv_core.Audit.server)
+    (Ldv_core.Slice.relevant_lineage audit)
+
+let check_subset_is_reference audit (pkg : Ldv_core.Package.t) =
+  Alcotest.(check (list (pair string string)))
+    "CSV subset: the relevant versions encoded afresh" (reference_subset audit)
+    pkg.Ldv_core.Package.db_subset

@@ -94,6 +94,17 @@ let test_subset_excludes_session_writes () =
       | _ -> Alcotest.fail "unexpected row shape")
     rows
 
+(* The sessions share one slice, and each version's CSV row is written
+   by whichever session reads it first. The package copies those rows in
+   (rid, version) order: the bytes of the relevant versions encoded
+   afresh, with reads served by replicas, and with transactions that
+   roll back, abort and retry. *)
+let test_subset_is_reference () =
+  let replicated = audited ~replicas:2 ~sessions:3 ~statements:6 ~seed:11 () in
+  Ldv_fixtures.check_subset_is_reference replicated (Package.build replicated);
+  let tx = Concurrent.audited_tx ~sessions:4 ~rounds:6 ~seed:3 () in
+  Ldv_fixtures.check_subset_is_reference tx (Package.build tx)
+
 (* ------------------------------------------------------------------ *)
 (* Group commit: one fsync barrier per scheduler quantum instead of one
    per statement.                                                       *)
@@ -197,6 +208,8 @@ let suite =
       test_snapshot_isolation;
     Alcotest.test_case "subset excludes session-created tuples" `Quick
       test_subset_excludes_session_writes;
+    Alcotest.test_case "shared slice packages the re-encoded subset" `Quick
+      test_subset_is_reference;
     Alcotest.test_case "group commit batches fsync barriers" `Quick
       test_group_commit_batches_fsync;
     Alcotest.test_case "schedule round-trips and replay verifies" `Quick

@@ -1,6 +1,7 @@
 (* Randomized end-to-end property: for random tiny workloads (random query
    variant, random step counts), audit -> package -> replay -> verify must
-   hold for every packaging option. *)
+   hold for every packaging option, and the package's CSV subset must be
+   the relevant versions encoded afresh. *)
 
 open Ldv_core
 
@@ -13,8 +14,12 @@ let run_case ~packaging seed =
   let n_update = Tpch.Prng.int rng 5 in
   let n_select = 1 + Tpch.Prng.int rng 3 in
   let audit = Ldv_fixtures.audit ~vid ~n_insert ~n_update ~n_select packaging in
-  let result = Replay.execute (Package.build audit) in
-  Replay.verify ~audit result
+  let pkg = Package.build audit in
+  let subset =
+    if pkg.Package.db_subset = Ldv_fixtures.reference_subset audit then []
+    else [ "CSV subset differs from the relevant versions encoded afresh" ]
+  in
+  subset @ Replay.verify ~audit (Replay.execute pkg)
 
 let prop packaging name =
   QCheck.Test.make ~count:8 ~name (QCheck.make ~print:string_of_int QCheck.Gen.nat)
@@ -39,9 +44,10 @@ let test_variant_sweep () =
         Ldv_fixtures.audit ~vid ~n_insert:5 ~n_update:2 ~n_select:2
           Audit.Included
       in
-      let result = Replay.execute (Package.build audit) in
+      let pkg = Package.build audit in
+      Ldv_fixtures.check_subset_is_reference audit pkg;
       Alcotest.(check (list string)) (vid ^ " replays") []
-        (Replay.verify ~audit result))
+        (Replay.verify ~audit (Replay.execute pkg)))
     [ "Q1-2"; "Q2-3"; "Q3-3"; "Q4-3" ]
 
 let suite =

@@ -177,6 +177,38 @@ let test_audit_reads_under_session_tx () =
       ("server-excluded", I.Audit_excluded);
       ("server-included", I.Audit_included) ]
 
+(* Each version's CSV row is written as the version enters the slice,
+   and [slice_csv] copies the rows asked for in (rid, version) order: the
+   bytes of encoding those versions afresh. Here first sight is another
+   order (the UPDATE reads rid 2 before the scan reads rid 1), and a
+   version that entered the slice before a rollback erased it is left
+   out, as the fresh encoding leaves it out. *)
+let test_slice_csv_copies_written_rows () =
+  let _, server, session = mk_env ~mode:I.Audit_included () in
+  List.iter
+    (fun sql -> ignore (I.execute session ~pid:1 sql))
+    [ "UPDATE sales SET price = price + 1 WHERE id = 2";
+      "SELECT id, price FROM sales";
+      "BEGIN";
+      "INSERT INTO sales VALUES (4, 20)";
+      "SELECT id FROM sales";
+      "ROLLBACK" ];
+  let db = Server.db server in
+  let sales = Catalog.find (Database.catalog db) "sales" in
+  let slice = I.slice_lineage session in
+  let ids = ref [||] in
+  Lineage.iter_tables (fun _ members -> ids := members) slice;
+  let erased p =
+    Option.is_none
+      (Table.find_version_at sales ~rid:(Lineage.rid p)
+         ~version:(Lineage.version p))
+  in
+  Alcotest.(check bool) "the slice holds a version the rollback erased" true
+    (Array.exists erased !ids);
+  Alcotest.(check (option string)) "copied rows: the versions encoded afresh"
+    (List.assoc_opt "sales" (Ldv_core.Slice.lineage_csvs db slice))
+    (I.slice_csv session ~table:"sales" sales !ids)
+
 let suite =
   [ Alcotest.test_case "passthrough" `Quick test_passthrough;
     Alcotest.test_case "audit included: lineage" `Quick test_audit_included_collects_lineage;
@@ -190,4 +222,6 @@ let suite =
     Alcotest.test_case "session binding" `Quick test_session_binding;
     Alcotest.test_case "timestamps monotone" `Quick test_timestamps_monotone;
     Alcotest.test_case "audit reads under the session's transaction" `Quick
-      test_audit_reads_under_session_tx ]
+      test_audit_reads_under_session_tx;
+    Alcotest.test_case "audit included: slice rows copied, erased left out"
+      `Quick test_slice_csv_copies_written_rows ]

@@ -463,7 +463,8 @@ let subquery_cases =
 (* ---------------- TEXT values holding line breaks ---------------- *)
 
 (* A line break inside a TEXT value is quoted in the package CSV; the
-   restore must read the quoted field across it. *)
+   package must copy each row whole and the restore must read the quoted
+   field across it. *)
 let test_newline_text_replays () =
   let db = Minidb.Database.create () in
   ignore (Minidb.Database.exec db "CREATE TABLE notes (k INT, body TEXT)");
@@ -474,7 +475,9 @@ let test_newline_text_replays () =
   Alcotest.(check (option string)) "audited output"
     (Some "1,one;2,two\nlines;3,a\r\nb")
     (List.assoc_opt "/out/notes" audit.Audit.out_files);
-  let pkg = Package.of_bytes (Package.to_bytes (Package.build audit)) in
+  let built = Package.build audit in
+  Ldv_fixtures.check_subset_is_reference audit built;
+  let pkg = Package.of_bytes (Package.to_bytes built) in
   Alcotest.(check (list string)) "no divergences" []
     (Replay.verify ~audit (Replay.execute pkg));
   check_subset_has pkg ~table:"notes" ~value:(Minidb.Value.Str "two\nlines")
