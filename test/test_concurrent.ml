@@ -208,8 +208,6 @@ let suite =
       test_snapshot_isolation;
     Alcotest.test_case "subset excludes session-created tuples" `Quick
       test_subset_excludes_session_writes;
-    Alcotest.test_case "shared slice packages the re-encoded subset" `Quick
-      test_subset_is_reference;
     Alcotest.test_case "group commit batches fsync barriers" `Quick
       test_group_commit_batches_fsync;
     Alcotest.test_case "schedule round-trips and replay verifies" `Quick
@@ -217,4 +215,6 @@ let suite =
     Alcotest.test_case "crashcheck with 4 concurrent sessions" `Quick
       test_concurrent_crashcheck;
     Alcotest.test_case "depends_on agrees with full enumeration" `Quick
-      test_depends_on_matches_enumeration ]
+      test_depends_on_matches_enumeration;
+    Alcotest.test_case "shared slice packages the re-encoded subset" `Quick
+      test_subset_is_reference ]
