@@ -13,7 +13,8 @@
 # argument and file-error checks + the overhead-ledger gate self-check +
 # the replicated audit's and the sf-0.002 server-included, server-excluded,
 # PTU and Q3-1 audits' package checksums + the
-# replicated audit's SQL parse count).
+# replicated audit's SQL parse count + every trace reader's output over
+# the committed traces under test/golden/obs/).
 set -e
 cd "$(dirname "$0")"
 root=$(pwd)
@@ -212,6 +213,43 @@ dune exec bin/ldv.exe -- timeline "$tmpdir/ov.jsonl" --cluster > /dev/null
 # the span-diff gate must pass a repl/tx-bearing trace against itself
 dune exec bin/ldv.exe -- obs diff "$tmpdir/ov.jsonl" "$tmpdir/ov.jsonl" \
   --budget 10 > /dev/null
+
+# trace-reader goldens (also under --quick): every reader renders two
+# committed traces byte for byte, a replicated two-session audit's
+# (scheduler quanta, latch waits, replica applies, the ledger) and a
+# server-included sf-0.002 TPC-H audit's; obs diff compares them both
+# ways and its exit status is pinned with its output
+obs="$root/test/golden/obs"
+ldv="$root/_build/default/bin/ldv.exe"
+# reader NAME ARGS...: `ldv ARGS`, run in $tmpdir, prints $obs/NAME
+reader() {
+  name=$1
+  shift
+  (cd "$tmpdir" && "$ldv" "$@") > "$tmpdir/$name"
+  diff "$obs/$name" "$tmpdir/$name"
+}
+for t in sessions2-replicas1 sf0.002; do
+  reader "$t.stats.txt" stats "$obs/$t.jsonl"
+  reader "$t.stats-tree.txt" stats "$obs/$t.jsonl" --tree
+  reader "$t.stats-by-session.txt" stats "$obs/$t.jsonl" --by-session
+  reader "$t.profile.txt" profile "$obs/$t.jsonl" --critical-path \
+    --flame "$t.folded" --dot "$t.dot"
+  diff "$obs/$t.folded" "$tmpdir/$t.folded"
+  diff "$obs/$t.dot" "$tmpdir/$t.dot"
+  reader "$t.timeline.txt" timeline "$obs/$t.jsonl"
+  reader "$t.timeline-cluster.txt" timeline "$obs/$t.jsonl" --cluster
+  reader "$t.contention.txt" contention "$obs/$t.jsonl"
+  reader "$t.overhead.txt" overhead "$obs/$t.jsonl"
+done
+for pair in "sessions2-replicas1 sf0.002 diff-sessions2-sf0.002.txt" \
+    "sf0.002 sessions2-replicas1 diff-sf0.002-sessions2.txt"; do
+  set -- $pair
+  status=0
+  "$ldv" obs diff "$obs/$1.jsonl" "$obs/$2.jsonl" --budget 10 \
+    > "$tmpdir/$3" || status=$?
+  echo "exit $status" >> "$tmpdir/$3"
+  diff "$obs/$3" "$tmpdir/$3"
+done
 
 if [ "$quick" -eq 0 ]; then
   golden faults-n5-seed42.txt faults -n 5 --seed 42
