@@ -569,8 +569,7 @@ let ablation () =
       Minidb.Tid.Set.empty
       (Minidb.Catalog.table_names (Minidb.Database.catalog db))
   in
-  (* materialize each subset once and size the blobs, rather than
-     encoding a second time through [Slice.subset_bytes] *)
+  (* materialize each subset once and size the blobs *)
   let b_sliced = Slice.subset_bytes_of_csvs (Slice.to_csvs db sliced) in
   let b_full = Slice.subset_bytes_of_csvs (Slice.to_csvs db all_live) in
   Report.print_table ~header:[ "Variant"; "Tuples"; "CSV bytes" ]

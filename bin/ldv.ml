@@ -55,7 +55,8 @@ let with_obs mode f =
     Fun.protect
       ~finally:(fun () ->
         Ldv_obs.set_sink Ldv_obs.Null;
-        Obs_report.print_summary (Ldv_obs.snapshot ()))
+        Obs_report.print_summary
+          (Ldv_obs.Profile.of_snapshot (Ldv_obs.snapshot ())))
       f
   | Obs_jsonl path ->
     Ldv_obs.reset ();
@@ -402,10 +403,10 @@ let trace_cmd =
 (* ------------------------------------------------------------------ *)
 (* stats: replay an exported JSONL observability trace                 *)
 
-(** Read a JSONL observability trace, mapping I/O failures and typed
-    decode errors (with their 1-based line numbers) to cmdliner
-    messages. *)
-let load_trace path : (Ldv_obs.snapshot, [ `Msg of string ]) result =
+(** Read a JSONL observability trace into the trace model and run [f]
+    on it, mapping I/O failures and typed decode errors (with their
+    1-based line numbers) to cmdliner messages. *)
+let with_trace path (f : Ldv_obs.Profile.t -> 'a) =
   let fail fmt = Format.kasprintf (fun m -> Error (`Msg m)) fmt in
   match
     let ic = open_in path in
@@ -414,7 +415,7 @@ let load_trace path : (Ldv_obs.snapshot, [ `Msg of string ]) result =
     close_in ic;
     Ldv_obs.of_jsonl data
   with
-  | snap -> Ok snap
+  | snap -> Ok (f (Ldv_obs.Profile.of_snapshot snap))
   | exception Sys_error msg -> fail "%s" msg
   | exception Ldv_errors.Error e ->
     fail "%s is not an observability trace: %s" path (Ldv_errors.to_string e)
@@ -441,18 +442,15 @@ let stats_cmd =
              section.")
   in
   let run path tree by_session =
-    match load_trace path with
-    | Error _ as e -> e
-    | Ok snap ->
-      Obs_report.print_summary snap;
-      Obs_report.print_replication snap;
-      Obs_report.print_transactions snap;
-      if tree then begin
-        Report.section "Span tree";
-        Obs_report.print_tree snap
-      end;
-      if by_session then Obs_report.print_by_session snap;
-      Ok ()
+    with_trace path @@ fun t ->
+    Obs_report.print_summary t;
+    Obs_report.print_replication t;
+    Obs_report.print_transactions t;
+    if tree then begin
+      Report.section "Span tree";
+      Obs_report.print_tree t
+    end;
+    if by_session then Obs_report.print_by_session t
   in
   let term =
     Term.(term_result (const run $ file_arg $ tree_arg $ by_session_arg))
@@ -498,23 +496,19 @@ let profile_cmd =
              style of $(b,ldv inspect --dot).")
   in
   let run path critical flame dot =
-    match load_trace path with
-    | Error _ as e -> e
-    | Ok snap ->
-      let p = Ldv_obs.Profile.of_snapshot snap in
-      Obs_report.print_profile p;
-      if critical then Obs_report.print_critical_paths p;
-      let write_file out content =
-        let oc = open_out out in
-        output_string oc content;
-        close_out oc;
-        Printf.printf "wrote %s\n" out
-      in
-      Option.iter
-        (fun out -> write_file out (Ldv_obs.Profile.to_collapsed p))
-        flame;
-      Option.iter (fun out -> write_file out (Ldv_obs.Profile.to_dot p)) dot;
-      Ok ()
+    with_trace path @@ fun p ->
+    Obs_report.print_profile p;
+    if critical then Obs_report.print_critical_paths p;
+    let write_file out content =
+      let oc = open_out out in
+      output_string oc content;
+      close_out oc;
+      Printf.printf "wrote %s\n" out
+    in
+    Option.iter
+      (fun out -> write_file out (Ldv_obs.Profile.to_collapsed p))
+      flame;
+    Option.iter (fun out -> write_file out (Ldv_obs.Profile.to_dot p)) dot
   in
   let term =
     Term.(
@@ -544,12 +538,9 @@ let timeline_cmd =
              the originating trace id).")
   in
   let run path cluster =
-    match load_trace path with
-    | Error _ as e -> e
-    | Ok snap ->
-      if cluster then Obs_report.print_cluster_timeline snap
-      else Obs_report.print_timeline snap;
-      Ok ()
+    with_trace path @@ fun t ->
+    if cluster then Obs_report.print_cluster_timeline t
+    else Obs_report.print_timeline t
   in
   let term = Term.(term_result (const run $ trace_pos_arg $ cluster_arg)) in
   Cmd.v
@@ -563,13 +554,7 @@ let timeline_cmd =
     term
 
 let contention_cmd =
-  let run path =
-    match load_trace path with
-    | Error _ as e -> e
-    | Ok snap ->
-      Obs_report.print_contention snap;
-      Ok ()
-  in
+  let run path = with_trace path Obs_report.print_contention in
   let term = Term.(term_result (const run $ trace_pos_arg)) in
   Cmd.v
     (Cmd.info "contention"
@@ -594,29 +579,26 @@ let overhead_cmd =
              or when the trace carries no ledger data to gate on.")
   in
   let run path gate =
-    match load_trace path with
-    | Error _ as e -> e
-    | Ok snap -> (
-      let overhead = Obs_report.print_overhead snap in
-      match gate with
-      | None -> Ok ()
-      | Some budget -> (
-        match overhead with
-        | None ->
+    with_trace path @@ fun t ->
+    let overhead = Obs_report.print_overhead t in
+    match gate with
+    | None -> ()
+    | Some budget -> (
+      match overhead with
+      | None ->
+        Printf.eprintf
+          "ldv: overhead gate: no ledger data to gate on in %s\n%!" path;
+        exit 5
+      | Some pct ->
+        if pct > budget then begin
           Printf.eprintf
-            "ldv: overhead gate: no ledger data to gate on in %s\n%!" path;
+            "ldv: overhead gate: %.2f%% audit overhead exceeds the %.2f%% \
+             budget\n%!"
+            pct budget;
           exit 5
-        | Some pct ->
-          if pct > budget then begin
-            Printf.eprintf
-              "ldv: overhead gate: %.2f%% audit overhead exceeds the %.2f%% \
-               budget\n%!"
-              pct budget;
-            exit 5
-          end;
-          Printf.printf "overhead gate: %.2f%% within the %.2f%% budget\n" pct
-            budget;
-          Ok ()))
+        end;
+        Printf.printf "overhead gate: %.2f%% within the %.2f%% budget\n" pct
+          budget)
   in
   let term = Term.(term_result (const run $ trace_pos_arg $ gate_arg)) in
   Cmd.v
@@ -650,13 +632,11 @@ let obs_cmd =
              measurable time also fail.")
   in
   let run a b budget =
-    match (load_trace a, load_trace b) with
-    | Error _ as e, _ | _, (Error _ as e) -> e
-    | Ok snap_a, Ok snap_b ->
-      let rows = Ldv_obs.Profile.diff snap_a snap_b in
-      let regressions = Obs_report.print_diff ~budget_pct:budget rows in
-      if regressions <> [] then exit 4;
-      Ok ()
+    Result.join @@ with_trace a @@ fun ta ->
+    with_trace b @@ fun tb ->
+    let rows = Ldv_obs.Profile.diff ta tb in
+    let regressions = Obs_report.print_diff ~budget_pct:budget rows in
+    if regressions <> [] then exit 4
   in
   let diff_cmd =
     Cmd.v

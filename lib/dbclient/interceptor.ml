@@ -139,11 +139,6 @@ type t = {
           in-memory hash table, §VII-D), per table, each with the CSV row
           written for it; shared across sibling sessions so the run's
           slice stays one deduplicated set *)
-  (* §VII-D: the prototype "immediately computes the provenance for every
-     operation ... and writes these tuples to files on disk". A
-     server-excluded audit appends each response to this buffer as it
-     is recorded; packaging encodes the recording from [recorded]. *)
-  eager_recording : Buffer.t;
 }
 
 let create ?(mode = Passthrough) ?(session_id = 0) ?(snapshot_reads = false)
@@ -174,8 +169,7 @@ let create ?(mode = Passthrough) ?(session_id = 0) ?(snapshot_reads = false)
     log = [];
     recorded = [];
     replay_queue = [];
-    slice = Hashtbl.create 16;
-    eager_recording = Buffer.create 4096 }
+    slice = Hashtbl.create 16 }
 
 let create_replay ~kernel (server : Server.t)
     (recording : Recorder.recorded list) : t =
@@ -184,9 +178,9 @@ let create_replay ~kernel (server : Server.t)
 
 (** A sibling session for another client of the same run: it shares the
     mode, server, versioning, qid counter, write latch, in-flight table,
-    trace id, slice (with its CSV rows) and recording buffer (one run,
-    one slice, one global statement order) but keeps its own statement
-    log, so each session's stream stays attributable. *)
+    trace id and slice (with its CSV rows) (one run, one slice, one
+    global statement order) but keeps its own statement log and
+    recording, so each session's stream stays attributable. *)
 let create_sibling (t : t) ~session_id : t =
   { t with
     session_id;
@@ -673,8 +667,6 @@ let execute (t : t) ~pid (sql : string) : Protocol.response =
               rec_affected }
           in
           t.recorded <- record :: t.recorded;
-          (* write the response to the package file as it happens *)
-          Buffer.add_string t.eager_recording (Recorder.encode [ record ]);
           (rec_schema, rec_rows, rec_affected)
         in
         ( resp, [], Lineage.empty, rec_schema, rec_rows, rec_affected,

@@ -63,11 +63,11 @@ val create :
   t
 
 (** A sibling session for another client of the same run: shares the
-    mode, server, versioning, qid counter, slice (with the package CSV
+    mode, server, versioning, qid counter and slice (with the package CSV
     row written for each of its versions, by whichever session read the
-    version first) and recording buffer (one run, one slice, one global
-    statement order) but keeps its own statement log, so each session's
-    stream stays attributable. *)
+    version first) (one run, one slice, one global statement order) but
+    keeps its own statement log and recording, so each session's stream
+    stays attributable. *)
 val create_sibling : t -> session_id:int -> t
 
 (** A session answering from a recording (server-excluded replay). *)

@@ -1,61 +1,20 @@
-(** Console sink for [Ldv_obs]: renders a snapshot as the same fixed-width
-    tables {!Report} uses for the paper's figures. Shared by the CLI's
-    [--obs summary] mode and the [ldv stats] JSONL reader. *)
+(** Console sink for [Ldv_obs]: renders the loaded-trace model
+    ({!Ldv_obs.Profile}) as the same fixed-width tables {!Report} uses
+    for the paper's figures. Shared by the CLI's [--obs summary] mode and
+    the JSONL trace readers ([ldv stats], [profile], [timeline],
+    [contention], [overhead], [obs diff]): each printer projects its
+    tables from the one model. *)
 
 module Obs = Ldv_obs
 module H = Ldv_obs.Histogram
+module P = Ldv_obs.Profile
 
-let span_hist_prefix = "span:"
+let print_counters counters =
+  Report.print_table ~header:[ "counter"; "value" ]
+    (List.map (fun (name, v) -> [ name; string_of_int v ]) counters)
 
-let is_span_hist name =
-  String.length name >= String.length span_hist_prefix
-  && String.sub name 0 (String.length span_hist_prefix) = span_hist_prefix
-
-(* Aggregate spans by name, preserving first-seen order of completion. *)
-type agg = {
-  mutable count : int;
-  mutable total : float;
-  mutable min_d : float;
-  mutable max_d : float;
-}
-
-let span_rows (snap : Obs.snapshot) =
-  let tbl : (string, agg) Hashtbl.t = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun (sp : Obs.span) ->
-      let d = Float.max 0.0 sp.Obs.sp_dur in
-      match Hashtbl.find_opt tbl sp.Obs.sp_name with
-      | Some a ->
-        a.count <- a.count + 1;
-        a.total <- a.total +. d;
-        if d < a.min_d then a.min_d <- d;
-        if d > a.max_d then a.max_d <- d
-      | None ->
-        Hashtbl.replace tbl sp.Obs.sp_name
-          { count = 1; total = d; min_d = d; max_d = d };
-        order := sp.Obs.sp_name :: !order)
-    snap.Obs.spans;
-  List.rev_map
-    (fun name ->
-      let a = Hashtbl.find tbl name in
-      (* percentiles come from the per-stage histograms, which survive ring
-         eviction *)
-      let p50, p95 =
-        match List.assoc_opt (span_hist_prefix ^ name) snap.Obs.histograms with
-        | Some s -> (s.H.s_p50, s.H.s_p95)
-        | None -> (Float.nan, Float.nan)
-      in
-      [ name;
-        string_of_int a.count;
-        Report.seconds a.total;
-        Report.seconds (a.total /. float_of_int a.count);
-        Report.seconds p50;
-        Report.seconds p95;
-        Report.seconds a.max_d ])
-    !order
-
-let print_summary (snap : Obs.snapshot) =
+let print_summary (t : P.t) =
+  let snap = t.P.snap in
   if snap.Obs.spans = [] && snap.Obs.counters = [] && snap.Obs.gauges = []
      && snap.Obs.histograms = []
   then print_endline "no observability data collected"
@@ -64,7 +23,23 @@ let print_summary (snap : Obs.snapshot) =
       Report.section "Spans (per stage)";
       Report.print_table
         ~header:[ "span"; "count"; "total"; "mean"; "p50"; "p95"; "max" ]
-        (span_rows snap);
+        (List.map
+           (fun (r : P.row) ->
+             (* percentiles come from the per-stage histograms, which
+                survive ring eviction *)
+             let p50, p95 =
+               match P.span_hist t r.P.r_name with
+               | Some s -> (s.H.s_p50, s.H.s_p95)
+               | None -> (Float.nan, Float.nan)
+             in
+             [ r.P.r_name;
+               string_of_int r.P.r_count;
+               Report.seconds r.P.r_total;
+               Report.seconds (r.P.r_total /. float_of_int r.P.r_count);
+               Report.seconds p50;
+               Report.seconds p95;
+               Report.seconds r.P.r_max ])
+           t.P.names);
       if snap.Obs.dropped_spans > 0 then
         Report.note "(%d early spans evicted from the ring buffer%s)\n"
           snap.Obs.dropped_spans
@@ -74,10 +49,7 @@ let print_summary (snap : Obs.snapshot) =
     end;
     if snap.Obs.counters <> [] then begin
       Report.section "Counters";
-      Report.print_table ~header:[ "counter"; "value" ]
-        (List.map
-           (fun (name, v) -> [ name; string_of_int v ])
-           snap.Obs.counters);
+      print_counters snap.Obs.counters;
       match
         ( List.assoc_opt "db.rows_scanned" snap.Obs.counters,
           List.assoc_opt "db.tuples_emitted" snap.Obs.counters )
@@ -97,10 +69,7 @@ let print_summary (snap : Obs.snapshot) =
            (fun (name, v) -> [ name; Printf.sprintf "%.3f" v ])
            snap.Obs.gauges)
     end;
-    let histos =
-      List.filter (fun (name, _) -> not (is_span_hist name)) snap.Obs.histograms
-    in
-    if histos <> [] then begin
+    if t.P.metric_hists <> [] then begin
       Report.section "Histograms";
       Report.print_table
         ~header:[ "histogram"; "count"; "mean"; "p50"; "p95"; "p99"; "max" ]
@@ -113,7 +82,7 @@ let print_summary (snap : Obs.snapshot) =
                Printf.sprintf "%.3f" s.H.s_p95;
                Printf.sprintf "%.3f" s.H.s_p99;
                Printf.sprintf "%.3f" s.H.s_max ])
-           histos)
+           t.P.metric_hists)
     end
   end
 
@@ -128,21 +97,14 @@ let is_repl name =
     crashes / recoveries), the [repl.lag] quantum gauge, and the
     catch-up histograms. Prints nothing when the trace recorded no
     replication activity. *)
-let print_replication (snap : Obs.snapshot) =
+let print_replication (t : P.t) =
+  let snap = t.P.snap in
   let counters = List.filter (fun (n, _) -> is_repl n) snap.Obs.counters in
   let gauges = List.filter (fun (n, _) -> is_repl n) snap.Obs.gauges in
-  let histos =
-    List.filter
-      (fun (n, _) -> (not (is_span_hist n)) && is_repl n)
-      snap.Obs.histograms
-  in
+  let histos = List.filter (fun (n, _) -> is_repl n) t.P.metric_hists in
   if counters <> [] || gauges <> [] || histos <> [] then begin
     Report.section "Replication";
-    if counters <> [] then
-      Report.print_table ~header:[ "counter"; "value" ]
-        (List.map
-           (fun (name, v) -> [ name; string_of_int v ])
-           (List.sort compare counters));
+    if counters <> [] then print_counters (List.sort compare counters);
     if gauges <> [] then
       Report.print_table ~header:[ "gauge"; "last" ]
         (List.map
@@ -175,14 +137,12 @@ let is_tx name =
     [client.tx.*] counter (begins / commits / rollbacks / conflict
     aborts / retries / attempts) plus injected aborts. Prints nothing
     when the trace recorded no transaction activity. *)
-let print_transactions (snap : Obs.snapshot) =
+let print_transactions (t : P.t) =
+  let snap = t.P.snap in
   let counters = List.filter (fun (n, _) -> is_tx n) snap.Obs.counters in
   if counters <> [] then begin
     Report.section "Transactions";
-    Report.print_table ~header:[ "counter"; "value" ]
-      (List.map
-         (fun (name, v) -> [ name; string_of_int v ])
-         (List.sort compare counters));
+    print_counters (List.sort compare counters);
     let counter name =
       Option.value ~default:0 (List.assoc_opt name snap.Obs.counters)
     in
@@ -197,10 +157,15 @@ let print_transactions (snap : Obs.snapshot) =
 (* ------------------------------------------------------------------ *)
 (* Profile rendering (the `ldv profile` / `ldv obs diff` tables).      *)
 
-module P = Ldv_obs.Profile
-
 let pct ~of_ v =
   if of_ <= 0.0 then "-" else Printf.sprintf "%.1f%%" (100.0 *. v /. of_)
+
+let print_orphans (t : P.t) =
+  if t.P.orphans > 0 then
+    Report.note
+      "(%d span(s) had no parent in the trace — evicted or escaped — and \
+       were promoted to roots)\n"
+      t.P.orphans
 
 (** The self/total table of a profiled run, heaviest self time first. *)
 let print_profile (p : P.t) =
@@ -219,11 +184,7 @@ let print_profile (p : P.t) =
   Report.note "wall (sum of roots): %s across %d root span(s)\n"
     (Report.seconds p.P.wall)
     (List.length p.P.forest);
-  if p.P.orphans > 0 then
-    Report.note
-      "(%d span(s) had no parent in the trace — evicted or escaped — and \
-       were promoted to roots)\n"
-      p.P.orphans
+  print_orphans p
 
 (** One table per root: the chain of heaviest children, with the step
     cost attribution that telescopes to the root's duration. *)
@@ -308,54 +269,42 @@ module L = Ldv_obs.Ledger
     provenance, obs-self) as a fraction of the native work (parse, plan,
     exec, WAL, fsync, other) — or [None] when the trace carries no
     ledger data. Deterministic: a pure function of the snapshot. *)
-let print_overhead (snap : Obs.snapshot) : float option =
-  let hist name = List.assoc_opt name snap.Obs.histograms in
-  let sum = function Some s -> s.H.s_sum | None -> 0.0 in
-  match hist L.stmt_hist with
+let print_overhead (t : P.t) : float option =
+  match t.P.ledger with
   | None ->
     print_endline
       "no overhead ledger in this trace (collect one with an audit under \
        --obs)";
     None
-  | Some stmt when stmt.H.s_count = 0 ->
+  | Some (stmt, _) when stmt.H.s_count = 0 ->
     print_endline "overhead ledger is empty (no statements accounted)";
     None
-  | Some stmt ->
+  | Some (stmt, phases) ->
     let n = float_of_int stmt.H.s_count in
-    let rows =
-      List.map
-        (fun p -> (L.phase_name p, hist (L.hist_of_phase p), L.is_audit_phase p))
-        L.phases
-      @ [ ("other", hist L.other_hist, false) ]
-    in
-    let audit_s =
+    let sum keep =
       List.fold_left
-        (fun acc (_, s, is_a) -> if is_a then acc +. sum s else acc)
-        0.0 rows
+        (fun acc (p : P.phase_sum) -> if keep p then acc +. p.P.p_sum else acc)
+        0.0 phases
     in
-    let native_s =
-      List.fold_left
-        (fun acc (_, s, is_a) -> if is_a then acc else acc +. sum s)
-        0.0 rows
-    in
+    let audit_s = sum (fun p -> p.P.p_audit) in
+    let native_s = sum (fun p -> not p.P.p_audit) in
     Report.section "Overhead ledger (per phase)";
     Report.print_table
       ~header:[ "phase"; "class"; "count"; "total"; "per-stmt"; "share" ]
       (List.map
-         (fun (name, s, is_a) ->
-           let total = sum s in
-           [ name;
-             (if is_a then "audit" else "native");
-             string_of_int (match s with Some s -> s.H.s_count | None -> 0);
-             Report.seconds total;
-             Report.seconds (total /. n);
-             pct ~of_:stmt.H.s_sum total ])
-         rows);
+         (fun (p : P.phase_sum) ->
+           [ p.P.p_name;
+             (if p.P.p_audit then "audit" else "native");
+             string_of_int p.P.p_count;
+             Report.seconds p.P.p_sum;
+             Report.seconds (p.P.p_sum /. n);
+             pct ~of_:stmt.H.s_sum p.P.p_sum ])
+         phases);
     Report.note "%d statement(s) accounted, %s total (%s per statement)\n"
       stmt.H.s_count
       (Report.seconds stmt.H.s_sum)
       (Report.seconds (stmt.H.s_sum /. n));
-    let obs_self = sum (hist (L.hist_of_phase L.Obs_self)) in
+    let obs_self = sum (fun p -> p.P.p_name = L.phase_name L.Obs_self) in
     Report.note "obs-self (instrumentation metering itself): %s (%s)\n"
       (Report.seconds obs_self)
       (pct ~of_:stmt.H.s_sum obs_self);
@@ -370,6 +319,40 @@ let print_overhead (snap : Obs.snapshot) : float option =
         overhead_pct (Report.seconds audit_s) (Report.seconds native_s);
       Some overhead_pct
     end
+
+(* ------------------------------------------------------------------ *)
+(* Gantt rendering (the `ldv timeline` views).                         *)
+
+(** A 64-column Gantt: one bar per lane over the extent of every span
+    drawn, each span marked with its character. A ['#'] wins a cell two
+    spans share; any other mark only fills a blank one. Deterministic: a
+    pure function of the trace. *)
+let print_gantt ~legend (lanes : (string * (P.node * char) list) list) =
+  let lo, hi = P.extent (List.concat_map (fun (_, spans) -> List.map fst spans) lanes) in
+  let width = 64 in
+  let extent = hi -. lo in
+  if extent <= 0.0 then print_endline "(trace spans a single instant)"
+  else begin
+    let cell t =
+      min (width - 1)
+        (max 0 (int_of_float (float_of_int width *. (t -. lo) /. extent)))
+    in
+    List.iter
+      (fun (lane, spans) ->
+        let bar = Bytes.make width ' ' in
+        List.iter
+          (fun ((n : P.node), mark) ->
+            let start = n.P.n_span.Obs.sp_start in
+            for c = cell start to cell (start +. n.P.n_total) do
+              if mark = '#' || Bytes.get bar c = ' ' then Bytes.set bar c mark
+            done)
+          spans;
+        Printf.printf "  %-8s |%s|\n" lane (Bytes.to_string bar))
+      lanes;
+    Printf.printf "  %-8s  %s\n" ""
+      (Printf.sprintf "%s   %s .. %s" legend (Report.seconds 0.0)
+         (Report.seconds extent))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Contention rendering (the `ldv timeline` / `ldv contention` views). *)
@@ -398,58 +381,29 @@ let attribution_header =
 
 (** The per-session Gantt over scheduler quanta: one row per session,
     ['#'] while it ran, ['.'] while it was parked, spaces before its
-    first and after its last activity. Deterministic: a pure function of
-    the trace. *)
-let print_timeline (snap : Obs.snapshot) =
-  match C.timeline snap with
+    first and after its last activity. *)
+let print_timeline (t : P.t) =
+  let lanes =
+    List.filter_map
+      (fun (session, rows) ->
+        let spans name mark = List.map (fun n -> (n, mark)) (P.nodes rows name) in
+        match spans C.quantum_span '#' @ spans C.sched_wait_span '.' with
+        | [] -> None
+        | spans -> Some ("S" ^ P.id_label session, spans))
+      t.P.sessions
+  in
+  match lanes with
   | [] ->
     print_endline
       "no scheduler quanta in this trace (collect one with a concurrent \
        audit under --obs)"
-  | rows ->
-    let lo, hi =
-      List.fold_left
-        (fun acc (_, segs) ->
-          List.fold_left
-            (fun (lo, hi) (g : C.segment) ->
-              (Float.min lo g.C.g_start, Float.max hi (g.C.g_start +. g.C.g_dur)))
-            acc segs)
-        (Float.infinity, Float.neg_infinity)
-        rows
-    in
-    let width = 64 in
-    let extent = hi -. lo in
+  | lanes ->
     Report.section "Session timeline (scheduler quanta)";
-    if extent <= 0.0 then print_endline "(trace spans a single instant)"
-    else begin
-      List.iter
-        (fun (session, segs) ->
-          let bar = Bytes.make width ' ' in
-          List.iter
-            (fun (g : C.segment) ->
-              let cell t =
-                min (width - 1)
-                  (max 0 (int_of_float (float_of_int width *. (t -. lo) /. extent)))
-              in
-              let c0 = cell g.C.g_start in
-              let c1 = cell (g.C.g_start +. g.C.g_dur) in
-              let mark = match g.C.g_kind with C.Run -> '#' | C.Wait -> '.' in
-              for c = c0 to c1 do
-                (* running wins a shared boundary cell over waiting *)
-                if mark = '#' || Bytes.get bar c = ' ' then Bytes.set bar c mark
-              done)
-            segs;
-          Printf.printf "  %-8s |%s|\n"
-            (Printf.sprintf "S%s" session)
-            (Bytes.to_string bar))
-        rows;
-      Printf.printf "  %-8s  %s\n" ""
-        (Printf.sprintf "# running   . blocked   %s .. %s" (Report.seconds 0.0)
-           (Report.seconds extent))
-    end;
+    print_gantt ~legend:"# running   . blocked" lanes;
     Report.section "Blocked vs running (per session)";
     Report.print_table ~header:attribution_header
-      (attribution_rows (C.attribution snap));
+      (attribution_rows (C.attribution t));
+    let snap = t.P.snap in
     if snap.Obs.quanta <> [] then
       Report.note "%d scheduler round(s) sampled%s\n"
         (List.length snap.Obs.quanta)
@@ -461,25 +415,13 @@ let print_timeline (snap : Obs.snapshot) =
 (* ------------------------------------------------------------------ *)
 (* Cluster timeline (the `ldv timeline --cluster` view).               *)
 
-let span_attr (sp : Obs.span) key = List.assoc_opt key sp.Obs.sp_attrs
-
-let span_int_attr (sp : Obs.span) key =
-  match span_attr sp key with
-  | Some v -> ( try int_of_string v with Failure _ -> -1)
-  | None -> -1
-
 (** Which cluster node did a span's work: replica applies land on their
     [repl.node] lane; everything else (statements, attempts, shipping)
     runs on the leader, laned by session. *)
-let cluster_lane (sp : Obs.span) =
-  if String.equal sp.Obs.sp_name "repl.apply" then
-    Printf.sprintf "R%d" (span_int_attr sp "repl.node")
-  else Printf.sprintf "S%d" (span_int_attr sp Obs.Trace.session_attr)
-
-let is_cluster_span (sp : Obs.span) =
-  match sp.Obs.sp_name with
-  | "db.stmt" | "tx.attempt" | "repl.ship" | "repl.apply" -> true
-  | _ -> false
+let cluster_lane (n : P.node) =
+  if String.equal n.P.n_span.Obs.sp_name "repl.apply" then
+    Printf.sprintf "R%d" n.P.n_repl_node
+  else Printf.sprintf "S%d" n.P.n_session
 
 (** The cluster-wide causal view: ship frames carry the originating
     statement's trace id, so leader statements, ship deliveries, and
@@ -487,119 +429,74 @@ let is_cluster_span (sp : Obs.span) =
     different nodes. Renders per-node lanes over wall time plus a
     per-trace causal table. Deterministic: a pure function of the
     trace. *)
-let print_cluster_timeline (snap : Obs.snapshot) =
+let print_cluster_timeline (t : P.t) =
   let spans =
-    List.sort
-      (fun (a : Obs.span) b ->
-        match compare a.Obs.sp_start b.Obs.sp_start with
-        | 0 -> compare a.Obs.sp_id b.Obs.sp_id
-        | c -> c)
-      (List.filter is_cluster_span snap.Obs.spans)
+    List.concat_map (P.nodes t.P.names)
+      [ "db.stmt"; "tx.attempt"; "repl.ship"; "repl.apply" ]
+    |> List.sort (fun (a : P.node) (b : P.node) ->
+           match compare a.P.n_span.Obs.sp_start b.P.n_span.Obs.sp_start with
+           | 0 -> compare a.P.n_span.Obs.sp_id b.P.n_span.Obs.sp_id
+           | c -> c)
   in
-  if spans = [] then
+  match spans with
+  | [] ->
     print_endline
       "no cluster spans in this trace (collect one with a replicated audit \
        under --obs)"
-  else begin
+  | spans ->
     (* lanes: leader sessions first, then replicas, both in id order *)
-    let lanes = ref [] in
-    List.iter
-      (fun sp ->
-        let lane = cluster_lane sp in
-        if not (List.mem lane !lanes) then lanes := lane :: !lanes)
-      spans;
     let lanes =
-      List.sort
-        (fun a b ->
-          match (a.[0], b.[0]) with
-          | 'S', 'R' -> -1
-          | 'R', 'S' -> 1
-          | _ -> compare a b)
-        !lanes
+      P.group_by cluster_lane spans
+      |> List.sort (fun (a, _) (b, _) ->
+             match (a.[0], b.[0]) with
+             | 'S', 'R' -> -1
+             | 'R', 'S' -> 1
+             | _ -> compare a b)
     in
-    let lo, hi =
-      List.fold_left
-        (fun (lo, hi) (sp : Obs.span) ->
-          ( Float.min lo sp.Obs.sp_start,
-            Float.max hi (sp.Obs.sp_start +. Float.max 0.0 sp.Obs.sp_dur) ))
-        (Float.infinity, Float.neg_infinity)
-        spans
+    let mark (n : P.node) =
+      match n.P.n_span.Obs.sp_name with
+      | "repl.apply" -> 'a'
+      | "repl.ship" -> 's'
+      | _ -> '#' (* statement bodies win shared cells over ship marks *)
     in
-    let width = 64 in
-    let extent = hi -. lo in
     Report.section "Cluster timeline (per node)";
-    if extent <= 0.0 then print_endline "(trace spans a single instant)"
-    else begin
-      List.iter
-        (fun lane ->
-          let bar = Bytes.make width ' ' in
-          List.iter
-            (fun (sp : Obs.span) ->
-              if String.equal (cluster_lane sp) lane then begin
-                let cell t =
-                  min (width - 1)
-                    (max 0
-                       (int_of_float
-                          (float_of_int width *. (t -. lo) /. extent)))
-                in
-                let c0 = cell sp.Obs.sp_start in
-                let c1 = cell (sp.Obs.sp_start +. Float.max 0.0 sp.Obs.sp_dur) in
-                let mark =
-                  match sp.Obs.sp_name with
-                  | "repl.apply" -> 'a'
-                  | "repl.ship" -> 's'
-                  | _ -> '#'
-                in
-                for c = c0 to c1 do
-                  (* statement bodies win shared cells over ship marks *)
-                  if mark = '#' || Bytes.get bar c = ' ' then
-                    Bytes.set bar c mark
-                done
-              end)
-            spans;
-          Printf.printf "  %-8s |%s|\n" lane (Bytes.to_string bar))
-        lanes;
-      Printf.printf "  %-8s  %s\n" ""
-        (Printf.sprintf "# stmt   s ship   a apply   %s .. %s"
-           (Report.seconds 0.0) (Report.seconds extent))
-    end;
+    print_gantt ~legend:"# stmt   s ship   a apply"
+      (List.map
+         (fun (lane, spans) -> (lane, List.map (fun n -> (n, mark n)) spans))
+         lanes);
     (* the causal join: group by originating trace id *)
     let traces =
-      List.sort_uniq compare
-        (List.map (fun sp -> span_int_attr sp Obs.Trace.trace_attr) spans)
+      P.group_by (fun (n : P.node) -> n.P.n_trace) spans
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
+    let lo, _ = P.extent spans in
     Report.section "Cluster causal traces";
     Report.print_table
       ~header:[ "trace"; "start"; "span"; "node"; "stmt"; "dur" ]
       (List.concat_map
-         (fun tr ->
-           List.filter_map
-             (fun (sp : Obs.span) ->
-               if span_int_attr sp Obs.Trace.trace_attr <> tr then None
-               else
-                 Some
-                   [ (if tr < 0 then "-" else string_of_int tr);
-                     Report.seconds (sp.Obs.sp_start -. lo);
-                     sp.Obs.sp_name;
-                     (if String.equal sp.Obs.sp_name "repl.ship" then
-                        Printf.sprintf "->R%d" (span_int_attr sp "repl.node")
-                      else cluster_lane sp);
-                     (match span_attr sp Obs.Trace.stmt_attr with
-                     | Some s -> s
-                     | None -> "-");
-                     Report.seconds (Float.max 0.0 sp.Obs.sp_dur) ])
+         (fun (trace, spans) ->
+           List.map
+             (fun (n : P.node) ->
+               let sp = n.P.n_span in
+               [ P.id_label trace;
+                 Report.seconds (sp.Obs.sp_start -. lo);
+                 sp.Obs.sp_name;
+                 (if String.equal sp.Obs.sp_name "repl.ship" then
+                    Printf.sprintf "->R%d" n.P.n_repl_node
+                  else cluster_lane n);
+                 P.id_label n.P.n_stmt;
+                 Report.seconds n.P.n_total ])
              spans)
          traces);
     Report.note
       "%d trace(s) spanning %d node lane(s); replica applies join their \
        originating statement's trace via the shipped trace id\n"
       (List.length traces) (List.length lanes)
-  end
 
 (** The contention report: blocked-vs-running attribution, top latch
     holders, and group-commit stalling. *)
-let print_contention (snap : Obs.snapshot) =
-  let r = C.contention snap in
+let print_contention (t : P.t) =
+  let r = C.contention t in
   if r.C.c_sessions = [] then
     print_endline
       "no contention data in this trace (collect one with a concurrent \
@@ -627,6 +524,7 @@ let print_contention (snap : Obs.snapshot) =
         (Report.seconds r.C.c_stall.H.s_p50)
         (Report.seconds r.C.c_stall.H.s_p95)
         (Report.seconds r.C.c_stall.H.s_max);
+    let snap = t.P.snap in
     let counter name =
       Option.value ~default:0 (List.assoc_opt name snap.Obs.counters)
     in
@@ -639,7 +537,7 @@ let print_contention (snap : Obs.snapshot) =
         commits
         (counter "wal.group_commit.batched")
         deferred
-        (match List.assoc_opt "wal.group_commit.stall" snap.Obs.histograms with
+        (match List.assoc_opt "wal.group_commit.stall" t.P.metric_hists with
         | Some s when s.H.s_count > 0 ->
           Printf.sprintf ", stall p95 %s" (Report.seconds s.H.s_p95)
         | _ -> "")
@@ -648,41 +546,16 @@ let print_contention (snap : Obs.snapshot) =
 (* ------------------------------------------------------------------ *)
 (* Per-session grouping (the `ldv stats --by-session` view).           *)
 
-(** Span aggregates grouped by the [trace.session] attribute, with
-    percentiles from per-session histograms built on the fly and a final
-    all-sessions row per name via [H.merge]. *)
-let print_by_session (snap : Obs.snapshot) =
-  (* (session, span name) -> histogram of durations *)
-  let tbl : (string * string, H.t) Hashtbl.t = Hashtbl.create 64 in
-  let sessions = ref [] in
-  List.iter
-    (fun (sp : Obs.span) ->
-      let session = C.session_of sp in
-      if not (List.mem session !sessions) then sessions := session :: !sessions;
-      let key = (session, sp.Obs.sp_name) in
-      let h =
-        match Hashtbl.find_opt tbl key with
-        | Some h -> h
-        | None ->
-          let h = H.create () in
-          Hashtbl.replace tbl key h;
-          h
-      in
-      H.observe h (Float.max 0.0 sp.Obs.sp_dur))
-    snap.Obs.spans;
-  if !sessions = [] then
-    print_endline "no spans in this trace"
-  else begin
-    let sessions = List.sort C.compare_session !sessions in
-    let names_of session =
-      Hashtbl.fold
-        (fun (s, name) _ acc -> if String.equal s session then name :: acc else acc)
-        tbl []
-      |> List.sort String.compare
-    in
-    let row name (h : H.t) =
-      let s = H.summarize h in
-      [ name;
+(** Span aggregates per [trace.session] value, with percentiles from the
+    model's per-session histograms, and a final all-sessions row per
+    name. *)
+let print_by_session (t : P.t) =
+  match t.P.sessions with
+  | [] -> print_endline "no spans in this trace"
+  | sessions ->
+    let row (r : P.row) =
+      let s = H.summarize r.P.r_hist in
+      [ r.P.r_name;
         string_of_int s.H.s_count;
         Report.seconds s.H.s_sum;
         Report.seconds s.H.s_p50;
@@ -691,44 +564,32 @@ let print_by_session (snap : Obs.snapshot) =
     in
     let header = [ "span"; "count"; "total"; "p50"; "p95"; "max" ] in
     List.iter
-      (fun session ->
+      (fun (session, rows) ->
         Report.section
-          (if String.equal session "-" then "Session: (unattributed)"
-           else Printf.sprintf "Session %s" session);
-        Report.print_table ~header
-          (List.map
-             (fun name -> row name (Hashtbl.find tbl (session, name)))
-             (names_of session)))
+          (if session < 0 then "Session: (unattributed)"
+           else Printf.sprintf "Session %d" session);
+        Report.print_table ~header (List.map row rows))
       sessions;
-    (* the run-wide view: per-name merge across every session *)
-    let all_names =
-      Hashtbl.fold (fun (_, name) _ acc -> name :: acc) tbl []
-      |> List.sort_uniq String.compare
-    in
+    (* the run-wide view: every session's spans of a name together *)
     Report.section "All sessions (merged)";
     Report.print_table ~header
-      (List.map
-         (fun name ->
-           let merged =
-             Hashtbl.fold
-               (fun (_, n) h acc ->
-                 if String.equal n name then H.merge acc h else acc)
-               tbl (H.create ())
-           in
-           row name merged)
-         all_names);
-    if snap.Obs.counters <> [] then
+      (List.map row
+         (List.sort
+            (fun (a : P.row) (b : P.row) -> String.compare a.P.r_name b.P.r_name)
+            t.P.names));
+    if t.P.snap.Obs.counters <> [] then
       Report.note
         "(counters are process-global; per-session attribution above is \
          span-based)\n"
-  end
 
-(** Print the span tree of a snapshot (roots at the margin), for drilling
-    into one run's structure. *)
-let print_tree (snap : Obs.snapshot) =
-  let rec go depth (sp : Obs.span) =
+(** Print the span forest (roots at the margin), for drilling into one
+    run's structure; spans whose parent is missing are printed as roots,
+    and a note counts them. *)
+let print_tree (t : P.t) =
+  let rec go depth (n : P.node) =
+    let sp = n.P.n_span in
     Printf.printf "%s%s %s%s\n" (String.make (2 * depth) ' ') sp.Obs.sp_name
-      (Report.seconds (Float.max 0.0 sp.Obs.sp_dur))
+      (Report.seconds n.P.n_total)
       (match sp.Obs.sp_attrs with
       | [] -> ""
       | attrs ->
@@ -736,9 +597,7 @@ let print_tree (snap : Obs.snapshot) =
         ^ String.concat ", "
             (List.rev_map (fun (k, v) -> k ^ "=" ^ v) attrs)
         ^ "]");
-    List.iter (go (depth + 1))
-      (List.sort
-         (fun (a : Obs.span) b -> compare a.Obs.sp_id b.Obs.sp_id)
-         (Obs.children snap sp.Obs.sp_id))
+    List.iter (go (depth + 1)) n.P.n_children
   in
-  List.iter (go 0) (Obs.roots snap)
+  List.iter (go 0) t.P.forest;
+  print_orphans t

@@ -362,8 +362,6 @@ let build (audit : Audit.t) : t =
    (kind, app, binary, meta:, recording, trace) makes the whole package
    unreadable.                                                          *)
 
-let b64 = Fun.id (* entries may contain arbitrary bytes; keep raw with length prefixes *)
-
 let to_bytes (t : t) : string =
   Ldv_obs.with_span ~attrs:[ ("kind", kind_name t.kind) ] "package.serialize"
   @@ fun () ->
@@ -388,7 +386,7 @@ let to_bytes (t : t) : string =
       match e.e_content with
       | Some c -> (
         match Minios.Vfs.content_bytes c with
-        | Some s -> section ("file:" ^ e.e_path) (b64 s)
+        | Some s -> section ("file:" ^ e.e_path) s
         | None ->
           section ("opaque:" ^ e.e_path)
             (string_of_int (Minios.Vfs.content_size c)))

@@ -125,9 +125,7 @@ let slice_csvs (audit : Audit.t) (lin : Lineage.t) : (string * string) list =
     lin;
   List.rev !csvs
 
-(** The tables contributing tuples to a version set — the one derivation
-    both [accessed_tables] and [schema_ddl] build on, so the DDL set can
-    never drift from the accessed-table set. *)
+(** The tables contributing tuples to a version set. *)
 let tables_of_tids (tids : Tid.Set.t) : string list =
   Tid.Set.fold (fun tid acc -> tid.Tid.table :: acc) tids []
   |> List.sort_uniq String.compare
@@ -193,20 +191,7 @@ let index_ddl_for (db : Database.t) (tables : string list) :
               |> String.concat "\n" )))
     tables
 
-(** DDL for the tables contributing tuples to [tids]. *)
-let schema_ddl (db : Database.t) (tids : Tid.Set.t) : (string * string) list =
-  schema_ddl_for db (tables_of_tids tids)
-
-(** Total bytes of an already-materialized subset. Callers that also ship
-    the blobs (package creation, the bench's ablations) should call
-    [to_csvs] once and size the result here instead of paying a second
-    materialization through [subset_bytes]. *)
+(** Total bytes of an already-materialized subset — the provenance size
+    axis of the paper's trade-off discussion. *)
 let subset_bytes_of_csvs (csvs : (string * string) list) : int =
   List.fold_left (fun acc (_, csv) -> acc + String.length csv) 0 csvs
-
-(** Total bytes of the relevant subset — the provenance size axis of the
-    paper's trade-off discussion. Materializes the CSVs just to size
-    them; prefer [subset_bytes_of_csvs] when the blobs are needed
-    anyway. *)
-let subset_bytes (db : Database.t) (tids : Tid.Set.t) : int =
-  subset_bytes_of_csvs (to_csvs db tids)

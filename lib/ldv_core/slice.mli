@@ -37,10 +37,6 @@ val to_csvs : Database.t -> Tid.Set.t -> (string * string) list
     of the same set over the audited database, without re-encoding. *)
 val slice_csvs : Audit.t -> Lineage.t -> (string * string) list
 
-(** The tables contributing tuples to a version set — the shared
-    derivation behind [accessed_tables] and [schema_ddl]. *)
-val tables_of_tids : Tid.Set.t -> string list
-
 (** Every table the audited application touched (query reads, DML targets,
     and tables contributing tuples to the given set): all of them need DDL
     in the package, even when none of their tuples survives slicing. *)
@@ -58,17 +54,6 @@ val schema_ddl_for : Database.t -> string list -> (string * string) list
     recreates the same specs. *)
 val index_ddl_for : Database.t -> string list -> (string * string) list
 
-(** CREATE TABLE statements for the tables contributing tuples to the
-    set. *)
-val schema_ddl : Database.t -> Tid.Set.t -> (string * string) list
-
-(** Total bytes of an already-materialized subset; callers that also ship
-    the blobs should size them here instead of re-encoding through
-    [subset_bytes]. *)
+(** Total bytes of an already-materialized subset — the provenance-size
+    axis of the paper's trade-off discussion. *)
 val subset_bytes_of_csvs : (string * string) list -> int
-
-(** Total bytes of the subset's CSV encoding — the provenance-size axis of
-    the paper's trade-off discussion. Materializes the CSVs just to size
-    them; prefer [subset_bytes_of_csvs] when the blobs are needed
-    anyway. *)
-val subset_bytes : Database.t -> Tid.Set.t -> int

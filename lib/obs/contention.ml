@@ -1,11 +1,11 @@
-(** Contention analysis over collected traces: blocked-vs-running
-    attribution per session, a per-session timeline of scheduler quanta,
-    and a latch-holder report.
+(** Contention analysis over the loaded-trace model ({!Profile}):
+    blocked-vs-running attribution per session and a latch-holder
+    report.
 
     The analyzer is pure — it reads the wait-state span vocabulary the
-    instrumented stack emits and never touches the live collector, so it
-    runs identically over an in-memory snapshot and a re-parsed JSONL
-    trace:
+    instrumented stack emits from the model's per-session and per-name
+    rows and never touches the live collector, so it runs identically
+    over an in-memory snapshot and a re-parsed JSONL trace:
 
     - ["sched.quantum"]: one span per scheduler step of a job;
     - ["wait.sched"]: the park-to-resume gap before that step;
@@ -21,29 +21,11 @@
     *inside* quanta and are reported as an overlay, not added to the
     wall time. *)
 
-open Obs_types
-
 let quantum_span = "sched.quantum"
 let sched_wait_span = "wait.sched"
 let latch_wait_span = "wait.latch"
 let group_commit_wait_span = "wait.group-commit"
 let holder_attr = "latch.holder"
-
-let session_of (sp : span) : string =
-  match List.assoc_opt Trace.session_attr sp.sp_attrs with
-  | Some s -> s
-  | None -> "-"
-
-(* Sessions sort numerically when they are numbers (the usual case);
-   the unattributed bucket "-" sorts last. *)
-let compare_session (a : string) (b : string) =
-  match (int_of_string_opt a, int_of_string_opt b) with
-  | Some x, Some y -> compare x y
-  | Some _, None -> -1
-  | None, Some _ -> 1
-  | None, None -> String.compare a b
-
-let span_end (sp : span) = sp.sp_start +. Float.max 0.0 sp.sp_dur
 
 (* ------------------------------------------------------------------ *)
 (* Blocked-vs-running attribution.                                     *)
@@ -59,115 +41,33 @@ type session_attr = {
   a_stall : Histogram.t;  (** wait durations (sched + latch) *)
 }
 
-type acc = {
-  mutable k_first : float;
-  mutable k_last : float;
-  mutable k_run : float;
-  mutable k_blocked : float;
-  mutable k_latch : float;
-  mutable k_quanta : int;
-  mutable k_waits : int;
-  k_stall : Histogram.t;
-}
-
-let attribution (snap : snapshot) : session_attr list =
-  let tbl : (string, acc) Hashtbl.t = Hashtbl.create 8 in
-  let acc_of session =
-    match Hashtbl.find_opt tbl session with
-    | Some a -> a
-    | None ->
-      let a =
-        { k_first = Float.infinity;
-          k_last = Float.neg_infinity;
-          k_run = 0.0;
-          k_blocked = 0.0;
-          k_latch = 0.0;
-          k_quanta = 0;
-          k_waits = 0;
-          k_stall = Histogram.create () }
-      in
-      Hashtbl.replace tbl session a;
-      a
-  in
-  let bounds a (sp : span) =
-    if sp.sp_start < a.k_first then a.k_first <- sp.sp_start;
-    let e = span_end sp in
-    if e > a.k_last then a.k_last <- e
-  in
-  List.iter
-    (fun (sp : span) ->
-      if String.equal sp.sp_name quantum_span then begin
-        let a = acc_of (session_of sp) in
-        bounds a sp;
-        a.k_run <- a.k_run +. Float.max 0.0 sp.sp_dur;
-        a.k_quanta <- a.k_quanta + 1
-      end
-      else if String.equal sp.sp_name sched_wait_span then begin
-        let a = acc_of (session_of sp) in
-        bounds a sp;
-        a.k_blocked <- a.k_blocked +. Float.max 0.0 sp.sp_dur;
-        a.k_waits <- a.k_waits + 1;
-        Histogram.observe a.k_stall sp.sp_dur
-      end
-      else if String.equal sp.sp_name latch_wait_span then begin
-        let a = acc_of (session_of sp) in
-        a.k_latch <- a.k_latch +. Float.max 0.0 sp.sp_dur;
-        a.k_waits <- a.k_waits + 1;
-        Histogram.observe a.k_stall sp.sp_dur
-      end)
-    snap.spans;
-  Hashtbl.fold
-    (fun session a rows ->
-      { a_session = session;
-        a_wall = (if a.k_last > a.k_first then a.k_last -. a.k_first else 0.0);
-        a_running = a.k_run;
-        a_blocked = a.k_blocked;
-        a_latch_wait = a.k_latch;
-        a_quanta = a.k_quanta;
-        a_waits = a.k_waits;
-        a_stall = a.k_stall }
-      :: rows)
-    tbl []
-  |> List.sort (fun x y -> compare_session x.a_session y.a_session)
-
-(* ------------------------------------------------------------------ *)
-(* Per-session timeline (the Gantt behind [ldv timeline]).             *)
-
-type seg_kind = Run | Wait
-
-type segment = {
-  g_start : float;
-  g_dur : float;
-  g_kind : seg_kind;
-}
-
-let timeline (snap : snapshot) : (string * segment list) list =
-  let tbl : (string, segment list ref) Hashtbl.t = Hashtbl.create 8 in
-  let push session seg =
-    match Hashtbl.find_opt tbl session with
-    | Some r -> r := seg :: !r
-    | None -> Hashtbl.replace tbl session (ref [ seg ])
-  in
-  List.iter
-    (fun (sp : span) ->
-      let kind =
-        if String.equal sp.sp_name quantum_span then Some Run
-        else if String.equal sp.sp_name sched_wait_span then Some Wait
-        else None
-      in
-      match kind with
-      | Some g_kind ->
-        push (session_of sp)
-          { g_start = sp.sp_start; g_dur = Float.max 0.0 sp.sp_dur; g_kind }
-      | None -> ())
-    snap.spans;
-  Hashtbl.fold
-    (fun session r rows ->
-      ( session,
-        List.sort (fun a b -> compare a.g_start b.g_start) !r )
-      :: rows)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare_session a b)
+let attribution (t : Profile.t) : session_attr list =
+  List.filter_map
+    (fun (session, rows) ->
+      let row name = Option.to_list (Profile.find rows name) in
+      match (row quantum_span, row sched_wait_span, row latch_wait_span) with
+      | [], [], [] -> None
+      | run, blocked, latch ->
+        let total = List.fold_left (fun acc (r : Profile.row) -> acc +. r.r_total) 0.0 in
+        let count = List.fold_left (fun acc (r : Profile.row) -> acc + r.r_count) 0 in
+        (* quanta and scheduler waits tile the session's activity *)
+        let first, last =
+          Profile.extent
+            (List.concat_map (fun (r : Profile.row) -> r.r_nodes) (run @ blocked))
+        in
+        Some
+          { a_session = Profile.id_label session;
+            a_wall = (if last > first then last -. first else 0.0);
+            a_running = total run;
+            a_blocked = total blocked;
+            a_latch_wait = total latch;
+            a_quanta = count run;
+            a_waits = count (blocked @ latch);
+            a_stall =
+              List.fold_left
+                (fun h (r : Profile.row) -> Histogram.merge h r.r_hist)
+                (Histogram.create ()) (blocked @ latch) })
+    t.Profile.sessions
 
 (* ------------------------------------------------------------------ *)
 (* Latch holders: who made everyone else wait.                         *)
@@ -178,31 +78,16 @@ type holder = {
   h_waiters : int;  (** number of waits it caused *)
 }
 
-let holders (snap : snapshot) : holder list =
-  let tbl : (string, (float * int) ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (sp : span) ->
-      if String.equal sp.sp_name latch_wait_span then begin
-        let who =
-          Option.value ~default:"-" (List.assoc_opt holder_attr sp.sp_attrs)
-        in
-        let dur = Float.max 0.0 sp.sp_dur in
-        match Hashtbl.find_opt tbl who with
-        | Some r ->
-          let w, n = !r in
-          r := (w +. dur, n + 1)
-        | None -> Hashtbl.replace tbl who (ref (dur, 1))
-      end)
-    snap.spans;
-  Hashtbl.fold
-    (fun session r rows ->
-      let h_waited, h_waiters = !r in
-      { h_session = session; h_waited; h_waiters } :: rows)
-    tbl []
-  |> List.sort (fun a b ->
-         match compare b.h_waited a.h_waited with
-         | 0 -> compare_session a.h_session b.h_session
-         | c -> c)
+let holders (t : Profile.t) : holder list =
+  let holder (n : Profile.node) = Profile.int_attr n.Profile.n_span holder_attr in
+  Profile.group_by holder (Profile.nodes t.Profile.names latch_wait_span)
+  |> List.sort (fun (a, _) (b, _) -> Profile.compare_session a b)
+  |> List.map (fun (session, (nodes : Profile.node list)) ->
+         { h_session = Profile.id_label session;
+           h_waited =
+             List.fold_left (fun acc n -> acc +. n.Profile.n_total) 0.0 nodes;
+           h_waiters = List.length nodes })
+  |> List.stable_sort (fun x y -> compare y.h_waited x.h_waited)
 
 (* ------------------------------------------------------------------ *)
 (* The full report.                                                    *)
@@ -217,8 +102,8 @@ type report = {
       (** all sessions' wait durations, merged ([Histogram.merge]) *)
 }
 
-let contention (snap : snapshot) : report =
-  let sessions = attribution snap in
+let contention (t : Profile.t) : report =
+  let sessions = attribution t in
   let wall, latch, blocked =
     List.fold_left
       (fun (w, l, b) a ->
@@ -231,7 +116,7 @@ let contention (snap : snapshot) : report =
       (Histogram.create ()) sessions
   in
   { c_sessions = sessions;
-    c_holders = holders snap;
+    c_holders = holders t;
     c_latch_share = (if wall > 0.0 then latch /. wall else 0.0);
     c_blocked_share = (if wall > 0.0 then blocked /. wall else 0.0);
     c_stall = Histogram.summarize merged }

@@ -309,11 +309,6 @@ let snapshot () : snapshot =
     gauges = sorted_bindings st.gauges (fun r -> !r);
     histograms = sorted_bindings st.histos Histogram.summarize }
 
-let children (snap : snapshot) (id : int) : span list =
-  List.filter (fun sp -> sp.sp_parent = id) snap.spans
-
-let roots (snap : snapshot) : span list = children snap 0
-
 let find_spans (snap : snapshot) (name : string) : span list =
   List.filter (fun sp -> String.equal sp.sp_name name) snap.spans
 

@@ -51,17 +51,6 @@ let phase_name = function
   | Provenance -> "provenance"
   | Obs_self -> "obs-self"
 
-let phase_of_name = function
-  | "parse" -> Some Parse
-  | "plan" -> Some Plan
-  | "exec" -> Some Exec
-  | "wal-append" -> Some Wal_append
-  | "fsync" -> Some Fsync
-  | "audit-record" -> Some Audit_record
-  | "provenance" -> Some Provenance
-  | "obs-self" -> Some Obs_self
-  | _ -> None
-
 let tag = function
   | Parse -> 0
   | Plan -> 1

@@ -1,9 +1,8 @@
-(** Critical-path and self/total-time analysis over collected span
-    forests. See the interface for the model; the paper connection is
-    that the span format mirrors [Prov.Trace]'s edge vocabulary, so an
-    LDV run's own trace is analyzed with the same structural machinery
-    (forest reconstruction, path extraction, graph rendering) as the
-    provenance traces it captures. *)
+(** The loaded-trace model and the analyses over it. See the interface
+    for the model; the paper connection is that the span format mirrors
+    [Prov.Trace]'s edge vocabulary, so an LDV run's own trace is analyzed
+    with the same structural machinery (forest reconstruction, path
+    extraction, graph rendering) as the provenance traces it captures. *)
 
 open Obs_types
 
@@ -12,96 +11,206 @@ type node = {
   n_children : node list;
   n_total : float;
   n_self : float;
+  n_session : int;
+  n_trace : int;
+  n_stmt : int;
+  n_repl_node : int;
 }
-
-type t = {
-  forest : node list;
-  orphans : int;
-  wall : float;
-}
-
-let span_total (sp : span) = Float.max 0.0 sp.sp_dur
-
-let of_snapshot (snap : snapshot) : t =
-  let ids = Hashtbl.create 256 in
-  List.iter (fun sp -> Hashtbl.replace ids sp.sp_id ()) snap.spans;
-  (* children grouped by parent id, then ordered by span id (start order) *)
-  let by_parent : (int, span list ref) Hashtbl.t = Hashtbl.create 256 in
-  let orphans = ref 0 in
-  let root_spans = ref [] in
-  List.iter
-    (fun sp ->
-      if sp.sp_parent <> 0 && not (Hashtbl.mem ids sp.sp_parent) then begin
-        (* the parent was evicted from the ring or never closed: promote *)
-        incr orphans;
-        root_spans := sp :: !root_spans
-      end
-      else if sp.sp_parent = 0 then root_spans := sp :: !root_spans
-      else
-        match Hashtbl.find_opt by_parent sp.sp_parent with
-        | Some r -> r := sp :: !r
-        | None -> Hashtbl.replace by_parent sp.sp_parent (ref [ sp ]))
-    snap.spans;
-  let rec build (sp : span) : node =
-    let children =
-      match Hashtbl.find_opt by_parent sp.sp_id with
-      | None -> []
-      | Some r ->
-        List.map build
-          (List.sort (fun (a : span) b -> compare a.sp_id b.sp_id) !r)
-    in
-    let total = span_total sp in
-    let in_children =
-      List.fold_left (fun acc c -> acc +. c.n_total) 0.0 children
-    in
-    { n_span = sp;
-      n_children = children;
-      n_total = total;
-      n_self = Float.max 0.0 (total -. in_children) }
-  in
-  let forest = List.rev_map build !root_spans in
-  { forest;
-    orphans = !orphans;
-    wall = List.fold_left (fun acc n -> acc +. n.n_total) 0.0 forest }
-
-(* ------------------------------------------------------------------ *)
-(* Self/total aggregation.                                             *)
 
 type row = {
   r_name : string;
+  r_nodes : node list;
   r_count : int;
   r_total : float;
   r_self : float;
   r_max : float;
+  r_hist : Histogram.t;
 }
 
-let rows (t : t) : row list =
-  let tbl : (string, row ref) Hashtbl.t = Hashtbl.create 64 in
-  let rec visit n =
-    (match Hashtbl.find_opt tbl n.n_span.sp_name with
-    | Some r ->
-      r :=
-        { !r with
-          r_count = !r.r_count + 1;
-          r_total = !r.r_total +. n.n_total;
-          r_self = !r.r_self +. n.n_self;
-          r_max = Float.max !r.r_max n.n_total }
-    | None ->
-      Hashtbl.replace tbl n.n_span.sp_name
-        (ref
-           { r_name = n.n_span.sp_name;
-             r_count = 1;
-             r_total = n.n_total;
-             r_self = n.n_self;
-             r_max = n.n_total }));
-    List.iter visit n.n_children
+type phase_sum = {
+  p_name : string;
+  p_audit : bool;
+  p_count : int;
+  p_sum : float;
+}
+
+type t = {
+  snap : snapshot;
+  forest : node list;
+  orphans : int;
+  wall : float;
+  names : row list;
+  sessions : (int * row list) list;
+  span_hists : (string * Histogram.summary) list;
+  metric_hists : (string * Histogram.summary) list;
+  ledger : (Histogram.summary * phase_sum list) option;
+}
+
+let span_total (sp : span) = Float.max 0.0 sp.sp_dur
+
+(* An integer attribute (session, trace, statement, replica ids), its
+   first binding as [List.assoc_opt] finds it; -1 when absent or not a
+   number. *)
+let int_attr (sp : span) key =
+  match
+    List.find_map
+      (fun (k, v) -> if String.equal k key then Some v else None)
+      sp.sp_attrs
+  with
+  | Some v -> Option.value ~default:(-1) (int_of_string_opt v)
+  | None -> -1
+
+let group_by (key : node -> 'k) (nodes : node list) : ('k * node list) list =
+  let tbl = Hashtbl.create 32 in
+  let order = ref [] in
+  List.iter
+    (fun n ->
+      let k = key n in
+      match Hashtbl.find_opt tbl k with
+      | Some r -> r := n :: !r
+      | None ->
+        Hashtbl.replace tbl k (ref [ n ]);
+        order := k :: !order)
+    nodes;
+  List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
+
+let row_of r_name r_nodes : row =
+  let fold f init get = List.fold_left (fun acc n -> f acc (get n)) init r_nodes in
+  let r_hist = Histogram.create () in
+  List.iter (fun n -> Histogram.observe r_hist n.n_total) r_nodes;
+  { r_name;
+    r_nodes;
+    r_count = List.length r_nodes;
+    r_total = fold ( +. ) 0.0 (fun n -> n.n_total);
+    r_self = fold ( +. ) 0.0 (fun n -> n.n_self);
+    r_max = fold Float.max Float.neg_infinity (fun n -> n.n_total);
+    r_hist }
+
+let rows_by_name nodes =
+  List.map (fun (name, nodes) -> row_of name nodes)
+    (group_by (fun n -> n.n_span.sp_name) nodes)
+
+let compare_session a b = compare (a < 0, a) (b < 0, b)
+
+let id_label id = if id < 0 then "-" else string_of_int id
+
+(* The collector keeps a [span:<name>] duration histogram per span name
+   beside the ring ([Ldv_obs.commit_span]). *)
+let span_hist_prefix = "span:"
+
+let ledger_of (snap : snapshot) =
+  let hist name = List.assoc_opt name snap.histograms in
+  let phase p_name hist_name p_audit =
+    let p_count, p_sum =
+      match hist hist_name with
+      | Some s -> (s.Histogram.s_count, s.Histogram.s_sum)
+      | None -> (0, 0.0)
+    in
+    { p_name; p_audit; p_count; p_sum }
   in
-  List.iter visit t.forest;
-  Hashtbl.fold (fun _ r acc -> !r :: acc) tbl []
-  |> List.sort (fun a b ->
-         match compare b.r_self a.r_self with
-         | 0 -> String.compare a.r_name b.r_name
-         | c -> c)
+  Option.map
+    (fun stmt ->
+      ( stmt,
+        List.map
+          (fun p ->
+            phase (Ledger.phase_name p) (Ledger.hist_of_phase p)
+              (Ledger.is_audit_phase p))
+          Ledger.phases
+        @ [ phase "other" Ledger.other_hist false ] ))
+    (hist Ledger.stmt_hist)
+
+let of_snapshot (snap : snapshot) : t =
+  let spans = Array.of_list snap.spans in
+  let ids = Hashtbl.create 256 in
+  Array.iter (fun sp -> Hashtbl.replace ids sp.sp_id ()) spans;
+  (* A span hangs below its parent when the parent is in the snapshot and
+     started first (a smaller id). Any other span with a parent is
+     promoted to a root: the parent was evicted from the ring or never
+     closed (or the trace was edited by hand). *)
+  let attached sp =
+    sp.sp_parent <> 0 && Hashtbl.mem ids sp.sp_parent && sp.sp_parent < sp.sp_id
+  in
+  (* building by descending id completes each node's children (in id
+     order) before the node itself *)
+  let children = Hashtbl.create 256 in
+  let kids id = Option.value ~default:[] (Hashtbl.find_opt children id) in
+  let nodes = Array.make (Array.length spans) None in
+  let order = Array.init (Array.length spans) Fun.id in
+  Array.stable_sort (fun a b -> compare spans.(b).sp_id spans.(a).sp_id) order;
+  Array.iter
+    (fun i ->
+      let sp = spans.(i) in
+      let n_children = kids sp.sp_id in
+      let n_total = span_total sp in
+      let in_children =
+        List.fold_left (fun acc c -> acc +. c.n_total) 0.0 n_children
+      in
+      let n =
+        { n_span = sp;
+          n_children;
+          n_total;
+          n_self = Float.max 0.0 (n_total -. in_children);
+          n_session = int_attr sp Trace.session_attr;
+          n_trace = int_attr sp Trace.trace_attr;
+          n_stmt = int_attr sp Trace.stmt_attr;
+          n_repl_node = int_attr sp "repl.node" }
+      in
+      nodes.(i) <- Some n;
+      if attached sp then Hashtbl.replace children sp.sp_parent (n :: kids sp.sp_parent))
+    order;
+  let nodes = Array.to_list (Array.map Option.get nodes) in
+  let forest = List.filter (fun n -> not (attached n.n_span)) nodes in
+  let span_hists, metric_hists =
+    List.partition_map
+      (fun (name, s) ->
+        let n = String.length span_hist_prefix in
+        if String.starts_with ~prefix:span_hist_prefix name then
+          Either.Left (String.sub name n (String.length name - n), s)
+        else Either.Right (name, s))
+      snap.histograms
+  in
+  { snap;
+    forest;
+    orphans = List.length (List.filter (fun n -> n.n_span.sp_parent <> 0) forest);
+    wall = List.fold_left (fun acc n -> acc +. n.n_total) 0.0 forest;
+    names = rows_by_name nodes;
+    sessions =
+      group_by (fun n -> n.n_session) nodes
+      |> List.map (fun (id, nodes) ->
+             ( id,
+               List.sort
+                 (fun a b -> String.compare a.r_name b.r_name)
+                 (rows_by_name nodes) ))
+      |> List.sort (fun (a, _) (b, _) -> compare_session a b);
+    span_hists;
+    metric_hists;
+    ledger = ledger_of snap }
+
+let span_hist (t : t) name = List.assoc_opt name t.span_hists
+
+let find (rows : row list) name =
+  List.find_opt (fun r -> String.equal r.r_name name) rows
+
+let nodes rows name =
+  match find rows name with Some r -> r.r_nodes | None -> []
+
+let extent (nodes : node list) =
+  List.fold_left
+    (fun (lo, hi) n ->
+      (Float.min lo n.n_span.sp_start, Float.max hi (n.n_span.sp_start +. n.n_total)))
+    (Float.infinity, Float.neg_infinity)
+    nodes
+
+(* ------------------------------------------------------------------ *)
+(* Self/total aggregation.                                             *)
+
+let rows (t : t) : row list =
+  List.sort
+    (fun a b ->
+      match compare b.r_self a.r_self with
+      | 0 -> String.compare a.r_name b.r_name
+      | c -> c)
+    t.names
 
 (* ------------------------------------------------------------------ *)
 (* Critical path.                                                      *)
@@ -273,64 +382,34 @@ let regressed ~budget_pct (d : diff_row) =
     d.d_total_b > d.d_total_a *. (1.0 +. (budget_pct /. 100.0))
   else true (* a span new in [b] with measurable time *)
 
-let diff (a : snapshot) (b : snapshot) : diff_row list =
-  let aggregate (snap : snapshot) =
-    let tbl : (string, int * float) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (sp : span) ->
-        let count, total =
-          Option.value ~default:(0, 0.0) (Hashtbl.find_opt tbl sp.sp_name)
-        in
-        Hashtbl.replace tbl sp.sp_name (count + 1, total +. span_total sp))
-      snap.spans;
-    (* the ring may have evicted spans whose [span:<name>] histogram
-       survived; trusting the ring alone would silently drop those names
-       from the diff (or under-count them), so prefer the histogram's
-       count/sum whenever it saw more completions than the ring holds *)
-    List.iter
-      (fun (hname, (s : Histogram.summary)) ->
-        let prefix = "span:" in
-        let plen = String.length prefix in
-        if
-          String.length hname > plen
-          && String.equal (String.sub hname 0 plen) prefix
-        then begin
-          let name = String.sub hname plen (String.length hname - plen) in
-          let count, _ =
-            Option.value ~default:(0, 0.0) (Hashtbl.find_opt tbl name)
-          in
-          if s.Histogram.s_count > count then
-            Hashtbl.replace tbl name (s.Histogram.s_count, s.Histogram.s_sum)
-        end)
-      snap.histograms;
-    tbl
+let diff (a : t) (b : t) : diff_row list =
+  (* the ring may have evicted spans whose [span:<name>] histogram
+     survived; trusting the ring alone would silently drop those names
+     from the diff (or under-count them), so prefer the histogram's
+     count/sum whenever it saw more completions than the ring holds *)
+  let stats t name =
+    let count, total =
+      match find t.names name with
+      | Some r -> (r.r_count, r.r_total)
+      | None -> (0, 0.0)
+    in
+    match span_hist t name with
+    | Some s when s.Histogram.s_count > count ->
+      (s.Histogram.s_count, s.Histogram.s_sum, s.Histogram.s_p95)
+    | Some s -> (count, total, s.Histogram.s_p95)
+    | None -> (count, total, Float.nan)
   in
-  let p95 (snap : snapshot) name =
-    match List.assoc_opt ("span:" ^ name) snap.histograms with
-    | Some s -> s.Histogram.s_p95
-    | None -> Float.nan
+  let names t =
+    List.map (fun r -> r.r_name) t.names
+    @ List.filter_map
+        (fun (name, s) -> if s.Histogram.s_count > 0 then Some name else None)
+        t.span_hists
   in
-  let ta = aggregate a and tb = aggregate b in
-  let names = Hashtbl.create 64 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace names k ()) ta;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace names k ()) tb;
-  Hashtbl.fold
-    (fun name () acc ->
-      let count_a, total_a =
-        Option.value ~default:(0, 0.0) (Hashtbl.find_opt ta name)
-      in
-      let count_b, total_b =
-        Option.value ~default:(0, 0.0) (Hashtbl.find_opt tb name)
-      in
-      { d_name = name;
-        d_count_a = count_a;
-        d_count_b = count_b;
-        d_total_a = total_a;
-        d_total_b = total_b;
-        d_p95_a = p95 a name;
-        d_p95_b = p95 b name }
-      :: acc)
-    names []
+  List.sort_uniq String.compare (names a @ names b)
+  |> List.map (fun d_name ->
+         let d_count_a, d_total_a, d_p95_a = stats a d_name in
+         let d_count_b, d_total_b, d_p95_b = stats b d_name in
+         { d_name; d_count_a; d_count_b; d_total_a; d_total_b; d_p95_a; d_p95_b })
   |> List.sort (fun x y ->
          match
            compare (y.d_total_b -. y.d_total_a) (x.d_total_b -. x.d_total_a)

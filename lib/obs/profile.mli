@@ -1,15 +1,17 @@
-(** Critical-path and self/total-time analysis over collected span forests.
+(** The loaded-trace model and the analyses over it.
 
     [Ldv_obs] answers "what happened"; this module answers "where did the
-    time go". It reconstructs the span forest of a snapshot (in-memory or
-    re-read from exported JSONL), attributes each span's {e self} time
-    (total minus the time spent in its children), extracts the
-    {e critical path} of each root (the chain of heaviest children, with
-    per-step cost attribution that telescopes exactly to the root's
-    duration), renders collapsed-stack output consumable by flamegraph.pl
-    and speedscope, overlays span timings and their provenance-node
-    correlations onto a [Prov.Dot]-style graphviz rendering, and diffs two
-    runs per span name for the [ldv obs diff] regression gate. *)
+    time go". It builds the one model of a snapshot (in-memory or re-read
+    from exported JSONL) that every trace reader projects from: the span
+    forest with each span's {e self} time (total minus the time spent in
+    its children) and trace identity, per-name and per-session rows, and
+    the ledger's per-phase sums. It extracts the {e critical path} of each
+    root (the chain of heaviest children, with per-step cost attribution
+    that telescopes exactly to the root's duration), renders
+    collapsed-stack output (flamegraph.pl, speedscope) and a
+    [Prov.Dot]-style graphviz overlay of span timings and their
+    provenance-node correlations, and diffs two runs per span name for
+    the [ldv obs diff] regression gate. *)
 
 (** One span placed in the reconstructed forest. *)
 type node = {
@@ -17,32 +19,91 @@ type node = {
   n_children : node list;  (** in span-id order *)
   n_total : float;  (** the span's own duration, clamped at 0 *)
   n_self : float;  (** [n_total] minus the children's totals, clamped at 0 *)
+  n_session : int;  (** [trace.session]; -1 when the span carries none *)
+  n_trace : int;  (** [trace.id]; -1 when absent *)
+  n_stmt : int;  (** [trace.stmt]; -1 when absent *)
+  n_repl_node : int;  (** [repl.node]; -1 when absent *)
 }
 
-type t = {
-  forest : node list;  (** root spans in completion order *)
-  orphans : int;
-      (** spans whose parent is not in the snapshot (evicted from the
-          ring, or an escaped/unbalanced finish); they are promoted to
-          roots *)
-  wall : float;  (** sum of root totals *)
-}
-
-val of_snapshot : Obs_types.snapshot -> t
-
-(* ------------------------------------------------------------------ *)
-(* Self/total aggregation.                                             *)
-
-(** Per-span-name aggregate over the whole forest. *)
+(** The spans of one name, across the run or within one session. *)
 type row = {
   r_name : string;
+  r_nodes : node list;  (** completion order *)
   r_count : int;
   r_total : float;
   r_self : float;
   r_max : float;  (** largest single total *)
+  r_hist : Histogram.t;  (** the totals *)
 }
 
-(** Aggregated rows, heaviest self time first. *)
+(** One phase of the overhead ledger ({!Ledger}): the count and summed
+    seconds of its [ledger:<phase>] histogram (0 when absent), or of
+    [ledger:other], the unattributed remainder. *)
+type phase_sum = {
+  p_name : string;
+  p_audit : bool;  (** an audit-attributable phase ({!Ledger.is_audit_phase}) *)
+  p_count : int;
+  p_sum : float;
+}
+
+type t = {
+  snap : Obs_types.snapshot;  (** what the model was built from *)
+  forest : node list;  (** root spans in completion order *)
+  orphans : int;
+      (** spans whose parent is not in the snapshot (evicted from the
+          ring, or never closed), or started after them (a hand-edited
+          trace); they are promoted to roots *)
+  wall : float;  (** sum of root totals *)
+  names : row list;  (** one per span name, in first completion order *)
+  sessions : (int * row list) list;
+      (** per [trace.session] value (-1 gathers the spans without one),
+          in {!compare_session} order: its rows, sorted by name *)
+  span_hists : (string * Histogram.summary) list;
+      (** the per-name duration histograms the collector keeps beside the
+          ring ([span:<name>], so they survive eviction), keyed by span
+          name *)
+  metric_hists : (string * Histogram.summary) list;
+      (** every other histogram, by name *)
+  ledger : (Histogram.summary * phase_sum list) option;
+      (** [ledger:stmt] (one sample per statement) and every phase, in
+          {!Ledger.phases} order then "other"; [None] without
+          [ledger:stmt] *)
+}
+
+(** The one function that builds the model. *)
+val of_snapshot : Obs_types.snapshot -> t
+
+(** The [span:<name>] histogram of span [name], if the snapshot has it. *)
+val span_hist : t -> string -> Histogram.summary option
+
+(** The row of [name], if any. *)
+val find : row list -> string -> row option
+
+(** The nodes of [name]'s row, none without one. *)
+val nodes : row list -> string -> node list
+
+(** The earliest start and the latest end of [nodes]. *)
+val extent : node list -> float * float
+
+(** An integer attribute of the span (an id); -1 when absent or not a
+    number. *)
+val int_attr : Obs_types.span -> string -> int
+
+(** [nodes] split by [key]: groups in first-seen order, each holding its
+    nodes in their input order. *)
+val group_by : (node -> 'k) -> node list -> ('k * node list) list
+
+(** Session ids in numeric order, the unattributed (-1) last. *)
+val compare_session : int -> int -> int
+
+(** A decoded id as the reports print it: "-" for one the span does not
+    carry (-1). *)
+val id_label : int -> string
+
+(* ------------------------------------------------------------------ *)
+(* Self/total aggregation.                                             *)
+
+(** The per-name rows, heaviest self time first. *)
 val rows : t -> row list
 
 (* ------------------------------------------------------------------ *)
@@ -59,9 +120,6 @@ type step = {
   st_self : float;
   st_step : float;
 }
-
-(** The chain of heaviest children starting at [node]. *)
-val critical_path : node -> step list
 
 (** One critical path per root, in forest order. *)
 val critical_paths : t -> (node * step list) list
@@ -109,9 +167,9 @@ val delta_pct : diff_row -> float
     ignored). *)
 val regressed : budget_pct:float -> diff_row -> bool
 
-(** Rows for every span name in either snapshot, sorted by decreasing
-    total delta. Span names whose ring entries were evicted but whose
+(** Rows for every span name in either run, sorted by decreasing total
+    delta. Span names whose ring entries were evicted but whose
     [span:<name>] histograms survived are still compared (using the
     histogram's count and sum), so a span present in only one run is
     reported as added/removed rather than silently skipped. *)
-val diff : Obs_types.snapshot -> Obs_types.snapshot -> diff_row list
+val diff : t -> t -> diff_row list

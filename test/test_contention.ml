@@ -7,6 +7,7 @@ open Ldv_core
 module Obs = Ldv_obs
 module C = Ldv_obs.Contention
 module H = Ldv_obs.Histogram
+module P = Ldv_obs.Profile
 
 let audited = Concurrent.audited
 
@@ -85,10 +86,12 @@ let test_trace_ids_and_latch_causality () =
       Alcotest.(check bool) "statement id numeric" true
         (int_of_string_opt (attr Obs.Trace.stmt_attr) <> None))
     stmts;
+  let model = P.of_snapshot snap in
+  let nodes name = (Option.get (P.find model.P.names name)).P.r_nodes in
   Alcotest.(check bool) "several sessions appear" true
     (List.length
        (List.sort_uniq compare
-          (List.map (fun sp -> C.session_of sp) stmts))
+          (List.map (fun (n : P.node) -> n.P.n_session) (nodes "db.stmt")))
     > 2);
   (* the in-latch yield makes real contention: some session waited, and
      every wait names a holder that is not the waiter itself *)
@@ -99,15 +102,15 @@ let test_trace_ids_and_latch_causality () =
     (counter_of snap "latch.waits")
     (List.length waits);
   List.iter
-    (fun (sp : Obs.span) ->
-      match List.assoc_opt C.holder_attr sp.Obs.sp_attrs with
+    (fun (n : P.node) ->
+      match List.assoc_opt C.holder_attr n.P.n_span.Obs.sp_attrs with
       | None -> Alcotest.fail "wait.latch span misses latch.holder"
       | Some holder ->
         Alcotest.(check bool) "holder is another session" false
-          (String.equal holder (C.session_of sp)))
-    waits;
+          (String.equal holder (P.id_label n.P.n_session)))
+    (nodes C.latch_wait_span);
   (* and the report pins the blame on real sessions *)
-  let rep = C.contention snap in
+  let rep = C.contention model in
   Alcotest.(check bool) "holder report non-empty" true (rep.C.c_holders <> []);
   List.iter
     (fun (h : C.holder) ->
@@ -124,7 +127,7 @@ let test_telescoping () =
   with_memory @@ fun () ->
   tick_clock ();
   ignore (audited ~sessions:4 ~statements:6 ~seed:42 ());
-  let rows = C.attribution (Obs.snapshot ()) in
+  let rows = C.attribution (P.of_snapshot (Obs.snapshot ())) in
   let numbered =
     List.filter (fun (a : C.session_attr) ->
         int_of_string_opt a.C.a_session <> None)

@@ -268,7 +268,7 @@ let test_diff_budget_covers_tx_and_repl_spans () =
   Obs.with_span "tx.attempt" (fun () -> ());
   Obs.with_span "repl.apply" (fun () -> ());
   let snap_b = Obs.snapshot () in
-  let rows = P.diff snap_a snap_b in
+  let rows = P.diff (P.of_snapshot snap_a) (P.of_snapshot snap_b) in
   List.iter
     (fun name ->
       match List.find_opt (fun (d : P.diff_row) -> d.P.d_name = name) rows with

@@ -3,6 +3,7 @@
 
 module Obs = Ldv_obs
 module H = Ldv_obs.Histogram
+module P = Ldv_obs.Profile
 
 (* Run [f] against a clean in-memory collector, restoring the disabled
    sink and the wall clock afterwards so the other suites see no
@@ -78,9 +79,10 @@ let test_span_nesting () =
   Alcotest.(check (list (pair string string)))
     "add_attr reaches the innermost open span" [ ("late", "yes") ]
     leaf.Obs.sp_attrs;
-  Alcotest.(check int) "roots" 1 (List.length (Obs.roots snap));
+  let forest = (P.of_snapshot snap).P.forest in
+  Alcotest.(check int) "roots" 1 (List.length forest);
   Alcotest.(check int) "children of outer" 2
-    (List.length (Obs.children snap outer.Obs.sp_id))
+    (List.length (List.hd forest).P.n_children)
 
 let test_span_exception () =
   with_memory @@ fun () ->
@@ -290,8 +292,13 @@ let test_audit_span_tree () =
   Alcotest.(check (option string))
     "app attribute" (Some audit.Ldv_core.Audit.app_name)
     (List.assoc_opt "app" root.Obs.sp_attrs);
+  let root_node =
+    List.find
+      (fun (n : P.node) -> n.P.n_span == root)
+      (P.of_snapshot snap).P.forest
+  in
   let child_names =
-    List.map (fun sp -> sp.Obs.sp_name) (Obs.children snap root.Obs.sp_id)
+    List.map (fun (c : P.node) -> c.P.n_span.Obs.sp_name) root_node.P.n_children
   in
   List.iter
     (fun expected ->

@@ -204,11 +204,13 @@ let test_decode_errors () =
 (* ------------------------------------------------------------------ *)
 (* The obs-diff regression gate.                                       *)
 
+let diff a b = P.diff (P.of_snapshot a) (P.of_snapshot b)
+
 let test_diff_gate () =
   let a = mksnap [ mkspan ~id:1 ~parent:0 ~name:"x" ~dur:1.0 () ] in
   let b = mksnap [ mkspan ~id:1 ~parent:0 ~name:"x" ~dur:2.0 () ] in
   (* x doubled: +100% regresses past a 50% budget *)
-  let rows = P.diff a b in
+  let rows = diff a b in
   Alcotest.(check int) "one row" 1 (List.length rows);
   let row = List.hd rows in
   feq "delta" 100.0 (P.delta_pct row);
@@ -217,7 +219,7 @@ let test_diff_gate () =
   Alcotest.(check bool) "within a looser budget" false
     (P.regressed ~budget_pct:150.0 row);
   (* the reverse direction (a speedup) never regresses *)
-  let rows_rev = P.diff b a in
+  let rows_rev = diff b a in
   Alcotest.(check bool) "speedup is not a regression" false
     (P.regressed ~budget_pct:50.0 (List.hd rows_rev));
   (* self-comparison is clean *)
@@ -225,7 +227,7 @@ let test_diff_gate () =
     (fun r ->
       Alcotest.(check bool) "self diff clean" false
         (P.regressed ~budget_pct:0.0 r))
-    (P.diff a a);
+    (diff a a);
   (* a new span with measurable time counts as a regression *)
   let b' =
     mksnap
@@ -233,7 +235,7 @@ let test_diff_gate () =
         mkspan ~id:2 ~parent:0 ~name:"y" ~dur:0.5 () ]
   in
   let y =
-    List.find (fun (r : P.diff_row) -> r.P.d_name = "y") (P.diff a b')
+    List.find (fun (r : P.diff_row) -> r.P.d_name = "y") (diff a b')
   in
   Alcotest.(check bool) "new span delta is +inf" true
     (P.delta_pct y = Float.infinity);
@@ -255,19 +257,19 @@ let test_diff_one_sided () =
   in
   (* b's ring is empty, but span:x saw two completions: diff must trust
      the histogram, not report x as removed *)
-  let row = List.find (fun (r : P.diff_row) -> r.P.d_name = "x") (P.diff a b) in
+  let row = List.find (fun (r : P.diff_row) -> r.P.d_name = "x") (diff a b) in
   Alcotest.(check int) "evicted count from histogram" 2 row.P.d_count_b;
   feq "evicted total from histogram" 4.5 row.P.d_total_b;
   Alcotest.(check bool) "evicted regression caught" true
     (P.regressed ~budget_pct:100.0 row);
   (* present only in A -> removed (count_b = 0), never a regression *)
-  let gone = List.find (fun (r : P.diff_row) -> r.P.d_name = "x") (P.diff a (mksnap [])) in
+  let gone = List.find (fun (r : P.diff_row) -> r.P.d_name = "x") (diff a (mksnap [])) in
   Alcotest.(check int) "removed span keeps a row" 1 gone.P.d_count_a;
   Alcotest.(check int) "removed span has no B count" 0 gone.P.d_count_b;
   Alcotest.(check bool) "removed span is not a regression" false
     (P.regressed ~budget_pct:0.0 gone);
   (* present only in B -> added, exit-4 material when it has time *)
-  let added = List.find (fun (r : P.diff_row) -> r.P.d_name = "x") (P.diff (mksnap []) a) in
+  let added = List.find (fun (r : P.diff_row) -> r.P.d_name = "x") (diff (mksnap []) a) in
   Alcotest.(check int) "added span has no A count" 0 added.P.d_count_a;
   Alcotest.(check bool) "added span regresses the budget" true
     (P.regressed ~budget_pct:50.0 added)
@@ -314,6 +316,55 @@ let prop_percentile_accuracy =
           Float.abs (approx -. exact) <= (0.0225 *. exact) +. 1e-12)
         [ 0.5; 0.95; 0.99; 1.0 ])
 
+(* ------------------------------------------------------------------ *)
+(* The tree of a torn trace: a root that never closed leaves its
+   children's parent out of the snapshot, so the tree printer must
+   promote them to roots, as the profile does.                          *)
+
+(* What [f] prints on stdout. *)
+let stdout_of f =
+  let path = Filename.temp_file "ldv_tree" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f;
+  let ic = open_in path in
+  let out = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  out
+
+(* root (still open) > a > a1, and root > b; a1, a and b closed *)
+let torn_snapshot () =
+  tick_clock ();
+  let (_ : Obs.span) = Obs.start_span "root" in
+  Obs.with_span "a" (fun () -> Obs.with_span "a1" (fun () -> ()));
+  Obs.with_span "b" (fun () -> ());
+  Obs.snapshot ()
+
+let check_torn_tree snap =
+  Alcotest.(check string) "a and b printed as roots, the note counts them"
+    "a 3.000 s\n\
+    \  a1 1.000 s\n\
+     b 1.000 s\n\
+     (2 span(s) had no parent in the trace \xe2\x80\x94 evicted or escaped \
+     \xe2\x80\x94 and were promoted to roots)\n"
+    (stdout_of (fun () -> Ldv_core.Obs_report.print_tree (P.of_snapshot snap)))
+
+let test_torn_tree () =
+  with_memory @@ fun () -> check_torn_tree (torn_snapshot ())
+
+let test_torn_tree_jsonl () =
+  with_memory @@ fun () ->
+  check_torn_tree (Obs.of_jsonl (Obs.to_jsonl (torn_snapshot ())))
+
 let suite =
   [ Alcotest.test_case "self vs total attribution" `Quick test_self_total;
     Alcotest.test_case "critical path telescopes" `Quick test_critical_path;
@@ -327,4 +378,8 @@ let suite =
     Alcotest.test_case "obs diff added/removed/evicted spans" `Quick
       test_diff_one_sided;
     Alcotest.test_case "histogram NaN guard" `Quick test_histogram_nan;
-    QCheck_alcotest.to_alcotest prop_percentile_accuracy ]
+    QCheck_alcotest.to_alcotest prop_percentile_accuracy;
+    Alcotest.test_case "torn trace: the tree lists the closed children"
+      `Quick test_torn_tree;
+    Alcotest.test_case "torn trace: the tree after a JSONL round trip"
+      `Quick test_torn_tree_jsonl ]

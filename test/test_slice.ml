@@ -65,7 +65,9 @@ let test_to_csvs_roundtrip () =
   Alcotest.(check int) "every relevant tuple serialized"
     (Tid.Set.cardinal relevant) total_rows;
   Alcotest.(check bool) "subset bytes positive" true
-    (Slice.subset_bytes db relevant > 0)
+    (Slice.subset_bytes_of_csvs
+       (Slice.lineage_csvs db (Slice.relevant_lineage audit))
+    > 0)
 
 let test_schema_ddl_covers_tables () =
   let audit = Lazy.force Ldv_fixtures.included in
@@ -75,7 +77,10 @@ let test_schema_ddl_covers_tables () =
     Tid.Set.fold (fun tid acc -> tid.Tid.table :: acc) relevant []
     |> List.sort_uniq compare
   in
-  let ddl = Slice.schema_ddl db relevant in
+  let ddl =
+    Slice.schema_ddl_for db
+      (Slice.lineage_tables audit (Slice.relevant_lineage audit))
+  in
   Alcotest.(check (list string)) "one DDL per accessed table" tables
     (List.map fst ddl);
   (* the DDL parses *)
