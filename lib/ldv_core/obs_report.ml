@@ -328,7 +328,7 @@ let print_overhead (t : P.t) : float option =
     spans share; any other mark only fills a blank one. Deterministic: a
     pure function of the trace. *)
 let print_gantt ~legend (lanes : (string * (P.node * char) list) list) =
-  let lo, hi = P.extent (List.concat_map (fun (_, spans) -> List.map fst spans) lanes) in
+  let lo, hi = P.extent (List.concat_map (fun (_, s) -> List.map fst s) lanes) in
   let width = 64 in
   let extent = hi -. lo in
   if extent <= 0.0 then print_endline "(trace spans a single instant)"

@@ -48,8 +48,8 @@ let attribution (t : Profile.t) : session_attr list =
       match (row quantum_span, row sched_wait_span, row latch_wait_span) with
       | [], [], [] -> None
       | run, blocked, latch ->
-        let total = List.fold_left (fun acc (r : Profile.row) -> acc +. r.r_total) 0.0 in
-        let count = List.fold_left (fun acc (r : Profile.row) -> acc + r.r_count) 0 in
+        let total = List.fold_left (fun acc r -> acc +. r.Profile.r_total) 0.0 in
+        let count = List.fold_left (fun acc r -> acc + r.Profile.r_count) 0 in
         (* quanta and scheduler waits tile the session's activity *)
         let first, last =
           Profile.extent

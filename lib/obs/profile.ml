@@ -156,7 +156,8 @@ let of_snapshot (snap : snapshot) : t =
           n_repl_node = int_attr sp "repl.node" }
       in
       nodes.(i) <- Some n;
-      if attached sp then Hashtbl.replace children sp.sp_parent (n :: kids sp.sp_parent))
+      let p = sp.sp_parent in
+      if attached sp then Hashtbl.replace children p (n :: kids p))
     order;
   let nodes = Array.to_list (Array.map Option.get nodes) in
   let forest = List.filter (fun n -> not (attached n.n_span)) nodes in
